@@ -38,7 +38,7 @@ class ZeroDegreeError(VideoThreadsError):
 
 
 class ConvergenceError(VideoThreadsError):
-    """An iterative kernel exceeded its iteration budget."""
+    """An iterative solver (the LAPACK symmetric eigensolve) failed to converge."""
 
 
 class ClusteringError(VideoThreadsError):

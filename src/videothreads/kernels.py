@@ -2,12 +2,13 @@
 
 Everything here operates on float64 C-order numpy arrays and is pure:
 identical inputs (plus seed, where one applies) produce bit-identical
-outputs, so the kernels are safe to call from concurrent workers.
+outputs, so the kernels are safe to call from concurrent workers. The
+symmetric eigensolve is LAPACK's, through ``numpy.linalg.eigh``; the tests
+check it against an independent Householder + implicit-shift QL solver.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ from .errors import (
 )
 
 SYMMETRY_ATOL = 1e-10
-_QL_MAX_SWEEPS = 60
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -51,9 +51,10 @@ class EigenDecomposition:
 def sym_eigen(a) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix.
 
-    Householder tridiagonalization followed by implicit-shift QL; dense and
-    exact to roughly machine precision for the sizes this library needs
-    (a few thousand nodes at most).
+    LAPACK's symmetric solver via ``numpy.linalg.eigh`` (which reads the lower
+    triangle; the symmetry check bounds what the upper one may add), followed
+    by the sign convention of ``EigenDecomposition``. A LAPACK convergence
+    failure is raised as ConvergenceError.
     """
     a = as_matrix(a, "a")
     n, m = a.shape
@@ -63,116 +64,27 @@ def sym_eigen(a) -> EigenDecomposition:
         worst = float(np.max(np.abs(a - a.T)))
         raise NotSymmetricError(f"matrix is not symmetric (max |A - A^T| = {worst:.3e})")
 
-    diag, offdiag, q = _householder_tridiagonalize(a)
-    _ql_implicit_shift(diag, offdiag, q)
-
-    order = np.argsort(diag, kind="stable")
-    values = diag[order]
-    vectors = q[:, order]
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed to converge: {exc}") from exc
     _canonical_signs(vectors)
     return EigenDecomposition(values, vectors)
 
 
-def _householder_tridiagonalize(a: np.ndarray):
-    """Reduce symmetric ``a`` to tridiagonal form, accumulating the transform.
-
-    Returns (diag, offdiag, q) with offdiag[i] the coupling between i and i+1
-    (offdiag[n-1] unused) and q the orthogonal accumulation such that
-    q @ T @ q.T reconstructs ``a``.
-    """
-    n = a.shape[0]
-    t = a.copy()
-    q = np.eye(n)
-    for k in range(n - 2):
-        x = t[k + 1 :, k]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        v[0] += math.copysign(norm_x, x[0])  # avoids cancellation
-        v_norm = float(np.linalg.norm(v))
-        if v_norm == 0.0:
-            continue
-        v /= v_norm
-        # Apply P = I - 2 v v^T symmetrically to the trailing block.
-        t[k + 1 :, k:] -= 2.0 * np.outer(v, v @ t[k + 1 :, k:])
-        t[:, k + 1 :] -= 2.0 * np.outer(t[:, k + 1 :] @ v, v)
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v)
-    diag = np.diag(t).copy()
-    offdiag = np.zeros(n)
-    if n > 1:
-        sub = np.diag(t, -1)
-        sup = np.diag(t, 1)
-        offdiag[: n - 1] = 0.5 * (sub + sup)  # rounding left tiny asymmetry
-    return diag, offdiag, q
-
-
-def _ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
-    """QL iterations with implicit Wilkinson shifts on a tridiagonal matrix.
-
-    ``d`` and ``e`` are updated in place; accumulated rotations are applied to
-    the columns of ``z``. On return ``d`` holds the eigenvalues (unordered)
-    and the columns of ``z`` the matching eigenvectors.
-    """
-    n = d.size
-    if n <= 1:
-        return
-    eps = np.finfo(np.float64).eps
-    for l in range(n):
-        for sweep in range(_QL_MAX_SWEEPS + 1):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweep == _QL_MAX_SWEEPS:
-                raise ConvergenceError(f"QL failed to converge for eigenvalue {l}")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            broke_down = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    broke_down = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
-            if broke_down:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-
 def _canonical_signs(vectors: np.ndarray) -> None:
-    """Flip eigenvector columns so the first non-negligible entry is positive."""
-    n = vectors.shape[1]
-    for j in range(n):
-        col = vectors[:, j]
-        threshold = 1e-12 * max(float(np.max(np.abs(col))), 1e-300)
-        nz = np.flatnonzero(np.abs(col) > threshold)
-        lead = nz[0] if nz.size else 0
-        if col[lead] < 0.0:
-            vectors[:, j] = -col
+    """Flip eigenvector columns so the first non-negligible entry is positive.
+
+    An entry is non-negligible above 1e-12 times its column's largest
+    magnitude; an all-zero column keeps its sign.
+    """
+    if vectors.size == 0:
+        return
+    mag = np.abs(vectors)
+    threshold = 1e-12 * np.maximum(mag.max(axis=0), 1e-300)
+    lead = np.argmax(mag > threshold, axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    vectors[:, flip] *= -1.0
 
 
 def cosine_similarity_matrix(x) -> np.ndarray:

@@ -6,6 +6,10 @@ sums are accumulated per node, interpolation walks the timestamp list, and
 the decoder recomputes partition sub-graphs by scanning pairwise distances.
 Partitions are taken as given inputs (they are discrete context, not part of
 the numerics under test).
+
+The symmetric eigensolver oracle is Householder tridiagonalization followed
+by implicit-shift QL, with the per-column sign convention applied in a loop;
+production code calls LAPACK instead.
 """
 
 from __future__ import annotations
@@ -13,6 +17,123 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from videothreads.errors import ConvergenceError
+
+QL_MAX_SWEEPS = 60
+
+
+def sym_eigen_ref(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and sign-canonical eigenvectors of symmetric ``a``."""
+    a = np.asarray(a, dtype=np.float64)
+    diag, offdiag, q = householder_tridiagonalize(a)
+    ql_implicit_shift(diag, offdiag, q)
+    order = np.argsort(diag, kind="stable")
+    vectors = q[:, order]
+    canonical_signs_ref(vectors)
+    return diag[order], vectors
+
+
+def householder_tridiagonalize(a: np.ndarray):
+    """Reduce symmetric ``a`` to tridiagonal form, accumulating the transform.
+
+    Returns (diag, offdiag, q) with offdiag[i] the coupling between i and i+1
+    (offdiag[n-1] unused) and q the orthogonal accumulation such that
+    q @ T @ q.T reconstructs ``a``.
+    """
+    n = a.shape[0]
+    t = a.copy()
+    q = np.eye(n)
+    for k in range(n - 2):
+        x = t[k + 1 :, k]
+        norm_x = float(np.linalg.norm(x))
+        if norm_x == 0.0:
+            continue
+        v = x.copy()
+        v[0] += math.copysign(norm_x, x[0])  # avoids cancellation
+        v_norm = float(np.linalg.norm(v))
+        if v_norm == 0.0:
+            continue
+        v /= v_norm
+        # Apply P = I - 2 v v^T symmetrically to the trailing block.
+        t[k + 1 :, k:] -= 2.0 * np.outer(v, v @ t[k + 1 :, k:])
+        t[:, k + 1 :] -= 2.0 * np.outer(t[:, k + 1 :] @ v, v)
+        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v)
+    diag = np.diag(t).copy()
+    offdiag = np.zeros(n)
+    if n > 1:
+        sub = np.diag(t, -1)
+        sup = np.diag(t, 1)
+        offdiag[: n - 1] = 0.5 * (sub + sup)  # rounding left tiny asymmetry
+    return diag, offdiag, q
+
+
+def ql_implicit_shift(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
+    """QL iterations with implicit Wilkinson shifts on a tridiagonal matrix.
+
+    ``d`` and ``e`` are updated in place; accumulated rotations are applied to
+    the columns of ``z``. On return ``d`` holds the eigenvalues (unordered)
+    and the columns of ``z`` the matching eigenvectors.
+    """
+    n = d.size
+    if n <= 1:
+        return
+    eps = np.finfo(np.float64).eps
+    for l in range(n):
+        for sweep in range(QL_MAX_SWEEPS + 1):
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) <= eps * dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            if sweep == QL_MAX_SWEEPS:
+                raise ConvergenceError(f"QL failed to converge for eigenvalue {l}")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            broke_down = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    broke_down = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                col = z[:, i + 1].copy()
+                z[:, i + 1] = s * z[:, i] + c * col
+                z[:, i] = c * z[:, i] - s * col
+            if broke_down:
+                continue
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+
+
+def canonical_signs_ref(vectors: np.ndarray) -> None:
+    """Flip eigenvector columns so the first non-negligible entry is positive."""
+    n = vectors.shape[1]
+    for j in range(n):
+        col = vectors[:, j]
+        threshold = 1e-12 * max(float(np.max(np.abs(col))), 1e-300)
+        nz = np.flatnonzero(np.abs(col) > threshold)
+        lead = nz[0] if nz.size else 0
+        if col[lead] < 0.0:
+            vectors[:, j] = -col
 
 
 def relu_vec(v):

@@ -6,6 +6,7 @@ import pytest
 from videothreads.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_ERROR,
     EXIT_MISSING,
     EXIT_OK,
     main,
@@ -94,6 +95,17 @@ class TestErrorExitCodes:
         assert code == EXIT_DATA
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "BadMagicError"
+
+    def test_eigensolver_failure_is_library_error(self, corpus, tmp_path, capsys, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        code = run("procedure-learn", "--features", str(corpus / "features.hft"), "--k", "4",
+                   "--hidden", "16", "--out", str(tmp_path / "labels.json"))
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConvergenceError"
 
 
 class TestPipeline:

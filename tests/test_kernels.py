@@ -3,20 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_impl import canonical_signs_ref, sym_eigen_ref
+from videothreads import kernels
 from videothreads.errors import (
     ClusteringError,
+    ConvergenceError,
     NonFiniteError,
     NotSymmetricError,
     ShapeError,
     ZeroNormRowError,
 )
 from videothreads.kernels import (
+    _canonical_signs,
     _lloyd_once,
     cosine_similarity_matrix,
     kmeans,
     sym_eigen,
 )
 from videothreads.metrics import adjusted_rand_index
+from videothreads.partition import normalized_laplacian
 
 
 def random_symmetric(rng, n):
@@ -92,6 +97,100 @@ class TestSymEigen:
         dec = sym_eigen(a)
         rebuilt = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
         assert np.max(np.abs(rebuilt - a)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
+
+
+def eigenspace_groups(values, tol):
+    """Index ranges of ascending ``values`` whose neighbours lie within ``tol``."""
+    groups, start = [], 0
+    for j in range(1, len(values) + 1):
+        if j == len(values) or values[j] - values[j - 1] > tol:
+            groups.append(np.arange(start, j))
+            start = j
+    return groups
+
+
+class TestSymEigenAgainstReference:
+    """LAPACK against the Householder + implicit-shift QL oracle."""
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(2024)
+        for n in range(1, 33):
+            a = random_symmetric(rng, n)
+            dec = sym_eigen(a)
+            ref_values, ref_vectors = sym_eigen_ref(a)
+            scale = max(1.0, float(np.max(np.abs(ref_values))))
+            assert np.max(np.abs(dec.eigenvalues - ref_values)) <= 1e-12 * scale
+            gaps = np.diff(ref_values)
+            isolated = np.ones(n, dtype=bool)
+            isolated[:-1] &= gaps > 1e-6
+            isolated[1:] &= gaps > 1e-6
+            diff = np.abs(dec.eigenvectors[:, isolated] - ref_vectors[:, isolated])
+            assert diff.size == 0 or np.max(diff) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["zero_identity", "scaled_identity", "two_block_laplacian",
+                                      "single_node"])
+    def test_degenerate_spectra(self, name):
+        # Vectors inside a repeated eigenspace are arbitrary; the projector
+        # onto the eigenspace is not.
+        block = np.ones((5, 5))
+        a = {
+            "zero_identity": np.zeros((6, 6)),
+            "scaled_identity": -2.5 * np.eye(7),
+            "two_block_laplacian": normalized_laplacian(
+                np.block([[block, np.zeros((5, 4))], [np.zeros((4, 5)), np.ones((4, 4))]])),
+            "single_node": np.array([[4.2]]),
+        }[name]
+        dec = sym_eigen(a)
+        ref_values, ref_vectors = sym_eigen_ref(a)
+        assert np.max(np.abs(dec.eigenvalues - ref_values)) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(ref_values))))
+        groups = eigenspace_groups(ref_values, 1e-8)
+        if name == "two_block_laplacian":
+            assert [g.size for g in groups] == [2, 7]
+        for g in groups:
+            proj = dec.eigenvectors[:, g] @ dec.eigenvectors[:, g].T
+            ref_proj = ref_vectors[:, g] @ ref_vectors[:, g].T
+            assert np.max(np.abs(proj - ref_proj)) <= 1e-8
+
+    def test_empty_matrix(self):
+        dec = sym_eigen(np.zeros((0, 0)))
+        assert dec.eigenvalues.shape == (0,)
+        assert dec.eigenvectors.shape == (0, 0)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(kernels.np.linalg, "eigh", failing_eigh)
+        with pytest.raises(ConvergenceError):
+            sym_eigen(np.eye(3))
+
+
+class TestCanonicalSigns:
+    """The vectorized sign convention flips exactly the columns the loop flips."""
+
+    def test_matches_loop_on_eigenvectors(self):
+        rng = np.random.default_rng(99)
+        for n in (1, 2, 7, 33):
+            vectors = np.linalg.eigh(random_symmetric(rng, n))[1]
+            expected = vectors.copy()
+            canonical_signs_ref(expected)
+            _canonical_signs(vectors)
+            assert np.array_equal(vectors, expected)
+
+    def test_matches_loop_on_edge_columns(self):
+        vectors = np.array([
+            [0.0, -1e-13, 1e-13, 0.0, -0.5],
+            [0.0, 0.7, -0.7, -1e-300, 0.5],
+            [0.0, -0.3, 0.3, 0.0, -0.5],
+        ])
+        expected = vectors.copy()
+        canonical_signs_ref(expected)
+        _canonical_signs(vectors)
+        assert np.array_equal(vectors, expected)
+        # The leading 1e-13 is below the threshold, so row 1 decides the sign.
+        assert np.array_equal(vectors[:, 1], [-1e-13, 0.7, -0.3])
+        assert np.array_equal(vectors[:, 2], [-1e-13, 0.7, -0.3])
 
 
 class TestKMeans:
