@@ -2,8 +2,8 @@
 
 Covers exactly the operations the network forward pass and the contrastive
 losses need (2-D matmul, broadcast arithmetic, relu, exp/log/sqrt, axis
-sums). The helper functions dispatch on type, so the same forward code runs
-on plain ndarrays when no gradient is wanted.
+sums, row gather and row scatter-add). The helper functions dispatch on type,
+so the same forward code runs on plain ndarrays when no gradient is wanted.
 """
 
 from __future__ import annotations
@@ -202,6 +202,24 @@ def vsum(x, axis=None, keepdims: bool = False):
 
         return Var(out, (x,), (grad_fn,))
     return np.sum(x, axis=axis, keepdims=keepdims)
+
+
+def take_rows(x, idx: np.ndarray):
+    """Gather ``x[idx]`` along the first axis; ``idx`` may repeat rows."""
+    if isinstance(x, Var):
+        n = x.shape[0]
+        return Var(x.value[idx], (x,), (lambda g: segment_sum(g, idx, n),))
+    return x[idx]
+
+
+def segment_sum(x, seg: np.ndarray, n: int):
+    """Scatter-add: row s of the (n, ...) result sums the rows r of ``x`` with
+    ``seg[r] == s``; segments no row maps to stay zero."""
+    if isinstance(x, Var):
+        return Var(segment_sum(x.value, seg, n), (x,), (lambda g: g[seg],))
+    out = np.zeros((n,) + x.shape[1:])
+    np.add.at(out, seg, x)
+    return out
 
 
 def l2_normalize_rows(x):

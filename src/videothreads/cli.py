@@ -4,8 +4,8 @@ localize | mcq | evaluate | train-toy | grad-check | dump-config.
 Every subcommand reads the shared JSON run config (flags win over file
 values), writes deterministic JSON results (metadata such as creation time
 is dropped under --no-meta so reruns are byte-identical), and exits with a
-distinct code per failure class: 2 usage, 3 bad config, 4 missing file,
-5 malformed data, 1 any other library error.
+distinct code per failure class: 2 usage, 3 bad config, 4 missing or
+unreadable input path, 5 malformed data, 1 any other library error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .dataio import (
     read_annotations,
     read_feature_file,
     read_narrations,
+    read_object,
     read_predictions,
     read_taxonomy,
     write_annotations,
@@ -229,9 +230,7 @@ def _cmd_ground(args) -> int:
     cfg = _load_config(args)
     k = args.k if args.k is not None else cfg.k_candidates
     seq = read_feature_file(args.features)
-    with open(args.query, "r", encoding="utf-8") as fh:
-        query_doc = json.load(fh)
-    query = np.asarray(query_doc["embedding"], dtype=np.float64)
+    query = np.asarray(read_object(args.query, "embedding")["embedding"], dtype=np.float64)
     params = _resolve_params(args, cfg, seq.dim, d_t=query.size)
     candidates = _candidates_for(args, cfg, seq, params, k)
     ranked = step_grounding(candidates, query, params)
@@ -253,8 +252,7 @@ def _cmd_localize(args) -> int:
 
 def _cmd_mcq(args) -> int:
     cfg = _load_config(args)
-    with open(args.question, "r", encoding="utf-8") as fh:
-        question = json.load(fh)
+    question = read_object(args.question, "query", "candidates")
     base = Path(args.question).parent
     query = np.asarray(question["query"], dtype=np.float64)
     candidates = [read_feature_file(base / p) for p in question["candidates"]]
@@ -275,8 +273,7 @@ def _cmd_mcq(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if args.task == "procedure":
-        with open(args.pred, "r", encoding="utf-8") as fh:
-            pred_doc = json.load(fh)
+        pred_doc = read_object(args.pred, "timestamps", "segment_duration", "labels")
         annotation = read_annotations(args.annotations)
         timestamps = np.asarray(pred_doc["timestamps"], dtype=np.float64)
         gt = segment_labels_from_annotation(
@@ -289,11 +286,9 @@ def _cmd_evaluate(args) -> int:
         doc = {"scalars": {"F1": f1, "IoU": iou},
                "counts": {"segments": int(timestamps.size), "steps": num_steps}}
     elif args.task == "grounding":
-        with open(args.queries, "r", encoding="utf-8") as fh:
-            queries_doc = json.load(fh)
         base = Path(args.queries).parent
         queries = []
-        for item in queries_doc["queries"]:
+        for item in read_object(args.queries, "queries")["queries"]:
             preds = read_predictions(base / item["predictions"])
             gt = item.get("gt")
             interval = (gt["start"], gt["end"]) if gt else None
@@ -313,10 +308,12 @@ def _cmd_evaluate(args) -> int:
         report.scalars["label_accuracy"] = correct / len(predictions) if predictions else 0.0
         doc = report.to_json_dict()
     else:  # mcq
-        with open(args.results, "r", encoding="utf-8") as fh:
-            results_doc = json.load(fh)
-        choices = [(r["chosen"], r["correct"], r.get("group", "inter"))
-                   for r in results_doc["results"]]
+        results = read_object(args.results, "results")["results"]
+        for i, r in enumerate(results):
+            for key in ("chosen", "correct"):
+                if not isinstance(r, dict) or key not in r:
+                    raise SchemaError(f"{args.results}: results[{i}].{key}", "missing")
+        choices = [(r["chosen"], r["correct"], r.get("group", "inter")) for r in results]
         doc = mcq_accuracy(choices).to_json_dict()
     doc["task"] = args.task
     _emit(args, "evaluate", doc)
@@ -535,15 +532,23 @@ def _error_payload(exc: Exception) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
+_EVALUATE_INPUTS = {"procedure": ("pred", "annotations"), "grounding": ("queries",),
+                   "localization": ("pred", "annotations"), "mcq": ("results",)}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "evaluate":
+        missing = [f"--{name}" for name in _EVALUATE_INPUTS[args.task] if getattr(args, name) is None]
+        if missing:
+            parser.error(f"evaluate --task {args.task} requires {' and '.join(missing)}")
     try:
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps(_error_payload(exc)), file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(json.dumps(_error_payload(exc)), file=sys.stderr)
         return EXIT_MISSING
     except DataError as exc:

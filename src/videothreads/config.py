@@ -31,7 +31,6 @@ class RunConfig:
     alpha: float = 1.0
     beta: float = 4.0
     depth: int = 1
-    row_normalize: bool = False
     seed: int = 0
     jobs: int = 1
 

@@ -213,7 +213,10 @@ def _vector(values, path: str) -> np.ndarray:
 
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(str(path), f"invalid JSON ({exc})") from exc
 
 
 def _dump_json(path, doc: dict) -> None:
@@ -313,3 +316,13 @@ def write_predictions(path, predictions: list[StepPrediction]) -> None:
             for p in predictions
         ]
     })
+
+
+def read_object(path, *keys: str) -> dict:
+    """The JSON object in ``path``, checked to hold every key in ``keys``; a
+    SchemaError names the file and the missing field otherwise."""
+    doc = _load_json(path)
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise SchemaError(f"{path}: {key}", "missing")
+    return doc

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import take_rows
 from .errors import GraphError
 from .kernels import as_matrix
 
@@ -20,14 +21,15 @@ from .kernels import as_matrix
 class VideoGraph:
     """One resolution level of a video's temporal graph.
 
-    ``edges`` holds undirected pairs (i, j) with i < j; two nodes are linked
-    exactly when |t_i - t_j| <= edge_threshold * 2**level. ``edge_threshold``
-    is the level-0 base value.
+    ``edges`` is an (E, 2) intp array of undirected pairs (i, j), i < j, in
+    lexicographic order; two nodes are linked exactly when
+    |t_i - t_j| <= edge_threshold * 2**level. ``edge_threshold`` is the
+    level-0 base value.
     """
 
     embeddings: np.ndarray
     timestamps: np.ndarray
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
     level: int = 0
     edge_threshold: float = 1.0
 
@@ -49,32 +51,30 @@ class VideoGraph:
     def effective_threshold(self) -> float:
         return self.edge_threshold * float(2 ** self.level)
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Sorted neighbor indices per node."""
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return [np.array(sorted(nbrs), dtype=np.intp) for nbrs in adj]
 
-    def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dst, src) index arrays covering both directions, deterministically ordered."""
-        if not self.edges:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty
-        pairs = np.array(sorted(self.edges), dtype=np.intp)
-        dst = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        src = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        return dst, src
+def directed_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dst, src) index arrays covering both directions of an (E, 2) edge
+    array: every (i, j) in order, then every (j, i)."""
+    return (np.concatenate([edges[:, 0], edges[:, 1]]),
+            np.concatenate([edges[:, 1], edges[:, 0]]))
 
 
-def temporal_edges(timestamps: np.ndarray, threshold: float) -> frozenset[tuple[int, int]]:
-    """All pairs (i, j), i < j, with |t_i - t_j| <= threshold."""
+def temporal_edges(timestamps: np.ndarray, threshold: float) -> np.ndarray:
+    """All pairs (i, j), i < j, with |t_i - t_j| <= threshold, as an (E, 2)
+    intp array in lexicographic order.
+
+    ``timestamps`` must be ascending, so the pairs form a band: some pair at
+    offset j - i = k links only if some pair at offset k - 1 does.
+    """
     t = np.asarray(timestamps, dtype=np.float64)
-    n = t.shape[0]
-    dist = np.abs(t[:, None] - t[None, :])
-    ii, jj = np.nonzero(np.triu(dist <= threshold, k=1))
-    return frozenset((int(i), int(j)) for i, j in zip(ii, jj))
+    bands = [np.empty((0, 2), dtype=np.intp)]
+    for k in range(1, t.shape[0]):
+        i = np.flatnonzero(t[k:] - t[:-k] <= threshold)
+        if i.size == 0:
+            break
+        bands.append(np.stack([i, i + k], axis=1))
+    edges = np.concatenate(bands)
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 def build_graph(seq, edge_threshold: float) -> VideoGraph:
@@ -123,28 +123,36 @@ def temporal_subsample(g: VideoGraph) -> VideoGraph:
     )
 
 
-def interpolation_weights(source_times: np.ndarray, target_times: np.ndarray):
-    """Per-target (left index, right index, right weight) for linear-in-time
-    interpolation with clamping outside the source range."""
+@dataclass(frozen=True, eq=False)
+class Interpolation:
+    """Two-tap linear interpolation operator: target row r is
+    (1 - weight[r]) * y[left[r]] + weight[r] * y[right[r]].
+
+    ``op @ y`` applies it to a (sources x d) ndarray or autodiff Var.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    weight: np.ndarray
+
+    def __matmul__(self, y):
+        w = self.weight[:, None]
+        return take_rows(y, self.left) * (1.0 - w) + take_rows(y, self.right) * w
+
+
+def interpolation_matrix(source_times: np.ndarray, target_times: np.ndarray) -> Interpolation:
+    """Linear-in-time interpolation from sorted ``source_times`` onto
+    ``target_times``; targets outside the source range clamp to the nearest
+    endpoint."""
     src = np.asarray(source_times, dtype=np.float64)
     tgt = np.asarray(target_times, dtype=np.float64)
     if src.shape[0] == 1:
         zeros = np.zeros(tgt.shape[0], dtype=np.intp)
-        return zeros, zeros, np.zeros(tgt.shape[0])
+        return Interpolation(zeros, zeros, np.zeros(tgt.shape[0]))
     left = np.clip(np.searchsorted(src, tgt, side="right") - 1, 0, src.shape[0] - 2)
     right = left + 1
     w = (tgt - src[left]) / (src[right] - src[left])
-    return left, right, np.clip(w, 0.0, 1.0)
-
-
-def interpolation_matrix(source_times: np.ndarray, target_times: np.ndarray) -> np.ndarray:
-    """Dense (targets x sources) linear interpolation operator."""
-    left, right, w = interpolation_weights(source_times, target_times)
-    m = np.zeros((len(np.atleast_1d(target_times)), len(np.atleast_1d(source_times))))
-    rows = np.arange(m.shape[0])
-    np.add.at(m, (rows, left), 1.0 - w)
-    np.add.at(m, (rows, right), w)
-    return m
+    return Interpolation(left, right, np.clip(w, 0.0, 1.0))
 
 
 def temporal_interpolate(coarse: VideoGraph, target_timestamps) -> np.ndarray:
@@ -154,10 +162,7 @@ def temporal_interpolate(coarse: VideoGraph, target_timestamps) -> np.ndarray:
     the nearest endpoint, and targets equal to coarse timestamps reproduce
     the coarse rows exactly.
     """
-    tgt = np.asarray(target_timestamps, dtype=np.float64)
-    left, right, w = interpolation_weights(coarse.timestamps, tgt)
-    emb = coarse.embeddings
-    return (1.0 - w)[:, None] * emb[left] + w[:, None] * emb[right]
+    return interpolation_matrix(coarse.timestamps, target_timestamps) @ coarse.embeddings
 
 
 def nearest_indices(source_times: np.ndarray, query_times: np.ndarray) -> np.ndarray:

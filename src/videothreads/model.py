@@ -19,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Var, l2_normalize_rows, relu, value
+from .autodiff import Var, l2_normalize_rows, relu, segment_sum, take_rows, value
 from .errors import BadMagicError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
+    directed_edges,
     interpolation_matrix,
     temporal_edges,
     temporal_subsample,
@@ -222,24 +223,6 @@ def load_params(path) -> ModelParams:
 # forward pass
 
 
-def _select_rows(x, idx: np.ndarray, n: int):
-    if isinstance(x, Var):
-        sel = np.zeros((idx.size, n))
-        sel[np.arange(idx.size), idx] = 1.0
-        return sel @ x
-    return x[idx]
-
-
-def _scatter_rows(x, idx: np.ndarray, n: int):
-    if isinstance(x, Var):
-        sel = np.zeros((idx.size, n))
-        sel[np.arange(idx.size), idx] = 1.0
-        return sel.T @ x
-    out = np.zeros((n, x.shape[1]))
-    out[idx] = x
-    return out
-
-
 def _tdgc_apply(x, timestamps: np.ndarray, dst: np.ndarray, src: np.ndarray,
                 layer: TdgcLayerParams):
     """One TDGC layer on embeddings ``x`` (rows = nodes).
@@ -257,12 +240,10 @@ def _tdgc_apply(x, timestamps: np.ndarray, dst: np.ndarray, src: np.ndarray,
     gate_in = np.abs(dt)[:, None]
     gate = relu(gate_in @ layer.gate_w1 + layer.gate_b1) @ layer.gate_w2 + layer.gate_b2
     signed_gate = np.sign(dt)[:, None] * gate
-    messages = signed_gate * _select_rows(projected, src, n)
+    messages = signed_gate * take_rows(projected, src)
     counts = np.bincount(dst, minlength=n).astype(np.float64)
     weights = np.divide(1.0, counts, out=np.zeros(n), where=counts > 0)
-    mean_op = np.zeros((n, dst.size))
-    mean_op[dst, np.arange(dst.size)] = weights[dst]
-    return residual + mean_op @ messages
+    return residual + segment_sum(messages, dst, n) * weights[:, None]
 
 
 def tdgc_forward(g: VideoGraph, layer: TdgcLayerParams) -> np.ndarray:
@@ -271,18 +252,8 @@ def tdgc_forward(g: VideoGraph, layer: TdgcLayerParams) -> np.ndarray:
     w_n = value(layer.w_n)
     if w_n.shape[0] != d:
         raise ShapeError(f"layer expects dimension {w_n.shape[0]}, graph has {d}")
-    dst, src = g.directed_edges()
+    dst, src = directed_edges(g.edges)
     return value(_tdgc_apply(g.embeddings, g.timestamps, dst, src, layer))
-
-
-def _directed_subset_edges(timestamps: np.ndarray, threshold: float):
-    edges = temporal_edges(timestamps, threshold)
-    if not edges:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
-    pairs = np.array(sorted(edges), dtype=np.intp)
-    return (np.concatenate([pairs[:, 0], pairs[:, 1]]),
-            np.concatenate([pairs[:, 1], pairs[:, 0]]))
 
 
 def _encode(g0: VideoGraph, params: ModelParams):
@@ -290,11 +261,11 @@ def _encode(g0: VideoGraph, params: ModelParams):
     g = with_embeddings(g0, value(x))
     graphs, xs = [], []
     for stage in params.encoder:
-        dst, src = g.directed_edges()
+        dst, src = directed_edges(g.edges)
         for layer in stage:
             x = _tdgc_apply(x, g.timestamps, dst, src, layer)
         keep = np.arange(0, g.num_nodes, 2)
-        x = _select_rows(x, keep, g.num_nodes)
+        x = take_rows(x, keep)
         g = with_embeddings(temporal_subsample(g), value(x))
         graphs.append(g)
         xs.append(x)
@@ -373,11 +344,11 @@ def decoder_forward(encoder_graphs: list[VideoGraph], params: ModelParams,
             if idx.size == 0:
                 continue
             sub_times = lateral.timestamps[idx]
-            sub_dst, sub_src = _directed_subset_edges(sub_times, lateral.effective_threshold)
-            sub_x = _select_rows(fused, idx, lateral.num_nodes)
+            sub_dst, sub_src = directed_edges(temporal_edges(sub_times, lateral.effective_threshold))
+            sub_x = take_rows(fused, idx)
             for layer in params.decoder[s]:
                 sub_x = _tdgc_apply(sub_x, sub_times, sub_dst, sub_src, layer)
-            scattered = _scatter_rows(sub_x, idx, lateral.num_nodes)
+            scattered = segment_sum(sub_x, idx, lateral.num_nodes)
             merged = scattered if merged is None else merged + scattered
         y = merged
         y_times = lateral.timestamps

@@ -82,14 +82,12 @@ def normalized_laplacian(w) -> np.ndarray:
     return lap
 
 
-def spectral_partition(x, k: int, kappa: float = DEFAULT_KAPPA, seed: int = 0,
-                       row_normalize: bool = False) -> PartitionResult:
+def spectral_partition(x, k: int, kappa: float = DEFAULT_KAPPA, seed: int = 0) -> PartitionResult:
     """Spectral clustering of embedding rows into ``k`` groups.
 
     Pipeline: similarity_matrix -> normalized_laplacian -> sym_eigen ->
     K-means (euclidean) on node rows of the K smallest-eigenvalue
-    eigenvectors. ``row_normalize`` optionally unit-normalizes those rows
-    first (off by default).
+    eigenvectors.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -97,11 +95,7 @@ def spectral_partition(x, k: int, kappa: float = DEFAULT_KAPPA, seed: int = 0,
         raise ClusteringError(f"k={k} must be in [1, {n}]")
     lap = normalized_laplacian(similarity_matrix(x, kappa))
     decomposition = sym_eigen(lap)
-    embedding = decomposition.eigenvectors[:, :k].copy()
-    if row_normalize:
-        norms = np.linalg.norm(embedding, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        embedding /= safe[:, None]
+    embedding = decomposition.eigenvectors[:, :k]
     labels = kmeans(embedding, k, metric="euclidean", seed=seed).assignments
     if k < n:
         eigengap = float(decomposition.eigenvalues[k] - decomposition.eigenvalues[k - 1])
@@ -118,8 +112,7 @@ def uniform_subsample_indices(n: int, max_nodes: int) -> np.ndarray:
 
 
 def approx_partition(g: VideoGraph, k: int, kappa: float = DEFAULT_KAPPA,
-                     max_nodes: int = DEFAULT_MAX_NODES, seed: int = 0,
-                     row_normalize: bool = False) -> PartitionResult:
+                     max_nodes: int = DEFAULT_MAX_NODES, seed: int = 0) -> PartitionResult:
     """Spectral partition with a node budget.
 
     Graphs at or under ``max_nodes`` are partitioned exactly; larger graphs
@@ -131,9 +124,9 @@ def approx_partition(g: VideoGraph, k: int, kappa: float = DEFAULT_KAPPA,
         raise ClusteringError(f"max_nodes={max_nodes} must be >= k={k}")
     n = g.num_nodes
     if n <= max_nodes:
-        return spectral_partition(g.embeddings, k, kappa, seed, row_normalize)
+        return spectral_partition(g.embeddings, k, kappa, seed)
     picked = uniform_subsample_indices(n, max_nodes)
-    sub = spectral_partition(g.embeddings[picked], k, kappa, seed, row_normalize)
+    sub = spectral_partition(g.embeddings[picked], k, kappa, seed)
     closest = nearest_indices(g.timestamps[picked], g.timestamps)
     return PartitionResult(sub.assignments[closest], k, sub.eigengap)
 

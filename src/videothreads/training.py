@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import value, vexp, vlog, vsum
+from .autodiff import segment_sum, value, vexp, vlog, vsum
 from .dataio import FeatureSequence, Narration, NarrationSet
 from .errors import (
     EmptyBatchError,
@@ -190,23 +190,12 @@ def _ft_scalar(traces: list[ForwardTrace], params: ModelParams, temperature: flo
 
 
 def _vstack(blocks):
-    from .autodiff import Var
-
-    if any(isinstance(b, Var) for b in blocks):
-        if len(blocks) == 1:
-            return blocks[0]
-        sizes = [value(b).shape[0] for b in blocks]
-        n = sum(sizes)
-        stacked = None
-        offset = 0
-        for b, size in zip(blocks, sizes):
-            sel = np.zeros((size, n))
-            sel[np.arange(size), offset + np.arange(size)] = 1.0
-            piece = sel.T @ b
-            stacked = piece if stacked is None else stacked + piece
-            offset += size
-        return stacked
-    return np.concatenate([np.asarray(b) for b in blocks], axis=0)
+    """Rows of every block in order; Var blocks keep their gradient paths."""
+    sizes = [value(b).shape[0] for b in blocks]
+    n = sum(sizes)
+    starts = np.cumsum([0] + sizes[:-1])
+    return sum(segment_sum(b, start + np.arange(size), n)
+               for b, start, size in zip(blocks, starts, sizes))
 
 
 def _collect_gradient(leaves) -> np.ndarray:

@@ -5,6 +5,8 @@ from videothreads.autodiff import (
     Var,
     l2_normalize_rows,
     relu,
+    segment_sum,
+    take_rows,
     value,
     vexp,
     vlog,
@@ -71,6 +73,28 @@ def test_axis_sums_and_broadcast():
 def test_rsub_rdiv_neg():
     finite_difference_check(lambda x: vsum(1.0 - x) + vsum(2.0 / (vexp(x) + 3.0)) + vsum(-x * x),
                             [(3, 3)])
+
+
+def test_take_rows_repeated_indices():
+    idx = np.array([2, 0, 2, 2, 1])  # row 3 is never taken; row 2 three times
+    weights = np.arange(15.0).reshape(5, 3)
+    finite_difference_check(lambda x: vsum(take_rows(x, idx) * weights), [(4, 3)])
+
+
+def test_segment_sum_empty_segments():
+    seg = np.array([3, 0, 3, 5])  # segments 1, 2 and 4 receive no row
+    weights = np.arange(18.0).reshape(6, 3) - 7.0
+    finite_difference_check(lambda x: vsum(vexp(segment_sum(x, seg, 6)) * weights), [(4, 3)])
+
+
+def test_gather_scatter_values():
+    x = np.arange(8.0).reshape(4, 2)
+    idx = np.array([3, 1, 3])
+    assert np.array_equal(take_rows(x, idx), x[idx])
+    summed = segment_sum(x, np.array([2, 2, 0, 2]), 4)
+    assert np.array_equal(summed, [[4.0, 5.0], [0.0, 0.0], [8.0, 11.0], [0.0, 0.0]])
+    assert np.array_equal(segment_sum(Var(x), np.array([2, 2, 0, 2]), 4).value, summed)
+    assert np.array_equal(take_rows(Var(x), idx).value, x[idx])
 
 
 def test_diamond_graph_gradient_accumulates():

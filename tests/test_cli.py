@@ -9,6 +9,7 @@ from videothreads.cli import (
     EXIT_ERROR,
     EXIT_MISSING,
     EXIT_OK,
+    EXIT_USAGE,
     main,
 )
 from videothreads.config import RunConfig
@@ -81,12 +82,80 @@ class TestDumpConfig:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
 
+    def test_removed_row_normalize_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"row_normalize": True}))
+        assert run("dump-config", "--config", str(path)) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert "row_normalize" in err["error"]["message"]
+
+
+def exit_code(*argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
 
 class TestErrorExitCodes:
     def test_missing_features_file(self, tmp_path, capsys):
         code = run("forward", "--features", str(tmp_path / "nope.hft"),
                    "--out", str(tmp_path / "o.json"))
         assert code == EXIT_MISSING
+
+    @pytest.mark.parametrize("path, error", [
+        ("", "IsADirectoryError"),
+        ("features.hft/inner.hft", "NotADirectoryError"),
+    ])
+    def test_unreadable_input_path(self, corpus, tmp_path, capsys, path, error):
+        code = run("forward", "--features", str(corpus / path), "--out", str(tmp_path / "o.json"))
+        assert code == EXIT_MISSING
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == error
+
+    @pytest.mark.parametrize("case, expected_code, field", [
+        ("ground_invalid_json", EXIT_DATA, "query.json"),
+        ("ground_no_embedding", EXIT_DATA, "embedding"),
+        ("mcq_no_candidates", EXIT_DATA, "candidates"),
+        ("procedure_no_timestamps", EXIT_DATA, "timestamps"),
+        ("mcq_result_no_correct", EXIT_DATA, "results[1].correct"),
+        ("grounding_no_queries", EXIT_DATA, "queries"),
+        ("procedure_no_pred", EXIT_USAGE, "--pred"),
+    ])
+    def test_malformed_documents(self, corpus, tmp_path, capsys, case, expected_code, field):
+        doc = tmp_path / "query.json"
+        feats = str(corpus / "features.hft")
+        ann = str(corpus / "annotations.json")
+        contents = {
+            "ground_invalid_json": '{"embedding": [1.0, ',
+            "ground_no_embedding": json.dumps({"vector": [1.0]}),
+            "mcq_no_candidates": json.dumps({"query": [1.0, 0.0]}),
+            "procedure_no_timestamps": json.dumps({"labels": [0], "segment_duration": 0.5}),
+            "mcq_result_no_correct": json.dumps({"results": [
+                {"chosen": 1, "correct": 1}, {"chosen": 0}]}),
+            "grounding_no_queries": json.dumps({"items": []}),
+            "procedure_no_pred": "{}",
+        }
+        doc.write_text(contents[case])
+        argv = {
+            "ground_invalid_json": ("ground", "--features", feats, "--query", str(doc)),
+            "ground_no_embedding": ("ground", "--features", feats, "--query", str(doc)),
+            "mcq_no_candidates": ("mcq", "--question", str(doc)),
+            "procedure_no_timestamps": ("evaluate", "--task", "procedure", "--pred", str(doc),
+                                        "--annotations", ann),
+            "mcq_result_no_correct": ("evaluate", "--task", "mcq", "--results", str(doc)),
+            "grounding_no_queries": ("evaluate", "--task", "grounding", "--queries", str(doc)),
+            "procedure_no_pred": ("evaluate", "--task", "procedure", "--annotations", ann),
+        }[case]
+        code = exit_code(*argv, "--out", str(tmp_path / "o.json"))
+        assert code == expected_code
+        err = capsys.readouterr().err
+        assert field in err
+        if expected_code == EXIT_DATA:
+            error = json.loads(err)["error"]
+            assert error["type"] == "SchemaError"
+            assert str(doc) in error["message"]
 
     def test_bad_magic_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.hft"

@@ -124,13 +124,6 @@ class TestSpectralPartition:
         x = np.random.default_rng(7).standard_normal((4, 3))
         assert spectral_partition(x, 4, seed=0).eigengap == 0.0
 
-    def test_row_normalize_flag(self):
-        x = np.concatenate([np.tile([1.0, 0.0, 0.0], (5, 1)),
-                            np.tile([0.0, 0.0, 1.0], (5, 1))])
-        part = spectral_partition(x, 2, seed=0, row_normalize=True)
-        labels = np.repeat([0, 1], 5)
-        assert adjusted_rand_index(part.assignments, labels) == 1.0
-
 
 class TestApproxPartition:
     def graph(self, features, spacing=0.5):
