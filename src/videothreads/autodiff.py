@@ -2,8 +2,9 @@
 
 Covers exactly the operations the network forward pass and the contrastive
 losses need (2-D matmul, broadcast arithmetic, relu, exp/log/sqrt, axis
-sums, row gather and row scatter-add). The helper functions dispatch on type,
-so the same forward code runs on plain ndarrays when no gradient is wanted.
+sums, row gather, row scatter-add and slot-table row sums). The helper
+functions dispatch on type, so the same forward code runs on plain ndarrays
+when no gradient is wanted.
 """
 
 from __future__ import annotations
@@ -219,6 +220,28 @@ def segment_sum(x, seg: np.ndarray, n: int):
         return Var(segment_sum(x.value, seg, n), (x,), (lambda g: g[seg],))
     out = np.zeros((n,) + x.shape[1:])
     np.add.at(out, seg, x)
+    return out
+
+
+def slot_sum(x, slots: np.ndarray):
+    """Row v of the (N, ...) result sums the rows of ``x`` that ``slots[v]``
+    lists, left to right; an entry equal to ``len(x)`` is an empty slot.
+
+    ``slots`` is an (N, D) integer table in which every row of ``x`` appears
+    exactly once, so the gradient is one gather by owning row.
+    """
+    if isinstance(x, Var):
+        def grad_fn(g):
+            rows, cols = np.nonzero(slots < x.shape[0])
+            owner = np.empty(x.shape[0], dtype=np.intp)
+            owner[slots[rows, cols]] = rows
+            return g[owner]
+
+        return Var(slot_sum(x.value, slots), (x,), (grad_fn,))
+    out = np.zeros((slots.shape[0],) + x.shape[1:])
+    for column in slots.T:
+        filled = column < x.shape[0]
+        out[filled] += x[column[filled]]
     return out
 
 

@@ -11,7 +11,6 @@ unreadable input path, 5 malformed data, 1 any other library error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -21,9 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import RunConfig, config_from_file
 from .dataio import (
     FeatureSequence,
+    _require,
+    _vector,
     read_annotations,
     read_feature_file,
     read_narrations,
@@ -32,6 +33,7 @@ from .dataio import (
     read_taxonomy,
     write_annotations,
     write_feature_file,
+    write_json,
     write_narrations,
     write_predictions,
     write_taxonomy,
@@ -71,14 +73,6 @@ EXIT_MISSING = 4
 EXIT_DATA = 5
 
 
-def _write_json(path, doc: dict) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _emit(args, command: str, doc: dict) -> None:
     if not args.no_meta:
         doc = dict(doc)
@@ -88,7 +82,7 @@ def _emit(args, command: str, doc: dict) -> None:
             "command": command,
             "created": datetime.now(timezone.utc).isoformat(),
         }
-    _write_json(args.out, doc)
+    write_json(args.out, doc)
 
 
 def _load_config(args) -> RunConfig:
@@ -147,7 +141,7 @@ def _cmd_synth(args) -> int:
     write_narrations(out / "narrations.json", ds.narrations)
     write_taxonomy(out / "taxonomy.json", ds.taxonomy)
     write_annotations(out / "annotations.json", ds.annotation)
-    _write_json(out / "planted.json", {
+    write_json(out / "planted.json", {
         "step_labels": ds.planted.step_labels.tolist(),
         "thread_labels": ds.planted.thread_labels.tolist(),
         "num_steps": spec.num_steps,
@@ -230,7 +224,7 @@ def _cmd_ground(args) -> int:
     cfg = _load_config(args)
     k = args.k if args.k is not None else cfg.k_candidates
     seq = read_feature_file(args.features)
-    query = np.asarray(read_object(args.query, "embedding")["embedding"], dtype=np.float64)
+    query = _vector(read_object(args.query, "embedding")["embedding"], f"{args.query}: embedding")
     params = _resolve_params(args, cfg, seq.dim, d_t=query.size)
     candidates = _candidates_for(args, cfg, seq, params, k)
     ranked = step_grounding(candidates, query, params)
@@ -254,8 +248,11 @@ def _cmd_mcq(args) -> int:
     cfg = _load_config(args)
     question = read_object(args.question, "query", "candidates")
     base = Path(args.question).parent
-    query = np.asarray(question["query"], dtype=np.float64)
-    candidates = [read_feature_file(base / p) for p in question["candidates"]]
+    query = _vector(question["query"], f"{args.question}: query")
+    paths = question["candidates"]
+    if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
+        raise SchemaError(f"{args.question}: candidates", "expected a non-empty list of paths")
+    candidates = [read_feature_file(base / p) for p in paths]
     spans = question.get("spans")
     if spans is not None:
         spans = [tuple(s) for s in spans]
@@ -275,7 +272,7 @@ def _cmd_evaluate(args) -> int:
     if args.task == "procedure":
         pred_doc = read_object(args.pred, "timestamps", "segment_duration", "labels")
         annotation = read_annotations(args.annotations)
-        timestamps = np.asarray(pred_doc["timestamps"], dtype=np.float64)
+        timestamps = _vector(pred_doc["timestamps"], f"{args.pred}: timestamps")
         gt = segment_labels_from_annotation(
             annotation, timestamps, pred_doc["segment_duration"])
         num_steps = args.num_steps
@@ -288,10 +285,17 @@ def _cmd_evaluate(args) -> int:
     elif args.task == "grounding":
         base = Path(args.queries).parent
         queries = []
-        for item in read_object(args.queries, "queries")["queries"]:
-            preds = read_predictions(base / item["predictions"])
+        items = read_object(args.queries, "queries")["queries"]
+        if not isinstance(items, list):
+            raise SchemaError(f"{args.queries}: queries", "expected a list")
+        for i, item in enumerate(items):
+            where = f"{args.queries}: queries[{i}]"
+            preds = read_predictions(base / _require(item, "predictions", str, where))
             gt = item.get("gt")
-            interval = (gt["start"], gt["end"]) if gt else None
+            interval = None
+            if gt:
+                interval = (_require(gt, "start", float, f"{where}.gt"),
+                            _require(gt, "end", float, f"{where}.gt"))
             queries.append((preds, interval))
         doc = recall_at_iou(queries).to_json_dict()
     elif args.task == "localization":
@@ -320,21 +324,6 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _load_train_config(path) -> TrainConfig:
-    if path is None:
-        return TrainConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(f"unknown training config keys: {', '.join(unknown)}")
-    return TrainConfig(**doc)
-
-
 def _load_corpus(data_dir) -> list[tuple]:
     root = Path(data_dir)
     if not root.is_dir():
@@ -353,7 +342,9 @@ def _load_corpus(data_dir) -> list[tuple]:
 
 
 def _cmd_train_toy(args) -> int:
-    train_cfg = _load_train_config(args.train_config)
+    train_cfg = TrainConfig()
+    if args.train_config:
+        train_cfg = config_from_file(TrainConfig, args.train_config)
     dataset = _load_corpus(args.data)
     params, history = train_toy(dataset, train_cfg, seed=args.seed)
     save_params(args.params_out, params)
@@ -402,7 +393,7 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_dump_config(args) -> int:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    _write_json(args.out, cfg.to_dict())
+    write_json(args.out, cfg.to_dict())
     return EXIT_OK
 
 

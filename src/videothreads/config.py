@@ -1,7 +1,8 @@
 """Run configuration shared by every CLI subcommand.
 
-A single flat JSON document mirrors every module default; unknown keys are
-rejected so typos fail loudly, and command-line flags win over file values.
+A single flat JSON document mirrors every module default; unknown keys and
+mistyped values are rejected so typos fail loudly, and command-line flags win
+over file values. The same checks load the training config.
 """
 
 from __future__ import annotations
@@ -39,36 +40,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = sorted(set(doc) - set(known))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        merged = cls()
-        for key, value in doc.items():
-            default = getattr(merged, key)
-            if isinstance(default, bool):
-                if not isinstance(value, bool):
-                    raise ConfigError(f"{key}: expected a boolean")
-            elif isinstance(default, int):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{key}: expected an integer")
-            elif isinstance(default, float):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"{key}: expected a number")
-                value = float(value)
-            setattr(merged, key, value)
-        return merged
+        return config_from_dict(cls, doc)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(doc)
+        return config_from_file(cls, path)
 
     def override(self, **updates) -> "RunConfig":
         """New config with non-None updates applied (flags win over file)."""
@@ -80,3 +56,44 @@ class RunConfig:
                 raise ConfigError(f"unknown config key: {key}")
             setattr(out, key, value)
         return out
+
+
+def config_from_dict(cls, doc: dict):
+    """Instance of the config dataclass ``cls`` with the values in ``doc``.
+
+    Unknown keys, and values whose JSON type does not match the type of the
+    field's default, raise ConfigError naming the key; integers are accepted
+    for float fields.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    merged = cls()
+    for key, value in doc.items():
+        default = getattr(merged, key)
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{key}: expected a boolean")
+        elif isinstance(default, int):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key}: expected an integer")
+        elif isinstance(default, float):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{key}: expected a number")
+            value = float(value)
+        setattr(merged, key, value)
+    return merged
+
+
+def config_from_file(cls, path):
+    """``config_from_dict`` on the JSON document in ``path``; invalid JSON is
+    a ConfigError too."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    return config_from_dict(cls, doc)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,8 +221,10 @@ def _load_json(path) -> dict:
             raise SchemaError(str(path), f"invalid JSON ({exc})") from exc
 
 
-def _dump_json(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def write_json(path, doc: dict) -> None:
+    """Stream ``doc`` as key-sorted JSON indented by one space, plus a
+    newline, to the file ``path``; the path "-" means standard output."""
+    with nullcontext(sys.stdout) if str(path) == "-" else open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -239,7 +243,7 @@ def read_narrations(path) -> NarrationSet:
 
 
 def write_narrations(path, narrations: NarrationSet) -> None:
-    _dump_json(path, {
+    write_json(path, {
         "items": [
             {"text": n.text, "timestamp": n.timestamp, "embedding": list(map(float, n.embedding))}
             for n in narrations.items
@@ -261,7 +265,7 @@ def read_taxonomy(path) -> Taxonomy:
 
 
 def write_taxonomy(path, taxonomy: Taxonomy) -> None:
-    _dump_json(path, {
+    write_json(path, {
         "labels": list(taxonomy.labels),
         "embeddings": [list(map(float, row)) for row in taxonomy.embeddings],
     })
@@ -285,7 +289,7 @@ def read_annotations(path) -> StepAnnotation:
 
 
 def write_annotations(path, annotation: StepAnnotation) -> None:
-    _dump_json(path, {
+    write_json(path, {
         "intervals": [
             {"start": start, "end": end, "label": label}
             for start, end, label in annotation.intervals
@@ -310,7 +314,7 @@ def read_predictions(path) -> list[StepPrediction]:
 
 
 def write_predictions(path, predictions: list[StepPrediction]) -> None:
-    _dump_json(path, {
+    write_json(path, {
         "predictions": [
             {"start": p.start, "end": p.end, "label": p.label, "score": p.score}
             for p in predictions

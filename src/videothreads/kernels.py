@@ -127,7 +127,9 @@ def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0,
     metric="cosine" assigns by maximum cosine similarity on L2-normalized
     points (inertia is the summed cosine distance). Each restart runs Lloyd
     iterations to an assignment fixpoint or ``max_iter``; the best of
-    ``n_init`` seeded restarts (lowest inertia) is returned.
+    ``n_init`` seeded restarts (lowest inertia, the first on ties) is
+    returned. All restarts run together as (n_init, ...) arrays; they draw
+    from one generator in the order sequential restarts would.
     """
     pts = as_matrix(points, "points")
     n = pts.shape[0]
@@ -150,80 +152,98 @@ def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0,
         pts = pts / norms[:, None]
 
     rng = np.random.default_rng(seed)
-    best: KMeansResult | None = None
-    for _ in range(n_init):
-        result = _lloyd_once(pts, k, metric, rng, max_iter)
-        if best is None or result.inertia < best.inertia:
-            best = result
-    return best
-
-
-def _lloyd_once(pts: np.ndarray, k: int, metric: str, rng: np.random.Generator,
-                max_iter: int, history: list | None = None) -> KMeansResult:
-    centroids = _kmeanspp_seeds(pts, k, rng)
+    first = np.empty(n_init, dtype=np.intp)
+    u = np.empty((n_init, k - 1))
+    for r in range(n_init):  # the draw order of sequential restarts
+        first[r] = rng.integers(n)
+        u[r] = rng.random(k - 1)
+    centroids = pts[_kmeanspp_indices(pts, first, u)]
     assignments = _assign(pts, centroids, metric)
-    if history is not None:
-        history.append(_inertia(pts, centroids, assignments, metric))
+    # A restart at its fixpoint maps to itself, so iterating it along with
+    # the others until all have converged leaves it where it stopped.
     for _ in range(max_iter):
-        centroids = _cluster_means(pts, assignments, k, centroids)
+        centroids = _cluster_means(pts, assignments, centroids)
         new_assignments = _assign(pts, centroids, metric)
-        if history is not None:
-            history.append(_inertia(pts, centroids, new_assignments, metric))
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-    return KMeansResult(assignments, centroids, _inertia(pts, centroids, assignments, metric))
+    inertia = _inertia(pts, centroids, assignments, metric)
+    best = int(np.argmin(inertia))  # the first of equal minima
+    return KMeansResult(assignments[best], centroids[best], float(inertia[best]))
 
 
-def _kmeanspp_seeds(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_indices(pts: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """k-means++ seed rows for every restart at once: (R, k) indices.
+
+    Restart r starts at ``first[r]`` and picks seed i by inverse CDF of the
+    squared distance to its nearest seed so far at ``u[r, i - 1]`` (what
+    ``Generator.choice(n, p=d2 / d2.sum())`` does with that uniform). When
+    every point already sits on a seed, it takes index floor(u * n).
+    """
     n = pts.shape[0]
-    chosen = np.empty(k, dtype=np.intp)
-    chosen[0] = rng.integers(n)
-    d2 = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
-    for i in range(1, k):
-        total = float(d2.sum())
-        if total == 0.0:
-            chosen[i] = rng.integers(n)
-        else:
-            chosen[i] = rng.choice(n, p=d2 / total)
-        d2 = np.minimum(d2, np.sum((pts - pts[chosen[i]]) ** 2, axis=1))
-    return pts[chosen].copy()
+    chosen = np.empty((first.shape[0], u.shape[1] + 1), dtype=np.intp)
+    chosen[:, 0] = first
+    d2 = np.sum((pts[None, :, :] - pts[first][:, None, :]) ** 2, axis=2)
+    for i in range(1, chosen.shape[1]):
+        total = d2.sum(axis=1)
+        spread = (total > 0.0)[:, None]
+        cdf = np.cumsum(np.divide(d2, total[:, None], out=np.zeros_like(d2), where=spread), axis=1)
+        cdf = np.divide(cdf, cdf[:, -1:], out=cdf, where=spread)
+        by_cdf = np.sum(cdf <= u[:, i - 1, None], axis=1)
+        uniform = np.minimum((u[:, i - 1] * n).astype(np.intp), n - 1)
+        chosen[:, i] = np.where(spread[:, 0], by_cdf, uniform)
+        d2 = np.minimum(d2, np.sum((pts[None, :, :] - pts[chosen[:, i]][:, None, :]) ** 2, axis=2))
+    return chosen
 
 
 def _assign(pts: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
+    """Nearest centroid per point for each restart: (R, n) from (R, k, dim)."""
     if metric == "euclidean":
-        d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        return np.argmin(d2, axis=1)
-    sims = _cosine_to_centroids(pts, centroids)
-    return np.argmax(sims, axis=1)
+        d2 = np.sum((pts[None, :, None, :] - centroids[:, None, :, :]) ** 2, axis=3)
+        return np.argmin(d2, axis=2)
+    return np.argmax(_cosine_to_centroids(pts, centroids), axis=2)
 
 
 def _cosine_to_centroids(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # Points are unit rows here; a degenerate zero centroid gets similarity
     # below any cosine so no point prefers it.
-    norms = np.linalg.norm(centroids, axis=1)
+    norms = np.linalg.norm(centroids, axis=2)
     safe = np.where(norms > 0.0, norms, 1.0)
-    sims = pts @ (centroids / safe[:, None]).T
-    sims[:, norms == 0.0] = -2.0
-    return sims
+    sims = pts @ np.swapaxes(centroids / safe[:, :, None], 1, 2)
+    return np.where((norms == 0.0)[:, None, :], -2.0, sims)
 
 
-def _cluster_means(pts: np.ndarray, assignments: np.ndarray, k: int,
-                   previous: np.ndarray) -> np.ndarray:
-    centroids = previous.copy()
-    for c in range(k):
-        members = assignments == c
-        if members.any():
-            centroids[c] = pts[members].mean(axis=0)
-    return centroids
+def _cluster_means(pts: np.ndarray, assignments: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Member means per restart and cluster; an empty cluster keeps its
+    previous centroid.
+
+    Each group's members are laid out left-aligned in point order and summed
+    by one masked reduction, which adds them in the order
+    ``pts[members].mean(axis=0)`` does (row by row, or pairwise for a single
+    column).
+    """
+    n_init, k, dim = previous.shape
+    groups = (assignments + k * np.arange(n_init)[:, None]).ravel()
+    counts = np.bincount(groups, minlength=n_init * k)
+    order = np.argsort(groups, kind="stable")
+    group = groups[order]
+    slot = np.arange(group.size) - (np.cumsum(counts) - counts)[group]
+    members = np.zeros((n_init * k, int(counts.max()), dim))
+    present = np.zeros(members.shape[:2], dtype=bool)
+    members[group, slot] = pts[order % pts.shape[0]]
+    present[group, slot] = True
+    sums = np.add.reduce(members, axis=1, where=present[:, :, None])
+    counts = counts.reshape(n_init, k, 1)
+    return np.where(counts > 0, sums.reshape(n_init, k, dim) / np.maximum(counts, 1), previous)
 
 
 def _inertia(pts: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
-             metric: str) -> float:
-    picked = centroids[assignments]
+             metric: str) -> np.ndarray:
+    """Per-restart inertia: summed squared distance or cosine distance."""
     if metric == "euclidean":
-        return float(np.sum((pts - picked) ** 2))
+        picked = np.take_along_axis(centroids, assignments[:, :, None], axis=1)
+        return np.sum((pts[None, :, :] - picked) ** 2, axis=(1, 2))
     sims = _cosine_to_centroids(pts, centroids)
-    chosen = sims[np.arange(pts.shape[0]), assignments]
+    chosen = np.take_along_axis(sims, assignments[:, :, None], axis=2)[:, :, 0]
     chosen = np.where(chosen < -1.0, 0.0, chosen)  # zero-centroid convention
-    return float(np.sum(1.0 - chosen))
+    return np.sum(1.0 - chosen, axis=1)

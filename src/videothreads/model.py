@@ -19,13 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Var, l2_normalize_rows, relu, segment_sum, take_rows, value
+from .autodiff import Var, l2_normalize_rows, relu, slot_sum, take_rows, value
 from .errors import BadMagicError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
     directed_edges,
     interpolation_matrix,
-    temporal_edges,
     temporal_subsample,
     with_embeddings,
 )
@@ -179,18 +178,27 @@ def identity_params(dims: ModelDims) -> ModelParams:
     multi-scale temporal averaging of the raw features, which is the
     untrained baseline the zero-shot tasks run on when no trained parameters
     are supplied."""
-    params = init_params(dims, seed=0)
-    params.input_proj = LinearParams(np.eye(dims.d_in, dims.d_h), np.zeros(dims.d_h))
-    for branch in (params.encoder, params.decoder):
-        for stage in branch:
-            for layer in stage:
-                layer.w_n = np.zeros((dims.d_h, dims.d_h))
-                layer.w_r = np.eye(dims.d_h)
-                layer.gate_w1 = np.zeros((1, dims.d_h))
-                layer.gate_w2 = np.zeros((dims.d_h, dims.d_h))
-    params.h_v = LinearParams(np.eye(dims.d_h, dims.d_a), np.zeros(dims.d_a))
-    params.h_t = LinearParams(np.eye(dims.d_t, dims.d_a), np.zeros(dims.d_a))
-    return params
+    d_h = dims.d_h
+
+    def tdgc_layer():
+        return TdgcLayerParams(
+            w_n=np.zeros((d_h, d_h)), b_n=np.zeros(d_h),
+            w_r=np.eye(d_h), b_r=np.zeros(d_h),
+            gate_w1=np.zeros((1, d_h)), gate_b1=np.zeros(d_h),
+            gate_w2=np.zeros((d_h, d_h)), gate_b2=np.zeros(d_h),
+        )
+
+    def stages():
+        return [[tdgc_layer() for _ in range(dims.layers)] for _ in range(dims.stages)]
+
+    return ModelParams(
+        dims,
+        LinearParams(np.eye(dims.d_in, d_h), np.zeros(d_h)),
+        stages(),
+        stages(),
+        LinearParams(np.eye(d_h, dims.d_a), np.zeros(dims.d_a)),
+        LinearParams(np.eye(dims.d_t, dims.d_a), np.zeros(dims.d_a)),
+    )
 
 
 def save_params(path, params: ModelParams) -> None:
@@ -213,7 +221,7 @@ def load_params(path) -> ModelParams:
     d_in, d_h, d_a, d_t, stages, layers, count = struct.unpack_from("<6IQ", raw, len(PARAMS_MAGIC))
     dims = ModelDims(d_in, d_h, d_a, d_t, stages, layers)
     vec = np.frombuffer(raw, dtype="<f8", count=-1, offset=len(PARAMS_MAGIC) + header)
-    template = init_params(dims, seed=0)
+    template = identity_params(dims)
     if vec.size != count or count != template.num_params:
         raise TruncatedFileError(f"{path}: expected {template.num_params} parameters, found {vec.size}")
     return template.with_vector(vec.astype(np.float64))
@@ -223,27 +231,57 @@ def load_params(path) -> ModelParams:
 # forward pass
 
 
-def _tdgc_apply(x, timestamps: np.ndarray, dst: np.ndarray, src: np.ndarray,
-                layer: TdgcLayerParams):
+@dataclass(frozen=True, eq=False)
+class _NeighborTable:
+    """The directed edges of one graph, laid out for TDGC aggregation; every
+    layer of a stage shares it.
+
+    Edges are sorted stably by destination. ``slots`` (N, D) lists each
+    node's incoming edge ids in that order, with E marking an empty slot.
+    ``dt`` holds the distinct signed time offsets t[dst] - t[src] and
+    ``dt_class`` each edge's index into it; ``inv_degree`` is 1 / in-degree,
+    0 for isolated nodes.
+    """
+
+    src: np.ndarray
+    slots: np.ndarray
+    dt: np.ndarray
+    dt_class: np.ndarray
+    inv_degree: np.ndarray
+
+
+def _neighbor_table(edges: np.ndarray, timestamps: np.ndarray) -> _NeighborTable:
+    """Neighbor table of an (E, 2) undirected edge array over ``timestamps``."""
+    n = timestamps.shape[0]
+    dst, src = directed_edges(edges)
+    order = np.argsort(dst, kind="stable")
+    dst, src = dst[order], src[order]
+    degree = np.bincount(dst, minlength=n)
+    first = np.cumsum(degree) - degree
+    slots = np.full((n, int(degree.max(initial=0))), dst.size, dtype=np.intp)
+    slots[dst, np.arange(dst.size) - first[dst]] = np.arange(dst.size)
+    dt, dt_class = np.unique(timestamps[dst] - timestamps[src], return_inverse=True)
+    inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
+    return _NeighborTable(src, slots, dt, dt_class, inv_degree)
+
+
+def _tdgc_apply(x, table: _NeighborTable, layer: TdgcLayerParams):
     """One TDGC layer on embeddings ``x`` (rows = nodes).
 
     Neighbor features pass through relu(x @ w_n + b_n), get gated by an MLP
     of |dt| and signed by temporal order, and are mean-aggregated per node;
-    nodes without neighbors receive a zero aggregate.
+    nodes without neighbors receive a zero aggregate. The gate is evaluated
+    once per distinct dt and gathered per edge.
     """
-    n = timestamps.shape[0]
     residual = x @ layer.w_r + layer.b_r
-    if dst.size == 0:
+    if table.src.size == 0:
         return residual
     projected = relu(x @ layer.w_n + layer.b_n)
-    dt = timestamps[dst] - timestamps[src]
-    gate_in = np.abs(dt)[:, None]
+    gate_in = np.abs(table.dt)[:, None]
     gate = relu(gate_in @ layer.gate_w1 + layer.gate_b1) @ layer.gate_w2 + layer.gate_b2
-    signed_gate = np.sign(dt)[:, None] * gate
-    messages = signed_gate * take_rows(projected, src)
-    counts = np.bincount(dst, minlength=n).astype(np.float64)
-    weights = np.divide(1.0, counts, out=np.zeros(n), where=counts > 0)
-    return residual + segment_sum(messages, dst, n) * weights[:, None]
+    signed_gate = np.sign(table.dt)[:, None] * gate
+    messages = take_rows(signed_gate, table.dt_class) * take_rows(projected, table.src)
+    return residual + slot_sum(messages, table.slots) * table.inv_degree[:, None]
 
 
 def tdgc_forward(g: VideoGraph, layer: TdgcLayerParams) -> np.ndarray:
@@ -252,8 +290,7 @@ def tdgc_forward(g: VideoGraph, layer: TdgcLayerParams) -> np.ndarray:
     w_n = value(layer.w_n)
     if w_n.shape[0] != d:
         raise ShapeError(f"layer expects dimension {w_n.shape[0]}, graph has {d}")
-    dst, src = directed_edges(g.edges)
-    return value(_tdgc_apply(g.embeddings, g.timestamps, dst, src, layer))
+    return value(_tdgc_apply(g.embeddings, _neighbor_table(g.edges, g.timestamps), layer))
 
 
 def _encode(g0: VideoGraph, params: ModelParams):
@@ -261,9 +298,9 @@ def _encode(g0: VideoGraph, params: ModelParams):
     g = with_embeddings(g0, value(x))
     graphs, xs = [], []
     for stage in params.encoder:
-        dst, src = directed_edges(g.edges)
+        table = _neighbor_table(g.edges, g.timestamps)
         for layer in stage:
-            x = _tdgc_apply(x, g.timestamps, dst, src, layer)
+            x = _tdgc_apply(x, table, layer)
         keep = np.arange(0, g.num_nodes, 2)
         x = take_rows(x, keep)
         g = with_embeddings(temporal_subsample(g), value(x))
@@ -310,9 +347,10 @@ def decoder_forward(encoder_graphs: list[VideoGraph], params: ModelParams,
     Each stage interpolates the deeper decoder output onto its lateral
     encoder stage's timestamps, sums the two, partitions the fused graph
     (skipped when ``cluster_enabled`` is false or k == 1, leaving a single
-    group), runs the stage's TDGC layers inside each group's induced
-    sub-graph, and merges rows back by node identity. The shallowest stage's
-    output is finally interpolated to ``input_timestamps``.
+    group), and runs the stage's TDGC layers once over the union of the
+    groups' induced sub-graphs, so no message crosses a group boundary. The
+    shallowest stage's output is finally interpolated to
+    ``input_timestamps``.
 
     ``fixed_partitions`` (deepest first) bypasses clustering entirely, which
     keeps the loss surface smooth for finite-difference checks.
@@ -338,19 +376,15 @@ def decoder_forward(encoder_graphs: list[VideoGraph], params: ModelParams,
         else:
             part = approx_partition(with_embeddings(lateral, value(fused)), stage_k, kappa,
                                     max_nodes, seed)
-        merged = None
-        for c in range(part.k):
-            idx = part.members(c)
-            if idx.size == 0:
-                continue
-            sub_times = lateral.timestamps[idx]
-            sub_dst, sub_src = directed_edges(temporal_edges(sub_times, lateral.effective_threshold))
-            sub_x = take_rows(fused, idx)
-            for layer in params.decoder[s]:
-                sub_x = _tdgc_apply(sub_x, sub_times, sub_dst, sub_src, layer)
-            scattered = segment_sum(sub_x, idx, lateral.num_nodes)
-            merged = scattered if merged is None else merged + scattered
-        y = merged
+        # A group's induced sub-graph is the lateral graph's edges whose two
+        # ends share a group (the same |t_i - t_j| <= threshold test on the
+        # same timestamps), so one pass over those edges serves every group.
+        a = part.assignments
+        table = _neighbor_table(lateral.edges[a[lateral.edges[:, 0]] == a[lateral.edges[:, 1]]],
+                               lateral.timestamps)
+        y = fused
+        for layer in params.decoder[s]:
+            y = _tdgc_apply(y, table, layer)
         y_times = lateral.timestamps
         dec_graphs.append(with_embeddings(lateral, value(y)))
         dec_vars.append(y)

@@ -42,9 +42,6 @@ class PartitionResult:
     k: int
     eigengap: float
 
-    def members(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == cluster)
-
 
 def similarity_matrix(x, kappa: float = DEFAULT_KAPPA) -> np.ndarray:
     """Exponential cosine similarity: S_ij = exp(cos(x_i, x_j) / kappa).

@@ -10,6 +10,10 @@ the numerics under test).
 The symmetric eigensolver oracle is Householder tridiagonalization followed
 by implicit-shift QL, with the per-column sign convention applied in a loop;
 production code calls LAPACK instead.
+
+The k-means oracle runs its restarts one after another, each seeded with
+``Generator.choice`` and iterated to its own fixpoint; production code runs
+all restarts at once.
 """
 
 from __future__ import annotations
@@ -134,6 +138,91 @@ def canonical_signs_ref(vectors: np.ndarray) -> None:
         lead = nz[0] if nz.size else 0
         if col[lead] < 0.0:
             vectors[:, j] = -col
+
+
+def kmeans_ref(points, k: int, metric: str = "euclidean", seed: int = 0,
+               max_iter: int = 100, n_init: int = 8) -> tuple[np.ndarray, np.ndarray, float]:
+    """(assignments, centroids, inertia) of the best of ``n_init`` sequential
+    restarts, the first on ties. Inputs are assumed valid."""
+    pts = np.asarray(points, dtype=np.float64)
+    if metric == "cosine":
+        pts = pts / np.linalg.norm(pts, axis=1)[:, None]
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        result = lloyd_once(pts, k, metric, rng, max_iter)
+        if best is None or result[2] < best[2]:
+            best = result
+    return best
+
+
+def lloyd_once(pts: np.ndarray, k: int, metric: str, rng: np.random.Generator,
+               max_iter: int, history: list | None = None):
+    centroids = kmeanspp_seeds(pts, k, rng)
+    assignments = assign(pts, centroids, metric)
+    if history is not None:
+        history.append(inertia(pts, centroids, assignments, metric))
+    for _ in range(max_iter):
+        centroids = cluster_means(pts, assignments, k, centroids)
+        new_assignments = assign(pts, centroids, metric)
+        if history is not None:
+            history.append(inertia(pts, centroids, new_assignments, metric))
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+    return assignments, centroids, inertia(pts, centroids, assignments, metric)
+
+
+def kmeanspp_seeds(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = pts.shape[0]
+    chosen = np.empty(k, dtype=np.intp)
+    chosen[0] = rng.integers(n)
+    d2 = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+    for i in range(1, k):
+        total = float(d2.sum())
+        if total == 0.0:
+            chosen[i] = rng.integers(n)
+        else:
+            chosen[i] = rng.choice(n, p=d2 / total)
+        d2 = np.minimum(d2, np.sum((pts - pts[chosen[i]]) ** 2, axis=1))
+    return pts[chosen].copy()
+
+
+def assign(pts: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
+    if metric == "euclidean":
+        d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        return np.argmin(d2, axis=1)
+    sims = cosine_to_centroids(pts, centroids)
+    return np.argmax(sims, axis=1)
+
+
+def cosine_to_centroids(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(centroids, axis=1)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    sims = pts @ (centroids / safe[:, None]).T
+    sims[:, norms == 0.0] = -2.0
+    return sims
+
+
+def cluster_means(pts: np.ndarray, assignments: np.ndarray, k: int,
+                  previous: np.ndarray) -> np.ndarray:
+    centroids = previous.copy()
+    for c in range(k):
+        members = assignments == c
+        if members.any():
+            centroids[c] = pts[members].mean(axis=0)
+    return centroids
+
+
+def inertia(pts: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
+            metric: str) -> float:
+    picked = centroids[assignments]
+    if metric == "euclidean":
+        return float(np.sum((pts - picked) ** 2))
+    sims = cosine_to_centroids(pts, centroids)
+    chosen = sims[np.arange(pts.shape[0]), assignments]
+    chosen = np.where(chosen < -1.0, 0.0, chosen)
+    return float(np.sum(1.0 - chosen))
 
 
 def relu_vec(v):

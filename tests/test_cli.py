@@ -122,6 +122,12 @@ class TestErrorExitCodes:
         ("mcq_result_no_correct", EXIT_DATA, "results[1].correct"),
         ("grounding_no_queries", EXIT_DATA, "queries"),
         ("procedure_no_pred", EXIT_USAGE, "--pred"),
+        ("ground_embedding_not_numbers", EXIT_DATA, "embedding"),
+        ("grounding_item_no_predictions", EXIT_DATA, "queries[0].predictions"),
+        ("train_config_string_epochs", EXIT_CONFIG, "epochs"),
+        ("mcq_query_not_numbers", EXIT_DATA, "query"),
+        ("mcq_no_candidate_paths", EXIT_DATA, "candidates"),
+        ("procedure_timestamps_not_numbers", EXIT_DATA, "timestamps"),
     ])
     def test_malformed_documents(self, corpus, tmp_path, capsys, case, expected_code, field):
         doc = tmp_path / "query.json"
@@ -136,6 +142,14 @@ class TestErrorExitCodes:
                 {"chosen": 1, "correct": 1}, {"chosen": 0}]}),
             "grounding_no_queries": json.dumps({"items": []}),
             "procedure_no_pred": "{}",
+            "ground_embedding_not_numbers": json.dumps({"embedding": "abc"}),
+            "grounding_item_no_predictions": json.dumps({"queries": [
+                {"gt": {"start": 0.0, "end": 1.0}}]}),
+            "train_config_string_epochs": json.dumps({"epochs": "3"}),
+            "mcq_query_not_numbers": json.dumps({"query": "abc", "candidates": ["a.hft"]}),
+            "mcq_no_candidate_paths": json.dumps({"query": [1.0, 0.0], "candidates": []}),
+            "procedure_timestamps_not_numbers": json.dumps({
+                "timestamps": "abc", "segment_duration": 0.5, "labels": [0]}),
         }
         doc.write_text(contents[case])
         argv = {
@@ -147,6 +161,17 @@ class TestErrorExitCodes:
             "mcq_result_no_correct": ("evaluate", "--task", "mcq", "--results", str(doc)),
             "grounding_no_queries": ("evaluate", "--task", "grounding", "--queries", str(doc)),
             "procedure_no_pred": ("evaluate", "--task", "procedure", "--annotations", ann),
+            "ground_embedding_not_numbers": ("ground", "--features", feats, "--query", str(doc)),
+            "grounding_item_no_predictions": ("evaluate", "--task", "grounding",
+                                              "--queries", str(doc)),
+            "train_config_string_epochs": ("train-toy", "--data", str(corpus),
+                                           "--train-config", str(doc),
+                                           "--params-out", str(tmp_path / "p.bin"),
+                                           "--history", str(tmp_path / "h.jsonl")),
+            "mcq_query_not_numbers": ("mcq", "--question", str(doc)),
+            "mcq_no_candidate_paths": ("mcq", "--question", str(doc)),
+            "procedure_timestamps_not_numbers": ("evaluate", "--task", "procedure",
+                                                 "--pred", str(doc), "--annotations", ann),
         }[case]
         code = exit_code(*argv, "--out", str(tmp_path / "o.json"))
         assert code == expected_code
@@ -215,6 +240,16 @@ class TestPipeline:
                    "--out", str(report), "--no-meta") == EXIT_OK
         doc = json.loads(report.read_text())
         assert doc["scalars"]["label_accuracy"] >= 0.9
+
+    def test_ground_writes_stdout_by_default(self, corpus, tmp_path, monkeypatch, capsys):
+        taxonomy = json.loads((corpus / "taxonomy.json").read_text())
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps({"embedding": taxonomy["embeddings"][1]}))
+        monkeypatch.chdir(tmp_path)
+        assert run("ground", "--features", str(corpus / "features.hft"),
+                   "--query", str(query), "--hidden", "16", "--k", "4") == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["predictions"]
+        assert not (tmp_path / "-").exists()
 
     def test_ground_and_evaluate(self, corpus, tmp_path):
         taxonomy = json.loads((corpus / "taxonomy.json").read_text())

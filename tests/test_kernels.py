@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_impl import canonical_signs_ref, sym_eigen_ref
+from reference_impl import canonical_signs_ref, kmeans_ref, lloyd_once, sym_eigen_ref
 from videothreads import kernels
 from videothreads.errors import (
     ClusteringError,
@@ -15,7 +15,7 @@ from videothreads.errors import (
 )
 from videothreads.kernels import (
     _canonical_signs,
-    _lloyd_once,
+    _kmeanspp_indices,
     cosine_similarity_matrix,
     kmeans,
     sym_eigen,
@@ -235,14 +235,14 @@ class TestKMeans:
     def test_inertia_monotone_within_run(self):
         pts = np.random.default_rng(2).standard_normal((60, 5))
         history: list[float] = []
-        _lloyd_once(pts, 4, "euclidean", np.random.default_rng(3), 100, history=history)
+        lloyd_once(pts, 4, "euclidean", np.random.default_rng(3), 100, history=history)
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_inertia_monotone_cosine(self):
         pts = np.random.default_rng(4).standard_normal((50, 6))
         history: list[float] = []
-        _lloyd_once(pts / np.linalg.norm(pts, axis=1, keepdims=True), 3,
-                    "cosine", np.random.default_rng(5), 100, history=history)
+        lloyd_once(pts / np.linalg.norm(pts, axis=1, keepdims=True), 3,
+                   "cosine", np.random.default_rng(5), 100, history=history)
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_permutation_equivariant_on_separated_blobs(self):
@@ -277,6 +277,65 @@ class TestKMeans:
         with pytest.raises(ZeroNormRowError) as info:
             kmeans(np.array([[1.0, 0.0], [0.0, 0.0]]), 1, metric="cosine")
         assert info.value.row == 1
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Points with k in [1, n]: free rows, rows copied from a few distinct
+    ones (fewer distinct rows than k reaches the all-points-on-a-seed case),
+    or coarse half-integer grids full of distance ties."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["free", "duplicates", "grid"]))
+    if kind == "free":
+        pts = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
+    elif kind == "duplicates":
+        distinct = rng.standard_normal((int(rng.integers(1, 4)), dim))
+        pts = distinct[rng.integers(0, distinct.shape[0], n)]
+    else:
+        pts = np.round(rng.standard_normal((n, dim)) * 2.0) / 2.0
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return pts, k, draw(st.integers(0, 10_000))
+
+
+class TestKMeansAgainstReference:
+    """All restarts at once against the sequential restart loop."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @given(case=kmeans_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sequential_restarts(self, metric, case):
+        pts, k, seed = case
+        if metric == "cosine" and np.any(np.linalg.norm(pts, axis=1) == 0.0):
+            pts = pts + 1.0  # a zero row is rejected; shift off the origin
+            if np.any(np.linalg.norm(pts, axis=1) == 0.0):
+                return
+        got = kmeans(pts, k, metric=metric, seed=seed)
+        assignments, centroids, inertia = kmeans_ref(pts, k, metric=metric, seed=seed)
+        assert np.array_equal(got.assignments, assignments)
+        assert got.inertia == inertia
+        # an empty cluster keeps its seed row, which the two may draw differently
+        used = np.bincount(assignments, minlength=k) > 0
+        assert np.array_equal(got.centroids[used], centroids[used])
+
+    def test_seed_when_every_point_sits_on_a_seed(self):
+        # Two distinct rows and k = 4: after two seeds every squared distance
+        # is zero, and seed i is taken at index floor(u * n) of its uniform.
+        pts = np.array([[0.0, 1.0]] * 3 + [[5.0, 5.0]] * 2)
+        chosen = _kmeanspp_indices(pts, np.array([1, 4]), np.array([[0.5, 0.99, 0.2],
+                                                                    [0.1, 0.0, 0.7]]))
+        assert chosen.tolist() == [[1, 4, 4, 1], [4, 0, 0, 3]]
+
+    def test_max_iter_stops_unconverged_restarts(self):
+        pts = np.random.default_rng(12).standard_normal((60, 3))
+        for max_iter in (1, 2, 3):
+            got = kmeans(pts, 6, seed=4, max_iter=max_iter)
+            assignments, centroids, inertia = kmeans_ref(pts, 6, seed=4, max_iter=max_iter)
+            assert np.array_equal(got.assignments, assignments)
+            assert np.array_equal(got.centroids, centroids)
+            assert got.inertia == inertia
 
 
 class TestCosineSimilarityMatrix:

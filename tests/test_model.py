@@ -6,6 +6,7 @@ from videothreads.errors import BadMagicError, ShapeError, TruncatedFileError
 from videothreads.graph import build_graph, temporal_interpolate, with_embeddings
 from videothreads.metrics import adjusted_rand_index
 from videothreads.model import (
+    LinearParams,
     ModelDims,
     encoder_forward,
     forward,
@@ -56,6 +57,22 @@ class TestInitParams:
         assert np.max(np.abs(params.input_proj.w)) <= bound
         bound_h = np.sqrt(6.0 / 40)
         assert np.max(np.abs(params.encoder[0][0].w_r)) <= bound_h
+
+
+    def test_identity_params_equal_overwritten_random_init(self):
+        dims = ModelDims(d_in=3, d_h=5, d_a=6, d_t=4, stages=2, layers=3)
+        params = init_params(dims, seed=0)
+        params.input_proj = LinearParams(np.eye(dims.d_in, dims.d_h), np.zeros(dims.d_h))
+        for branch in (params.encoder, params.decoder):
+            for stage in branch:
+                for layer in stage:
+                    layer.w_n = np.zeros((dims.d_h, dims.d_h))
+                    layer.w_r = np.eye(dims.d_h)
+                    layer.gate_w1 = np.zeros((1, dims.d_h))
+                    layer.gate_w2 = np.zeros((dims.d_h, dims.d_h))
+        params.h_v = LinearParams(np.eye(dims.d_h, dims.d_a), np.zeros(dims.d_a))
+        params.h_t = LinearParams(np.eye(dims.d_t, dims.d_a), np.zeros(dims.d_a))
+        assert np.array_equal(identity_params(dims).to_vector(), params.to_vector())
 
 
 class TestSerialization:
@@ -156,6 +173,23 @@ class TestFullForward:
         for seed in range(20):
             params = init_params(dims, seed=seed)
             trace = forward(g, params, k=2, cluster_enabled=(seed % 2 == 0), seed=seed)
+            want = forward_ref(g, params, trace.partitions)
+            worst = max(worst, float(np.max(np.abs(trace.output - want))))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_dense_loop_reference_irregular_times(self, k):
+        # Irregular timestamps give many distinct dt values per stage, and up
+        # to four groups leave each group's nodes scattered in time.
+        worst = 0.0
+        for seed in range(6):
+            rng = np.random.default_rng(100 * k + seed)
+            n = int(rng.integers(12, 30))
+            times = np.cumsum(rng.uniform(0.05, 0.9, n))
+            g = build_graph(FeatureSequence("v", times, rng.standard_normal((n, 5))), 1.0)
+            params = init_params(ModelDims(d_in=5, d_h=6, d_a=6, d_t=5, stages=3, layers=2))
+            params = params.with_vector(rng.uniform(-1.0, 1.0, params.num_params))
+            trace = forward(g, params, k=k, seed=seed)
             want = forward_ref(g, params, trace.partitions)
             worst = max(worst, float(np.max(np.abs(trace.output - want))))
         assert worst <= 1e-9
