@@ -192,25 +192,40 @@ def read_feature_file(path) -> FeatureSequence:
 def _require(doc: dict, key: str, kind, path: str):
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
+    where = f"{path}.{key}" if path else key
     if key not in doc:
-        raise SchemaError(f"{path}.{key}" if path else key, "missing")
+        raise SchemaError(where, "missing")
     value = doc[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{path}.{key}" if path else key, "expected a number")
-        return float(value)
+        return _number(value, where)
     if not isinstance(value, kind):
-        raise SchemaError(f"{path}.{key}" if path else key, f"expected {kind.__name__}")
+        raise SchemaError(where, f"expected {kind.__name__}")
     return value
 
 
-def _vector(values, path: str) -> np.ndarray:
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(path, "expected a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(path, "number out of range") from None
+
+
+def _vector(values, path: str, kind=float) -> np.ndarray:
+    """A non-empty JSON list of numbers (``kind`` float) or of integers
+    (``kind`` int; bools are neither) as a float64 or int64 array."""
+    allowed, dtype, what = (((int, float), np.float64, "number") if kind is float
+                            else (int, np.int64, "integer"))
     if not isinstance(values, list) or not values:
-        raise SchemaError(path, "expected a non-empty number array")
+        raise SchemaError(path, f"expected a non-empty {what} array")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(path, "expected a non-empty number array")
-    return np.array(values, dtype=np.float64)
+        if isinstance(v, bool) or not isinstance(v, allowed):
+            raise SchemaError(path, f"expected a non-empty {what} array")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:  # an integer beyond the float or int64 range
+        raise SchemaError(path, f"{what} out of range") from None
 
 
 def _load_json(path) -> dict:
@@ -223,10 +238,96 @@ def _load_json(path) -> dict:
 
 def write_json(path, doc: dict) -> None:
     """Stream ``doc`` as key-sorted JSON indented by one space, plus a
-    newline, to the file ``path``; the path "-" means standard output."""
+    newline, to the file ``path``; the path "-" means standard output.
+
+    The text is exactly what ``json.dump`` with ``sort_keys=True, indent=1``
+    followed by "\\n" writes: ASCII escapes, ``NaN``/``Infinity``/``-Infinity``
+    for non-finite floats, shortest-repr floats. It is built here because
+    ``json.dump`` with an indent runs its pure-Python encoder one value at a
+    time; this writer joins each all-float list in one call. Two deviations,
+    neither reachable from the writers in this package: a non-``str`` key
+    raises TypeError (``json.dump`` would stringify an int, float, bool or
+    None key), and a circular document raises RecursionError, not ValueError.
+    """
     with nullcontext(sys.stdout) if str(path) == "-" else open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        _write_value(fh.write, doc, 0)
         fh.write("\n")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _write_value(write, value, level: int) -> None:
+    if isinstance(value, str):
+        write(_encode_str(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, float):
+        write(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        _write_list(write, value, level)
+    elif isinstance(value, dict):
+        _write_dict(write, value, level)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _write_list(write, items, level: int) -> None:
+    if not items:
+        write("[]")
+        return
+    inner = "\n" + " " * (level + 1)
+    comma = "," + inner
+    close = "\n" + " " * level + "]"
+    try:
+        # one join for a list of floats; "nan"/"inf" hold the only "n" that
+        # float.__repr__ can print, and JSON spells those differently
+        body = comma.join(map(float.__repr__, items))
+    except TypeError:  # an int, bool, None, string or container
+        body = None
+    if body is not None and "n" not in body:
+        write("[" + inner + body + close)
+        return
+    lead = "[" + inner
+    for item in items:
+        write(lead)
+        _write_value(write, item, level + 1)
+        lead = comma
+    write(close)
+
+
+def _write_dict(write, doc: dict, level: int) -> None:
+    if not doc:
+        write("{}")
+        return
+    for key in doc:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    inner = "\n" + " " * (level + 1)
+    comma = "," + inner
+    lead = "{" + inner
+    for key in sorted(doc):
+        write(lead + _encode_str(key) + ": ")
+        _write_value(write, doc[key], level + 1)
+        lead = comma
+    write("\n" + " " * level + "}")
 
 
 def read_narrations(path) -> NarrationSet:
@@ -245,7 +346,7 @@ def read_narrations(path) -> NarrationSet:
 def write_narrations(path, narrations: NarrationSet) -> None:
     write_json(path, {
         "items": [
-            {"text": n.text, "timestamp": n.timestamp, "embedding": list(map(float, n.embedding))}
+            {"text": n.text, "timestamp": n.timestamp, "embedding": n.embedding.tolist()}
             for n in narrations.items
         ]
     })
@@ -267,7 +368,7 @@ def read_taxonomy(path) -> Taxonomy:
 def write_taxonomy(path, taxonomy: Taxonomy) -> None:
     write_json(path, {
         "labels": list(taxonomy.labels),
-        "embeddings": [list(map(float, row)) for row in taxonomy.embeddings],
+        "embeddings": [row.tolist() for row in taxonomy.embeddings],
     })
 
 

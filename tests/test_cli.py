@@ -128,6 +128,13 @@ class TestErrorExitCodes:
         ("mcq_query_not_numbers", EXIT_DATA, "query"),
         ("mcq_no_candidate_paths", EXIT_DATA, "candidates"),
         ("procedure_timestamps_not_numbers", EXIT_DATA, "timestamps"),
+        ("procedure_duration_not_number", EXIT_DATA, "segment_duration"),
+        ("procedure_labels_not_integers", EXIT_DATA, "labels"),
+        ("mcq_span_not_numbers", EXIT_DATA, "spans[0]"),
+        ("mcq_spans_not_a_list", EXIT_DATA, "spans"),
+        ("procedure_label_out_of_range", EXIT_DATA, "labels"),
+        ("procedure_labels_wrong_length", EXIT_DATA, "labels"),
+        ("procedure_timestamp_out_of_range", EXIT_DATA, "timestamps"),
     ])
     def test_malformed_documents(self, corpus, tmp_path, capsys, case, expected_code, field):
         doc = tmp_path / "query.json"
@@ -150,6 +157,21 @@ class TestErrorExitCodes:
             "mcq_no_candidate_paths": json.dumps({"query": [1.0, 0.0], "candidates": []}),
             "procedure_timestamps_not_numbers": json.dumps({
                 "timestamps": "abc", "segment_duration": 0.5, "labels": [0]}),
+            "procedure_duration_not_number": json.dumps({
+                "timestamps": [0.0, 0.5], "segment_duration": "x", "labels": [0, 1]}),
+            "procedure_labels_not_integers": json.dumps({
+                "timestamps": [0.0, 0.5], "segment_duration": 0.5, "labels": "ab"}),
+            "mcq_span_not_numbers": json.dumps({
+                "query": [1.0] * 16, "candidates": [feats] * 5,
+                "spans": [[0, "x"]] + [[0.0, 1.0]] * 4}),
+            "mcq_spans_not_a_list": json.dumps({
+                "query": [1.0] * 16, "candidates": [feats] * 5, "spans": 5}),
+            "procedure_label_out_of_range": json.dumps({
+                "timestamps": [0.0, 0.5], "segment_duration": 0.5, "labels": [0, 10**25]}),
+            "procedure_labels_wrong_length": json.dumps({
+                "timestamps": [0.0, 0.5], "segment_duration": 0.5, "labels": [0]}),
+            "procedure_timestamp_out_of_range": json.dumps({
+                "timestamps": [0.0, 10**400], "segment_duration": 0.5, "labels": [0, 1]}),
         }
         doc.write_text(contents[case])
         argv = {
@@ -171,6 +193,18 @@ class TestErrorExitCodes:
             "mcq_query_not_numbers": ("mcq", "--question", str(doc)),
             "mcq_no_candidate_paths": ("mcq", "--question", str(doc)),
             "procedure_timestamps_not_numbers": ("evaluate", "--task", "procedure",
+                                                 "--pred", str(doc), "--annotations", ann),
+            "procedure_duration_not_number": ("evaluate", "--task", "procedure",
+                                              "--pred", str(doc), "--annotations", ann),
+            "procedure_labels_not_integers": ("evaluate", "--task", "procedure",
+                                              "--pred", str(doc), "--annotations", ann),
+            "mcq_span_not_numbers": ("mcq", "--question", str(doc)),
+            "mcq_spans_not_a_list": ("mcq", "--question", str(doc)),
+            "procedure_label_out_of_range": ("evaluate", "--task", "procedure",
+                                             "--pred", str(doc), "--annotations", ann),
+            "procedure_labels_wrong_length": ("evaluate", "--task", "procedure",
+                                              "--pred", str(doc), "--annotations", ann),
+            "procedure_timestamp_out_of_range": ("evaluate", "--task", "procedure",
                                                  "--pred", str(doc), "--annotations", ann),
         }[case]
         code = exit_code(*argv, "--out", str(tmp_path / "o.json"))
@@ -305,6 +339,19 @@ class TestPipeline:
         assert run("evaluate", "--task", "mcq", "--results", str(results),
                    "--out", str(report), "--no-meta") == EXIT_OK
         assert json.loads(report.read_text())["scalars"]["intra_accuracy"] == 100.0
+
+    def test_mcq_accepts_integer_and_float_spans(self, corpus, tmp_path):
+        feats = str(corpus / "features.hft")
+        question = tmp_path / "q.json"
+        question.write_text(json.dumps({
+            "query": [1.0] * 16,
+            "candidates": [feats] * 5,
+            "spans": [[0, 3], [3.5, 6.0], [6, 9.5], [9, 12], [12.0, 15]],
+        }))
+        result = tmp_path / "mcq.json"
+        assert run("mcq", "--question", str(question), "--hidden", "16",
+                   "--out", str(result), "--no-meta") == EXIT_OK
+        assert json.loads(result.read_text())["chosen"] in range(5)
 
     def test_grad_check_subcommand(self, tmp_path):
         out = tmp_path / "gc.json"

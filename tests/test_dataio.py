@@ -1,8 +1,11 @@
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from videothreads.dataio import (
     FEATURE_MAGIC,
@@ -19,6 +22,7 @@ from videothreads.dataio import (
     read_taxonomy,
     write_annotations,
     write_feature_file,
+    write_json,
     write_narrations,
     write_predictions,
     write_taxonomy,
@@ -175,3 +179,58 @@ class TestPredictions:
     def test_invalid_interval(self):
         with pytest.raises(SchemaError):
             StepPrediction(3.0, 2.0, None, 0.0)
+
+
+def oracle_text(doc) -> str:
+    """What the standard library writes for ``doc``: the writer's contract."""
+    fh = io.StringIO()
+    json.dump(doc, fh, sort_keys=True, indent=1)
+    return fh.getvalue() + "\n"
+
+
+_SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _SPECIAL_FLOATS,
+                     st.text(max_size=8))
+_FLOAT_LISTS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),  # one join
+    st.lists(st.one_of(st.floats(), _SPECIAL_FLOATS), min_size=1, max_size=8),
+    st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), max_size=8),
+)
+_DOCUMENTS = st.dictionaries(st.text(max_size=8), st.recursive(
+    st.one_of(_SCALARS, _FLOAT_LISTS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=20,
+), max_size=4)
+
+
+class TestWriteJson:
+    @given(doc=_DOCUMENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_the_standard_library(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "write_json_property.json"
+        write_json(path, doc)
+        assert path.read_bytes() == oracle_text(doc).encode("ascii")
+
+    def test_float_subclasses_and_nested_float_rows(self, tmp_path):
+        doc = {"b": [np.float64(0.1), 2.0], "a": [[1e-300, -0.0], [], [float("nan"), 1.5]]}
+        write_json(tmp_path / "d.json", doc)
+        assert (tmp_path / "d.json").read_text() == oracle_text(doc)
+
+    def test_dash_writes_stdout(self, capsys):
+        doc = {"é": ["x", 1, 2.5, None, True], "a": {}}
+        write_json("-", doc)
+        assert capsys.readouterr().out == oracle_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"x": np.zeros(2)},
+        {"x": [1.0, np.zeros(2)]},
+        {1: "a"},
+        {"x": {"y": 1, 2: "z"}},
+    ], ids=["ndarray", "ndarray_in_list", "int_key", "nested_int_key"])
+    def test_type_error(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "d.json", doc)
