@@ -51,8 +51,6 @@ from .model import (
     ModelDims,
     ModelParams,
     TdgcLayerParams,
-    decoder_forward,
-    encoder_forward,
     forward,
     identity_params,
     init_params,
@@ -62,7 +60,6 @@ from .model import (
 )
 from .partition import (
     PartitionResult,
-    alt_partition,
     approx_partition,
     normalized_laplacian,
     similarity_matrix,
@@ -83,8 +80,5 @@ from .training import (
     TotalLossOp,
     TrainConfig,
     grad_check,
-    loss_ft,
-    loss_vna,
-    sample_windows,
     train_toy,
 )

@@ -11,6 +11,7 @@ unreadable input path, 5 malformed data, 1 any other library error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -87,22 +88,19 @@ def _emit(args, command: str, doc: dict) -> None:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for flag, key in (
-        ("edge_threshold", "edge_threshold"), ("hidden", "hidden"),
-        ("align_dim", "align_dim"), ("kappa", "kappa"),
-        ("max_nodes", "max_nodes"), ("min_len", "min_len"),
-        ("delta", "delta"), ("depth", "depth"), ("seed", "seed"),
-        ("jobs", "jobs"), ("stages", "stages"), ("layers", "layers"),
-    ):
-        if hasattr(args, flag):
-            overrides[key] = getattr(args, flag)
-    return cfg.override(**overrides)
+    return cfg.override(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)})
 
 
 def _resolve_params(args, cfg: RunConfig, d_in: int, d_t: int | None = None):
     if getattr(args, "params", None):
-        return load_params(args.params)
+        params = load_params(args.params)
+        for field, want in (("d_in", d_in), ("d_t", d_t)):
+            have = getattr(params.dims, field)
+            if want is not None and have != want:
+                raise SchemaError(f"{args.params}: {field}",
+                                  f"parameter file has {field}={have}, the input needs {want}")
+        return params
     d_t = d_t if d_t else d_in
     if getattr(args, "init_seed", None) is not None:
         dims = ModelDims(d_in=d_in, d_h=cfg.hidden, d_a=cfg.align_dim, d_t=d_t,
@@ -116,11 +114,10 @@ def _resolve_params(args, cfg: RunConfig, d_in: int, d_t: int | None = None):
     return identity_params(dims)
 
 
-def _run_forward(seq: FeatureSequence, params, cfg: RunConfig, k: int,
-                 cluster: bool):
+def _run_forward(seq: FeatureSequence, params, cfg: RunConfig, k: int):
     g0 = build_graph(seq, cfg.edge_threshold)
     return forward(g0, params, k=k, kappa=cfg.kappa, max_nodes=cfg.max_nodes,
-                   cluster_enabled=cluster, seed=cfg.seed)
+                   seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +155,23 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _require_constant_dim(sequences) -> None:
+def _require_constant_dim(sequences, where: str = "features") -> None:
     dims = {seq.dim for seq in sequences}
     if len(dims) > 1:
-        raise SchemaError("features", f"mixed feature dimensions across videos: {sorted(dims)}")
+        raise SchemaError(where, f"mixed feature dimensions across videos: {sorted(dims)}")
 
 
 def _cmd_forward(args) -> int:
     cfg = _load_config(args)
     k = args.k if args.k is not None else cfg.k_threads
+    if args.no_cluster:
+        k = 1
     sequences = [read_feature_file(p) for p in args.features]
     _require_constant_dim(sequences)
     params = _resolve_params(args, cfg, sequences[0].dim)
 
     def one(seq):
-        trace = _run_forward(seq, params, cfg, k, not args.no_cluster)
+        trace = _run_forward(seq, params, cfg, k)
         doc = {
             "video_id": seq.video_id,
             "segments": seq.num_segments,
@@ -199,7 +198,7 @@ def _cmd_procedure_learn(args) -> int:
     k = args.k if args.k is not None else cfg.k_procedure
     seq = read_feature_file(args.features)
     params = _resolve_params(args, cfg, seq.dim)
-    trace = _run_forward(seq, params, cfg, min(cfg.k_threads, k), cluster=True)
+    trace = _run_forward(seq, params, cfg, min(cfg.k_threads, k))
     labels = procedure_learning(trace, k=k, depth=cfg.depth, seed=cfg.seed,
                                 kappa=cfg.kappa)
     _emit(args, "procedure-learn", {
@@ -214,7 +213,7 @@ def _cmd_procedure_learn(args) -> int:
 
 
 def _candidates_for(args, cfg: RunConfig, seq: FeatureSequence, params, k: int):
-    trace = _run_forward(seq, params, cfg, min(cfg.k_threads, k), cluster=True)
+    trace = _run_forward(seq, params, cfg, min(cfg.k_threads, k))
     return extract_candidates(trace, params, k=k, min_len=cfg.min_len,
                               kappa=cfg.kappa, seed=cfg.seed,
                               segment_duration=seq.segment_duration)
@@ -263,6 +262,7 @@ def _cmd_mcq(args) -> int:
                 raise SchemaError(f"{where}[{i}]", "expected a [start, end] number pair")
         spans = [tuple(pair.tolist()) for pair in pairs]
     candidates = [read_feature_file(base / p) for p in paths]
+    _require_constant_dim(candidates, f"{args.question}: candidates")
     params = _resolve_params(args, cfg, candidates[0].dim, d_t=query.size)
     chosen = mcq_retrieval(query, candidates, params, context=cfg.delta,
                            clip_spans=spans, edge_threshold=cfg.edge_threshold,
@@ -324,11 +324,17 @@ def _cmd_evaluate(args) -> int:
         doc = report.to_json_dict()
     else:  # mcq
         results = read_object(args.results, "results")["results"]
+        if not isinstance(results, list):
+            raise SchemaError(f"{args.results}: results", "expected a list")
+        choices = []
         for i, r in enumerate(results):
-            for key in ("chosen", "correct"):
-                if not isinstance(r, dict) or key not in r:
-                    raise SchemaError(f"{args.results}: results[{i}].{key}", "missing")
-        choices = [(r["chosen"], r["correct"], r.get("group", "inter")) for r in results]
+            where = f"{args.results}: results[{i}]"
+            chosen = _require(r, "chosen", int, where)
+            correct = _require(r, "correct", int, where)
+            group = r.get("group", "inter")
+            if group not in ("inter", "intra"):
+                raise SchemaError(f"{where}.group", 'expected "inter" or "intra"')
+            choices.append((chosen, correct, group))
         doc = mcq_accuracy(choices).to_json_dict()
     doc["task"] = args.task
     _emit(args, "evaluate", doc)
@@ -390,7 +396,7 @@ def _cmd_grad_check(args) -> int:
     batch = _toy_gradcheck_batch(args.seed)
     dims = ModelDims(d_in=6, d_h=8, d_a=8, d_t=6, stages=2, layers=2)
     params = init_params(dims, seed=args.seed)
-    op = TotalLossOp(k=2, kappa=1.0, max_nodes=64, cluster_enabled=True, seed=args.seed)
+    op = TotalLossOp(k=2, kappa=1.0, max_nodes=64, seed=args.seed)
     worst = grad_check(op, params, batch, epsilon=args.epsilon, seed=args.seed)
     _emit(args, "grad-check", {
         "max_rel_error": worst,
@@ -458,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", nargs="+", required=True)
     p.add_argument("--k", type=int, default=None, help="functional-thread count")
     p.add_argument("--no-cluster", action="store_true",
-                   help="single functional thread (short clips)")
+                   help="single functional thread, the same as --k 1 (short clips)")
     p.add_argument("--emit-embeddings", action="store_true")
     p.set_defaults(func=_cmd_forward)
 

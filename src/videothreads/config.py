@@ -21,7 +21,6 @@ class RunConfig:
     layers: int = 3
     hidden: int = 768
     align_dim: int = 768
-    temperature: float = 0.05
     kappa: float = 1.0
     max_nodes: int = 64
     min_len: int = 2
@@ -29,8 +28,6 @@ class RunConfig:
     k_procedure: int = 7
     k_candidates: int = 7
     delta: float = 4.0
-    alpha: float = 1.0
-    beta: float = 4.0
     depth: int = 1
     seed: int = 0
     jobs: int = 1

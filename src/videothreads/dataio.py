@@ -198,7 +198,7 @@ def _require(doc: dict, key: str, kind, path: str):
     value = doc[key]
     if kind is float:
         return _number(value, where)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(where, f"expected {kind.__name__}")
     return value
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Var, l2_normalize_rows, relu, slot_sum, take_rows, value
-from .errors import BadMagicError, ShapeError, TruncatedFileError
+from .errors import BadMagicError, ClusteringError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
     directed_edges,
@@ -285,7 +285,13 @@ def _tdgc_apply(x, table: _NeighborTable, layer: TdgcLayerParams):
 
 
 def tdgc_forward(g: VideoGraph, layer: TdgcLayerParams) -> np.ndarray:
-    """Apply one TDGC layer to a graph's embeddings."""
+    """Apply one TDGC layer to a graph's embeddings.
+
+    ``forward`` does not call this: it builds each stage's neighbor table
+    once for all of the stage's layers. This single-layer entry point lets a
+    layer be checked in isolation, against the dense-loop reference, so that
+    a mismatch of the full pass can be pinned to one layer.
+    """
     d = g.embeddings.shape[1]
     w_n = value(layer.w_n)
     if w_n.shape[0] != d:
@@ -309,21 +315,15 @@ def _encode(g0: VideoGraph, params: ModelParams):
     return graphs, xs
 
 
-def encoder_forward(g0: VideoGraph, params: ModelParams) -> list[VideoGraph]:
-    """Run all encoder stages; stage i's graph has ceil(N / 2**(i+1)) nodes."""
-    if g0.level != 0:
-        raise ShapeError("encoder input must be a level-0 graph")
-    graphs, _ = _encode(g0, params)
-    return graphs
-
-
 @dataclass
 class ForwardTrace:
     """Everything the forward pass produced.
 
-    ``decoder_graphs`` and ``partitions`` run deepest stage first; ``output``
-    is at input resolution (one row per input node). When the forward ran in
-    autodiff mode, ``output_var`` and ``decoder_vars`` carry the live graph.
+    ``encoder_graphs`` run shallowest stage first (stage i holds
+    ceil(N / 2**(i+1)) nodes); ``decoder_graphs`` and ``partitions`` run
+    deepest stage first; ``output`` is at input resolution (one row per input
+    node). When the forward ran in autodiff mode, ``output_var`` and
+    ``decoder_vars`` carry the live graph.
     """
 
     encoder_graphs: list[VideoGraph]
@@ -331,47 +331,46 @@ class ForwardTrace:
     partitions: list[PartitionResult]
     output: np.ndarray
     output_timestamps: np.ndarray
-    input_graph: VideoGraph | None = None
     output_var: Var | None = None
     decoder_vars: list | None = None
 
 
-def decoder_forward(encoder_graphs: list[VideoGraph], params: ModelParams,
-                    input_timestamps: np.ndarray, k: int = 1,
-                    kappa: float = DEFAULT_KAPPA, max_nodes: int = DEFAULT_MAX_NODES,
-                    cluster_enabled: bool = True, seed: int = 0,
-                    fixed_partitions: list[PartitionResult] | None = None,
-                    encoder_values=None, input_graph: VideoGraph | None = None) -> ForwardTrace:
-    """Top-down decoding with per-stage Cut&Match partitioning.
+def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
+            kappa: float = DEFAULT_KAPPA, max_nodes: int = DEFAULT_MAX_NODES,
+            seed: int = 0,
+            fixed_partitions: list[PartitionResult] | None = None) -> ForwardTrace:
+    """Full encoder + decoder pass on a level-0 graph.
 
-    Each stage interpolates the deeper decoder output onto its lateral
+    The encoder halves the graph once per stage. Top-down, each decoder
+    stage then interpolates the deeper decoder output onto its lateral
     encoder stage's timestamps, sums the two, partitions the fused graph
-    (skipped when ``cluster_enabled`` is false or k == 1, leaving a single
-    group), and runs the stage's TDGC layers once over the union of the
-    groups' induced sub-graphs, so no message crosses a group boundary. The
-    shallowest stage's output is finally interpolated to
-    ``input_timestamps``.
+    into ``k`` functional threads (one group when k == 1 or the stage holds
+    a single node), and runs the stage's TDGC layers once over the union of
+    the groups' induced sub-graphs, so no message crosses a group boundary.
+    The shallowest stage's output is finally interpolated to the input
+    timestamps.
 
     ``fixed_partitions`` (deepest first) bypasses clustering entirely, which
     keeps the loss surface smooth for finite-difference checks.
     """
-    n_stages = len(encoder_graphs)
-    if n_stages != params.dims.stages:
-        raise ShapeError(f"expected {params.dims.stages} encoder stages, got {n_stages}")
-    xs = encoder_values if encoder_values is not None else [g.embeddings for g in encoder_graphs]
+    if g0.level != 0:
+        raise ShapeError("forward input must be a level-0 graph")
+    if k < 1:
+        raise ClusteringError(f"k={k} must be >= 1")
+    encoder_graphs, xs = _encode(g0, params)
 
     dec_graphs: list[VideoGraph] = []
     dec_vars: list = []
     partitions: list[PartitionResult] = []
     y = None
     y_times: np.ndarray | None = None
-    for depth, s in enumerate(range(n_stages - 1, -1, -1)):
+    for depth, s in enumerate(range(len(encoder_graphs) - 1, -1, -1)):
         lateral = encoder_graphs[s]
         fused = xs[s] if y is None else xs[s] + interpolation_matrix(y_times, lateral.timestamps) @ y
         stage_k = min(k, lateral.num_nodes)  # deep stages may hold fewer nodes than k
         if fixed_partitions is not None:
             part = fixed_partitions[depth]
-        elif not cluster_enabled or stage_k <= 1:
+        elif stage_k == 1:
             part = single_partition(lateral.num_nodes)
         else:
             part = approx_partition(with_embeddings(lateral, value(fused)), stage_k, kappa,
@@ -390,32 +389,18 @@ def decoder_forward(encoder_graphs: list[VideoGraph], params: ModelParams,
         dec_vars.append(y)
         partitions.append(part)
 
-    out = interpolation_matrix(y_times, np.asarray(input_timestamps, dtype=np.float64)) @ y
+    out_times = np.asarray(g0.timestamps, dtype=np.float64)
+    out = interpolation_matrix(y_times, out_times) @ y
     grad_mode = isinstance(out, Var)
     return ForwardTrace(
-        encoder_graphs=list(encoder_graphs),
+        encoder_graphs=encoder_graphs,
         decoder_graphs=dec_graphs,
         partitions=partitions,
         output=value(out),
-        output_timestamps=np.asarray(input_timestamps, dtype=np.float64),
-        input_graph=input_graph,
+        output_timestamps=out_times,
         output_var=out if grad_mode else None,
         decoder_vars=dec_vars if grad_mode else None,
     )
-
-
-def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
-            kappa: float = DEFAULT_KAPPA, max_nodes: int = DEFAULT_MAX_NODES,
-            cluster_enabled: bool = True, seed: int = 0,
-            fixed_partitions: list[PartitionResult] | None = None) -> ForwardTrace:
-    """Full encoder + decoder pass on a level-0 graph."""
-    if g0.level != 0:
-        raise ShapeError("forward input must be a level-0 graph")
-    enc_graphs, enc_xs = _encode(g0, params)
-    return decoder_forward(enc_graphs, params, g0.timestamps, k=k, kappa=kappa,
-                           max_nodes=max_nodes, cluster_enabled=cluster_enabled,
-                           seed=seed, fixed_partitions=fixed_partitions,
-                           encoder_values=enc_xs, input_graph=g0)
 
 
 def project_visual(x, params: ModelParams):

@@ -26,8 +26,6 @@ from .kernels import (
 DEFAULT_KAPPA = 1.0
 DEFAULT_MAX_NODES = 64
 
-PARTITION_METHODS = ("kmeans_l2", "kmeans_cosine", "spectral")
-
 
 @dataclass(frozen=True)
 class PartitionResult:
@@ -126,20 +124,6 @@ def approx_partition(g: VideoGraph, k: int, kappa: float = DEFAULT_KAPPA,
     sub = spectral_partition(g.embeddings[picked], k, kappa, seed)
     closest = nearest_indices(g.timestamps[picked], g.timestamps)
     return PartitionResult(sub.assignments[closest], k, sub.eigengap)
-
-
-def alt_partition(x, k: int, method: str, seed: int = 0,
-                  kappa: float = DEFAULT_KAPPA) -> PartitionResult:
-    """Dispatch between the clustering strategies under one output contract."""
-    if method == "spectral":
-        return spectral_partition(x, k, kappa, seed)
-    if method == "kmeans_l2":
-        labels = kmeans(x, k, metric="euclidean", seed=seed).assignments
-        return PartitionResult(labels, k, 0.0)
-    if method == "kmeans_cosine":
-        labels = kmeans(x, k, metric="cosine", seed=seed).assignments
-        return PartitionResult(labels, k, 0.0)
-    raise ClusteringError(f"unknown partition method {method!r}; expected one of {PARTITION_METHODS}")
 
 
 def single_partition(n: int) -> PartitionResult:

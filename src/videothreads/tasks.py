@@ -47,15 +47,6 @@ def procedure_learning(trace: ForwardTrace, k: int, depth: int = 1,
     return part.assignments[pick]
 
 
-def frame_labels(segment_labels: np.ndarray, timestamps: np.ndarray,
-                 segment_duration: float, fps: float = 30.0) -> np.ndarray:
-    """Expand per-segment labels to per-frame labels at ``fps``."""
-    timestamps = np.asarray(timestamps, dtype=np.float64)
-    end = timestamps[-1] + segment_duration
-    frame_times = np.arange(0.0, end, 1.0 / fps)
-    return np.asarray(segment_labels)[nearest_indices(timestamps, frame_times)]
-
-
 def candidate_runs(labels, min_len: int) -> list[tuple[int, int]]:
     """Maximal runs of equal consecutive labels, as half-open index ranges,
     keeping only runs of at least ``min_len`` segments."""
@@ -163,7 +154,7 @@ def clip_embedding(seq: FeatureSequence, params: ModelParams,
                    edge_threshold: float = 1.0, seed: int = 0) -> np.ndarray:
     """L2-normalized mean of h_v outputs for one clip, clustering disabled."""
     g0 = build_graph(seq, edge_threshold)
-    trace = forward(g0, params, k=1, cluster_enabled=False, seed=seed)
+    trace = forward(g0, params, k=1, seed=seed)
     projected = value(project_visual(trace.output, params))
     mean = projected.mean(axis=0)
     norm = np.linalg.norm(mean)

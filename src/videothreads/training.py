@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import segment_sum, value, vexp, vlog, vsum
-from .dataio import FeatureSequence, Narration, NarrationSet
+from .dataio import FeatureSequence, NarrationSet
 from .errors import (
     EmptyBatchError,
     GradientError,
@@ -61,34 +61,13 @@ class AlignmentBatch:
 
 @dataclass(frozen=True)
 class LossValue:
-    """A scalar loss with its gradient over the flat parameter vector."""
+    """The total loss L = L_vna + L_ft, its two terms, and the gradient of L
+    over the flat parameter vector (None when it was not asked for)."""
 
     value: float
-    gradient: np.ndarray
-
-
-def sample_windows(node_time: float, narrations: NarrationSet,
-                   others: list[NarrationSet], alpha: float, beta: float
-                   ) -> tuple[list[Narration], list[Narration]]:
-    """Positive and negative narrations for one node.
-
-    Positives: same-video narrations within 2**alpha seconds. Negatives:
-    same-video narrations in the (2**alpha, 2**beta] annulus plus every
-    narration from the other videos in the batch.
-    """
-    if not alpha < beta:
-        raise ShapeError(f"alpha={alpha} must be < beta={beta}")
-    near, far = 2.0 ** alpha, 2.0 ** beta
-    positives, negatives = [], []
-    for item in narrations.items:
-        distance = abs(node_time - item.timestamp)
-        if distance <= near:
-            positives.append(item)
-        elif distance <= far:
-            negatives.append(item)
-    for other in others:
-        negatives.extend(other.items)
-    return positives, negatives
+    vna: float
+    ft: float
+    gradient: np.ndarray | None
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +87,13 @@ def _masked_log_ratio(expz, pos_mask: np.ndarray, den_mask: np.ndarray, axis: in
 
 
 def _vna_scalar(batch: AlignmentBatch, outputs, params: ModelParams):
-    """Video-narration alignment loss over a batch of forward outputs."""
+    """Video-narration alignment loss over a batch of forward outputs.
+
+    A node's positives are its video's narrations within 2**alpha seconds;
+    its negatives are its video's narrations in the (2**alpha, 2**beta]
+    annulus plus every narration of the other videos (likewise for a
+    narration's nodes). A node or narration without positives adds no term.
+    """
     node_times, node_video = [], []
     narr_times, narr_video, narr_embeddings = [], [], []
     for i, (g, narrs) in enumerate(zip(batch.graphs, batch.narrations)):
@@ -156,19 +141,14 @@ def _vna_scalar(batch: AlignmentBatch, outputs, params: ModelParams):
     return batch_mean(v2t_terms, v2t_keep, node_video) + batch_mean(t2v_terms, t2v_keep, narr_video)
 
 
-def _ft_scalar(traces: list[ForwardTrace], params: ModelParams, temperature: float,
-               depth_mask: list[bool] | None = None, decoder_values=None):
+def _ft_scalar(traces: list[ForwardTrace], params: ModelParams, temperature: float):
     """Functional-threads loss: per decoder depth, pull same-cluster nodes
     together in the h_v space; returns None when no node is eligible."""
     total = None
     eligible_any = False
-    for t_idx, trace in enumerate(traces):
-        stages = decoder_values[t_idx] if decoder_values is not None else [
-            g.embeddings for g in trace.decoder_graphs
-        ]
-        for depth, (stage_x, part) in enumerate(zip(stages, trace.partitions)):
-            if depth_mask is not None and not depth_mask[depth]:
-                continue
+    for trace in traces:
+        stages = trace.decoder_vars or [g.embeddings for g in trace.decoder_graphs]
+        for stage_x, part in zip(stages, trace.partitions):
             labels = part.assignments
             n = labels.shape[0]
             if n < 2:
@@ -209,66 +189,21 @@ def _collect_gradient(leaves) -> np.ndarray:
     return gradient
 
 
-def _rerun_traces(traces: list[ForwardTrace], params_v: ModelParams) -> list[ForwardTrace]:
-    reruns = []
-    for trace in traces:
-        if trace.input_graph is None:
-            raise ShapeError("trace lacks its input graph; build it with forward()")
-        reruns.append(forward(trace.input_graph, params_v,
-                              fixed_partitions=trace.partitions))
-    return reruns
-
-
 # ---------------------------------------------------------------------------
-# public loss operations
-
-
-def loss_vna(batch: AlignmentBatch, traces: list[ForwardTrace],
-             params: ModelParams) -> LossValue:
-    """Alignment loss and its gradient over all parameters.
-
-    The forward pass is replayed with gradient tracking, reusing the traces'
-    cluster assignments as constants (assignments are discrete and carry no
-    gradient).
-    """
-    if len(traces) != len(batch.graphs):
-        raise ShapeError("one trace per batch graph required")
-    params_v, leaves = params.to_vars()
-    reruns = _rerun_traces(traces, params_v)
-    scalar = _vna_scalar(batch, [t.output_var for t in reruns], params_v)
-    scalar.backward()
-    return LossValue(scalar.item(), _collect_gradient(leaves))
-
-
-def loss_ft(traces: list[ForwardTrace], params: ModelParams, temperature: float,
-            depth_mask: list[bool] | None = None) -> LossValue:
-    """Functional-threads loss and gradient; zero with an empty gradient when
-    no decoder partition has two members sharing a cluster."""
-    params_v, leaves = params.to_vars()
-    reruns = _rerun_traces(traces, params_v)
-    scalar = _ft_scalar(reruns, params_v, temperature, depth_mask,
-                        decoder_values=[t.decoder_vars for t in reruns])
-    if scalar is None:
-        logger.info("functional-threads loss skipped: no eligible node in batch")
-        return LossValue(0.0, np.zeros(params.num_params))
-    scalar.backward()
-    return LossValue(scalar.item(), _collect_gradient(leaves))
+# the loss
 
 
 class TotalLossOp:
-    """Callable computing L_vna + L_ft with cluster assignments frozen at the
-    first evaluation, so repeated calls (finite differences) see a smooth
+    """Callable computing L = L_vna + L_ft with cluster assignments frozen at
+    the first evaluation, so repeated calls (finite differences) see a smooth
     function of the parameters."""
 
     def __init__(self, k: int = 1, kappa: float = 1.0, max_nodes: int = 64,
-                 cluster_enabled: bool = True, seed: int = 0,
-                 depth_mask: list[bool] | None = None):
+                 seed: int = 0):
         self.k = k
         self.kappa = kappa
         self.max_nodes = max_nodes
-        self.cluster_enabled = cluster_enabled
         self.seed = seed
-        self.depth_mask = depth_mask
         self._partitions: list | None = None
 
     def _forward_all(self, params, batch: AlignmentBatch) -> list[ForwardTrace]:
@@ -277,32 +212,36 @@ class TotalLossOp:
             fixed = self._partitions[i] if self._partitions is not None else None
             traces.append(forward(
                 g, params, k=self.k, kappa=self.kappa, max_nodes=self.max_nodes,
-                cluster_enabled=self.cluster_enabled, seed=self.seed,
-                fixed_partitions=fixed,
+                seed=self.seed, fixed_partitions=fixed,
             ))
         if self._partitions is None:
             self._partitions = [t.partitions for t in traces]
         return traces
 
-    def value_only(self, params: ModelParams, batch: AlignmentBatch) -> float:
-        traces = self._forward_all(params, batch)
-        vna = _vna_scalar(batch, [t.output for t in traces], params)
-        ft = _ft_scalar(traces, params, batch.temperature, self.depth_mask)
-        total = float(value(vna))
-        if ft is not None:
-            total += float(value(ft))
-        return total
+    def __call__(self, params: ModelParams, batch: AlignmentBatch, *,
+                 gradient: bool = True) -> LossValue:
+        """The loss at ``params``. With ``gradient`` the forward pass runs
+        in autodiff mode and the result carries dL/dparams; without it the
+        pass runs on plain arrays and ``gradient`` is None.
 
-    def __call__(self, params: ModelParams, batch: AlignmentBatch) -> LossValue:
-        params_v, leaves = params.to_vars()
-        traces = self._forward_all(params_v, batch)
-        scalar = _vna_scalar(batch, [t.output_var for t in traces], params_v)
-        ft = _ft_scalar(traces, params_v, batch.temperature, self.depth_mask,
-                        decoder_values=[t.decoder_vars for t in traces])
-        if ft is not None:
-            scalar = scalar + ft
-        scalar.backward()
-        return LossValue(scalar.item(), _collect_gradient(leaves))
+        Cluster assignments are discrete and carry no gradient; an L_ft
+        with no eligible node is 0 and adds nothing to the gradient.
+        """
+        if gradient:
+            params, leaves = params.to_vars()
+        traces = self._forward_all(params, batch)
+        outputs = [t.output_var if gradient else t.output for t in traces]
+        vna = _vna_scalar(batch, outputs, params)
+        ft = _ft_scalar(traces, params, batch.temperature)
+        if ft is None:
+            logger.info("functional-threads loss skipped: no eligible node in batch")
+        total = vna if ft is None else vna + ft
+        grad = None
+        if gradient:
+            total.backward()
+            grad = _collect_gradient(leaves)
+        return LossValue(float(value(total)), float(value(vna)),
+                         0.0 if ft is None else float(value(ft)), grad)
 
 
 def grad_check(loss_op, params: ModelParams, batch: AlignmentBatch,
@@ -329,17 +268,13 @@ def grad_check(loss_op, params: ModelParams, batch: AlignmentBatch,
     else:
         coords = np.arange(total)
 
-    value_of = getattr(loss_op, "value_only", None)
-    if value_of is None:
-        value_of = lambda p, b: loss_op(p, b).value  # noqa: E731
-
     worst = 0.0
     for c in coords:
         shifted = vec.copy()
         shifted[c] = vec[c] + epsilon
-        f_plus = value_of(params.with_vector(shifted), batch)
+        f_plus = loss_op(params.with_vector(shifted), batch, gradient=False).value
         shifted[c] = vec[c] - epsilon
-        f_minus = value_of(params.with_vector(shifted), batch)
+        f_minus = loss_op(params.with_vector(shifted), batch, gradient=False).value
         numeric = (f_plus - f_minus) / (2.0 * epsilon)
         err = abs(analytic.gradient[c] - numeric) / max(1.0, abs(numeric))
         worst = max(worst, err)
@@ -369,7 +304,6 @@ class TrainConfig:
     k: int = 2
     kappa: float = 1.0
     max_nodes: int = 64
-    cluster_enabled: bool = True
 
 
 def lr_at_step(config: TrainConfig, step: int, steps_per_epoch: int) -> float:
@@ -418,8 +352,7 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
                 temperature=config.temperature,
             )
             op = TotalLossOp(k=config.k, kappa=config.kappa,
-                             max_nodes=config.max_nodes,
-                             cluster_enabled=config.cluster_enabled, seed=seed)
+                             max_nodes=config.max_nodes, seed=seed)
             try:
                 loss = op(params, batch)
             except (NonFiniteError, GradientError) as exc:

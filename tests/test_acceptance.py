@@ -126,7 +126,7 @@ def test_criterion_4_gradient_contract():
     start = time.time()
     params, batch = _toy_gradient_setup()
     assert params.num_params > 2000  # forces the >=200-coordinate sample path
-    op = TotalLossOp(k=2, kappa=1.0, max_nodes=64, cluster_enabled=True, seed=0)
+    op = TotalLossOp(k=2, kappa=1.0, max_nodes=64, seed=0)
     worst = grad_check(op, params, batch, epsilon=1e-5, seed=0, min_sample=200)
     elapsed = time.time() - start
     ok = worst <= 1e-4 and elapsed < 60.0
@@ -145,7 +145,7 @@ def test_criterion_5_tdgc_dense_loop_oracle():
     worst = 0.0
     for seed in range(20):
         params = init_params(dims, seed=seed)
-        trace = forward(g, params, k=2, cluster_enabled=(seed % 2 == 0), seed=seed)
+        trace = forward(g, params, k=2 if seed % 2 == 0 else 1, seed=seed)
         reference = forward_ref(g, params, trace.partitions)
         worst = max(worst, float(np.max(np.abs(trace.output - reference))))
     elapsed = time.time() - start
@@ -161,9 +161,9 @@ def test_criterion_6_temporal_shift_equivariance():
     times = np.arange(16) * 0.5
     params = init_params(ModelDims(d_in=6, d_h=8, d_a=8, d_t=6, stages=3, layers=3), seed=1)
     base = forward(build_graph(FeatureSequence("a", times, features), 1.0),
-                   params, k=2, cluster_enabled=True, seed=0)
+                   params, k=2, seed=0)
     moved = forward(build_graph(FeatureSequence("b", times + 1000.0, features), 1.0),
-                    params, k=2, cluster_enabled=True, seed=0)
+                    params, k=2, seed=0)
     worst = float(np.max(np.abs(base.output - moved.output)))
     elapsed = time.time() - start
     ok = worst <= 1e-12
@@ -245,7 +245,7 @@ def _held_out_partition_ari(params, data, planted, seed):
     scores = []
     for (seq, _), labels in zip(data, planted):
         g0 = build_graph(seq, 1.0)
-        trace = forward(g0, params, k=2, cluster_enabled=True, seed=seed)
+        trace = forward(g0, params, k=2, seed=seed)
         stage = trace.decoder_graphs[-1]
         stage_labels = labels[nearest_indices(g0.timestamps, stage.timestamps)]
         scores.append(adjusted_rand_index(trace.partitions[-1].assignments, stage_labels))

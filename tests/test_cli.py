@@ -13,7 +13,10 @@ from videothreads.cli import (
     main,
 )
 from videothreads.config import RunConfig
+from videothreads.dataio import FeatureSequence, write_feature_file
 from videothreads.errors import ConfigError
+from videothreads.model import ModelDims, identity_params, save_params
+from videothreads.training import TrainConfig
 
 
 def run(*argv):
@@ -33,7 +36,7 @@ def corpus(tmp_path_factory):
 class TestConfig:
     def test_defaults_include_reference_constants(self):
         cfg = RunConfig().to_dict()
-        assert cfg["temperature"] == 0.05
+        assert TrainConfig().temperature == 0.05
         assert cfg["stages"] == 3
         assert cfg["layers"] == 3
         assert cfg["hidden"] == 768
@@ -52,7 +55,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"stages": "three"})
         with pytest.raises(ConfigError):
-            RunConfig.from_dict({"temperature": True})
+            RunConfig.from_dict({"kappa": True})
 
     def test_flags_win_over_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -61,13 +64,28 @@ class TestConfig:
         assert cfg.kappa == 3.0
         assert cfg.hidden == 32
 
+    @pytest.mark.parametrize("option, key, value", [
+        pytest.param("--config", "row_normalize", True, id="row_normalize"),
+        pytest.param("--config", "temperature", 0.05, id="temperature"),
+        pytest.param("--config", "alpha", 1.0, id="alpha"),
+        pytest.param("--config", "beta", 4.0, id="beta"),
+        pytest.param("--train-config", "cluster_enabled", True, id="cluster_enabled"),
+    ])
+    def test_removed_key_rejected(self, tmp_path, capsys, option, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        argv = {
+            "--config": ("dump-config", "--config", str(path)),
+            "--train-config": ("train-toy", "--data", str(tmp_path), "--train-config", str(path),
+                               "--params-out", str(tmp_path / "p.bin"),
+                               "--history", str(tmp_path / "h.jsonl")),
+        }[option]
+        assert run(*argv) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert key in err["error"]["message"]
+
 
 class TestDumpConfig:
-    def test_contains_temperature(self, tmp_path, capsys):
-        assert run("dump-config") == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["temperature"] == 0.05
-
     def test_merges_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kappa": 2.5}))
@@ -81,13 +99,6 @@ class TestDumpConfig:
         assert run("dump-config", "--config", str(path)) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
-
-    def test_removed_row_normalize_key_rejected(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"row_normalize": True}))
-        assert run("dump-config", "--config", str(path)) == EXIT_CONFIG
-        err = json.loads(capsys.readouterr().err)
-        assert "row_normalize" in err["error"]["message"]
 
 
 def exit_code(*argv):
@@ -135,12 +146,32 @@ class TestErrorExitCodes:
         ("procedure_label_out_of_range", EXIT_DATA, "labels"),
         ("procedure_labels_wrong_length", EXIT_DATA, "labels"),
         ("procedure_timestamp_out_of_range", EXIT_DATA, "timestamps"),
+        ("mcq_results_not_a_list", EXIT_DATA, "results"),
+        ("mcq_result_chosen_not_integer", EXIT_DATA, "results[0].chosen"),
+        ("mcq_result_correct_bool", EXIT_DATA, "results[0].correct"),
+        ("mcq_result_unknown_group", EXIT_DATA, "results[0].group"),
+        ("mcq_candidates_mixed_dims", EXIT_DATA, "candidates"),
+        ("forward_params_wrong_d_in", EXIT_DATA, "d_in"),
+        ("ground_params_wrong_d_t", EXIT_DATA, "d_t"),
+        ("localize_params_wrong_d_t", EXIT_DATA, "d_t"),
     ])
     def test_malformed_documents(self, corpus, tmp_path, capsys, case, expected_code, field):
         doc = tmp_path / "query.json"
         feats = str(corpus / "features.hft")
         ann = str(corpus / "annotations.json")
-        contents = {
+        taxonomy = str(corpus / "taxonomy.json")
+        narrow = tmp_path / "narrow.hft"  # 8-dim features; the corpus has 16
+        write_feature_file(narrow, FeatureSequence("n", np.arange(4) * 0.5, np.ones((4, 8))))
+        query = tmp_path / "q16.json"
+        query.write_text(json.dumps({"embedding": [1.0] * 16}))
+
+        def params_file(d_in, d_t):
+            path = tmp_path / "made.bin"
+            save_params(path, identity_params(ModelDims(d_in=d_in, d_h=16, d_a=16, d_t=d_t,
+                                                        stages=1, layers=1)))
+            return path.read_bytes()
+
+        content = {
             "ground_invalid_json": '{"embedding": [1.0, ',
             "ground_no_embedding": json.dumps({"vector": [1.0]}),
             "mcq_no_candidates": json.dumps({"query": [1.0, 0.0]}),
@@ -172,8 +203,23 @@ class TestErrorExitCodes:
                 "timestamps": [0.0, 0.5], "segment_duration": 0.5, "labels": [0]}),
             "procedure_timestamp_out_of_range": json.dumps({
                 "timestamps": [0.0, 10**400], "segment_duration": 0.5, "labels": [0, 1]}),
-        }
-        doc.write_text(contents[case])
+            "mcq_results_not_a_list": json.dumps({"results": 5}),
+            "mcq_result_chosen_not_integer": json.dumps({"results": [
+                {"chosen": "x", "correct": 1}]}),
+            "mcq_result_correct_bool": json.dumps({"results": [
+                {"chosen": 1, "correct": True}]}),
+            "mcq_result_unknown_group": json.dumps({"results": [
+                {"chosen": 1, "correct": 1, "group": 7}]}),
+            "mcq_candidates_mixed_dims": json.dumps({
+                "query": [1.0] * 16, "candidates": [feats, str(narrow)]}),
+            "forward_params_wrong_d_in": params_file(8, 16),
+            "ground_params_wrong_d_t": params_file(16, 8),
+            "localize_params_wrong_d_t": params_file(16, 8),
+        }[case]
+        if isinstance(content, bytes):
+            doc.write_bytes(content)
+        else:
+            doc.write_text(content)
         argv = {
             "ground_invalid_json": ("ground", "--features", feats, "--query", str(doc)),
             "ground_no_embedding": ("ground", "--features", feats, "--query", str(doc)),
@@ -206,6 +252,16 @@ class TestErrorExitCodes:
                                               "--pred", str(doc), "--annotations", ann),
             "procedure_timestamp_out_of_range": ("evaluate", "--task", "procedure",
                                                  "--pred", str(doc), "--annotations", ann),
+            "mcq_results_not_a_list": ("evaluate", "--task", "mcq", "--results", str(doc)),
+            "mcq_result_chosen_not_integer": ("evaluate", "--task", "mcq", "--results", str(doc)),
+            "mcq_result_correct_bool": ("evaluate", "--task", "mcq", "--results", str(doc)),
+            "mcq_result_unknown_group": ("evaluate", "--task", "mcq", "--results", str(doc)),
+            "mcq_candidates_mixed_dims": ("mcq", "--question", str(doc)),
+            "forward_params_wrong_d_in": ("forward", "--features", feats, "--params", str(doc)),
+            "ground_params_wrong_d_t": ("ground", "--features", feats, "--query", str(query),
+                                        "--params", str(doc)),
+            "localize_params_wrong_d_t": ("localize", "--features", feats,
+                                          "--taxonomy", taxonomy, "--params", str(doc)),
         }[case]
         code = exit_code(*argv, "--out", str(tmp_path / "o.json"))
         assert code == expected_code
@@ -215,6 +271,14 @@ class TestErrorExitCodes:
             error = json.loads(err)["error"]
             assert error["type"] == "SchemaError"
             assert str(doc) in error["message"]
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_is_library_error(self, corpus, tmp_path, capsys, k):
+        code = run("forward", "--features", str(corpus / "features.hft"), "--k", k,
+                   "--hidden", "16", "--out", str(tmp_path / "o.json"))
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ClusteringError"
 
     def test_bad_magic_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.hft"
@@ -306,7 +370,7 @@ class TestPipeline:
         assert doc["scalars"]["R@1@0.5"] == 100.0
 
     def test_mcq_and_evaluate(self, corpus, tmp_path, capsys):
-        from videothreads.dataio import FeatureSequence, read_feature_file, write_feature_file
+        from videothreads.dataio import read_feature_file
 
         seq = read_feature_file(corpus / "features.hft")
         planted = json.loads((corpus / "planted.json").read_text())

@@ -254,6 +254,20 @@ class TestKMeans:
         permuted = kmeans(pts[perm], 3, seed=7).assignments
         assert adjusted_rand_index(direct[perm], permuted) == 1.0
 
+    def test_cosine_assignment_is_argmax_to_centroids(self):
+        # rays at distinct angles with varying magnitudes; the returned
+        # assignment must agree with direct cosine argmax to the centroids
+        rng = np.random.default_rng(12)
+        angles = np.concatenate([rng.uniform(0.0, 0.2, 20), rng.uniform(1.4, 1.6, 20)])
+        radii = rng.uniform(0.5, 10.0, 40)
+        x = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+        result = kmeans(x, 2, metric="cosine", seed=0)
+        assert adjusted_rand_index(result.assignments, np.repeat([0, 1], 20)) == 1.0
+        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+        centroid_unit = result.centroids / np.linalg.norm(result.centroids, axis=1, keepdims=True)
+        brute = np.argmax(unit @ centroid_unit.T, axis=1)
+        assert np.array_equal(result.assignments, brute)
+
     def test_cosine_groups_by_angle(self):
         pts = np.array([[1.0, 0.0], [5.0, 0.0], [0.0, 1.0], [0.0, 7.0]])
         result = kmeans(pts, 2, metric="cosine", seed=0)

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from videothreads.dataio import FeatureSequence
-from videothreads.errors import BadMagicError, ShapeError, TruncatedFileError
+from videothreads.errors import BadMagicError, ClusteringError, ShapeError, TruncatedFileError
 from videothreads.graph import build_graph, temporal_interpolate, with_embeddings
 from videothreads.metrics import adjusted_rand_index
 from videothreads.model import (
     LinearParams,
     ModelDims,
-    encoder_forward,
     forward,
     identity_params,
     init_params,
@@ -16,6 +15,7 @@ from videothreads.model import (
     save_params,
     tdgc_forward,
 )
+from videothreads.partition import single_partition
 from videothreads.synth import SynthSpec, generate
 
 from reference_impl import forward_ref, neighbors_from_times, tdgc_layer_ref
@@ -146,7 +146,7 @@ class TestEncoderForward:
     def test_halving_node_counts(self):
         g = make_graph(n=8, d=4)
         params = init_params(ModelDims(d_in=4, d_h=4, d_a=4, d_t=4, stages=3, layers=1), seed=0)
-        stages = encoder_forward(g, params)
+        stages = forward(g, params).encoder_graphs
         assert [s.num_nodes for s in stages] == [4, 2, 1]
 
     def test_identity_layers_reproduce_subsampled_input(self):
@@ -159,20 +159,20 @@ class TestEncoderForward:
                 layer.w_r = np.eye(4)
                 layer.gate_w1 = np.zeros((1, 4))
                 layer.gate_w2 = np.zeros((4, 4))
-        stages = encoder_forward(g, params)
+        stages = forward(g, params).encoder_graphs
         assert np.allclose(stages[0].embeddings, g.embeddings[::2])
         assert np.allclose(stages[1].embeddings, g.embeddings[::4])
 
 
 class TestFullForward:
     def test_matches_dense_loop_reference(self):
-        # 20 seeded parameter draws on N=12, clustering disabled and enabled
+        # 20 seeded parameter draws on N=12, clustering disabled (k = 1) and enabled
         g = make_graph(n=12, d=5, seed=1)
         dims = ModelDims(d_in=5, d_h=7, d_a=6, d_t=5, stages=3, layers=2)
         worst = 0.0
         for seed in range(20):
             params = init_params(dims, seed=seed)
-            trace = forward(g, params, k=2, cluster_enabled=(seed % 2 == 0), seed=seed)
+            trace = forward(g, params, k=2 if seed % 2 == 0 else 1, seed=seed)
             want = forward_ref(g, params, trace.partitions)
             worst = max(worst, float(np.max(np.abs(trace.output - want))))
         assert worst <= 1e-9
@@ -207,23 +207,34 @@ class TestFullForward:
         shifted = build_graph(
             FeatureSequence("v", g.timestamps + 1000.0, g.embeddings), 1.0)
         params = init_params(ModelDims(d_in=4, d_h=6, d_a=6, d_t=4, stages=3, layers=2), seed=5)
-        a = forward(g, params, k=2, cluster_enabled=True, seed=0)
-        b = forward(shifted, params, k=2, cluster_enabled=True, seed=0)
+        a = forward(g, params, k=2, seed=0)
+        b = forward(shifted, params, k=2, seed=0)
         assert np.max(np.abs(a.output - b.output)) <= 1e-12
 
     def test_no_cluster_equals_k_one(self):
         g = make_graph(n=9, d=4, seed=6)
         params = init_params(ModelDims(d_in=4, d_h=5, d_a=5, d_t=4, stages=2, layers=2), seed=2)
-        off = forward(g, params, k=5, cluster_enabled=False, seed=0)
-        one = forward(g, params, k=1, cluster_enabled=True, seed=0)
+        # k = 1 is the one way to say "no clustering": one group per stage
+        one = forward(g, params, k=1, seed=0)
+        single = [single_partition(s.num_nodes) for s in reversed(one.encoder_graphs)]
+        off = forward(g, params, fixed_partitions=single)
+        for got, want in zip(one.partitions, single):
+            assert np.array_equal(got.assignments, want.assignments)
         assert np.array_equal(off.output, one.output)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, k):
+        g = make_graph(n=9, d=4, seed=6)
+        params = init_params(ModelDims(d_in=4, d_h=5, d_a=5, d_t=4, stages=2, layers=2), seed=2)
+        with pytest.raises(ClusteringError):
+            forward(g, params, k=k)
 
     def test_identity_layers_give_interpolated_lateral_sum(self):
         g = make_graph(n=8, d=4, seed=7)
         dims = ModelDims(d_in=4, d_h=4, d_a=4, d_t=4, stages=2, layers=1)
         params = identity_params(dims)
-        trace = forward(g, params, k=3, cluster_enabled=False, seed=0)
-        stages = encoder_forward(g, params)
+        trace = forward(g, params, k=1, seed=0)
+        stages = trace.encoder_graphs
         deep = stages[1]
         shallow = stages[0]
         fused = shallow.embeddings + temporal_interpolate(deep, shallow.timestamps)
@@ -235,7 +246,7 @@ class TestFullForward:
                                 separation=10.0, seed=11))
         g = build_graph(ds.sequence, 1.0)
         params = identity_params(ModelDims(d_in=16, d_h=16, d_a=16, d_t=16))
-        trace = forward(g, params, k=2, cluster_enabled=True, seed=0)
+        trace = forward(g, params, k=2, seed=0)
         # every decoder stage's partition should recover the planted threads
         from videothreads.graph import nearest_indices
 

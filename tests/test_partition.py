@@ -7,7 +7,6 @@ from videothreads.graph import build_graph
 from videothreads.kernels import sym_eigen
 from videothreads.metrics import adjusted_rand_index
 from videothreads.partition import (
-    alt_partition,
     approx_partition,
     normalized_laplacian,
     similarity_matrix,
@@ -163,41 +162,3 @@ class TestApproxPartition:
         idx = uniform_subsample_indices(10, 4)
         assert np.array_equal(idx, [0, 2, 5, 7])
         assert np.array_equal(uniform_subsample_indices(3, 8), [0, 1, 2])
-
-
-class TestAltPartition:
-    def test_spectral_dispatch_matches(self):
-        x = np.random.default_rng(10).standard_normal((8, 3))
-        direct = spectral_partition(x, 2, seed=3)
-        routed = alt_partition(x, 2, "spectral", seed=3)
-        assert np.array_equal(direct.assignments, routed.assignments)
-
-    def test_kmeans_l2_separated_blobs(self):
-        rng = np.random.default_rng(11)
-        x = np.concatenate([rng.standard_normal((15, 3)) + 50.0,
-                            rng.standard_normal((15, 3)) - 50.0])
-        part = alt_partition(x, 2, "kmeans_l2", seed=0)
-        labels = np.repeat([0, 1], 15)
-        assert adjusted_rand_index(part.assignments, labels) == 1.0
-
-    def test_kmeans_cosine_matches_bruteforce_assignment(self):
-        # rays at distinct angles with varying magnitudes; the returned
-        # assignment must agree with direct cosine argmax to the centroids
-        rng = np.random.default_rng(12)
-        angles = np.concatenate([rng.uniform(0.0, 0.2, 20), rng.uniform(1.4, 1.6, 20)])
-        radii = rng.uniform(0.5, 10.0, 40)
-        x = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-        part = alt_partition(x, 2, "kmeans_cosine", seed=0)
-        labels = np.repeat([0, 1], 20)
-        assert adjusted_rand_index(part.assignments, labels) == 1.0
-        from videothreads.kernels import kmeans
-
-        result = kmeans(x, 2, metric="cosine", seed=0)
-        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
-        centroid_unit = result.centroids / np.linalg.norm(result.centroids, axis=1, keepdims=True)
-        brute = np.argmax(unit @ centroid_unit.T, axis=1)
-        assert np.array_equal(result.assignments, brute)
-
-    def test_unknown_method(self):
-        with pytest.raises(ClusteringError):
-            alt_partition(np.eye(3), 2, "dbscan")

@@ -3,7 +3,8 @@ import pytest
 
 from videothreads.errors import ShapeError
 from videothreads.metrics import adjusted_rand_index
-from videothreads.partition import alt_partition, spectral_partition
+from videothreads.kernels import kmeans
+from videothreads.partition import spectral_partition
 from videothreads.synth import (
     SynthSpec,
     generate,
@@ -37,9 +38,11 @@ class TestGenerate:
                                 separation=5.0, sigma=0.0, seed=2))
         x = ds.sequence.features
         labels = ds.planted.step_labels
-        for method in ("spectral", "kmeans_l2", "kmeans_cosine"):
-            part = alt_partition(x, 3, method, seed=0)
-            assert adjusted_rand_index(part.assignments, labels) == 1.0
+        found = [spectral_partition(x, 3, seed=0).assignments,
+                 kmeans(x, 3, metric="euclidean", seed=0).assignments,
+                 kmeans(x, 3, metric="cosine", seed=0).assignments]
+        for assignments in found:
+            assert adjusted_rand_index(assignments, labels) == 1.0
         # every in-step feature identical
         for s in range(3):
             rows = x[labels == s]

@@ -23,7 +23,7 @@ def planted_trace(spec, k, seed=0):
     g0 = build_graph(ds.sequence, 1.0)
     dims = ModelDims(d_in=spec.dim, d_h=spec.dim, d_a=spec.dim, d_t=spec.dim)
     params = identity_params(dims)
-    trace = forward(g0, params, k=k, cluster_enabled=True, seed=seed)
+    trace = forward(g0, params, k=k, seed=seed)
     return ds, params, trace
 
 
@@ -54,15 +54,6 @@ class TestProcedureLearning:
         _, _, trace = planted_trace(spec, k=2)
         with pytest.raises(TaskError):
             procedure_learning(trace, k=2, depth=99)
-
-    def test_frame_expansion(self):
-        from videothreads.tasks import frame_labels
-
-        labels = np.array([0, 0, 1, 1])
-        times = np.arange(4) * 0.5
-        frames = frame_labels(labels, times, segment_duration=0.5, fps=4.0)
-        # 2 s of video at 4 fps -> 8 frames, 2 per segment
-        assert np.array_equal(frames, [0, 0, 0, 0, 1, 1, 1, 1])
 
 
 class TestCandidateRuns:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,15 +14,15 @@ from videothreads.training import (
     AlignmentBatch,
     TotalLossOp,
     TrainConfig,
+    _collect_gradient,
+    _ft_scalar,
     grad_check,
-    loss_ft,
-    loss_vna,
     lr_at_step,
-    sample_windows,
     train_toy,
 )
 
 TAU = 0.05
+WIDE_TAU = 1.0  # keeps every logit's share of a softmax well above rounding
 
 
 def narration_set(entries, dim=4, fill=1.0):
@@ -38,27 +39,6 @@ def video(times, dim=4, seed=0):
     return build_graph(FeatureSequence("v", np.asarray(times, dtype=float), feats), 1.0)
 
 
-class TestSampleWindows:
-    def test_window_arithmetic(self):
-        narrs = narration_set([(9.5, None), (11.0, None), (13.0, None), (50.0, None)])
-        pos, neg = sample_windows(10.0, narrs, [], alpha=1.0, beta=4.0)
-        assert sorted(p.timestamp for p in pos) == [9.5, 11.0]
-        assert [n.timestamp for n in neg] == [13.0]  # 50 is 40 s away, beyond 2^4
-
-    def test_empty_positives(self):
-        narrs = narration_set([(30.0, None)])
-        pos, neg = sample_windows(0.0, narrs, [], alpha=1.0, beta=6.0)
-        assert pos == []
-        assert [n.timestamp for n in neg] == [30.0]
-
-    def test_other_videos_always_negative(self):
-        own = narration_set([(0.5, None)])
-        other = narration_set([(0.4, None), (99.0, None)])
-        pos, neg = sample_windows(0.0, own, [other], alpha=1.0, beta=4.0)
-        assert len(pos) == 1
-        assert sorted(n.timestamp for n in neg) == [0.4, 99.0]
-
-
 def single_stage_setup(n=8, dim=4, features=None, times=None):
     dims = ModelDims(d_in=dim, d_h=dim, d_a=dim, d_t=dim, stages=1, layers=1)
     params = identity_params(dims)
@@ -70,6 +50,61 @@ def single_stage_setup(n=8, dim=4, features=None, times=None):
     return params, g
 
 
+def nce(anchor, positives, negatives, tau=WIDE_TAU):
+    """-log(sum_pos / (sum_pos + sum_neg)) over exp(cosine / tau) scores."""
+    def score(v):
+        cos = float(np.dot(anchor, v) / (np.linalg.norm(anchor) * np.linalg.norm(v)))
+        return math.exp(cos / tau)
+    pos = sum(score(v) for v in positives)
+    return -math.log(pos / (pos + sum(score(v) for v in negatives)))
+
+
+class TestSampleWindows:
+    """The positive window 2**alpha, the negative annulus up to 2**beta and
+    the other-video negatives, as the training loss applies them. Each video
+    is one node under identity parameters, so its output is its feature."""
+
+    def check(self, videos, alpha, beta, expected):
+        params = identity_params(ModelDims(d_in=4, d_h=4, d_a=4, d_t=4, stages=1, layers=1))
+        graphs = [single_stage_setup(n=1, features=[f], times=[t])[1] for t, f, _ in videos]
+        narrations = [narration_set(narrs) for _, _, narrs in videos]
+        batch = AlignmentBatch(graphs, narrations, alpha=alpha, beta=beta, temperature=WIDE_TAU)
+        vna = TotalLossOp(k=1)(params, batch).vna
+        outputs = [forward(g, params).output for g in graphs]
+        assert vna == pytest.approx(oracle_vna(batch, outputs, params), abs=1e-12)
+        assert vna == pytest.approx(expected, abs=1e-12)
+
+    def test_window_arithmetic(self):
+        f = np.array([1.0, 2.0, 3.0, 4.0])
+        e = np.eye(4)
+        # from the node at 10 s: 9.5 and 11.0 lie inside 2^1, 13.0 in the
+        # (2^1, 2^4] annulus, and 50.0 is 40 s away, beyond 2^4
+        narrs = [(9.5, e[0]), (11.0, e[1]), (13.0, e[2]), (50.0, e[3])]
+        # each positive narration sees only the node, so its t2v term is 0
+        self.check([(10.0, f, narrs)], 1.0, 4.0, nce(f, [e[0], e[1]], [e[2]]))
+
+    def test_empty_positives(self):
+        fa, fb = np.array([1.0, 0.0, 2.0, 0.0]), np.array([0.0, 1.0, 1.0, 3.0])
+        ea, eb = np.array([2.0, 1.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0, 0.0])
+        # video a's node and narration have no positive (30 s apart, inside
+        # 2^6): they add no term, rather than a zero term, to the batch means
+        videos = [(0.0, fa, [(30.0, ea)]), (0.0, fb, [(0.5, eb)])]
+        expected = nce(fb, [eb], [ea]) + nce(eb, [fb], [fa])
+        self.check(videos, 1.0, 6.0, expected)
+
+    def test_other_videos_always_negative(self):
+        fa, fb = np.array([1.0, 0.0, 2.0, 0.0]), np.array([0.0, 1.0, 1.0, 3.0])
+        ea = np.array([2.0, 1.0, 0.0, 1.0])
+        eb_near, eb_far = np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0])
+        # video b's narrations at 0.4 s and 99 s are both negatives for video
+        # a's node at 0 s; for b's own node at 99 s the one at 0.4 s is
+        # beyond 2^4 and has no positive of its own
+        videos = [(0.0, fa, [(0.5, ea)]), (99.0, fb, [(0.4, eb_near), (99.0, eb_far)])]
+        v2t = (nce(fa, [ea], [eb_near, eb_far]) + nce(fb, [eb_far], [ea])) / 2
+        t2v = (nce(ea, [fa], [fb]) + nce(eb_far, [fb], [fa])) / 2
+        self.check(videos, 1.0, 4.0, v2t + t2v)
+
+
 class TestLossVna:
     def test_one_positive_one_equal_negative_is_ln2(self):
         # one node; two narrations with identical embeddings, one inside the
@@ -77,17 +112,15 @@ class TestLossVna:
         params, g = single_stage_setup(n=1, times=[10.0])
         narrs = narration_set([(10.5, None), (14.0, None)])
         batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
-        traces = [forward(g, params, k=1, seed=0)]
-        lv = loss_vna(batch, traces, params)
-        assert lv.value == pytest.approx(math.log(2.0), abs=1e-10)
+        lv = TotalLossOp(k=1, seed=0)(params, batch)
+        assert lv.vna == pytest.approx(math.log(2.0), abs=1e-10)
 
     def test_single_positive_no_negatives_is_zero(self):
         params, g = single_stage_setup(n=1, times=[10.0])
         narrs = narration_set([(10.5, None)])
         batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
-        traces = [forward(g, params, k=1, seed=0)]
-        lv = loss_vna(batch, traces, params)
-        assert lv.value == pytest.approx(0.0, abs=1e-12)
+        lv = TotalLossOp(k=1, seed=0)(params, batch)
+        assert lv.vna == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(17)
@@ -99,26 +132,24 @@ class TestLossVna:
             narrations.append(narration_set(
                 [(float(t), rng.standard_normal(4)) for t in rng.uniform(0, 4.2, 5)]))
         batch = AlignmentBatch(graphs, narrations, alpha=1.0, beta=3.0, temperature=TAU)
+        lv = TotalLossOp(k=2, seed=0)(params, batch)
         traces = [forward(g, params, k=2, seed=0) for g in graphs]
-        lv = loss_vna(batch, traces, params)
         want = oracle_vna(batch, [t.output for t in traces], params)
-        assert lv.value == pytest.approx(want, abs=1e-10)
+        assert lv.vna == pytest.approx(want, abs=1e-10)
 
     def test_gradient_length(self):
         params, g = single_stage_setup(n=4)
         narrs = narration_set([(0.5, None), (3.0, None)])
         batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
-        traces = [forward(g, params, k=1, seed=0)]
-        lv = loss_vna(batch, traces, params)
+        lv = TotalLossOp(k=1, seed=0)(params, batch)
         assert lv.gradient.shape == (params.num_params,)
 
     def test_empty_batch_rejected(self):
         params, g = single_stage_setup(n=2, times=[0.0, 0.5])
         narrs = narration_set([(500.0, None)])
         batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
-        traces = [forward(g, params, k=1, seed=0)]
         with pytest.raises(EmptyBatchError):
-            loss_vna(batch, traces, params)
+            TotalLossOp(k=1, seed=0)(params, batch)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -128,16 +159,14 @@ class TestLossVna:
         narrs = [narration_set([(float(t), rng.standard_normal(3)) for t in rng.uniform(0, 2.5, 4)])
                  for _ in range(2)]
         batch = AlignmentBatch(graphs, narrs, alpha=1.0, beta=4.0, temperature=TAU)
-        traces = [forward(g, params, k=1, seed=0) for g in graphs]
-        base = loss_vna(batch, traces, params).value
+        base = TotalLossOp(k=1, seed=0)(params, batch).vna
 
         flipped = AlignmentBatch(graphs[::-1], narrs[::-1], alpha=1.0, beta=4.0, temperature=TAU)
-        flipped_traces = [forward(g, params, k=1, seed=0) for g in graphs[::-1]]
-        assert loss_vna(flipped, flipped_traces, params).value == pytest.approx(base, abs=1e-12)
+        assert TotalLossOp(k=1, seed=0)(params, flipped).vna == pytest.approx(base, abs=1e-12)
 
         shuffled = [NarrationSet(tuple(reversed(ns.items))) for ns in narrs]
         batch2 = AlignmentBatch(graphs, shuffled, alpha=1.0, beta=4.0, temperature=TAU)
-        assert loss_vna(batch2, traces, params).value == pytest.approx(base, abs=1e-12)
+        assert TotalLossOp(k=1, seed=0)(params, batch2).vna == pytest.approx(base, abs=1e-12)
 
     def test_invariant_to_positive_rescaling_before_projection(self):
         # with zero projection bias, L2 normalization absorbs any positive
@@ -166,31 +195,37 @@ class TestLossFt:
     def test_two_equal_clusters_identical_features(self):
         params, g = single_stage_setup(n=8)  # one stage: decoder sees 4 nodes
         trace = self.fixed_trace(params, g, [0, 0, 1, 1], 2)
-        lv = loss_ft([trace], params, temperature=TAU)
-        assert lv.value == pytest.approx(-math.log(1.0 / 3.0), abs=1e-10)
+        ft = float(_ft_scalar([trace], params, TAU))
+        assert ft == pytest.approx(-math.log(1.0 / 3.0), abs=1e-10)
 
     def test_single_cluster_identical_features_zero(self):
         params, g = single_stage_setup(n=8)
         trace = self.fixed_trace(params, g, [0, 0, 0, 0], 1)
-        lv = loss_ft([trace], params, temperature=TAU)
-        assert lv.value == pytest.approx(0.0, abs=1e-12)
+        ft = float(_ft_scalar([trace], params, TAU))
+        assert ft == pytest.approx(0.0, abs=1e-12)
 
     def test_no_eligible_nodes_zero_loss_empty_gradient(self):
         params, g = single_stage_setup(n=8)
         trace = self.fixed_trace(params, g, [0, 1, 2, 3], 4)  # singleton clusters
-        lv = loss_ft([trace], params, temperature=TAU)
-        assert lv.value == 0.0
-        assert not np.any(lv.gradient)
+        assert _ft_scalar([trace], params, TAU) is None  # no term, so no gradient
+        # in the total loss: a video whose every decoder stage holds one node
+        params, g = single_stage_setup(n=1, times=[10.0])
+        batch = AlignmentBatch([g], [narration_set([(10.5, None), (14.0, None)])],
+                               alpha=1.0, beta=4.0, temperature=TAU)
+        lv = TotalLossOp(k=1, seed=0)(params, batch)
+        assert lv.ft == 0.0
+        assert lv.value == lv.vna
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(23)
         dims = ModelDims(d_in=4, d_h=5, d_a=6, d_t=4, stages=2, layers=1)
         params = init_params(dims, seed=23)
         g = video(np.arange(8) * 0.5, dim=4, seed=5)
-        trace = forward(g, params, k=2, cluster_enabled=True, seed=3)
-        lv = loss_ft([trace], params, temperature=TAU)
-        want = oracle_ft(trace, params, TAU)
-        assert lv.value == pytest.approx(want, abs=1e-10)
+        narrs = narration_set([(1.0, rng.standard_normal(4)), (2.5, rng.standard_normal(4))])
+        batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
+        lv = TotalLossOp(k=2, seed=3)(params, batch)
+        want = oracle_ft(forward(g, params, k=2, seed=3), params, TAU)
+        assert lv.ft == pytest.approx(want, abs=1e-10)
 
 
 class TestGradCheck:
@@ -210,7 +245,7 @@ class TestGradCheck:
 
     def test_toy_model_meets_contract(self):
         params, batch = self.toy()
-        op = TotalLossOp(k=2, kappa=1.0, max_nodes=64, cluster_enabled=True, seed=0)
+        op = TotalLossOp(k=2, kappa=1.0, max_nodes=64, seed=0)
         worst = grad_check(op, params, batch, epsilon=1e-5, seed=0)
         assert worst <= 1e-4
 
@@ -221,13 +256,14 @@ class TestGradCheck:
         class Corrupt:
             def __init__(self, inner):
                 self.inner = inner
-                self.value_only = inner.value_only
 
-            def __call__(self, p, b):
-                lv = self.inner(p, b)
+            def __call__(self, p, b, *, gradient=True):
+                lv = self.inner(p, b, gradient=gradient)
+                if not gradient:
+                    return lv
                 grad = lv.gradient.copy()
                 grad[int(np.argmin(np.abs(grad)))] += 1.0
-                return type(lv)(lv.value, grad)
+                return dataclasses.replace(lv, gradient=grad)
 
         worst = grad_check(Corrupt(op), params, batch, epsilon=1e-5, seed=0,
                            sample_threshold=10**9)  # check every coordinate
@@ -237,12 +273,13 @@ class TestGradCheck:
         # h_t bias coordinates are unused when no narration exists in the
         # loss under test; pick the ft-only loss on a fixed partition
         params, g = single_stage_setup(n=8)
-        trace = forward(g, params, fixed_partitions=[PartitionResult(np.array([0, 0, 1, 1]), 2, 0.0)])
-        lv = loss_ft([trace], params, temperature=TAU)
-        leaves = params.leaves()
+        params_v, leaves = params.to_vars()
+        trace = forward(g, params_v, fixed_partitions=[PartitionResult(np.array([0, 0, 1, 1]), 2, 0.0)])
+        _ft_scalar([trace], params_v, TAU).backward()
+        gradient = _collect_gradient(leaves)
         # locate h_t weight block at the end of the flat layout
-        tail = sum(np.asarray(a).size for a in leaves[-2:])
-        assert not np.any(lv.gradient[-tail:])
+        tail = sum(np.asarray(a).size for a in params.leaves()[-2:])
+        assert not np.any(gradient[-tail:])
 
 
 class TestTrainToy:
