@@ -78,7 +78,6 @@ from .training import (
     AlignmentBatch,
     LossValue,
     TotalLossOp,
-    TrainConfig,
     grad_check,
     train_toy,
 )

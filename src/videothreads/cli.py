@@ -1,10 +1,12 @@
 """Command-line pipeline: synth | forward | procedure-learn | ground |
 localize | mcq | evaluate | train-toy | grad-check | dump-config.
 
-Every subcommand reads the shared JSON run config (flags win over file
-values), writes deterministic JSON results (metadata such as creation time
-is dropped under --no-meta so reruns are byte-identical), and exits with a
-distinct code per failure class: 2 usage, 3 bad config, 4 missing or
+Every subcommand that runs or trains the model reads the one JSON run
+config, ``RunConfig`` (``--config``; ``--train-config`` for train-toy). Each
+flag that sets a config value is declared from its field, and flags win over
+file values. Results are deterministic JSON (metadata such as creation time
+is dropped under --no-meta so reruns are byte-identical), and each failure
+class exits with its own code: 2 usage, 3 bad config, 4 missing or
 unreadable input path, 5 malformed data, 1 any other library error.
 """
 
@@ -20,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, config_from_file
+from .config import RunConfig
 from .dataio import (
     FeatureSequence,
     _number,
@@ -64,7 +66,7 @@ from .tasks import (
     step_grounding,
     step_localization,
 )
-from .training import TotalLossOp, TrainConfig, grad_check, train_toy
+from .training import TotalLossOp, grad_check, train_toy
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -163,9 +165,7 @@ def _require_constant_dim(sequences, where: str = "features") -> None:
 
 def _cmd_forward(args) -> int:
     cfg = _load_config(args)
-    k = args.k if args.k is not None else cfg.k_threads
-    if args.no_cluster:
-        k = 1
+    k = 1 if args.no_cluster else cfg.k
     sequences = [read_feature_file(p) for p in args.features]
     _require_constant_dim(sequences)
     params = _resolve_params(args, cfg, sequences[0].dim)
@@ -195,15 +195,14 @@ def _cmd_forward(args) -> int:
 
 def _cmd_procedure_learn(args) -> int:
     cfg = _load_config(args)
-    k = args.k if args.k is not None else cfg.k_procedure
     seq = read_feature_file(args.features)
     params = _resolve_params(args, cfg, seq.dim)
-    trace = _run_forward(seq, params, cfg, min(cfg.k_threads, k))
-    labels = procedure_learning(trace, k=k, depth=cfg.depth, seed=cfg.seed,
+    trace = _run_forward(seq, params, cfg, min(cfg.k, cfg.k_procedure))
+    labels = procedure_learning(trace, k=cfg.k_procedure, depth=cfg.depth, seed=cfg.seed,
                                 kappa=cfg.kappa)
     _emit(args, "procedure-learn", {
         "video_id": seq.video_id,
-        "k": k,
+        "k": cfg.k_procedure,
         "depth": cfg.depth,
         "segment_duration": seq.segment_duration,
         "timestamps": seq.timestamps.tolist(),
@@ -212,20 +211,19 @@ def _cmd_procedure_learn(args) -> int:
     return EXIT_OK
 
 
-def _candidates_for(args, cfg: RunConfig, seq: FeatureSequence, params, k: int):
-    trace = _run_forward(seq, params, cfg, min(cfg.k_threads, k))
-    return extract_candidates(trace, params, k=k, min_len=cfg.min_len,
+def _candidates_for(cfg: RunConfig, seq: FeatureSequence, params):
+    trace = _run_forward(seq, params, cfg, min(cfg.k, cfg.k_candidates))
+    return extract_candidates(trace, params, k=cfg.k_candidates, min_len=cfg.min_len,
                               kappa=cfg.kappa, seed=cfg.seed,
                               segment_duration=seq.segment_duration)
 
 
 def _cmd_ground(args) -> int:
     cfg = _load_config(args)
-    k = args.k if args.k is not None else cfg.k_candidates
     seq = read_feature_file(args.features)
     query = _vector(read_object(args.query, "embedding")["embedding"], f"{args.query}: embedding")
     params = _resolve_params(args, cfg, seq.dim, d_t=query.size)
-    candidates = _candidates_for(args, cfg, seq, params, k)
+    candidates = _candidates_for(cfg, seq, params)
     ranked = step_grounding(candidates, query, params)
     write_predictions(args.out, ranked)
     return EXIT_OK
@@ -233,11 +231,10 @@ def _cmd_ground(args) -> int:
 
 def _cmd_localize(args) -> int:
     cfg = _load_config(args)
-    k = args.k if args.k is not None else cfg.k_candidates
     seq = read_feature_file(args.features)
     taxonomy = read_taxonomy(args.taxonomy)
     params = _resolve_params(args, cfg, seq.dim, d_t=taxonomy.embeddings.shape[1])
-    candidates = _candidates_for(args, cfg, seq, params, k)
+    candidates = _candidates_for(cfg, seq, params)
     predictions = step_localization(candidates, taxonomy, params)
     write_predictions(args.out, predictions)
     return EXIT_OK
@@ -359,18 +356,16 @@ def _load_corpus(data_dir) -> list[tuple]:
 
 
 def _cmd_train_toy(args) -> int:
-    train_cfg = TrainConfig()
-    if args.train_config:
-        train_cfg = config_from_file(TrainConfig, args.train_config)
+    cfg = _load_config(args)
     dataset = _load_corpus(args.data)
-    params, history = train_toy(dataset, train_cfg, seed=args.seed)
+    params, history = train_toy(dataset, cfg)
     save_params(args.params_out, params)
     with open(args.history, "w", encoding="utf-8") as fh:
         for row in history:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     _emit(args, "train-toy", {
         "videos": len(dataset),
-        "epochs": train_cfg.epochs,
+        "epochs": cfg.epochs,
         "initial_loss": history[0]["mean_loss"],
         "final_loss": history[-1]["mean_loss"],
     })
@@ -409,8 +404,7 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_dump_config(args) -> int:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    write_json(args.out, cfg.to_dict())
+    write_json(args.out, _load_config(args).to_dict())
     return EXIT_OK
 
 
@@ -418,24 +412,34 @@ def _cmd_dump_config(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, *, model: bool = False) -> None:
+_MODEL_FIELDS = ("hidden", "align_dim", "stages", "layers", "edge_threshold")
+_PARTITION_FIELDS = ("kappa", "max_nodes")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *fields: str, **flag_fields: str) -> None:
+    """One flag per config field that the subcommand's handler reads:
+    ``--dashed-name``, typed like the field's default, stored under the
+    field's name. A keyword names a flag that sets another field
+    (``k="k_procedure"`` makes ``--k`` set ``k_procedure``). Flags default to
+    None, so ``_load_config`` keeps the file's value unless one is given."""
+    defaults = RunConfig()
+    for flag, field in [*zip(fields, fields), *flag_fields.items()]:
+        default = getattr(defaults, field)
+        p.add_argument("--" + flag.replace("_", "-"), dest=field, type=type(default),
+                       default=None, help=f"config {field} (default {default})")
+
+
+def _add_common(p: argparse.ArgumentParser, *fields: str, **flag_fields: str) -> None:
+    """--config, --out and --no-meta, the parameter source, and the config
+    flags of ``seed`` and ``fields`` (see ``_add_config_flags``)."""
     p.add_argument("--config", help="run config JSON (flags win over file values)")
     p.add_argument("--out", default="-", help="result path ('-' for stdout)")
     p.add_argument("--no-meta", action="store_true",
                    help="omit the meta block so reruns are byte-identical")
-    p.add_argument("--seed", type=int, default=None)
-    if model:
-        p.add_argument("--params", help="trained parameter file (HIEROPM1)")
-        p.add_argument("--init-seed", type=int, default=None,
-                       help="random init seed (default: identity configuration)")
-        p.add_argument("--hidden", type=int, default=None)
-        p.add_argument("--align-dim", dest="align_dim", type=int, default=None)
-        p.add_argument("--stages", type=int, default=None)
-        p.add_argument("--layers", type=int, default=None)
-        p.add_argument("--edge-threshold", dest="edge_threshold", type=float, default=None)
-        p.add_argument("--kappa", type=float, default=None)
-        p.add_argument("--max-nodes", dest="max_nodes", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--params", help="trained parameter file (HIEROPM1)")
+    p.add_argument("--init-seed", type=int, default=None,
+                   help="random init seed (default: identity configuration)")
+    _add_config_flags(p, "seed", *fields, **flag_fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,42 +464,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("forward", help="run the encoder/decoder on feature files")
-    _add_common(p, model=True)
+    _add_common(p, *_MODEL_FIELDS, *_PARTITION_FIELDS, "jobs", "k")
     p.add_argument("--features", nargs="+", required=True)
-    p.add_argument("--k", type=int, default=None, help="functional-thread count")
     p.add_argument("--no-cluster", action="store_true",
                    help="single functional thread, the same as --k 1 (short clips)")
     p.add_argument("--emit-embeddings", action="store_true")
     p.set_defaults(func=_cmd_forward)
 
     p = sub.add_parser("procedure-learn", help="per-segment step assignments")
-    _add_common(p, model=True)
+    _add_common(p, *_MODEL_FIELDS, *_PARTITION_FIELDS, "depth", k="k_procedure")
     p.add_argument("--features", required=True)
-    p.add_argument("--k", type=int, default=None, help="number of key-steps")
-    p.add_argument("--depth", type=int, default=None, help="decoder stage to cluster (0 = deepest)")
     p.set_defaults(func=_cmd_procedure_learn)
 
     p = sub.add_parser("ground", help="rank candidate steps against a query embedding")
-    _add_common(p, model=True)
+    _add_common(p, *_MODEL_FIELDS, *_PARTITION_FIELDS, "min_len", k="k_candidates")
     p.add_argument("--features", required=True)
     p.add_argument("--query", required=True, help='JSON {"embedding": [...]}')
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--min-len", dest="min_len", type=int, default=None)
     p.set_defaults(func=_cmd_ground)
 
     p = sub.add_parser("localize", help="label candidate steps with a taxonomy")
-    _add_common(p, model=True)
+    _add_common(p, *_MODEL_FIELDS, *_PARTITION_FIELDS, "min_len", k="k_candidates")
     p.add_argument("--features", required=True)
     p.add_argument("--taxonomy", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--min-len", dest="min_len", type=int, default=None)
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("mcq", help="pick the clip matching a query embedding")
-    _add_common(p, model=True)
+    _add_common(p, *_MODEL_FIELDS, "delta")
     p.add_argument("--question", required=True,
                    help='JSON {"query": [...], "candidates": [5 paths], "spans": optional}')
-    p.add_argument("--delta", type=float, default=None, help="context window seconds")
     p.set_defaults(func=_cmd_mcq)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
@@ -512,16 +508,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-toy", help="gradient-descent training on a small corpus")
     p.add_argument("--data", required=True, help="directory of <video>/features.hft + narrations.json")
-    p.add_argument("--train-config", dest="train_config", help="TrainConfig JSON")
+    p.add_argument("--train-config", dest="config",
+                   help="run config JSON (flags win over file values)")
     p.add_argument("--params-out", dest="params_out", required=True)
     p.add_argument("--history", required=True, help="JSON-lines loss history path")
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, "seed")
     p.add_argument("--out", default="-")
     p.add_argument("--no-meta", action="store_true")
     p.set_defaults(func=_cmd_train_toy)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
-    p.add_argument("--dims", choices=("toy",), default="toy")
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")

@@ -1,8 +1,9 @@
-"""Run configuration shared by every CLI subcommand.
+"""The one configuration schema, shared by every CLI subcommand.
 
-A single flat JSON document mirrors every module default; unknown keys and
-mistyped values are rejected so typos fail loudly, and command-line flags win
-over file values. The same checks load the training config.
+HiERO trains one hierarchy and then uses it zero-shot for every task, so the
+model settings, the task settings and the toy trainer's settings live in one
+flat document. Unknown keys and mistyped values are rejected so typos fail
+loudly, and command-line flags win over file values.
 """
 
 from __future__ import annotations
@@ -16,19 +17,30 @@ from .errors import ConfigError
 
 @dataclass
 class RunConfig:
+    # model and graph
     edge_threshold: float = 1.0
     stages: int = 3
     layers: int = 3
     hidden: int = 768
     align_dim: int = 768
+    # partitioning and the task heads
     kappa: float = 1.0
     max_nodes: int = 64
-    min_len: int = 2
-    k_threads: int = 2
+    k: int = 2
     k_procedure: int = 7
     k_candidates: int = 7
+    min_len: int = 2
     delta: float = 4.0
     depth: int = 1
+    # toy trainer: linear warmup then cosine decay, window-based alignment
+    epochs: int = 15
+    batch_size: int = 8
+    lr: float = 1e-5
+    warmup_epochs: int = 5
+    alpha: float = 1.0
+    beta: float = 4.0
+    temperature: float = 0.05
+    # run
     seed: int = 0
     jobs: int = 1
 
@@ -37,11 +49,39 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        return config_from_dict(cls, doc)
+        """Config with the values in ``doc``.
+
+        Every field is an integer or a float. Unknown keys, and values whose
+        JSON type does not match the type of the field's default, raise
+        ConfigError naming the key; integers are accepted for float fields.
+        """
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        merged = cls()
+        for key, value in doc.items():
+            if isinstance(getattr(merged, key), int):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ConfigError(f"{key}: expected an integer")
+            else:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigError(f"{key}: expected a number")
+                value = float(value)
+            setattr(merged, key, value)
+        return merged
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return config_from_file(cls, path)
+        """``from_dict`` on the JSON document in ``path``; invalid JSON is a
+        ConfigError too."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        return cls.from_dict(doc)
 
     def override(self, **updates) -> "RunConfig":
         """New config with non-None updates applied (flags win over file)."""
@@ -53,44 +93,3 @@ class RunConfig:
                 raise ConfigError(f"unknown config key: {key}")
             setattr(out, key, value)
         return out
-
-
-def config_from_dict(cls, doc: dict):
-    """Instance of the config dataclass ``cls`` with the values in ``doc``.
-
-    Unknown keys, and values whose JSON type does not match the type of the
-    field's default, raise ConfigError naming the key; integers are accepted
-    for float fields.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    merged = cls()
-    for key, value in doc.items():
-        default = getattr(merged, key)
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{key}: expected a boolean")
-        elif isinstance(default, int):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key}: expected an integer")
-        elif isinstance(default, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{key}: expected a number")
-            value = float(value)
-        setattr(merged, key, value)
-    return merged
-
-
-def config_from_file(cls, path):
-    """``config_from_dict`` on the JSON document in ``path``; invalid JSON is
-    a ConfigError too."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(cls, doc)

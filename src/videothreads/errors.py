@@ -42,7 +42,7 @@ class ConvergenceError(VideoThreadsError):
 
 
 class ClusteringError(VideoThreadsError):
-    """Invalid clustering request (empty input, K out of range, bad metric)."""
+    """Invalid clustering request (empty input, K out of range)."""
 
 
 class GraphError(VideoThreadsError):

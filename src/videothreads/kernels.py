@@ -108,24 +108,18 @@ def cosine_similarity_matrix(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Lloyd's algorithm output: per-point labels, centroids, final inertia.
-
-    For the cosine metric, points are L2-normalized up front and centroids
-    are means in that normalized space.
-    """
+    """Lloyd's algorithm output: per-point labels, centroids, final inertia."""
 
     assignments: np.ndarray
     centroids: np.ndarray
     inertia: float
 
 
-def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0,
-           max_iter: int = 100, n_init: int = 8) -> KMeansResult:
-    """Deterministic k-means with k-means++ seeding.
+def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
+           n_init: int = 8) -> KMeansResult:
+    """Deterministic euclidean k-means with k-means++ seeding.
 
-    metric="euclidean" minimizes within-cluster squared distance;
-    metric="cosine" assigns by maximum cosine similarity on L2-normalized
-    points (inertia is the summed cosine distance). Each restart runs Lloyd
+    Minimizes within-cluster squared distance. Each restart runs Lloyd
     iterations to an assignment fixpoint or ``max_iter``; the best of
     ``n_init`` seeded restarts (lowest inertia, the first on ties) is
     returned. All restarts run together as (n_init, ...) arrays; they draw
@@ -141,15 +135,6 @@ def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0,
         raise ClusteringError(f"max_iter={max_iter} must be >= 1")
     if n_init < 1:
         raise ClusteringError(f"n_init={n_init} must be >= 1")
-    if metric not in ("euclidean", "cosine"):
-        raise ClusteringError(f"unknown metric {metric!r}")
-
-    if metric == "cosine":
-        norms = np.linalg.norm(pts, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ZeroNormRowError(int(zero[0]), "points")
-        pts = pts / norms[:, None]
 
     rng = np.random.default_rng(seed)
     first = np.empty(n_init, dtype=np.intp)
@@ -158,16 +143,16 @@ def kmeans(points, k: int, metric: str = "euclidean", seed: int = 0,
         first[r] = rng.integers(n)
         u[r] = rng.random(k - 1)
     centroids = pts[_kmeanspp_indices(pts, first, u)]
-    assignments = _assign(pts, centroids, metric)
+    assignments = _assign(pts, centroids)
     # A restart at its fixpoint maps to itself, so iterating it along with
     # the others until all have converged leaves it where it stopped.
     for _ in range(max_iter):
         centroids = _cluster_means(pts, assignments, centroids)
-        new_assignments = _assign(pts, centroids, metric)
+        new_assignments = _assign(pts, centroids)
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-    inertia = _inertia(pts, centroids, assignments, metric)
+    inertia = _inertia(pts, centroids, assignments)
     best = int(np.argmin(inertia))  # the first of equal minima
     return KMeansResult(assignments[best], centroids[best], float(inertia[best]))
 
@@ -196,21 +181,10 @@ def _kmeanspp_indices(pts: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.n
     return chosen
 
 
-def _assign(pts: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
+def _assign(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest centroid per point for each restart: (R, n) from (R, k, dim)."""
-    if metric == "euclidean":
-        d2 = np.sum((pts[None, :, None, :] - centroids[:, None, :, :]) ** 2, axis=3)
-        return np.argmin(d2, axis=2)
-    return np.argmax(_cosine_to_centroids(pts, centroids), axis=2)
-
-
-def _cosine_to_centroids(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # Points are unit rows here; a degenerate zero centroid gets similarity
-    # below any cosine so no point prefers it.
-    norms = np.linalg.norm(centroids, axis=2)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    sims = pts @ np.swapaxes(centroids / safe[:, :, None], 1, 2)
-    return np.where((norms == 0.0)[:, None, :], -2.0, sims)
+    d2 = np.sum((pts[None, :, None, :] - centroids[:, None, :, :]) ** 2, axis=3)
+    return np.argmin(d2, axis=2)
 
 
 def _cluster_means(pts: np.ndarray, assignments: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -237,13 +211,7 @@ def _cluster_means(pts: np.ndarray, assignments: np.ndarray, previous: np.ndarra
     return np.where(counts > 0, sums.reshape(n_init, k, dim) / np.maximum(counts, 1), previous)
 
 
-def _inertia(pts: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
-             metric: str) -> np.ndarray:
-    """Per-restart inertia: summed squared distance or cosine distance."""
-    if metric == "euclidean":
-        picked = np.take_along_axis(centroids, assignments[:, :, None], axis=1)
-        return np.sum((pts[None, :, :] - picked) ** 2, axis=(1, 2))
-    sims = _cosine_to_centroids(pts, centroids)
-    chosen = np.take_along_axis(sims, assignments[:, :, None], axis=2)[:, :, 0]
-    chosen = np.where(chosen < -1.0, 0.0, chosen)  # zero-centroid convention
-    return np.sum(1.0 - chosen, axis=1)
+def _inertia(pts: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> np.ndarray:
+    """Per-restart inertia: summed squared distance to the assigned centroid."""
+    picked = np.take_along_axis(centroids, assignments[:, :, None], axis=1)
+    return np.sum((pts[None, :, :] - picked) ** 2, axis=(1, 2))

@@ -6,7 +6,6 @@ All IoU threshold comparisons are inclusive (>=).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,18 +107,6 @@ def hungarian(cost) -> tuple[dict[int, int], float]:
             mapping[row] = col
             total += float(cost[row, col])
     return mapping, total
-
-
-def brute_force_assignment(cost) -> float:
-    """Exhaustive minimum assignment cost (oracle for small matrices)."""
-    cost = np.asarray(cost, dtype=np.float64)
-    rows, cols = cost.shape
-    if rows <= cols:
-        return min(
-            sum(cost[i, p[i]] for i in range(rows))
-            for p in itertools.permutations(range(cols), rows)
-        )
-    return brute_force_assignment(cost.T)
 
 
 def procedure_f1_iou(pred_labels, gt_labels, num_steps: int,

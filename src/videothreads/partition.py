@@ -91,7 +91,7 @@ def spectral_partition(x, k: int, kappa: float = DEFAULT_KAPPA, seed: int = 0) -
     lap = normalized_laplacian(similarity_matrix(x, kappa))
     decomposition = sym_eigen(lap)
     embedding = decomposition.eigenvectors[:, :k]
-    labels = kmeans(embedding, k, metric="euclidean", seed=seed).assignments
+    labels = kmeans(embedding, k, seed=seed).assignments
     if k < n:
         eigengap = float(decomposition.eigenvalues[k] - decomposition.eigenvalues[k - 1])
     else:

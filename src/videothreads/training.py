@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import segment_sum, value, vexp, vlog, vsum
+from .config import RunConfig
 from .dataio import FeatureSequence, NarrationSet
 from .errors import (
     EmptyBatchError,
@@ -194,9 +195,11 @@ def _collect_gradient(leaves) -> np.ndarray:
 
 
 class TotalLossOp:
-    """Callable computing L = L_vna + L_ft with cluster assignments frozen at
-    the first evaluation, so repeated calls (finite differences) see a smooth
-    function of the parameters."""
+    """Callable computing L = L_vna + L_ft with cluster assignments frozen
+    per batch: a batch object the op has not seen gets its partitions at its
+    first evaluation, and later calls on that same object reuse them, so
+    repeated calls (finite differences) see a smooth function of the
+    parameters."""
 
     def __init__(self, k: int = 1, kappa: float = 1.0, max_nodes: int = 64,
                  seed: int = 0):
@@ -204,18 +207,17 @@ class TotalLossOp:
         self.kappa = kappa
         self.max_nodes = max_nodes
         self.seed = seed
-        self._partitions: list | None = None
+        # id(batch) -> (batch, partitions per graph); holding the batch keeps
+        # its id from being reused by a later object
+        self._frozen: dict[int, tuple[AlignmentBatch, list]] = {}
 
     def _forward_all(self, params, batch: AlignmentBatch) -> list[ForwardTrace]:
-        traces = []
-        for i, g in enumerate(batch.graphs):
-            fixed = self._partitions[i] if self._partitions is not None else None
-            traces.append(forward(
-                g, params, k=self.k, kappa=self.kappa, max_nodes=self.max_nodes,
-                seed=self.seed, fixed_partitions=fixed,
-            ))
-        if self._partitions is None:
-            self._partitions = [t.partitions for t in traces]
+        _, frozen = self._frozen.get(id(batch), (batch, None))
+        traces = [forward(g, params, k=self.k, kappa=self.kappa, max_nodes=self.max_nodes,
+                          seed=self.seed, fixed_partitions=None if frozen is None else frozen[i])
+                  for i, g in enumerate(batch.graphs)]
+        if frozen is None:
+            self._frozen[id(batch)] = (batch, [t.partitions for t in traces])
         return traces
 
     def __call__(self, params: ModelParams, batch: AlignmentBatch, *,
@@ -285,28 +287,7 @@ def grad_check(loss_op, params: ModelParams, batch: AlignmentBatch,
 # toy trainer
 
 
-@dataclass
-class TrainConfig:
-    """Plain gradient descent with linear warmup and cosine decay."""
-
-    epochs: int = 15
-    batch_size: int = 8
-    lr: float = 1e-5
-    warmup_epochs: int = 5
-    hidden: int = 768
-    align_dim: int = 768
-    stages: int = 3
-    layers: int = 3
-    edge_threshold: float = 1.0
-    alpha: float = 1.0
-    beta: float = 4.0
-    temperature: float = 0.05
-    k: int = 2
-    kappa: float = 1.0
-    max_nodes: int = 64
-
-
-def lr_at_step(config: TrainConfig, step: int, steps_per_epoch: int) -> float:
+def lr_at_step(config: RunConfig, step: int, steps_per_epoch: int) -> float:
     """Linear 0 -> lr over the warmup epochs, then cosine decay toward 0."""
     warmup = config.warmup_epochs * steps_per_epoch
     total = config.epochs * steps_per_epoch
@@ -318,12 +299,12 @@ def lr_at_step(config: TrainConfig, step: int, steps_per_epoch: int) -> float:
 
 
 def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
-              config: TrainConfig, seed: int = 0
-              ) -> tuple[ModelParams, list[dict]]:
+              config: RunConfig) -> tuple[ModelParams, list[dict]]:
     """Gradient-descent training on an in-memory dataset.
 
-    Returns the final parameters and a per-epoch history of mean total loss.
-    Raises TrainingDivergedError (with the epoch index) if the loss goes
+    ``config.seed`` seeds the initialization, the batch order and the
+    clustering. Returns the final parameters and a per-epoch history of mean
+    total loss. Raises TrainingDivergedError (with the epoch index) if the loss goes
     non-finite.
     """
     if not dataset:
@@ -332,11 +313,11 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
     d_t = dataset[0][1].embeddings().shape[1]
     dims = ModelDims(d_in=d_in, d_h=config.hidden, d_a=config.align_dim,
                      d_t=d_t, stages=config.stages, layers=config.layers)
-    params = init_params(dims, seed=seed)
+    params = init_params(dims, seed=config.seed)
     graphs = [build_graph(seq, config.edge_threshold) for seq, _ in dataset]
     narration_sets = [narrs for _, narrs in dataset]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     steps_per_epoch = max(1, math.ceil(len(dataset) / config.batch_size))
     history: list[dict] = []
     step = 0
@@ -352,7 +333,7 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
                 temperature=config.temperature,
             )
             op = TotalLossOp(k=config.k, kappa=config.kappa,
-                             max_nodes=config.max_nodes, seed=seed)
+                             max_nodes=config.max_nodes, seed=config.seed)
             try:
                 loss = op(params, batch)
             except (NonFiniteError, GradientError) as exc:

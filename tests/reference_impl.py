@@ -14,10 +14,14 @@ production code calls LAPACK instead.
 The k-means oracle runs its restarts one after another, each seeded with
 ``Generator.choice`` and iterated to its own fixpoint; production code runs
 all restarts at once.
+
+The assignment oracle enumerates every row-to-column matching; production
+code runs the Hungarian algorithm.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -140,37 +144,35 @@ def canonical_signs_ref(vectors: np.ndarray) -> None:
             vectors[:, j] = -col
 
 
-def kmeans_ref(points, k: int, metric: str = "euclidean", seed: int = 0,
-               max_iter: int = 100, n_init: int = 8) -> tuple[np.ndarray, np.ndarray, float]:
+def kmeans_ref(points, k: int, seed: int = 0, max_iter: int = 100,
+               n_init: int = 8) -> tuple[np.ndarray, np.ndarray, float]:
     """(assignments, centroids, inertia) of the best of ``n_init`` sequential
     restarts, the first on ties. Inputs are assumed valid."""
     pts = np.asarray(points, dtype=np.float64)
-    if metric == "cosine":
-        pts = pts / np.linalg.norm(pts, axis=1)[:, None]
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
-        result = lloyd_once(pts, k, metric, rng, max_iter)
+        result = lloyd_once(pts, k, rng, max_iter)
         if best is None or result[2] < best[2]:
             best = result
     return best
 
 
-def lloyd_once(pts: np.ndarray, k: int, metric: str, rng: np.random.Generator,
-               max_iter: int, history: list | None = None):
+def lloyd_once(pts: np.ndarray, k: int, rng: np.random.Generator, max_iter: int,
+               history: list | None = None):
     centroids = kmeanspp_seeds(pts, k, rng)
-    assignments = assign(pts, centroids, metric)
+    assignments = assign(pts, centroids)
     if history is not None:
-        history.append(inertia(pts, centroids, assignments, metric))
+        history.append(inertia(pts, centroids, assignments))
     for _ in range(max_iter):
         centroids = cluster_means(pts, assignments, k, centroids)
-        new_assignments = assign(pts, centroids, metric)
+        new_assignments = assign(pts, centroids)
         if history is not None:
-            history.append(inertia(pts, centroids, new_assignments, metric))
+            history.append(inertia(pts, centroids, new_assignments))
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-    return assignments, centroids, inertia(pts, centroids, assignments, metric)
+    return assignments, centroids, inertia(pts, centroids, assignments)
 
 
 def kmeanspp_seeds(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,20 +190,9 @@ def kmeanspp_seeds(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return pts[chosen].copy()
 
 
-def assign(pts: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "euclidean":
-        d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        return np.argmin(d2, axis=1)
-    sims = cosine_to_centroids(pts, centroids)
-    return np.argmax(sims, axis=1)
-
-
-def cosine_to_centroids(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(centroids, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    sims = pts @ (centroids / safe[:, None]).T
-    sims[:, norms == 0.0] = -2.0
-    return sims
+def assign(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    d2 = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    return np.argmin(d2, axis=1)
 
 
 def cluster_means(pts: np.ndarray, assignments: np.ndarray, k: int,
@@ -214,15 +205,8 @@ def cluster_means(pts: np.ndarray, assignments: np.ndarray, k: int,
     return centroids
 
 
-def inertia(pts: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
-            metric: str) -> float:
-    picked = centroids[assignments]
-    if metric == "euclidean":
-        return float(np.sum((pts - picked) ** 2))
-    sims = cosine_to_centroids(pts, centroids)
-    chosen = sims[np.arange(pts.shape[0]), assignments]
-    chosen = np.where(chosen < -1.0, 0.0, chosen)
-    return float(np.sum(1.0 - chosen))
+def inertia(pts: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> float:
+    return float(np.sum((pts - centroids[assignments]) ** 2))
 
 
 def relu_vec(v):
@@ -336,3 +320,15 @@ def forward_ref(g0, params, partitions) -> np.ndarray:
         depth += 1
 
     return interpolate_ref(y_times, y, np.asarray(g0.timestamps))
+
+
+def brute_force_assignment(cost) -> float:
+    """Exhaustive minimum assignment cost (for small matrices)."""
+    cost = np.asarray(cost, dtype=np.float64)
+    rows, cols = cost.shape
+    if rows <= cols:
+        return min(
+            sum(cost[i, p[i]] for i in range(rows))
+            for p in itertools.permutations(range(cols), rows)
+        )
+    return brute_force_assignment(cost.T)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -10,13 +11,13 @@ from videothreads.cli import (
     EXIT_MISSING,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from videothreads.config import RunConfig
 from videothreads.dataio import FeatureSequence, write_feature_file
 from videothreads.errors import ConfigError
 from videothreads.model import ModelDims, identity_params, save_params
-from videothreads.training import TrainConfig
 
 
 def run(*argv):
@@ -36,7 +37,7 @@ def corpus(tmp_path_factory):
 class TestConfig:
     def test_defaults_include_reference_constants(self):
         cfg = RunConfig().to_dict()
-        assert TrainConfig().temperature == 0.05
+        assert cfg["temperature"] == 0.05
         assert cfg["stages"] == 3
         assert cfg["layers"] == 3
         assert cfg["hidden"] == 768
@@ -66,9 +67,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("option, key, value", [
         pytest.param("--config", "row_normalize", True, id="row_normalize"),
-        pytest.param("--config", "temperature", 0.05, id="temperature"),
-        pytest.param("--config", "alpha", 1.0, id="alpha"),
-        pytest.param("--config", "beta", 4.0, id="beta"),
+        pytest.param("--config", "k_threads", 2, id="k_threads"),
         pytest.param("--train-config", "cluster_enabled", True, id="cluster_enabled"),
     ])
     def test_removed_key_rejected(self, tmp_path, capsys, option, key, value):
@@ -99,6 +98,52 @@ class TestDumpConfig:
         assert run("dump-config", "--config", str(path)) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
+
+
+def subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+MODEL_OPTIONS = {"--config", "--out", "--no-meta", "--params", "--init-seed", "--seed",
+                 "--hidden", "--align-dim", "--stages", "--layers", "--edge-threshold"}
+
+
+class TestParser:
+    OPTIONS = {
+        "synth": {"--out", "--seed", "--threads", "--steps-per-thread", "--segments-per-step",
+                  "--segment-duration", "--dim", "--separation", "--sigma", "--no-interleave",
+                  "--no-meta"},
+        "forward": MODEL_OPTIONS | {"--kappa", "--max-nodes", "--jobs", "--k", "--features",
+                                    "--no-cluster", "--emit-embeddings"},
+        "procedure-learn": MODEL_OPTIONS | {"--kappa", "--max-nodes", "--k", "--depth",
+                                            "--features"},
+        "ground": MODEL_OPTIONS | {"--kappa", "--max-nodes", "--k", "--min-len", "--features",
+                                   "--query"},
+        "localize": MODEL_OPTIONS | {"--kappa", "--max-nodes", "--k", "--min-len",
+                                     "--features", "--taxonomy"},
+        "mcq": MODEL_OPTIONS | {"--delta", "--question"},
+        "evaluate": {"--task", "--pred", "--annotations", "--num-steps", "--queries",
+                     "--results", "--out", "--no-meta"},
+        "train-toy": {"--data", "--train-config", "--params-out", "--history", "--seed",
+                      "--out", "--no-meta"},
+        "grad-check": {"--epsilon", "--seed", "--out", "--no-meta"},
+        "dump-config": {"--config", "--out"},
+    }
+
+    def test_option_strings(self):
+        got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in subparsers().items()}
+        assert got == self.OPTIONS
+
+    @pytest.mark.parametrize("command, field", [
+        ("forward", "k"), ("procedure-learn", "k_procedure"),
+        ("ground", "k_candidates"), ("localize", "k_candidates"),
+    ])
+    def test_k_sets_the_field_its_handler_reads(self, command, field):
+        action = next(a for a in subparsers()[command]._actions if "--k" in a.option_strings)
+        assert (action.dest, action.type, action.default) == (field, int, None)
 
 
 def exit_code(*argv):
@@ -455,3 +500,60 @@ class TestPipeline:
                    "--params-out", str(tmp_path / "p.bin"),
                    "--history", str(tmp_path / "h.jsonl"))
         assert code == EXIT_CONFIG
+
+    def test_seed_flag_overrides_the_train_config(self, tmp_path):
+        for i in range(2):
+            assert run("synth", "--out", str(tmp_path / "data" / f"v{i}"),
+                       "--seed", str(600 + i), "--threads", "2", "--segments-per-step", "6",
+                       "--dim", "8", "--separation", "3", "--no-meta") == EXIT_OK
+        base = {"epochs": 1, "warmup_epochs": 0, "lr": 0.05, "hidden": 8, "align_dim": 8,
+                "stages": 1, "layers": 1}
+        params = {}
+        for name, doc, flags in (("file", {**base, "seed": 4}, ()),
+                                 ("flag", {**base, "seed": 9}, ("--seed", "4"))):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(doc))
+            params[name] = tmp_path / f"{name}.bin"
+            assert run("train-toy", "--data", str(tmp_path / "data"), "--train-config", str(cfg),
+                       "--params-out", str(params[name]),
+                       "--history", str(tmp_path / f"{name}.jsonl"), *flags,
+                       "--out", str(tmp_path / f"{name}.out"), "--no-meta") == EXIT_OK
+        assert params["file"].read_bytes() == params["flag"].read_bytes()
+
+
+@pytest.fixture(scope="module")
+def short_corpora(tmp_path_factory):
+    """Planted corpora of one and of three segments, each with a query."""
+    root = tmp_path_factory.mktemp("short")
+    for n in (1, 3):
+        d = root / f"n{n}"
+        assert run("synth", "--out", str(d), "--threads", "1", "--segments-per-step", str(n),
+                   "--dim", "8", "--no-meta") == EXIT_OK
+        taxonomy = json.loads((d / "taxonomy.json").read_text())
+        (d / "query.json").write_text(json.dumps({"embedding": taxonomy["embeddings"][0]}))
+    return root
+
+
+class TestShortVideos:
+    """Today's behaviour when k exceeds the segment count."""
+
+    @pytest.mark.parametrize("n, k", [(1, "3"), (3, "9")])
+    @pytest.mark.parametrize("command", ["forward", "procedure-learn", "localize"])
+    def test_k_above_segment_count_runs(self, short_corpora, tmp_path, n, k, command):
+        d = short_corpora / f"n{n}"
+        extra = ("--taxonomy", str(d / "taxonomy.json")) if command == "localize" else ()
+        out = tmp_path / "out.json"
+        assert run(command, "--features", str(d / "features.hft"), *extra, "--k", k,
+                   "--hidden", "8", "--out", str(out), "--no-meta") == EXIT_OK
+        if command == "localize" and n == 1:
+            assert json.loads(out.read_text()) == {"predictions": []}
+
+    def test_ground_without_candidates_is_task_error(self, short_corpora, tmp_path, capsys):
+        d = short_corpora / "n1"
+        code = run("ground", "--features", str(d / "features.hft"),
+                   "--query", str(d / "query.json"), "--k", "3", "--hidden", "8",
+                   "--out", str(tmp_path / "g.json"))
+        assert code == EXIT_ERROR
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "TaskError",
+                         "message": "step grounding needs at least one candidate"}

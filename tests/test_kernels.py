@@ -235,14 +235,7 @@ class TestKMeans:
     def test_inertia_monotone_within_run(self):
         pts = np.random.default_rng(2).standard_normal((60, 5))
         history: list[float] = []
-        lloyd_once(pts, 4, "euclidean", np.random.default_rng(3), 100, history=history)
-        assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
-
-    def test_inertia_monotone_cosine(self):
-        pts = np.random.default_rng(4).standard_normal((50, 6))
-        history: list[float] = []
-        lloyd_once(pts / np.linalg.norm(pts, axis=1, keepdims=True), 3,
-                   "cosine", np.random.default_rng(5), 100, history=history)
+        lloyd_once(pts, 4, np.random.default_rng(3), 100, history=history)
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_permutation_equivariant_on_separated_blobs(self):
@@ -254,27 +247,6 @@ class TestKMeans:
         permuted = kmeans(pts[perm], 3, seed=7).assignments
         assert adjusted_rand_index(direct[perm], permuted) == 1.0
 
-    def test_cosine_assignment_is_argmax_to_centroids(self):
-        # rays at distinct angles with varying magnitudes; the returned
-        # assignment must agree with direct cosine argmax to the centroids
-        rng = np.random.default_rng(12)
-        angles = np.concatenate([rng.uniform(0.0, 0.2, 20), rng.uniform(1.4, 1.6, 20)])
-        radii = rng.uniform(0.5, 10.0, 40)
-        x = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-        result = kmeans(x, 2, metric="cosine", seed=0)
-        assert adjusted_rand_index(result.assignments, np.repeat([0, 1], 20)) == 1.0
-        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
-        centroid_unit = result.centroids / np.linalg.norm(result.centroids, axis=1, keepdims=True)
-        brute = np.argmax(unit @ centroid_unit.T, axis=1)
-        assert np.array_equal(result.assignments, brute)
-
-    def test_cosine_groups_by_angle(self):
-        pts = np.array([[1.0, 0.0], [5.0, 0.0], [0.0, 1.0], [0.0, 7.0]])
-        result = kmeans(pts, 2, metric="cosine", seed=0)
-        assert result.assignments[0] == result.assignments[1]
-        assert result.assignments[2] == result.assignments[3]
-        assert result.assignments[0] != result.assignments[2]
-
     def test_k_exceeds_rows(self):
         with pytest.raises(ClusteringError):
             kmeans(np.zeros((2, 2)), 3)
@@ -282,15 +254,6 @@ class TestKMeans:
     def test_empty_input(self):
         with pytest.raises(ClusteringError):
             kmeans(np.zeros((0, 2)), 1)
-
-    def test_bad_metric(self):
-        with pytest.raises(ClusteringError):
-            kmeans(np.ones((3, 2)), 1, metric="manhattan")
-
-    def test_cosine_zero_row(self):
-        with pytest.raises(ZeroNormRowError) as info:
-            kmeans(np.array([[1.0, 0.0], [0.0, 0.0]]), 1, metric="cosine")
-        assert info.value.row == 1
 
 
 @st.composite
@@ -317,17 +280,12 @@ def kmeans_inputs(draw):
 class TestKMeansAgainstReference:
     """All restarts at once against the sequential restart loop."""
 
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @given(case=kmeans_inputs())
     @settings(max_examples=150, deadline=None)
-    def test_matches_sequential_restarts(self, metric, case):
+    def test_matches_sequential_restarts(self, case):
         pts, k, seed = case
-        if metric == "cosine" and np.any(np.linalg.norm(pts, axis=1) == 0.0):
-            pts = pts + 1.0  # a zero row is rejected; shift off the origin
-            if np.any(np.linalg.norm(pts, axis=1) == 0.0):
-                return
-        got = kmeans(pts, k, metric=metric, seed=seed)
-        assignments, centroids, inertia = kmeans_ref(pts, k, metric=metric, seed=seed)
+        got = kmeans(pts, k, seed=seed)
+        assignments, centroids, inertia = kmeans_ref(pts, k, seed=seed)
         assert np.array_equal(got.assignments, assignments)
         assert got.inertia == inertia
         # an empty cluster keeps its seed row, which the two may draw differently

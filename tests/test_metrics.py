@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from reference_impl import brute_force_assignment
 from videothreads.dataio import StepPrediction
 from videothreads.errors import NonFiniteError, ShapeError
 from videothreads.metrics import (
     adjusted_rand_index,
-    brute_force_assignment,
     hungarian,
     map_at_iou,
     mcq_accuracy,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from videothreads.config import RunConfig
 from videothreads.dataio import FeatureSequence, Narration, NarrationSet
 from videothreads.errors import EmptyBatchError, TrainingDivergedError
 from videothreads.graph import build_graph
@@ -13,7 +14,6 @@ from videothreads.synth import SynthSpec, generate
 from videothreads.training import (
     AlignmentBatch,
     TotalLossOp,
-    TrainConfig,
     _collect_gradient,
     _ft_scalar,
     grad_check,
@@ -282,6 +282,38 @@ class TestGradCheck:
         assert not np.any(gradient[-tail:])
 
 
+class TestFrozenPartitions:
+    """One op on several batches freezes partitions per batch object."""
+
+    params = init_params(ModelDims(6, 8, 8, 6, 2, 2), seed=0)
+
+    @staticmethod
+    def batch(segments_per_step, seed):
+        ds = generate(SynthSpec(num_threads=2, steps_per_thread=1,
+                                segments_per_step=segments_per_step, segment_duration=0.5,
+                                dim=6, separation=4.0, sigma=1.0, seed=seed))
+        return AlignmentBatch([build_graph(ds.sequence, 1.0)], [ds.narrations])
+
+    @staticmethod
+    def op():
+        return TotalLossOp(k=2, kappa=1.0, max_nodes=64, seed=0)
+
+    def loss(self, op, batch):
+        return op(self.params, batch, gradient=False).value
+
+    def test_second_batch_of_another_size(self):
+        op = self.op()
+        self.loss(op, self.batch(4, 0))
+        second = self.batch(6, 0)
+        assert self.loss(op, second) == self.loss(self.op(), second)
+
+    def test_second_batch_of_the_same_size(self):
+        op = self.op()
+        self.loss(op, self.batch(6, 5))
+        second = self.batch(6, 1)
+        assert self.loss(op, second) == self.loss(self.op(), second)
+
+
 class TestTrainToy:
     def dataset(self, count=4, seed=200):
         data = []
@@ -297,12 +329,12 @@ class TestTrainToy:
                     align_dim=8, stages=2, layers=1, alpha=2.0, beta=5.0,
                     temperature=TAU, k=2)
         base.update(overrides)
-        return TrainConfig(**base)
+        return RunConfig(**base)
 
     def test_zero_lr_leaves_params_bitwise_unchanged(self):
         data = self.dataset()
         cfg = self.config(lr=0.0)
-        params, _ = train_toy(data, cfg, seed=0)
+        params, _ = train_toy(data, cfg)
         fresh = init_params(ModelDims(d_in=8, d_h=8, d_a=8, d_t=8, stages=2, layers=1), seed=0)
         assert np.array_equal(params.to_vector(), fresh.to_vector())
 
@@ -314,9 +346,9 @@ class TestTrainToy:
 
     def test_deterministic(self):
         data = self.dataset()
-        cfg = self.config()
-        a, hist_a = train_toy(data, cfg, seed=3)
-        b, hist_b = train_toy(data, cfg, seed=3)
+        cfg = self.config(seed=3)
+        a, hist_a = train_toy(data, cfg)
+        b, hist_b = train_toy(data, cfg)
         assert np.array_equal(a.to_vector(), b.to_vector())
         assert hist_a == hist_b
 
@@ -325,13 +357,13 @@ class TestTrainToy:
         cfg = self.config(lr=1e200, warmup_epochs=0, epochs=5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as info:
-                train_toy(data, cfg, seed=0)
+                train_toy(data, cfg)
         assert info.value.epoch >= 0
 
     def test_loss_decreases(self):
         data = self.dataset(count=6)
-        cfg = self.config(epochs=8, warmup_epochs=2)
-        _, history = train_toy(data, cfg, seed=1)
+        cfg = self.config(epochs=8, warmup_epochs=2, seed=1)
+        _, history = train_toy(data, cfg)
         assert history[-1]["mean_loss"] < history[0]["mean_loss"]
 
 
