@@ -28,7 +28,7 @@ from .dataio import (
     write_predictions,
     write_taxonomy,
 )
-from .graph import VideoGraph, build_graph, temporal_interpolate, temporal_subsample
+from .graph import VideoGraph, build_graph, temporal_subsample
 from .kernels import (
     EigenDecomposition,
     KMeansResult,
@@ -50,6 +50,7 @@ from .model import (
     ForwardTrace,
     ModelDims,
     ModelParams,
+    Stage,
     TdgcLayerParams,
     forward,
     identity_params,

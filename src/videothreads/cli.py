@@ -175,9 +175,9 @@ def _cmd_forward(args) -> int:
         doc = {
             "video_id": seq.video_id,
             "segments": seq.num_segments,
-            "stage_nodes": [g.num_nodes for g in trace.encoder_graphs],
-            "partitions": [p.assignments.tolist() for p in trace.partitions],
-            "eigengaps": [p.eigengap for p in trace.partitions],
+            "stage_nodes": [s.graph.num_nodes for s in reversed(trace.stages)],
+            "partitions": [s.partition.assignments.tolist() for s in trace.stages],
+            "eigengaps": [s.partition.eigengap for s in trace.stages],
             "output_dim": int(trace.output.shape[1]),
         }
         if args.emit_embeddings:
@@ -383,15 +383,14 @@ def _toy_gradcheck_batch(seed: int):
         ds = generate(spec)
         videos.append((ds.sequence, ds.narrations))
     graphs = [build_graph(seq, 1.0) for seq, _ in videos]
-    return AlignmentBatch(graphs=graphs, narrations=[n for _, n in videos],
-                          alpha=1.0, beta=4.0, temperature=0.05)
+    return AlignmentBatch(graphs=graphs, narrations=[n for _, n in videos])
 
 
 def _cmd_grad_check(args) -> int:
     batch = _toy_gradcheck_batch(args.seed)
     dims = ModelDims(d_in=6, d_h=8, d_a=8, d_t=6, stages=2, layers=2)
     params = init_params(dims, seed=args.seed)
-    op = TotalLossOp(k=2, kappa=1.0, max_nodes=64, seed=args.seed)
+    op = TotalLossOp(RunConfig(k=2, seed=args.seed))
     worst = grad_check(op, params, batch, epsilon=args.epsilon, seed=args.seed)
     _emit(args, "grad-check", {
         "max_rel_error": worst,

@@ -47,10 +47,6 @@ class VideoGraph:
     def num_nodes(self) -> int:
         return int(self.timestamps.shape[0])
 
-    @property
-    def effective_threshold(self) -> float:
-        return self.edge_threshold * float(2 ** self.level)
-
 
 def directed_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(dst, src) index arrays covering both directions of an (E, 2) edge
@@ -153,16 +149,6 @@ def interpolation_matrix(source_times: np.ndarray, target_times: np.ndarray) -> 
     right = left + 1
     w = (tgt - src[left]) / (src[right] - src[left])
     return Interpolation(left, right, np.clip(w, 0.0, 1.0))
-
-
-def temporal_interpolate(coarse: VideoGraph, target_timestamps) -> np.ndarray:
-    """Resample coarse node embeddings onto target timestamps.
-
-    Linear per dimension in time; targets outside the coarse range clamp to
-    the nearest endpoint, and targets equal to coarse timestamps reproduce
-    the coarse rows exactly.
-    """
-    return interpolation_matrix(coarse.timestamps, target_timestamps) @ coarse.embeddings
 
 
 def nearest_indices(source_times: np.ndarray, query_times: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ can backpropagate through the whole stack.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +80,7 @@ class TdgcLayerParams:
 
 @dataclass
 class ModelParams:
-    """All learnable tensors, grouped; see leaves() for the canonical flat order."""
+    """All learnable tensors, grouped; ``_build`` fixes their flat order."""
 
     dims: ModelDims
     input_proj: LinearParams
@@ -91,84 +92,83 @@ class ModelParams:
     # -- canonical flat representation --------------------------------------
 
     def leaves(self) -> list:
-        """Parameter arrays in serialization order: input projection, encoder
-        stages (layer-major: w_n, b_n, w_r, b_r, gate_w1, gate_b1, gate_w2,
-        gate_b2), decoder stages likewise, then h_v and h_t."""
-        out = [self.input_proj.w, self.input_proj.b]
-        for branch in (self.encoder, self.decoder):
-            for stage in branch:
-                for layer in stage:
-                    out.extend([layer.w_n, layer.b_n, layer.w_r, layer.b_r,
-                                layer.gate_w1, layer.gate_b1, layer.gate_w2, layer.gate_b2])
-        out.extend([self.h_v.w, self.h_v.b, self.h_t.w, self.h_t.b])
-        return out
-
-    def _rebuild(self, leaves: list) -> "ModelParams":
-        it = iter(leaves)
-        input_proj = LinearParams(next(it), next(it))
-        branches = []
-        for _ in range(2):
-            stages = []
-            for _ in range(self.dims.stages):
-                stage = []
-                for _ in range(self.dims.layers):
-                    stage.append(TdgcLayerParams(*(next(it) for _ in range(8))))
-                stages.append(stage)
-            branches.append(stages)
-        h_v = LinearParams(next(it), next(it))
-        h_t = LinearParams(next(it), next(it))
-        return ModelParams(self.dims, input_proj, branches[0], branches[1], h_v, h_t)
+        """Parameter arrays in serialization order (see ``_build``): each
+        group's fields in declaration order."""
+        layers = [layer for branch in (self.encoder, self.decoder)
+                  for stage in branch for layer in stage]
+        groups = [self.input_proj, *layers, self.h_v, self.h_t]
+        return [getattr(group, f.name) for group in groups for f in fields(group)]
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([value(leaf).ravel() for leaf in self.leaves()])
 
     def with_vector(self, vec: np.ndarray) -> "ModelParams":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.num_params,):
-            raise ShapeError(f"expected a flat vector of length {self.num_params}")
-        new_leaves = []
-        offset = 0
-        for leaf in self.leaves():
-            size = value(leaf).size
-            new_leaves.append(vec[offset:offset + size].reshape(value(leaf).shape).copy())
-            offset += size
-        return self._rebuild(new_leaves)
+        return _from_vector(self.dims, np.asarray(vec, dtype=np.float64))
 
     def to_vars(self) -> tuple["ModelParams", list[Var]]:
         """Copy with Var leaves (for gradient computation) plus the leaf list."""
         leaf_vars = [Var(value(leaf)) for leaf in self.leaves()]
-        return self._rebuild(list(leaf_vars)), leaf_vars
+        it = iter(leaf_vars)
+        return _build(self.dims, lambda name, shape: next(it)), leaf_vars
 
     @property
     def num_params(self) -> int:
         return int(sum(value(leaf).size for leaf in self.leaves()))
 
 
+def _build(dims: ModelDims, leaf) -> ModelParams:
+    """The parameter layout: calls ``leaf(name, shape)`` once per array, in
+    serialization order, and groups the results.
+
+    The order is the input projection (w, b); the encoder stages, then the
+    decoder stages, each layer by layer as w_n, b_n, w_r, b_r, gate_w1,
+    gate_b1, gate_w2, gate_b2; then h_v and h_t (w, b each). ``name`` is the
+    field name.
+    """
+    h = dims.d_h
+
+    def linear(d_in, d_out):
+        return LinearParams(w=leaf("w", (d_in, d_out)), b=leaf("b", (d_out,)))
+
+    def tdgc_layer():
+        return TdgcLayerParams(
+            w_n=leaf("w_n", (h, h)), b_n=leaf("b_n", (h,)),
+            w_r=leaf("w_r", (h, h)), b_r=leaf("b_r", (h,)),
+            gate_w1=leaf("gate_w1", (1, h)), gate_b1=leaf("gate_b1", (h,)),
+            gate_w2=leaf("gate_w2", (h, h)), gate_b2=leaf("gate_b2", (h,)),
+        )
+
+    def branch():
+        return [[tdgc_layer() for _ in range(dims.layers)] for _ in range(dims.stages)]
+
+    input_proj = linear(dims.d_in, h)
+    encoder = branch()
+    decoder = branch()
+    return ModelParams(dims, input_proj, encoder, decoder,
+                       linear(h, dims.d_a), linear(dims.d_t, dims.d_a))
+
+
+def _from_vector(dims: ModelDims, vec: np.ndarray) -> ModelParams:
+    """Parameters read in serialization order from a flat vector that holds
+    exactly as many values as ``dims`` needs (ShapeError otherwise)."""
+    sizes = [math.prod(shape) for shape in _build(dims, lambda name, shape: shape).leaves()]
+    if vec.shape != (sum(sizes),):
+        raise ShapeError(f"expected {sum(sizes)} parameters, found {vec.size}")
+    blocks = iter(np.split(vec, np.cumsum(sizes)[:-1]))
+    return _build(dims, lambda name, shape: next(blocks).reshape(shape).copy())
+
+
 def init_params(dims: ModelDims, seed: int = 0) -> ModelParams:
     """Glorot-uniform weights, zero biases, drawn in serialization order."""
     rng = np.random.default_rng(seed)
 
-    def glorot(shape):
+    def leaf(name, shape):
+        if len(shape) == 1:
+            return np.zeros(shape)
         a = np.sqrt(6.0 / (shape[0] + shape[1]))
         return rng.uniform(-a, a, size=shape)
 
-    def linear(d_in, d_out):
-        return LinearParams(glorot((d_in, d_out)), np.zeros(d_out))
-
-    def tdgc_layer():
-        return TdgcLayerParams(
-            w_n=glorot((dims.d_h, dims.d_h)), b_n=np.zeros(dims.d_h),
-            w_r=glorot((dims.d_h, dims.d_h)), b_r=np.zeros(dims.d_h),
-            gate_w1=glorot((1, dims.d_h)), gate_b1=np.zeros(dims.d_h),
-            gate_w2=glorot((dims.d_h, dims.d_h)), gate_b2=np.zeros(dims.d_h),
-        )
-
-    input_proj = linear(dims.d_in, dims.d_h)
-    encoder = [[tdgc_layer() for _ in range(dims.layers)] for _ in range(dims.stages)]
-    decoder = [[tdgc_layer() for _ in range(dims.layers)] for _ in range(dims.stages)]
-    h_v = linear(dims.d_h, dims.d_a)
-    h_t = linear(dims.d_t, dims.d_a)
-    return ModelParams(dims, input_proj, encoder, decoder, h_v, h_t)
+    return _build(dims, leaf)
 
 
 def identity_params(dims: ModelDims) -> ModelParams:
@@ -178,27 +178,8 @@ def identity_params(dims: ModelDims) -> ModelParams:
     multi-scale temporal averaging of the raw features, which is the
     untrained baseline the zero-shot tasks run on when no trained parameters
     are supplied."""
-    d_h = dims.d_h
-
-    def tdgc_layer():
-        return TdgcLayerParams(
-            w_n=np.zeros((d_h, d_h)), b_n=np.zeros(d_h),
-            w_r=np.eye(d_h), b_r=np.zeros(d_h),
-            gate_w1=np.zeros((1, d_h)), gate_b1=np.zeros(d_h),
-            gate_w2=np.zeros((d_h, d_h)), gate_b2=np.zeros(d_h),
-        )
-
-    def stages():
-        return [[tdgc_layer() for _ in range(dims.layers)] for _ in range(dims.stages)]
-
-    return ModelParams(
-        dims,
-        LinearParams(np.eye(dims.d_in, d_h), np.zeros(d_h)),
-        stages(),
-        stages(),
-        LinearParams(np.eye(d_h, dims.d_a), np.zeros(dims.d_a)),
-        LinearParams(np.eye(dims.d_t, dims.d_a), np.zeros(dims.d_a)),
-    )
+    return _build(dims, lambda name, shape: np.eye(*shape) if name in ("w", "w_r")
+                  else np.zeros(shape))
 
 
 def save_params(path, params: ModelParams) -> None:
@@ -221,10 +202,12 @@ def load_params(path) -> ModelParams:
     d_in, d_h, d_a, d_t, stages, layers, count = struct.unpack_from("<6IQ", raw, len(PARAMS_MAGIC))
     dims = ModelDims(d_in, d_h, d_a, d_t, stages, layers)
     vec = np.frombuffer(raw, dtype="<f8", count=-1, offset=len(PARAMS_MAGIC) + header)
-    template = identity_params(dims)
-    if vec.size != count or count != template.num_params:
-        raise TruncatedFileError(f"{path}: expected {template.num_params} parameters, found {vec.size}")
-    return template.with_vector(vec.astype(np.float64))
+    if vec.size != count:
+        raise TruncatedFileError(f"{path}: header declares {count} parameters, found {vec.size}")
+    try:
+        return _from_vector(dims, vec.astype(np.float64))
+    except ShapeError as exc:
+        raise TruncatedFileError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +282,8 @@ def tdgc_forward(g: VideoGraph, layer: TdgcLayerParams) -> np.ndarray:
     return value(_tdgc_apply(g.embeddings, _neighbor_table(g.edges, g.timestamps), layer))
 
 
-def _encode(g0: VideoGraph, params: ModelParams):
-    x = g0.embeddings @ params.input_proj.w + params.input_proj.b
-    g = with_embeddings(g0, value(x))
+def _encode(g: VideoGraph, params: ModelParams):
+    x = g.embeddings @ params.input_proj.w + params.input_proj.b
     graphs, xs = [], []
     for stage in params.encoder:
         table = _neighbor_table(g.edges, g.timestamps)
@@ -315,24 +297,34 @@ def _encode(g0: VideoGraph, params: ModelParams):
     return graphs, xs
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One level of the hierarchy as the decoder left it.
+
+    ``graph`` is the lateral encoder graph (the encoder's embeddings, with
+    the stage's timestamps and edges), ``partition`` the stage's functional
+    threads, and ``output`` the decoder's output at the graph's nodes.
+    """
+
+    graph: VideoGraph
+    partition: PartitionResult
+    output: object  # (nodes, d_h) ndarray, or Var when the parameters are Vars
+
+
 @dataclass
 class ForwardTrace:
     """Everything the forward pass produced.
 
-    ``encoder_graphs`` run shallowest stage first (stage i holds
-    ceil(N / 2**(i+1)) nodes); ``decoder_graphs`` and ``partitions`` run
-    deepest stage first; ``output`` is at input resolution (one row per input
-    node). When the forward ran in autodiff mode, ``output_var`` and
-    ``decoder_vars`` carry the live graph.
+    ``stages`` run deepest first: with S stages, stages[i] holds
+    ceil(N / 2**(S - i)) nodes. ``output`` is at input resolution (one row per
+    input node, at ``output_timestamps``). Like every stage output it is an
+    ndarray for array parameters and a Var, carrying the live graph, for Var
+    parameters.
     """
 
-    encoder_graphs: list[VideoGraph]
-    decoder_graphs: list[VideoGraph]
-    partitions: list[PartitionResult]
-    output: np.ndarray
+    stages: list[Stage]
+    output: object
     output_timestamps: np.ndarray
-    output_var: Var | None = None
-    decoder_vars: list | None = None
 
 
 def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
@@ -357,15 +349,13 @@ def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
         raise ShapeError("forward input must be a level-0 graph")
     if k < 1:
         raise ClusteringError(f"k={k} must be >= 1")
-    encoder_graphs, xs = _encode(g0, params)
+    laterals, xs = _encode(g0, params)
 
-    dec_graphs: list[VideoGraph] = []
-    dec_vars: list = []
-    partitions: list[PartitionResult] = []
+    stages: list[Stage] = []
     y = None
     y_times: np.ndarray | None = None
-    for depth, s in enumerate(range(len(encoder_graphs) - 1, -1, -1)):
-        lateral = encoder_graphs[s]
+    for depth, s in enumerate(range(len(laterals) - 1, -1, -1)):
+        lateral = laterals[s]
         fused = xs[s] if y is None else xs[s] + interpolation_matrix(y_times, lateral.timestamps) @ y
         stage_k = min(k, lateral.num_nodes)  # deep stages may hold fewer nodes than k
         if fixed_partitions is not None:
@@ -385,22 +375,10 @@ def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
         for layer in params.decoder[s]:
             y = _tdgc_apply(y, table, layer)
         y_times = lateral.timestamps
-        dec_graphs.append(with_embeddings(lateral, value(y)))
-        dec_vars.append(y)
-        partitions.append(part)
+        stages.append(Stage(lateral, part, y))
 
     out_times = np.asarray(g0.timestamps, dtype=np.float64)
-    out = interpolation_matrix(y_times, out_times) @ y
-    grad_mode = isinstance(out, Var)
-    return ForwardTrace(
-        encoder_graphs=encoder_graphs,
-        decoder_graphs=dec_graphs,
-        partitions=partitions,
-        output=value(out),
-        output_timestamps=out_times,
-        output_var=out if grad_mode else None,
-        decoder_vars=dec_vars if grad_mode else None,
-    )
+    return ForwardTrace(stages, interpolation_matrix(y_times, out_times) @ y, out_times)
 
 
 def project_visual(x, params: ModelParams):

@@ -35,15 +35,16 @@ def procedure_learning(trace: ForwardTrace, k: int, depth: int = 1,
                        seed: int = 0, kappa: float = 1.0) -> np.ndarray:
     """Per-segment step assignments from clustering one decoder stage.
 
-    ``depth`` indexes trace.decoder_graphs (0 = deepest stage). The stage's
-    cluster labels are upsampled to input resolution by nearest timestamp.
+    ``depth`` indexes trace.stages (0 = deepest stage), whose decoder output
+    is clustered. The stage's cluster labels are upsampled to input
+    resolution by nearest timestamp.
     """
-    if not 0 <= depth < len(trace.decoder_graphs):
-        raise TaskError(f"depth {depth} out of range for {len(trace.decoder_graphs)} decoder stages")
-    stage = trace.decoder_graphs[depth]
-    k = min(k, stage.num_nodes)
-    part = spectral_partition(stage.embeddings, k, kappa=kappa, seed=seed)
-    pick = nearest_indices(stage.timestamps, trace.output_timestamps)
+    if not 0 <= depth < len(trace.stages):
+        raise TaskError(f"depth {depth} out of range for {len(trace.stages)} decoder stages")
+    stage = trace.stages[depth]
+    k = min(k, stage.graph.num_nodes)
+    part = spectral_partition(stage.output, k, kappa=kappa, seed=seed)
+    pick = nearest_indices(stage.graph.timestamps, trace.output_timestamps)
     return part.assignments[pick]
 
 
@@ -109,13 +110,14 @@ def step_grounding(candidates: list[CandidateStep], query_embedding,
     A text-space query is mapped into the alignment space through h_t when
     ``params`` is given; pass None for a query already in that space. Score
     ties are broken by start time, so the ranking is stable under any
-    positive rescaling of the query.
+    positive rescaling of the query. No candidate gives an empty ranking; a
+    zero-norm query is a TaskError either way.
     """
-    if not candidates:
-        raise TaskError("step grounding needs at least one candidate")
     query = np.asarray(query_embedding, dtype=np.float64)
     if np.linalg.norm(query) == 0.0:
         raise TaskError("query embedding has zero norm")
+    if not candidates:
+        return []
     if params is not None:
         query = value(project_text(query[None, :], params))[0]
     scores = _cosine_scores(candidates, query)

@@ -21,6 +21,7 @@ from .autodiff import segment_sum, value, vexp, vlog, vsum
 from .config import RunConfig
 from .dataio import FeatureSequence, NarrationSet
 from .errors import (
+    ConfigError,
     EmptyBatchError,
     GradientError,
     NonFiniteError,
@@ -37,6 +38,7 @@ from .model import (
     project_text,
     project_visual,
 )
+from .partition import PartitionResult
 
 logger = logging.getLogger(__name__)
 
@@ -47,28 +49,24 @@ class AlignmentBatch:
 
     graphs: list[VideoGraph]
     narrations: list[NarrationSet]
-    alpha: float = 1.0
-    beta: float = 4.0
-    temperature: float = 0.05
 
     def __post_init__(self):
         if len(self.graphs) != len(self.narrations):
             raise ShapeError("graphs and narrations must be parallel lists")
-        if not self.alpha < self.beta:
-            raise ShapeError(f"alpha={self.alpha} must be < beta={self.beta}")
-        if self.temperature <= 0.0:
-            raise ShapeError("temperature must be positive")
 
 
 @dataclass(frozen=True)
 class LossValue:
-    """The total loss L = L_vna + L_ft, its two terms, and the gradient of L
-    over the flat parameter vector (None when it was not asked for)."""
+    """The total loss L = L_vna + L_ft, its two terms, the gradient of L
+    over the flat parameter vector (None when it was not asked for), and the
+    partitions it was taken under: per graph of the batch, one per decoder
+    stage, deepest first."""
 
     value: float
     vna: float
     ft: float
     gradient: np.ndarray | None
+    partitions: list[list[PartitionResult]]
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +85,7 @@ def _masked_log_ratio(expz, pos_mask: np.ndarray, den_mask: np.ndarray, axis: in
     return vlog(den_safe) - vlog(num_safe), contributing
 
 
-def _vna_scalar(batch: AlignmentBatch, outputs, params: ModelParams):
+def _vna_scalar(batch: AlignmentBatch, outputs, params: ModelParams, config: RunConfig):
     """Video-narration alignment loss over a batch of forward outputs.
 
     A node's positives are its video's narrations within 2**alpha seconds;
@@ -111,7 +109,7 @@ def _vna_scalar(batch: AlignmentBatch, outputs, params: ModelParams):
     narr_times = np.concatenate(narr_times)
     narr_video = np.concatenate(narr_video)
 
-    near, far = 2.0 ** batch.alpha, 2.0 ** batch.beta
+    near, far = 2.0 ** config.alpha, 2.0 ** config.beta
     same = node_video[:, None] == narr_video[None, :]
     dt = np.abs(node_times[:, None] - narr_times[None, :])
     pos_mask = (same & (dt <= near)).astype(np.float64)
@@ -121,7 +119,7 @@ def _vna_scalar(batch: AlignmentBatch, outputs, params: ModelParams):
 
     vh = project_visual(_vstack(outputs), params)
     th = project_text(np.concatenate(narr_embeddings, axis=0), params)
-    expz = vexp((vh @ th.T) / batch.temperature)
+    expz = vexp((vh @ th.T) / config.temperature)
 
     v2t_terms, v2t_keep = _masked_log_ratio(expz, pos_mask, den_mask, axis=1)
     t2v_terms, t2v_keep = _masked_log_ratio(expz, pos_mask, den_mask, axis=0)
@@ -148,9 +146,8 @@ def _ft_scalar(traces: list[ForwardTrace], params: ModelParams, temperature: flo
     total = None
     eligible_any = False
     for trace in traces:
-        stages = trace.decoder_vars or [g.embeddings for g in trace.decoder_graphs]
-        for stage_x, part in zip(stages, trace.partitions):
-            labels = part.assignments
+        for stage in trace.stages:
+            labels = stage.partition.assignments
             n = labels.shape[0]
             if n < 2:
                 continue
@@ -158,7 +155,7 @@ def _ft_scalar(traces: list[ForwardTrace], params: ModelParams, temperature: flo
             if not same.any():
                 continue
             eligible_any = True
-            vh = project_visual(stage_x, params)
+            vh = project_visual(stage.output, params)
             expz = vexp((vh @ vh.T) / temperature)
             den_mask = (~np.eye(n, dtype=bool)).astype(np.float64)
             terms, keep = _masked_log_ratio(expz, same.astype(np.float64), den_mask, axis=1)
@@ -195,46 +192,44 @@ def _collect_gradient(leaves) -> np.ndarray:
 
 
 class TotalLossOp:
-    """Callable computing L = L_vna + L_ft with cluster assignments frozen
-    per batch: a batch object the op has not seen gets its partitions at its
-    first evaluation, and later calls on that same object reuse them, so
-    repeated calls (finite differences) see a smooth function of the
-    parameters."""
+    """Callable computing L = L_vna + L_ft under one run config.
 
-    def __init__(self, k: int = 1, kappa: float = 1.0, max_nodes: int = 64,
-                 seed: int = 0):
-        self.k = k
-        self.kappa = kappa
-        self.max_nodes = max_nodes
-        self.seed = seed
-        # id(batch) -> (batch, partitions per graph); holding the batch keeps
-        # its id from being reused by a later object
-        self._frozen: dict[int, tuple[AlignmentBatch, list]] = {}
+    It reads ``k``, ``kappa``, ``max_nodes`` and ``seed`` (the decoder's
+    partitions), ``alpha`` and ``beta`` (the alignment windows) and
+    ``temperature``; out-of-range loss settings raise ConfigError naming
+    the key.
+    """
 
-    def _forward_all(self, params, batch: AlignmentBatch) -> list[ForwardTrace]:
-        _, frozen = self._frozen.get(id(batch), (batch, None))
-        traces = [forward(g, params, k=self.k, kappa=self.kappa, max_nodes=self.max_nodes,
-                          seed=self.seed, fixed_partitions=None if frozen is None else frozen[i])
-                  for i, g in enumerate(batch.graphs)]
-        if frozen is None:
-            self._frozen[id(batch)] = (batch, [t.partitions for t in traces])
-        return traces
+    def __init__(self, config: RunConfig):
+        if not config.alpha < config.beta:
+            raise ConfigError(f"alpha: {config.alpha} must be below beta ({config.beta})")
+        if config.temperature <= 0.0:
+            raise ConfigError(f"temperature: {config.temperature} must be positive")
+        self.config = config
 
     def __call__(self, params: ModelParams, batch: AlignmentBatch, *,
-                 gradient: bool = True) -> LossValue:
+                 gradient: bool = True,
+                 partitions: list[list[PartitionResult]] | None = None) -> LossValue:
         """The loss at ``params``. With ``gradient`` the forward pass runs
         in autodiff mode and the result carries dL/dparams; without it the
         pass runs on plain arrays and ``gradient`` is None.
 
-        Cluster assignments are discrete and carry no gradient; an L_ft
-        with no eligible node is 0 and adds nothing to the gradient.
+        ``partitions`` (per graph, as ``LossValue.partitions`` returns them)
+        fixes the cluster assignments, so repeated calls (finite
+        differences) see a smooth function of the parameters; by default
+        each call partitions the batch afresh. Assignments are discrete and
+        carry no gradient; an L_ft with no eligible node is 0 and adds
+        nothing to the gradient.
         """
+        cfg = self.config
         if gradient:
             params, leaves = params.to_vars()
-        traces = self._forward_all(params, batch)
-        outputs = [t.output_var if gradient else t.output for t in traces]
-        vna = _vna_scalar(batch, outputs, params)
-        ft = _ft_scalar(traces, params, batch.temperature)
+        fixed = partitions or [None] * len(batch.graphs)
+        traces = [forward(g, params, k=cfg.k, kappa=cfg.kappa, max_nodes=cfg.max_nodes,
+                          seed=cfg.seed, fixed_partitions=p)
+                  for g, p in zip(batch.graphs, fixed, strict=True)]
+        vna = _vna_scalar(batch, [t.output for t in traces], params, cfg)
+        ft = _ft_scalar(traces, params, cfg.temperature)
         if ft is None:
             logger.info("functional-threads loss skipped: no eligible node in batch")
         total = vna if ft is None else vna + ft
@@ -243,14 +238,15 @@ class TotalLossOp:
             total.backward()
             grad = _collect_gradient(leaves)
         return LossValue(float(value(total)), float(value(vna)),
-                         0.0 if ft is None else float(value(ft)), grad)
+                         0.0 if ft is None else float(value(ft)), grad,
+                         [[s.partition for s in t.stages] for t in traces])
 
 
 def grad_check(loss_op, params: ModelParams, batch: AlignmentBatch,
                epsilon: float = 1e-5, seed: int = 0,
                sample_threshold: int = 2000, min_sample: int = 200) -> float:
     """Max relative error between the analytic gradient and central finite
-    differences.
+    differences, every evaluation under the analytic call's partitions.
 
     Every coordinate is checked unless the parameter count exceeds
     ``sample_threshold``, in which case a seeded random subset of
@@ -274,9 +270,11 @@ def grad_check(loss_op, params: ModelParams, batch: AlignmentBatch,
     for c in coords:
         shifted = vec.copy()
         shifted[c] = vec[c] + epsilon
-        f_plus = loss_op(params.with_vector(shifted), batch, gradient=False).value
+        f_plus = loss_op(params.with_vector(shifted), batch, gradient=False,
+                         partitions=analytic.partitions).value
         shifted[c] = vec[c] - epsilon
-        f_minus = loss_op(params.with_vector(shifted), batch, gradient=False).value
+        f_minus = loss_op(params.with_vector(shifted), batch, gradient=False,
+                          partitions=analytic.partitions).value
         numeric = (f_plus - f_minus) / (2.0 * epsilon)
         err = abs(analytic.gradient[c] - numeric) / max(1.0, abs(numeric))
         worst = max(worst, err)
@@ -304,9 +302,14 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
 
     ``config.seed`` seeds the initialization, the batch order and the
     clustering. Returns the final parameters and a per-epoch history of mean
-    total loss. Raises TrainingDivergedError (with the epoch index) if the loss goes
-    non-finite.
+    total loss. Raises ConfigError naming the key for fewer than one epoch or
+    batch size below one, and TrainingDivergedError (with the epoch index) if
+    the loss goes non-finite.
     """
+    for key in ("epochs", "batch_size"):
+        if getattr(config, key) < 1:
+            raise ConfigError(f"{key}: {getattr(config, key)} must be >= 1")
+    op = TotalLossOp(config)
     if not dataset:
         raise ShapeError("dataset must not be empty")
     d_in = dataset[0][0].dim
@@ -326,14 +329,8 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
         losses = []
         for start in range(0, len(dataset), config.batch_size):
             chosen = order[start:start + config.batch_size]
-            batch = AlignmentBatch(
-                graphs=[graphs[i] for i in chosen],
-                narrations=[narration_sets[i] for i in chosen],
-                alpha=config.alpha, beta=config.beta,
-                temperature=config.temperature,
-            )
-            op = TotalLossOp(k=config.k, kappa=config.kappa,
-                             max_nodes=config.max_nodes, seed=config.seed)
+            batch = AlignmentBatch([graphs[i] for i in chosen],
+                                   [narration_sets[i] for i in chosen])
             try:
                 loss = op(params, batch)
             except (NonFiniteError, GradientError) as exc:

@@ -118,7 +118,7 @@ def _toy_gradient_setup():
                                 sigma=1.0, seed=40 + v))
         graphs.append(build_graph(ds.sequence, 1.0))
         narrations.append(ds.narrations)
-    batch = AlignmentBatch(graphs, narrations, alpha=1.0, beta=4.0, temperature=0.05)
+    batch = AlignmentBatch(graphs, narrations)
     dims = ModelDims(d_in=6, d_h=8, d_a=8, d_t=6, stages=2, layers=2)
     return init_params(dims, seed=7), batch
 
@@ -127,7 +127,8 @@ def test_criterion_4_gradient_contract():
     start = time.time()
     params, batch = _toy_gradient_setup()
     assert params.num_params > 2000  # forces the >=200-coordinate sample path
-    op = TotalLossOp(k=2, kappa=1.0, max_nodes=64, seed=0)
+    op = TotalLossOp(RunConfig(k=2, kappa=1.0, max_nodes=64, seed=0,
+                               alpha=1.0, beta=4.0, temperature=0.05))
     worst = grad_check(op, params, batch, epsilon=1e-5, seed=0, min_sample=200)
     elapsed = time.time() - start
     ok = worst <= 1e-4 and elapsed < 60.0
@@ -147,7 +148,7 @@ def test_criterion_5_tdgc_dense_loop_oracle():
     for seed in range(20):
         params = init_params(dims, seed=seed)
         trace = forward(g, params, k=2 if seed % 2 == 0 else 1, seed=seed)
-        reference = forward_ref(g, params, trace.partitions)
+        reference = forward_ref(g, params, [s.partition for s in trace.stages])
         worst = max(worst, float(np.max(np.abs(trace.output - reference))))
     elapsed = time.time() - start
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -247,9 +248,9 @@ def _held_out_partition_ari(params, data, planted, seed):
     for (seq, _), labels in zip(data, planted):
         g0 = build_graph(seq, 1.0)
         trace = forward(g0, params, k=2, seed=seed)
-        stage = trace.decoder_graphs[-1]
-        stage_labels = labels[nearest_indices(g0.timestamps, stage.timestamps)]
-        scores.append(adjusted_rand_index(trace.partitions[-1].assignments, stage_labels))
+        stage = trace.stages[-1]
+        stage_labels = labels[nearest_indices(g0.timestamps, stage.graph.timestamps)]
+        scores.append(adjusted_rand_index(stage.partition.assignments, stage_labels))
     return float(np.mean(scores))
 
 

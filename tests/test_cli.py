@@ -199,6 +199,10 @@ class TestErrorExitCodes:
         ("forward_params_wrong_d_in", EXIT_DATA, "d_in"),
         ("ground_params_wrong_d_t", EXIT_DATA, "d_t"),
         ("localize_params_wrong_d_t", EXIT_DATA, "d_t"),
+        ("train_config_zero_epochs", EXIT_CONFIG, "epochs"),
+        ("train_config_zero_batch_size", EXIT_CONFIG, "batch_size"),
+        ("train_config_alpha_not_below_beta", EXIT_CONFIG, "alpha"),
+        ("train_config_zero_temperature", EXIT_CONFIG, "temperature"),
     ])
     def test_malformed_documents(self, corpus, tmp_path, capsys, case, expected_code, field):
         doc = tmp_path / "query.json"
@@ -260,6 +264,10 @@ class TestErrorExitCodes:
             "forward_params_wrong_d_in": params_file(8, 16),
             "ground_params_wrong_d_t": params_file(16, 8),
             "localize_params_wrong_d_t": params_file(16, 8),
+            "train_config_zero_epochs": json.dumps({"epochs": 0}),
+            "train_config_zero_batch_size": json.dumps({"batch_size": 0}),
+            "train_config_alpha_not_below_beta": json.dumps({"alpha": 4.0, "beta": 4.0}),
+            "train_config_zero_temperature": json.dumps({"temperature": 0}),
         }[case]
         if isinstance(content, bytes):
             doc.write_bytes(content)
@@ -307,6 +315,12 @@ class TestErrorExitCodes:
                                         "--params", str(doc)),
             "localize_params_wrong_d_t": ("localize", "--features", feats,
                                           "--taxonomy", taxonomy, "--params", str(doc)),
+            **{name: ("train-toy", "--data", str(corpus.parent), "--train-config", str(doc),
+                      "--params-out", str(tmp_path / "p.bin"),
+                      "--history", str(tmp_path / "h.jsonl"))
+               for name in ("train_config_zero_epochs", "train_config_zero_batch_size",
+                            "train_config_alpha_not_below_beta",
+                            "train_config_zero_temperature")},
         }[case]
         code = exit_code(*argv, "--out", str(tmp_path / "o.json"))
         assert code == expected_code
@@ -535,25 +549,33 @@ def short_corpora(tmp_path_factory):
 
 
 class TestShortVideos:
-    """Today's behaviour when k exceeds the segment count."""
+    """Behaviour when k exceeds the segment count: with k capped at N, every
+    run is one segment long, below min_len, so no candidate step is left."""
 
     @pytest.mark.parametrize("n, k", [(1, "3"), (3, "9")])
-    @pytest.mark.parametrize("command", ["forward", "procedure-learn", "localize"])
+    @pytest.mark.parametrize("command", ["forward", "procedure-learn", "localize", "ground"])
     def test_k_above_segment_count_runs(self, short_corpora, tmp_path, n, k, command):
         d = short_corpora / f"n{n}"
-        extra = ("--taxonomy", str(d / "taxonomy.json")) if command == "localize" else ()
+        extra = {"localize": ("--taxonomy", str(d / "taxonomy.json")),
+                 "ground": ("--query", str(d / "query.json"))}.get(command, ())
         out = tmp_path / "out.json"
         assert run(command, "--features", str(d / "features.hft"), *extra, "--k", k,
                    "--hidden", "8", "--out", str(out), "--no-meta") == EXIT_OK
-        if command == "localize" and n == 1:
+        if command in ("localize", "ground"):
             assert json.loads(out.read_text()) == {"predictions": []}
 
-    def test_ground_without_candidates_is_task_error(self, short_corpora, tmp_path, capsys):
+    def test_empty_grounding_scores_a_miss(self, short_corpora, tmp_path):
         d = short_corpora / "n1"
-        code = run("ground", "--features", str(d / "features.hft"),
-                   "--query", str(d / "query.json"), "--k", "3", "--hidden", "8",
-                   "--out", str(tmp_path / "g.json"))
-        assert code == EXIT_ERROR
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error == {"type": "TaskError",
-                         "message": "step grounding needs at least one candidate"}
+        preds = tmp_path / "g.json"
+        assert run("ground", "--features", str(d / "features.hft"), "--query",
+                   str(d / "query.json"), "--k", "3", "--hidden", "8",
+                   "--out", str(preds), "--no-meta") == EXIT_OK
+        queries = tmp_path / "queries.json"
+        queries.write_text(json.dumps({"queries": [
+            {"predictions": preds.name, "gt": {"start": 0.0, "end": 1.0}}]}))
+        report = tmp_path / "report.json"
+        assert run("evaluate", "--task", "grounding", "--queries", str(queries),
+                   "--out", str(report), "--no-meta") == EXIT_OK
+        doc = json.loads(report.read_text())
+        assert doc["counts"]["queries"] == 1
+        assert set(doc["scalars"].values()) == {0.0}

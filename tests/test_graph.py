@@ -13,7 +13,6 @@ from videothreads.graph import (
     interpolation_matrix,
     nearest_indices,
     temporal_edges,
-    temporal_interpolate,
     temporal_subsample,
 )
 
@@ -122,7 +121,7 @@ class TestTemporalSubsample:
         g = build_graph(seq([0.0, 1.0, 2.0, 3.0]), 1.0)
         sub = temporal_subsample(g)  # nodes at 0, 2; threshold now 2.0
         assert_edges(sub.edges, [(0, 1)])
-        assert sub.effective_threshold == 2.0
+        assert sub.edge_threshold * 2 ** sub.level == 2.0
 
 
 class TestTemporalInterpolate:
@@ -130,24 +129,24 @@ class TestTemporalInterpolate:
         g = build_graph(
             FeatureSequence("v", np.array([0.0, 2.0]),
                             np.array([[0.0, 0.0], [2.0, 2.0]])), 10.0)
-        out = temporal_interpolate(g, [1.0])
+        out = interpolation_matrix(g.timestamps, [1.0]) @ g.embeddings
         assert np.allclose(out, [[1.0, 1.0]])
 
     def test_clamped_before_start(self):
         g = build_graph(
             FeatureSequence("v", np.array([1.0, 2.0]),
                             np.array([[5.0], [9.0]])), 10.0)
-        out = temporal_interpolate(g, [0.0, 3.0])
+        out = interpolation_matrix(g.timestamps, [0.0, 3.0]) @ g.embeddings
         assert np.allclose(out, [[5.0], [9.0]])
 
     def test_identity_at_coarse_timestamps(self):
         g = build_graph(seq([0.0, 0.7, 1.9, 3.2], dim=4, seed=3), 2.0)
-        out = temporal_interpolate(g, g.timestamps)
+        out = interpolation_matrix(g.timestamps, g.timestamps) @ g.embeddings
         assert np.array_equal(out, g.embeddings)
 
     def test_single_source_node(self):
         g = build_graph(FeatureSequence("v", np.array([5.0]), np.array([[1.0, 2.0]])), 1.0)
-        out = temporal_interpolate(g, [0.0, 5.0, 9.0])
+        out = interpolation_matrix(g.timestamps, [0.0, 5.0, 9.0]) @ g.embeddings
         assert np.allclose(out, [[1.0, 2.0]] * 3)
 
 

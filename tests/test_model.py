@@ -3,7 +3,7 @@ import pytest
 
 from videothreads.dataio import FeatureSequence
 from videothreads.errors import BadMagicError, ClusteringError, ShapeError, TruncatedFileError
-from videothreads.graph import build_graph, temporal_interpolate, with_embeddings
+from videothreads.graph import build_graph, interpolation_matrix
 from videothreads.metrics import adjusted_rand_index
 from videothreads.model import (
     LinearParams,
@@ -83,6 +83,18 @@ class TestSerialization:
         again = params.with_vector(vec)
         assert np.array_equal(again.to_vector(), vec)
 
+    def test_layout_is_the_documented_order(self):
+        # six distinct sizes, so a swapped dimension or array shows in a shape
+        dims = ModelDims(d_in=5, d_h=3, d_a=4, d_t=6, stages=2, layers=1)
+        layer = [(3, 3), (3,), (3, 3), (3,), (1, 3), (3,), (3, 3), (3,)]
+        order = [(5, 3), (3,)] + layer * 4 + [(3, 4), (4,), (6, 4), (4,)]
+        params = init_params(dims, seed=11)
+        assert [leaf.shape for leaf in params.leaves()] == order
+        rng = np.random.default_rng(11)
+        draws = [rng.uniform(-np.sqrt(6.0 / sum(s)), np.sqrt(6.0 / sum(s)), size=s)
+                 if len(s) == 2 else np.zeros(s) for s in order]
+        assert np.array_equal(params.to_vector(), np.concatenate([d.ravel() for d in draws]))
+
     def test_file_round_trip(self, tmp_path):
         dims = ModelDims(d_in=3, d_h=4, d_a=4, d_t=3, stages=2, layers=2)
         params = init_params(dims, seed=7)
@@ -131,7 +143,7 @@ class TestTdgcForward:
         params = init_params(ModelDims(d_in=5, d_h=5, d_a=5, d_t=5, stages=1, layers=1), seed=9)
         layer = params.encoder[0][0]
         got = tdgc_forward(g, layer)
-        sets = neighbors_from_times(g.timestamps, g.effective_threshold)
+        sets = neighbors_from_times(g.timestamps, g.edge_threshold * 2 ** g.level)
         want = tdgc_layer_ref(g.embeddings, g.timestamps, sets, layer)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -146,8 +158,8 @@ class TestEncoderForward:
     def test_halving_node_counts(self):
         g = make_graph(n=8, d=4)
         params = init_params(ModelDims(d_in=4, d_h=4, d_a=4, d_t=4, stages=3, layers=1), seed=0)
-        stages = forward(g, params).encoder_graphs
-        assert [s.num_nodes for s in stages] == [4, 2, 1]
+        stages = forward(g, params).stages
+        assert [s.graph.num_nodes for s in reversed(stages)] == [4, 2, 1]
 
     def test_identity_layers_reproduce_subsampled_input(self):
         g = make_graph(n=8, d=4, seed=2)
@@ -159,9 +171,9 @@ class TestEncoderForward:
                 layer.w_r = np.eye(4)
                 layer.gate_w1 = np.zeros((1, 4))
                 layer.gate_w2 = np.zeros((4, 4))
-        stages = forward(g, params).encoder_graphs
-        assert np.allclose(stages[0].embeddings, g.embeddings[::2])
-        assert np.allclose(stages[1].embeddings, g.embeddings[::4])
+        deep, shallow = forward(g, params).stages
+        assert np.allclose(shallow.graph.embeddings, g.embeddings[::2])
+        assert np.allclose(deep.graph.embeddings, g.embeddings[::4])
 
 
 class TestFullForward:
@@ -173,7 +185,7 @@ class TestFullForward:
         for seed in range(20):
             params = init_params(dims, seed=seed)
             trace = forward(g, params, k=2 if seed % 2 == 0 else 1, seed=seed)
-            want = forward_ref(g, params, trace.partitions)
+            want = forward_ref(g, params, [s.partition for s in trace.stages])
             worst = max(worst, float(np.max(np.abs(trace.output - want))))
         assert worst <= 1e-9
 
@@ -190,7 +202,7 @@ class TestFullForward:
             params = init_params(ModelDims(d_in=5, d_h=6, d_a=6, d_t=5, stages=3, layers=2))
             params = params.with_vector(rng.uniform(-1.0, 1.0, params.num_params))
             trace = forward(g, params, k=k, seed=seed)
-            want = forward_ref(g, params, trace.partitions)
+            want = forward_ref(g, params, [s.partition for s in trace.stages])
             worst = max(worst, float(np.max(np.abs(trace.output - want))))
         assert worst <= 1e-9
 
@@ -216,10 +228,10 @@ class TestFullForward:
         params = init_params(ModelDims(d_in=4, d_h=5, d_a=5, d_t=4, stages=2, layers=2), seed=2)
         # k = 1 is the one way to say "no clustering": one group per stage
         one = forward(g, params, k=1, seed=0)
-        single = [single_partition(s.num_nodes) for s in reversed(one.encoder_graphs)]
+        single = [single_partition(s.graph.num_nodes) for s in one.stages]
         off = forward(g, params, fixed_partitions=single)
-        for got, want in zip(one.partitions, single):
-            assert np.array_equal(got.assignments, want.assignments)
+        for got, want in zip(one.stages, single):
+            assert np.array_equal(got.partition.assignments, want.assignments)
         assert np.array_equal(off.output, one.output)
 
     @pytest.mark.parametrize("k", [0, -3])
@@ -234,11 +246,10 @@ class TestFullForward:
         dims = ModelDims(d_in=4, d_h=4, d_a=4, d_t=4, stages=2, layers=1)
         params = identity_params(dims)
         trace = forward(g, params, k=1, seed=0)
-        stages = trace.encoder_graphs
-        deep = stages[1]
-        shallow = stages[0]
-        fused = shallow.embeddings + temporal_interpolate(deep, shallow.timestamps)
-        expected = temporal_interpolate(with_embeddings(shallow, fused), g.timestamps)
+        deep, shallow = (s.graph for s in trace.stages)
+        fused = shallow.embeddings + (
+            interpolation_matrix(deep.timestamps, shallow.timestamps) @ deep.embeddings)
+        expected = interpolation_matrix(shallow.timestamps, g.timestamps) @ fused
         assert np.allclose(trace.output, expected, atol=1e-12)
 
     def test_planted_two_threads_partition_quality(self):
@@ -250,7 +261,7 @@ class TestFullForward:
         # every decoder stage's partition should recover the planted threads
         from videothreads.graph import nearest_indices
 
-        for stage_graph, part in zip(trace.decoder_graphs, trace.partitions):
+        for stage in trace.stages:
             gt = ds.planted.thread_labels[
-                nearest_indices(g.timestamps, stage_graph.timestamps)]
-            assert adjusted_rand_index(part.assignments, gt) >= 0.9
+                nearest_indices(g.timestamps, stage.graph.timestamps)]
+            assert adjusted_rand_index(stage.partition.assignments, gt) >= 0.9

@@ -133,8 +133,10 @@ class TestStepGrounding:
             step_grounding(toy_candidates(), np.zeros(2))
 
     def test_no_candidates_rejected(self):
+        # no candidate is an empty ranking; a zero-norm query is still an error
+        assert step_grounding([], np.ones(2)) == []
         with pytest.raises(TaskError):
-            step_grounding([], np.ones(2))
+            step_grounding([], np.zeros(2))
 
 
 class TestStepLocalization:

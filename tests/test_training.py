@@ -50,6 +50,12 @@ def single_stage_setup(n=8, dim=4, features=None, times=None):
     return params, g
 
 
+def loss_op(**settings):
+    """The loss at the windows and temperature these tests use unless a
+    test sets its own."""
+    return TotalLossOp(RunConfig(**{"alpha": 1.0, "beta": 4.0, "temperature": TAU, **settings}))
+
+
 def nce(anchor, positives, negatives, tau=WIDE_TAU):
     """-log(sum_pos / (sum_pos + sum_neg)) over exp(cosine / tau) scores."""
     def score(v):
@@ -68,10 +74,11 @@ class TestSampleWindows:
         params = identity_params(ModelDims(d_in=4, d_h=4, d_a=4, d_t=4, stages=1, layers=1))
         graphs = [single_stage_setup(n=1, features=[f], times=[t])[1] for t, f, _ in videos]
         narrations = [narration_set(narrs) for _, _, narrs in videos]
-        batch = AlignmentBatch(graphs, narrations, alpha=alpha, beta=beta, temperature=WIDE_TAU)
-        vna = TotalLossOp(k=1)(params, batch).vna
+        batch = AlignmentBatch(graphs, narrations)
+        config = RunConfig(k=1, alpha=alpha, beta=beta, temperature=WIDE_TAU)
+        vna = TotalLossOp(config)(params, batch).vna
         outputs = [forward(g, params).output for g in graphs]
-        assert vna == pytest.approx(oracle_vna(batch, outputs, params), abs=1e-12)
+        assert vna == pytest.approx(oracle_vna(batch, outputs, params, config), abs=1e-12)
         assert vna == pytest.approx(expected, abs=1e-12)
 
     def test_window_arithmetic(self):
@@ -111,15 +118,15 @@ class TestLossVna:
         # positive window and one in the annulus -> equal logits, term ln 2
         params, g = single_stage_setup(n=1, times=[10.0])
         narrs = narration_set([(10.5, None), (14.0, None)])
-        batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
-        lv = TotalLossOp(k=1, seed=0)(params, batch)
+        batch = AlignmentBatch([g], [narrs])
+        lv = loss_op(k=1, seed=0)(params, batch)
         assert lv.vna == pytest.approx(math.log(2.0), abs=1e-10)
 
     def test_single_positive_no_negatives_is_zero(self):
         params, g = single_stage_setup(n=1, times=[10.0])
         narrs = narration_set([(10.5, None)])
-        batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
-        lv = TotalLossOp(k=1, seed=0)(params, batch)
+        batch = AlignmentBatch([g], [narrs])
+        lv = loss_op(k=1, seed=0)(params, batch)
         assert lv.vna == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_direct_summation_oracle(self):
@@ -131,25 +138,26 @@ class TestLossVna:
             graphs.append(video(np.arange(6) * 0.7, dim=4, seed=v))
             narrations.append(narration_set(
                 [(float(t), rng.standard_normal(4)) for t in rng.uniform(0, 4.2, 5)]))
-        batch = AlignmentBatch(graphs, narrations, alpha=1.0, beta=3.0, temperature=TAU)
-        lv = TotalLossOp(k=2, seed=0)(params, batch)
+        batch = AlignmentBatch(graphs, narrations)
+        op = loss_op(k=2, seed=0, beta=3.0)
+        lv = op(params, batch)
         traces = [forward(g, params, k=2, seed=0) for g in graphs]
-        want = oracle_vna(batch, [t.output for t in traces], params)
+        want = oracle_vna(batch, [t.output for t in traces], params, op.config)
         assert lv.vna == pytest.approx(want, abs=1e-10)
 
     def test_gradient_length(self):
         params, g = single_stage_setup(n=4)
         narrs = narration_set([(0.5, None), (3.0, None)])
-        batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
-        lv = TotalLossOp(k=1, seed=0)(params, batch)
+        batch = AlignmentBatch([g], [narrs])
+        lv = loss_op(k=1, seed=0)(params, batch)
         assert lv.gradient.shape == (params.num_params,)
 
     def test_empty_batch_rejected(self):
         params, g = single_stage_setup(n=2, times=[0.0, 0.5])
         narrs = narration_set([(500.0, None)])
-        batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
+        batch = AlignmentBatch([g], [narrs])
         with pytest.raises(EmptyBatchError):
-            TotalLossOp(k=1, seed=0)(params, batch)
+            loss_op(k=1, seed=0)(params, batch)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -158,15 +166,15 @@ class TestLossVna:
         graphs = [video(np.arange(5) * 0.5, dim=3, seed=v) for v in range(2)]
         narrs = [narration_set([(float(t), rng.standard_normal(3)) for t in rng.uniform(0, 2.5, 4)])
                  for _ in range(2)]
-        batch = AlignmentBatch(graphs, narrs, alpha=1.0, beta=4.0, temperature=TAU)
-        base = TotalLossOp(k=1, seed=0)(params, batch).vna
+        batch = AlignmentBatch(graphs, narrs)
+        base = loss_op(k=1, seed=0)(params, batch).vna
 
-        flipped = AlignmentBatch(graphs[::-1], narrs[::-1], alpha=1.0, beta=4.0, temperature=TAU)
-        assert TotalLossOp(k=1, seed=0)(params, flipped).vna == pytest.approx(base, abs=1e-12)
+        flipped = AlignmentBatch(graphs[::-1], narrs[::-1])
+        assert loss_op(k=1, seed=0)(params, flipped).vna == pytest.approx(base, abs=1e-12)
 
         shuffled = [NarrationSet(tuple(reversed(ns.items))) for ns in narrs]
-        batch2 = AlignmentBatch(graphs, shuffled, alpha=1.0, beta=4.0, temperature=TAU)
-        assert TotalLossOp(k=1, seed=0)(params, batch2).vna == pytest.approx(base, abs=1e-12)
+        batch2 = AlignmentBatch(graphs, shuffled)
+        assert loss_op(k=1, seed=0)(params, batch2).vna == pytest.approx(base, abs=1e-12)
 
     def test_invariant_to_positive_rescaling_before_projection(self):
         # with zero projection bias, L2 normalization absorbs any positive
@@ -178,12 +186,13 @@ class TestLossVna:
         params = init_params(dims, seed=1)
         g = video(np.arange(4) * 0.5, dim=3, seed=2)
         narrs = narration_set([(float(t), rng.standard_normal(3)) for t in (0.4, 1.1, 1.9)])
-        batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
+        batch = AlignmentBatch([g], [narrs])
         outputs = rng.standard_normal((4, 3))
         scaled = outputs.copy()
         scaled[2] *= 12.5
-        a = float(_vna_scalar(batch, [outputs], params))
-        b = float(_vna_scalar(batch, [scaled], params))
+        config = loss_op().config
+        a = float(_vna_scalar(batch, [outputs], params, config))
+        b = float(_vna_scalar(batch, [scaled], params, config))
         assert b == pytest.approx(a, rel=1e-9)
 
 
@@ -210,9 +219,8 @@ class TestLossFt:
         assert _ft_scalar([trace], params, TAU) is None  # no term, so no gradient
         # in the total loss: a video whose every decoder stage holds one node
         params, g = single_stage_setup(n=1, times=[10.0])
-        batch = AlignmentBatch([g], [narration_set([(10.5, None), (14.0, None)])],
-                               alpha=1.0, beta=4.0, temperature=TAU)
-        lv = TotalLossOp(k=1, seed=0)(params, batch)
+        batch = AlignmentBatch([g], [narration_set([(10.5, None), (14.0, None)])])
+        lv = loss_op(k=1, seed=0)(params, batch)
         assert lv.ft == 0.0
         assert lv.value == lv.vna
 
@@ -222,8 +230,8 @@ class TestLossFt:
         params = init_params(dims, seed=23)
         g = video(np.arange(8) * 0.5, dim=4, seed=5)
         narrs = narration_set([(1.0, rng.standard_normal(4)), (2.5, rng.standard_normal(4))])
-        batch = AlignmentBatch([g], [narrs], alpha=1.0, beta=4.0, temperature=TAU)
-        lv = TotalLossOp(k=2, seed=3)(params, batch)
+        batch = AlignmentBatch([g], [narrs])
+        lv = loss_op(k=2, seed=3)(params, batch)
         want = oracle_ft(forward(g, params, k=2, seed=3), params, TAU)
         assert lv.ft == pytest.approx(want, abs=1e-10)
 
@@ -239,26 +247,26 @@ class TestGradCheck:
             ds = generate(spec)
             graphs.append(build_graph(ds.sequence, 1.0))
             narrations.append(ds.narrations)
-        batch = AlignmentBatch(graphs, narrations, alpha=1.0, beta=4.0, temperature=TAU)
+        batch = AlignmentBatch(graphs, narrations)
         dims = ModelDims(d_in=6, d_h=8, d_a=8, d_t=6, stages=2, layers=2)
         return init_params(dims, seed=7), batch
 
     def test_toy_model_meets_contract(self):
         params, batch = self.toy()
-        op = TotalLossOp(k=2, kappa=1.0, max_nodes=64, seed=0)
+        op = loss_op(k=2, kappa=1.0, max_nodes=64, seed=0)
         worst = grad_check(op, params, batch, epsilon=1e-5, seed=0)
         assert worst <= 1e-4
 
     def test_corrupted_gradient_detected(self):
         params, batch = self.toy()
-        op = TotalLossOp(k=2, seed=0)
+        op = loss_op(k=2, seed=0)
 
         class Corrupt:
             def __init__(self, inner):
                 self.inner = inner
 
-            def __call__(self, p, b, *, gradient=True):
-                lv = self.inner(p, b, gradient=gradient)
+            def __call__(self, p, b, *, gradient=True, partitions=None):
+                lv = self.inner(p, b, gradient=gradient, partitions=partitions)
                 if not gradient:
                     return lv
                 grad = lv.gradient.copy()
@@ -283,7 +291,7 @@ class TestGradCheck:
 
 
 class TestFrozenPartitions:
-    """One op on several batches freezes partitions per batch object."""
+    """One op on several batches: each call partitions its own batch."""
 
     params = init_params(ModelDims(6, 8, 8, 6, 2, 2), seed=0)
 
@@ -296,7 +304,7 @@ class TestFrozenPartitions:
 
     @staticmethod
     def op():
-        return TotalLossOp(k=2, kappa=1.0, max_nodes=64, seed=0)
+        return loss_op(k=2, kappa=1.0, max_nodes=64, seed=0)
 
     def loss(self, op, batch):
         return op(self.params, batch, gradient=False).value
@@ -312,6 +320,13 @@ class TestFrozenPartitions:
         self.loss(op, self.batch(6, 5))
         second = self.batch(6, 1)
         assert self.loss(op, second) == self.loss(self.op(), second)
+
+    def test_given_partitions_replace_clustering(self):
+        batch = self.batch(6, 1)
+        single = loss_op(k=1)(self.params, batch, gradient=False)
+        fixed = self.op()(self.params, batch, gradient=False, partitions=single.partitions)
+        assert fixed.value == single.value
+        assert fixed.partitions == single.partitions
 
 
 class TestTrainToy:
@@ -384,9 +399,9 @@ def _ht(row, params):
     return _normalize(np.asarray(row) @ np.asarray(params.h_t.w) + np.asarray(params.h_t.b))
 
 
-def oracle_vna(batch, outputs, params):
-    near, far = 2.0 ** batch.alpha, 2.0 ** batch.beta
-    tau = batch.temperature
+def oracle_vna(batch, outputs, params, config):
+    near, far = 2.0 ** config.alpha, 2.0 ** config.beta
+    tau = config.temperature
     all_narrs = []
     for vid, narrs in enumerate(batch.narrations):
         for item in narrs.items:
@@ -442,9 +457,9 @@ def oracle_vna(batch, outputs, params):
 
 def oracle_ft(trace, params, tau):
     total = 0.0
-    for stage_graph, part in zip(trace.decoder_graphs, trace.partitions):
-        rows = [_hv(r, params) for r in stage_graph.embeddings]
-        labels = part.assignments
+    for stage in trace.stages:
+        rows = [_hv(r, params) for r in stage.output]
+        labels = stage.partition.assignments
         n = len(rows)
         terms = []
         for i in range(n):
