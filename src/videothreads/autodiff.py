@@ -1,13 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Covers exactly the operations the network forward pass and the contrastive
-losses need (2-D matmul, broadcast arithmetic, relu, exp/log/sqrt, axis
-sums, row gather, row scatter-add and slot-table row sums). The helper
-functions dispatch on type, so the same forward code runs on plain ndarrays
-when no gradient is wanted.
+losses need (2-D matmul, the fused affine map ``affine``, broadcast
+arithmetic, relu, exp/log/sqrt, axis sums, row gather, row scatter-add and
+slot-table row sums). The helper functions dispatch on type, so the same
+forward code runs on plain ndarrays when no gradient is wanted. Only Var
+operands are recorded on the tape: an ndarray or scalar operand is a
+constant and gets no node.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,6 +19,8 @@ import numpy as np
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     grad = np.asarray(grad)
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -22,6 +28,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _node(out, *operands) -> "Var":
+    """A Var over ``out`` whose parents are the Var operands among the
+    ``(operand, grad_fn)`` pairs; the other operands are constants."""
+    recorded = [pair for pair in operands if isinstance(pair[0], Var)]
+    return Var(out, tuple(p for p, _ in recorded), tuple(fn for _, fn in recorded))
 
 
 class Var:
@@ -50,12 +63,10 @@ class Var:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = as_var(other)
-        return Var(
-            self.value + other.value,
-            (self, other),
-            (lambda g: _unbroadcast(g, self.shape), lambda g: _unbroadcast(g, other.shape)),
-        )
+        b = value(other)
+        return _node(self.value + b,
+                     (self, lambda g: _unbroadcast(g, self.shape)),
+                     (other, lambda g: _unbroadcast(g, b.shape)))
 
     __radd__ = __add__
 
@@ -63,49 +74,43 @@ class Var:
         return Var(-self.value, (self,), (lambda g: -g,))
 
     def __sub__(self, other):
-        return self + (-as_var(other))
+        b = value(other)
+        return _node(self.value - b,
+                     (self, lambda g: _unbroadcast(g, self.shape)),
+                     (other, lambda g: -_unbroadcast(g, b.shape)))
 
     def __rsub__(self, other):
-        return as_var(other) + (-self)
+        return Var(value(other) - self.value, (self,),
+                   (lambda g: -_unbroadcast(g, self.shape),))
 
     def __mul__(self, other):
-        other = as_var(other)
-        return Var(
-            self.value * other.value,
-            (self, other),
-            (
-                lambda g: _unbroadcast(g * other.value, self.shape),
-                lambda g: _unbroadcast(g * self.value, other.shape),
-            ),
-        )
+        b = value(other)
+        return _node(self.value * b,
+                     (self, lambda g: _unbroadcast(g * b, self.shape)),
+                     (other, lambda g: _unbroadcast(g * self.value, b.shape)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_var(other)
-        out = self.value / other.value
-        return Var(
-            out,
-            (self, other),
-            (
-                lambda g: _unbroadcast(g / other.value, self.shape),
-                lambda g: _unbroadcast(-g * out / other.value, other.shape),
-            ),
-        )
+        b = value(other)
+        out = self.value / b
+        return _node(out,
+                     (self, lambda g: _unbroadcast(g / b, self.shape)),
+                     (other, lambda g: _unbroadcast(-g * out / b, b.shape)))
 
     def __rtruediv__(self, other):
-        return as_var(other) / self
+        out = value(other) / self.value
+        return Var(out, (self,), (lambda g: _unbroadcast(-g * out / self.value, self.shape),))
 
     def __matmul__(self, other):
-        other = as_var(other)
-        return Var(
-            self.value @ other.value,
-            (self, other),
-            (lambda g: g @ other.value.T, lambda g: self.value.T @ g),
-        )
+        b = value(other)
+        return _node(self.value @ b,
+                     (self, lambda g: g @ b.T),
+                     (other, lambda g: self.value.T @ g))
 
     def __rmatmul__(self, other):
-        return as_var(other) @ self
+        a = value(other)
+        return Var(a @ self.value, (self,), (lambda g: a.T @ g,))
 
     # -- backward pass ------------------------------------------------------
 
@@ -113,7 +118,9 @@ class Var:
         """Accumulate d(self)/d(leaf) into .grad across the graph.
 
         ``self`` must be scalar-valued. Grads are reset on every node this
-        graph reaches before accumulation starts.
+        graph reaches before accumulation starts. A node's first incoming
+        contribution becomes its C-ordered .grad and later ones are added to
+        it, so a node's contributions sum in reverse visit order.
         """
         if self.value.size != 1:
             raise ValueError("backward() requires a scalar root")
@@ -122,41 +129,57 @@ class Var:
             node.grad = None
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
-            if node.grad is None:
+            g = node.grad
+            if g is None:
                 continue
             for parent, fn in zip(node._parents, node._grad_fns):
-                contribution = fn(node.grad)
+                contribution = fn(g)
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad = parent.grad + contribution
+                    # C order matters: BLAS sums F-ordered operands differently
+                    parent.grad = np.asarray(contribution, order="C")
+                else:
+                    parent.grad = parent.grad + contribution
 
 
 def _topological_order(root: Var) -> list[Var]:
+    """Nodes reachable from ``root``, every node after its parents, in the
+    post-order of a depth-first walk that visits a node's parents last to
+    first. Shared leaves sum their contributions in this order."""
     order: list[Var] = []
-    seen: set[int] = set()
+    seen: set[Var] = set()
+    append, mark = order.append, seen.add
     stack: list[tuple[Var, bool]] = [(root, False)]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, expanded = stack.pop()
+        node, expanded = pop()
         if expanded:
-            order.append(node)
+            append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
+        mark(node)
+        push((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
+            if parent not in seen:
+                push((parent, False))
     return order
-
-
-def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
 
 
 def value(x) -> np.ndarray:
     """Underlying ndarray of a Var, or ``x`` itself."""
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
+def affine(x, w, b):
+    """``x @ w + b`` as one node (an ndarray when no operand is a Var)."""
+    xv, wv, bv = value(x), value(w), value(b)
+    out = xv @ wv + bv
+    if not isinstance(x, Var) and not isinstance(w, Var) and not isinstance(b, Var):
+        return out
+    return _node(out,
+                 (x, lambda g: g @ wv.T),
+                 (w, lambda g: xv.T @ g),
+                 (b, lambda g: _unbroadcast(g, bv.shape)))
 
 
 # -- dispatching element-wise helpers ---------------------------------------
@@ -195,11 +218,9 @@ def vsum(x, axis=None, keepdims: bool = False):
         shape = x.shape
 
         def grad_fn(g):
-            if axis is None:
-                return np.broadcast_to(g, shape).copy()
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, shape).copy()
+            return np.broadcast_to(g, shape)
 
         return Var(out, (x,), (grad_fn,))
     return np.sum(x, axis=axis, keepdims=keepdims)
@@ -218,9 +239,13 @@ def segment_sum(x, seg: np.ndarray, n: int):
     ``seg[r] == s``; segments no row maps to stay zero."""
     if isinstance(x, Var):
         return Var(segment_sum(x.value, seg, n), (x,), (lambda g: g[seg],))
-    out = np.zeros((n,) + x.shape[1:])
-    np.add.at(out, seg, x)
-    return out
+    # one bincount over (segment, column) cells sums each cell's rows in
+    # row order, starting from 0.0, like a row-by-row scatter-add loop
+    x = np.asarray(x, dtype=np.float64)
+    width = math.prod(x.shape[1:])
+    cells = (np.asarray(seg)[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(cells, weights=x.reshape(-1), minlength=n * width)
+    return out.reshape((n,) + x.shape[1:])
 
 
 def slot_sum(x, slots: np.ndarray):

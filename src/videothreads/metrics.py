@@ -289,8 +289,8 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
         return 1.0
     _, a_ids = np.unique(a, return_inverse=True)
     _, b_ids = np.unique(b, return_inverse=True)
-    table = np.zeros((a_ids.max() + 1, b_ids.max() + 1), dtype=np.int64)
-    np.add.at(table, (a_ids, b_ids), 1)
+    na, nb = a_ids.max() + 1, b_ids.max() + 1
+    table = np.bincount((a_ids * nb + b_ids).ravel(), minlength=na * nb).reshape(na, nb)
 
     def comb2(x):
         return x * (x - 1) / 2.0

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Var, l2_normalize_rows, relu, slot_sum, take_rows, value
+from .autodiff import Var, affine, l2_normalize_rows, relu, slot_sum, take_rows, value
 from .errors import BadMagicError, ClusteringError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
@@ -201,9 +201,11 @@ def load_params(path) -> ModelParams:
         raise TruncatedFileError(f"{path}: header truncated")
     d_in, d_h, d_a, d_t, stages, layers, count = struct.unpack_from("<6IQ", raw, len(PARAMS_MAGIC))
     dims = ModelDims(d_in, d_h, d_a, d_t, stages, layers)
-    vec = np.frombuffer(raw, dtype="<f8", count=-1, offset=len(PARAMS_MAGIC) + header)
-    if vec.size != count:
-        raise TruncatedFileError(f"{path}: header declares {count} parameters, found {vec.size}")
+    payload = len(raw) - len(PARAMS_MAGIC) - header
+    if payload != 8 * count:
+        raise TruncatedFileError(f"{path}: header declares {count} parameters "
+                                 f"({8 * count} bytes), found {payload} bytes")
+    vec = np.frombuffer(raw, dtype="<f8", count=count, offset=len(PARAMS_MAGIC) + header)
     try:
         return _from_vector(dims, vec.astype(np.float64))
     except ShapeError as exc:
@@ -256,12 +258,13 @@ def _tdgc_apply(x, table: _NeighborTable, layer: TdgcLayerParams):
     nodes without neighbors receive a zero aggregate. The gate is evaluated
     once per distinct dt and gathered per edge.
     """
-    residual = x @ layer.w_r + layer.b_r
+    residual = affine(x, layer.w_r, layer.b_r)
     if table.src.size == 0:
         return residual
-    projected = relu(x @ layer.w_n + layer.b_n)
+    projected = relu(affine(x, layer.w_n, layer.b_n))
     gate_in = np.abs(table.dt)[:, None]
-    gate = relu(gate_in @ layer.gate_w1 + layer.gate_b1) @ layer.gate_w2 + layer.gate_b2
+    gate = affine(relu(affine(gate_in, layer.gate_w1, layer.gate_b1)), layer.gate_w2,
+                  layer.gate_b2)
     signed_gate = np.sign(table.dt)[:, None] * gate
     messages = take_rows(signed_gate, table.dt_class) * take_rows(projected, table.src)
     return residual + slot_sum(messages, table.slots) * table.inv_degree[:, None]
@@ -283,7 +286,7 @@ def tdgc_forward(g: VideoGraph, layer: TdgcLayerParams) -> np.ndarray:
 
 
 def _encode(g: VideoGraph, params: ModelParams):
-    x = g.embeddings @ params.input_proj.w + params.input_proj.b
+    x = affine(g.embeddings, params.input_proj.w, params.input_proj.b)
     graphs, xs = [], []
     for stage in params.encoder:
         table = _neighbor_table(g.edges, g.timestamps)
@@ -383,9 +386,9 @@ def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
 
 def project_visual(x, params: ModelParams):
     """h_v: linear projection to the alignment space, rows L2-normalized."""
-    return l2_normalize_rows(x @ params.h_v.w + params.h_v.b)
+    return l2_normalize_rows(affine(x, params.h_v.w, params.h_v.b))
 
 
 def project_text(x, params: ModelParams):
     """h_t: linear projection to the alignment space, rows L2-normalized."""
-    return l2_normalize_rows(x @ params.h_t.w + params.h_t.b)
+    return l2_normalize_rows(affine(x, params.h_t.w, params.h_t.b))

@@ -17,6 +17,9 @@ all restarts at once.
 
 The assignment oracle enumerates every row-to-column matching; production
 code runs the Hungarian algorithm.
+
+The scatter-add oracle is numpy's unbuffered ``np.add.at`` into zeros;
+production code runs one ``np.bincount`` over (segment, column) cells.
 """
 
 from __future__ import annotations
@@ -332,3 +335,12 @@ def brute_force_assignment(cost) -> float:
             for p in itertools.permutations(range(cols), rows)
         )
     return brute_force_assignment(cost.T)
+
+
+def segment_sum_ref(x, seg: np.ndarray, n: int) -> np.ndarray:
+    """Row s of the (n, ...) result sums the rows r of ``x`` with
+    ``seg[r] == s``, added one row at a time into zeros."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros((n,) + x.shape[1:])
+    np.add.at(out, seg, x)
+    return out

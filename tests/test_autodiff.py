@@ -1,8 +1,16 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_impl import segment_sum_ref
 from videothreads.autodiff import (
     Var,
+    _topological_order,
+    affine,
     l2_normalize_rows,
     relu,
     segment_sum,
@@ -98,6 +106,34 @@ def test_gather_scatter_values():
     assert np.array_equal(take_rows(Var(x), idx).value, x[idx])
 
 
+@st.composite
+def scatter_inputs(draw):
+    """Rows of shape (), (1,) or (3,) over up to 6 segments; segment ids
+    repeat, come unsorted and leave segments empty, and the values include
+    -0.0 and large opposite-signed pairs, so both the order of the sums and
+    their starting 0.0 show in the result bytes."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.integers(min_value=0, max_value=12))
+    seg = np.array(draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                 min_size=rows, max_size=rows)), dtype=np.intp)
+    tail = draw(st.sampled_from([(), (1,), (3,)]))
+    size = rows * math.prod(tail)
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]),
+                       st.floats(min_value=-1e6, max_value=1e6))
+    x = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64)
+    return x.reshape((rows,) + tail), seg, n
+
+
+@given(case=scatter_inputs())
+@settings(max_examples=300, deadline=None)
+def test_segment_sum_matches_scatter_add_oracle(case):
+    x, seg, n = case
+    out = segment_sum(x, seg, n)
+    ref = segment_sum_ref(x, seg, n)
+    assert out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()  # array_equal would let -0.0 pass for 0.0
+
+
 # 5 rows over 4 nodes: node 1 is isolated, node 3 sums rows 0 then 4 then 2
 SLOTS = np.array([[3, 5, 5], [5, 5, 5], [1, 5, 5], [0, 4, 2]])
 
@@ -147,3 +183,51 @@ def test_value_passthrough():
     assert np.array_equal(value(Var(arr)), arr)
     assert isinstance(relu(arr), np.ndarray)
     assert isinstance(vsum(arr), np.floating) or np.isscalar(vsum(arr))
+
+
+@pytest.mark.parametrize("build", [
+    lambda a, b, c: a * b + c,
+    lambda a, b, c: b @ a,
+    lambda a, b, c: (c - a) / b - b @ a.T.T,
+])
+def test_constant_operands_stay_off_the_tape(build):
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((3, 3))
+    c = rng.standard_normal((3, 3))
+    a = Var(rng.standard_normal((3, 3)))
+    root = vsum(build(a, b, c))
+    assert [node for node in _topological_order(root) if not node._parents] == [a]
+    root.backward()
+    assert a.grad.shape == a.shape
+
+
+def test_gradient_through_transpose_only_is_c_ordered():
+    weights = np.arange(12.0).reshape(4, 3)
+    x = Var(np.ones((3, 4)))
+    vsum(x.T * weights).backward()
+    assert x.grad.flags.c_contiguous
+    assert np.array_equal(x.grad, weights.T)
+
+
+@pytest.mark.parametrize("is_var", list(itertools.product([False, True], repeat=3)))
+def test_affine_is_matmul_plus_bias_bit_for_bit(is_var):
+    rng = np.random.default_rng(1)
+    arrays = [rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)]
+    weights = rng.standard_normal((5, 4))
+
+    def operands():
+        return [Var(arr) if v else arr for arr, v in zip(arrays, is_var)]
+
+    fused_ops, ref_ops = operands(), operands()
+    fused = affine(*fused_ops)
+    ref = ref_ops[0] @ ref_ops[1] + ref_ops[2]
+    assert value(fused).tobytes() == value(ref).tobytes()
+    if not any(is_var):
+        assert type(fused) is np.ndarray
+        return
+    vsum(vexp(fused) * weights).backward()
+    vsum(vexp(ref) * weights).backward()
+    for f, r in zip(fused_ops, ref_ops):
+        if isinstance(f, Var):
+            assert f.grad.shape == r.grad.shape
+            assert f.grad.tobytes() == r.grad.tobytes()

@@ -347,6 +347,18 @@ class TestErrorExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "BadMagicError"
 
+    def test_params_cut_mid_float_is_truncated(self, corpus, tmp_path, capsys):
+        path = tmp_path / "p.bin"
+        save_params(path, identity_params(ModelDims(d_in=16, d_h=16, d_a=16, d_t=16,
+                                                    stages=1, layers=1)))
+        path.write_bytes(path.read_bytes()[:-3])  # not a whole number of floats
+        code = run("forward", "--features", str(corpus / "features.hft"),
+                   "--params", str(path), "--out", str(tmp_path / "o.json"))
+        assert code == EXIT_DATA
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "TruncatedFileError"
+        assert str(path) in err["error"]["message"]
+
     def test_eigensolver_failure_is_library_error(self, corpus, tmp_path, capsys, monkeypatch):
         def failing_eigh(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
