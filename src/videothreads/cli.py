@@ -339,18 +339,34 @@ def _cmd_evaluate(args) -> int:
 
 
 def _load_corpus(data_dir) -> list[tuple]:
+    """Every ``<video>/features.hft`` + ``narrations.json`` pair under
+    ``data_dir``, in name order. Feature widths must agree, and so must the
+    narration embedding widths of the videos that have narrations, of which
+    there must be at least one."""
     root = Path(data_dir)
     if not root.is_dir():
         raise FileNotFoundError(f"{root} is not a directory")
     dataset = []
+    narrated = None  # (narrations.json, embedding width) of the first narrated video
     for video_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         feature_path = video_dir / "features.hft"
         narration_path = video_dir / "narrations.json"
         if feature_path.exists() and narration_path.exists():
-            dataset.append((read_feature_file(feature_path),
-                            read_narrations(narration_path)))
+            sequence = read_feature_file(feature_path)
+            narrations = read_narrations(narration_path)
+            if len(narrations):
+                width = narrations.embeddings().shape[1]
+                if narrated is None:
+                    narrated = (narration_path, width)
+                elif width != narrated[1]:
+                    raise SchemaError(f"{narration_path}: items",
+                                      f"narration embeddings are {width} wide, "
+                                      f"{narrated[0]} has {narrated[1]}")
+            dataset.append((sequence, narrations))
     if not dataset:
         raise FileNotFoundError(f"no <video>/features.hft + narrations.json pairs under {root}")
+    if narrated is None:
+        raise SchemaError(str(root), "no video has a narration to train on")
     _require_constant_dim([seq for seq, _ in dataset])
     return dataset
 

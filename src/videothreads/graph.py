@@ -4,10 +4,17 @@ A video is a set of timestamped segment embeddings; nodes are segments and
 edges connect segments whose temporal distance is at most a threshold that
 doubles with every coarsening level, keeping the average degree constant as
 node density halves.
+
+One graph may also hold a batch of videos as a disjoint union
+(``disjoint_union``): node rows are concatenated, edges never cross videos,
+and timestamps increase within each video. Coarsening, edge building and
+interpolation then act on each video separately, so a video's part of a
+union is the graph it would have on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +26,15 @@ from .kernels import as_matrix
 
 @dataclass(frozen=True, eq=False)
 class VideoGraph:
-    """One resolution level of a video's temporal graph.
+    """One resolution level of a video's temporal graph, or of a batch of
+    videos as a disjoint union.
 
     ``edges`` is an (E, 2) intp array of undirected pairs (i, j), i < j, in
-    lexicographic order; two nodes are linked exactly when
-    |t_i - t_j| <= edge_threshold * 2**level. ``edge_threshold`` is the
-    level-0 base value.
+    lexicographic order; two nodes are linked exactly when they belong to
+    the same video and |t_i - t_j| <= edge_threshold * 2**level.
+    ``edge_threshold`` is the level-0 base value. ``video_sizes`` counts
+    each video's rows, in row order; it defaults to one video holding every
+    node. Timestamps increase strictly within each video.
     """
 
     embeddings: np.ndarray
@@ -32,20 +42,41 @@ class VideoGraph:
     edges: np.ndarray
     level: int = 0
     edge_threshold: float = 1.0
+    video_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.embeddings.shape[0] != self.timestamps.shape[0]:
+        n = self.timestamps.shape[0]
+        if self.embeddings.shape[0] != n:
             raise GraphError("embeddings and timestamps disagree on node count")
-        if self.num_nodes == 0:
+        if n == 0:
             raise GraphError("a video graph needs at least one node")
-        if self.num_nodes > 1 and not np.all(np.diff(self.timestamps) > 0.0):
-            raise GraphError("timestamps must be strictly increasing")
+        sizes = (n,) if self.video_sizes is None else tuple(int(s) for s in self.video_sizes)
+        if not sizes or min(sizes) < 1 or sum(sizes) != n:
+            raise GraphError(f"video_sizes {sizes} must be positive and sum to {n} nodes")
+        object.__setattr__(self, "video_sizes", sizes)
+        rising = np.diff(self.timestamps) > 0.0
+        if len(sizes) > 1:
+            # a video may start before the previous one ends
+            rising[[rows.stop - 1 for rows in _row_slices(sizes[:-1])]] = True
+            video = np.repeat(np.arange(len(sizes)), sizes)
+            if np.any(video[self.edges[:, 0]] != video[self.edges[:, 1]]):
+                raise GraphError("an edge links two different videos")
+        if not np.all(rising):
+            raise GraphError("timestamps must be strictly increasing within each video")
         if self.edge_threshold <= 0.0:
             raise GraphError("edge_threshold must be positive")
 
     @property
     def num_nodes(self) -> int:
         return int(self.timestamps.shape[0])
+
+    def video_rows(self) -> list[slice]:
+        """Each video's rows, in order."""
+        return _row_slices(self.video_sizes)
+
+
+def _row_slices(sizes) -> list[slice]:
+    return [slice(stop - size, stop) for size, stop in zip(sizes, itertools.accumulate(sizes))]
 
 
 def directed_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,6 +121,42 @@ def build_graph(seq, edge_threshold: float) -> VideoGraph:
     )
 
 
+def disjoint_union(graphs: list[VideoGraph]) -> VideoGraph:
+    """One graph holding ``graphs`` side by side, in order: rows
+    concatenated, each graph's edges shifted by its first row. The graphs
+    must share their level, edge threshold and embedding width."""
+    if not graphs:
+        raise GraphError("a union needs at least one graph")
+    first = graphs[0]
+    for g in graphs[1:]:
+        if (g.level, g.edge_threshold) != (first.level, first.edge_threshold):
+            raise GraphError("union members must share their level and edge_threshold")
+        if g.embeddings.shape[1:] != first.embeddings.shape[1:]:
+            raise GraphError("union members must share their embedding width")
+    rows = _row_slices([g.num_nodes for g in graphs])
+    return VideoGraph(
+        embeddings=np.concatenate([g.embeddings for g in graphs]),
+        timestamps=np.concatenate([g.timestamps for g in graphs]),
+        edges=np.concatenate([g.edges + r.start for g, r in zip(graphs, rows)]),
+        level=first.level,
+        edge_threshold=first.edge_threshold,
+        video_sizes=tuple(size for g in graphs for size in g.video_sizes),
+    )
+
+
+def split_videos(g: VideoGraph) -> list[VideoGraph]:
+    """Each video of ``g`` as a graph of its own (the inverse of
+    ``disjoint_union``)."""
+    if len(g.video_sizes) == 1:
+        return [g]
+    rows = g.video_rows()
+    owner = np.repeat(np.arange(len(rows)), g.video_sizes)[g.edges[:, 0]]
+    return [VideoGraph(embeddings=g.embeddings[r], timestamps=g.timestamps[r],
+                       edges=g.edges[owner == i] - r.start, level=g.level,
+                       edge_threshold=g.edge_threshold)
+            for i, r in enumerate(rows)]
+
+
 def with_embeddings(g: VideoGraph, embeddings: np.ndarray) -> VideoGraph:
     """Same graph structure, new node embeddings."""
     return VideoGraph(
@@ -98,24 +165,37 @@ def with_embeddings(g: VideoGraph, embeddings: np.ndarray) -> VideoGraph:
         edges=g.edges,
         level=g.level,
         edge_threshold=g.edge_threshold,
+        video_sizes=g.video_sizes,
     )
 
 
-def temporal_subsample(g: VideoGraph) -> VideoGraph:
-    """Halve the temporal resolution by keeping even timestamp-order positions.
+def coarse_rows(g: VideoGraph) -> np.ndarray:
+    """The rows ``temporal_subsample`` keeps: each video's even positions."""
+    return np.concatenate([np.arange(r.start, r.stop, 2) for r in g.video_rows()])
 
-    The level increments and edges are rebuilt under the doubled threshold,
-    so degree stays roughly constant. ceil(N/2) nodes survive.
+
+def temporal_subsample(g: VideoGraph) -> VideoGraph:
+    """Halve the temporal resolution by keeping even timestamp-order
+    positions of each video.
+
+    The level increments and each video's edges are rebuilt under the
+    doubled threshold, so degree stays roughly constant. ceil(N/2) nodes of
+    an N-node video survive.
     """
-    keep = np.arange(0, g.num_nodes, 2)
+    keep = coarse_rows(g)
     timestamps = g.timestamps[keep]
     level = g.level + 1
+    sizes = tuple((size + 1) // 2 for size in g.video_sizes)
+    threshold = g.edge_threshold * float(2 ** level)
+    edges = [temporal_edges(timestamps[rows], threshold) + rows.start
+             for rows in _row_slices(sizes)]
     return VideoGraph(
         embeddings=g.embeddings[keep],
         timestamps=timestamps,
-        edges=temporal_edges(timestamps, g.edge_threshold * float(2 ** level)),
+        edges=np.concatenate(edges),
         level=level,
         edge_threshold=g.edge_threshold,
+        video_sizes=sizes,
     )
 
 
@@ -149,6 +229,22 @@ def interpolation_matrix(source_times: np.ndarray, target_times: np.ndarray) -> 
     right = left + 1
     w = (tgt - src[left]) / (src[right] - src[left])
     return Interpolation(left, right, np.clip(w, 0.0, 1.0))
+
+
+def interpolation_between(source: VideoGraph, target: VideoGraph) -> Interpolation:
+    """``interpolation_matrix`` from each video of ``source`` onto the same
+    video of ``target``, so every target row clamps at its own video's
+    endpoints and no value crosses videos."""
+    if len(source.video_sizes) != len(target.video_sizes):
+        raise GraphError(f"source holds {len(source.video_sizes)} videos, "
+                         f"target {len(target.video_sizes)}")
+    ops = [(interpolation_matrix(source.timestamps[s], target.timestamps[t]), s.start)
+           for s, t in zip(source.video_rows(), target.video_rows())]
+    if len(ops) == 1:
+        return ops[0][0]
+    return Interpolation(np.concatenate([op.left + start for op, start in ops]),
+                         np.concatenate([op.right + start for op, start in ops]),
+                         np.concatenate([op.weight for op, _ in ops]))
 
 
 def nearest_indices(source_times: np.ndarray, query_times: np.ndarray) -> np.ndarray:

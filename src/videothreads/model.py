@@ -24,8 +24,10 @@ from .autodiff import Var, affine, l2_normalize_rows, relu, slot_sum, take_rows,
 from .errors import BadMagicError, ClusteringError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
+    coarse_rows,
     directed_edges,
-    interpolation_matrix,
+    interpolation_between,
+    split_videos,
     temporal_subsample,
     with_embeddings,
 )
@@ -34,6 +36,7 @@ from .partition import (
     DEFAULT_MAX_NODES,
     PartitionResult,
     approx_partition,
+    concat_partitions,
     single_partition,
 )
 
@@ -292,8 +295,7 @@ def _encode(g: VideoGraph, params: ModelParams):
         table = _neighbor_table(g.edges, g.timestamps)
         for layer in stage:
             x = _tdgc_apply(x, table, layer)
-        keep = np.arange(0, g.num_nodes, 2)
-        x = take_rows(x, keep)
+        x = take_rows(x, coarse_rows(g))
         g = with_embeddings(temporal_subsample(g), value(x))
         graphs.append(g)
         xs.append(x)
@@ -319,15 +321,30 @@ class ForwardTrace:
     """Everything the forward pass produced.
 
     ``stages`` run deepest first: with S stages, stages[i] holds
-    ceil(N / 2**(S - i)) nodes. ``output`` is at input resolution (one row per
-    input node, at ``output_timestamps``). Like every stage output it is an
-    ndarray for array parameters and a Var, carrying the live graph, for Var
-    parameters.
+    ceil(N / 2**(S - i)) nodes of each N-node video. ``output`` is at input
+    resolution (one row per input node, at ``output_timestamps``). Like every
+    stage output it is an ndarray for array parameters and a Var, carrying
+    the live graph, for Var parameters.
     """
 
     stages: list[Stage]
     output: object
     output_timestamps: np.ndarray
+
+
+def _partition(g: VideoGraph, x: np.ndarray, k: int, kappa: float, max_nodes: int,
+               seed: int) -> PartitionResult:
+    """Each video's functional threads, found on its own rows of ``x`` (an
+    embedding per node of ``g``): at most ``k`` per video, and one group
+    when k == 1 or the video holds a single node (deep stages may hold
+    fewer nodes than k)."""
+    parts = []
+    for video, rows in zip(split_videos(g), g.video_rows()):
+        video_k = min(k, video.num_nodes)
+        parts.append(single_partition(video.num_nodes) if video_k == 1
+                     else approx_partition(with_embeddings(video, x[rows]), video_k, kappa,
+                                           max_nodes, seed))
+    return concat_partitions(parts)
 
 
 def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
@@ -345,6 +362,12 @@ def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
     The shallowest stage's output is finally interpolated to the input
     timestamps.
 
+    ``g0`` may hold a batch of videos (``graph.disjoint_union``): every
+    layer then runs once over the whole batch, while coarsening,
+    interpolation and partitioning act on each video alone, so each video's
+    rows of the result are its own forward pass up to last-bit float
+    rounding.
+
     ``fixed_partitions`` (deepest first) bypasses clustering entirely, which
     keeps the loss surface smooth for finite-difference checks.
     """
@@ -356,18 +379,13 @@ def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
 
     stages: list[Stage] = []
     y = None
-    y_times: np.ndarray | None = None
     for depth, s in enumerate(range(len(laterals) - 1, -1, -1)):
         lateral = laterals[s]
-        fused = xs[s] if y is None else xs[s] + interpolation_matrix(y_times, lateral.timestamps) @ y
-        stage_k = min(k, lateral.num_nodes)  # deep stages may hold fewer nodes than k
+        fused = xs[s] if y is None else xs[s] + interpolation_between(laterals[s + 1], lateral) @ y
         if fixed_partitions is not None:
             part = fixed_partitions[depth]
-        elif stage_k == 1:
-            part = single_partition(lateral.num_nodes)
         else:
-            part = approx_partition(with_embeddings(lateral, value(fused)), stage_k, kappa,
-                                    max_nodes, seed)
+            part = _partition(lateral, value(fused), k, kappa, max_nodes, seed)
         # A group's induced sub-graph is the lateral graph's edges whose two
         # ends share a group (the same |t_i - t_j| <= threshold test on the
         # same timestamps), so one pass over those edges serves every group.
@@ -377,11 +395,10 @@ def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
         y = fused
         for layer in params.decoder[s]:
             y = _tdgc_apply(y, table, layer)
-        y_times = lateral.timestamps
         stages.append(Stage(lateral, part, y))
 
     out_times = np.asarray(g0.timestamps, dtype=np.float64)
-    return ForwardTrace(stages, interpolation_matrix(y_times, out_times) @ y, out_times)
+    return ForwardTrace(stages, interpolation_between(laterals[0], g0) @ y, out_times)
 
 
 def project_visual(x, params: ModelParams):

@@ -33,7 +33,8 @@ class PartitionResult:
 
     ``eigengap`` is lambda_{K+1} - lambda_K of the normalized Laplacian
     (0.0 when K equals the node count or no decomposition was involved).
-    Cluster indices in [0, K); clusters may be empty.
+    Cluster indices in [0, K); clusters may be empty. A partition of a batch
+    graph is its videos' partitions side by side (``concat_partitions``).
     """
 
     assignments: np.ndarray
@@ -124,6 +125,16 @@ def approx_partition(g: VideoGraph, k: int, kappa: float = DEFAULT_KAPPA,
     sub = spectral_partition(g.embeddings[picked], k, kappa, seed)
     closest = nearest_indices(g.timestamps[picked], g.timestamps)
     return PartitionResult(sub.assignments[closest], k, sub.eigengap)
+
+
+def concat_partitions(parts: list[PartitionResult]) -> PartitionResult:
+    """The partitions of consecutive videos as one: assignments side by
+    side (a label compares only within its video), the largest k and the
+    smallest eigengap."""
+    if len(parts) == 1:
+        return parts[0]
+    return PartitionResult(np.concatenate([p.assignments for p in parts]),
+                           max(p.k for p in parts), min(p.eigengap for p in parts))
 
 
 def single_partition(n: int) -> PartitionResult:

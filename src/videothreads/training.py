@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import segment_sum, value, vexp, vlog, vsum
+from .autodiff import value, vexp, vlog, vsum
 from .config import RunConfig
 from .dataio import FeatureSequence, NarrationSet
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .graph import VideoGraph, build_graph
+from .graph import VideoGraph, build_graph, disjoint_union
 from .model import (
     ForwardTrace,
     ModelDims,
@@ -45,7 +45,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class AlignmentBatch:
-    """Parallel lists of level-0 graphs and their narration sets."""
+    """Parallel lists of level-0 graphs and their narration sets. The loss
+    runs one forward pass on the graphs' disjoint union, in list order."""
 
     graphs: list[VideoGraph]
     narrations: list[NarrationSet]
@@ -59,14 +60,14 @@ class AlignmentBatch:
 class LossValue:
     """The total loss L = L_vna + L_ft, its two terms, the gradient of L
     over the flat parameter vector (None when it was not asked for), and the
-    partitions it was taken under: per graph of the batch, one per decoder
-    stage, deepest first."""
+    partitions it was taken under: one per decoder stage, deepest first, of
+    the batch's union graph (see ``concat_partitions``)."""
 
     value: float
     vna: float
     ft: float
     gradient: np.ndarray | None
-    partitions: list[list[PartitionResult]]
+    partitions: list[PartitionResult]
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +86,18 @@ def _masked_log_ratio(expz, pos_mask: np.ndarray, den_mask: np.ndarray, axis: in
     return vlog(den_safe) - vlog(num_safe), contributing
 
 
-def _vna_scalar(batch: AlignmentBatch, outputs, params: ModelParams, config: RunConfig):
-    """Video-narration alignment loss over a batch of forward outputs.
+def _video_sum(terms, keep: np.ndarray, video: np.ndarray):
+    """Sum over videos of each video's mean term over its ``keep`` rows
+    (row r belongs to video ``video[r]``), and the number of videos that
+    keep a row; a video that keeps none adds nothing."""
+    count = np.bincount(video, weights=keep)
+    weight = np.divide(keep, count[video], out=np.zeros(keep.shape), where=keep)
+    return vsum(terms * weight), int(np.count_nonzero(count))
+
+
+def _vna_scalar(batch: AlignmentBatch, output, params: ModelParams, config: RunConfig):
+    """Video-narration alignment loss over the forward output of a batch
+    (its graphs' rows stacked in order).
 
     A node's positives are its video's narrations within 2**alpha seconds;
     its negatives are its video's narrations in the (2**alpha, 2**beta]
@@ -117,63 +128,38 @@ def _vna_scalar(batch: AlignmentBatch, outputs, params: ModelParams, config: Run
     if pos_mask.sum() == 0.0:
         raise EmptyBatchError("no narration falls inside any node's alignment window")
 
-    vh = project_visual(_vstack(outputs), params)
+    vh = project_visual(output, params)
     th = project_text(np.concatenate(narr_embeddings, axis=0), params)
     expz = vexp((vh @ th.T) / config.temperature)
 
-    v2t_terms, v2t_keep = _masked_log_ratio(expz, pos_mask, den_mask, axis=1)
-    t2v_terms, t2v_keep = _masked_log_ratio(expz, pos_mask, den_mask, axis=0)
+    def batch_mean(axis, video):
+        video_sum, videos = _video_sum(*_masked_log_ratio(expz, pos_mask, den_mask, axis),
+                                       video)
+        return video_sum / videos
 
-    def batch_mean(terms, keep, video_of):
-        total = None
-        videos = 0
-        for i in range(len(batch.graphs)):
-            members = keep & (video_of == i)
-            count = int(members.sum())
-            if count == 0:
-                continue
-            videos += 1
-            contribution = vsum(terms * (members.astype(np.float64) / count))
-            total = contribution if total is None else total + contribution
-        return total / videos
-
-    return batch_mean(v2t_terms, v2t_keep, node_video) + batch_mean(t2v_terms, t2v_keep, narr_video)
+    return batch_mean(1, node_video) + batch_mean(0, narr_video)
 
 
-def _ft_scalar(traces: list[ForwardTrace], params: ModelParams, temperature: float):
-    """Functional-threads loss: per decoder depth, pull same-cluster nodes
-    together in the h_v space; returns None when no node is eligible."""
+def _ft_scalar(trace: ForwardTrace, params: ModelParams, temperature: float):
+    """Functional-threads loss: per decoder depth, pull each video's
+    same-cluster nodes together in the h_v space, averaged over the videos
+    of the trace's graph; returns None when no node is eligible."""
     total = None
-    eligible_any = False
-    for trace in traces:
-        for stage in trace.stages:
-            labels = stage.partition.assignments
-            n = labels.shape[0]
-            if n < 2:
-                continue
-            same = (labels[:, None] == labels[None, :]) & ~np.eye(n, dtype=bool)
-            if not same.any():
-                continue
-            eligible_any = True
-            vh = project_visual(stage.output, params)
-            expz = vexp((vh @ vh.T) / temperature)
-            den_mask = (~np.eye(n, dtype=bool)).astype(np.float64)
-            terms, keep = _masked_log_ratio(expz, same.astype(np.float64), den_mask, axis=1)
-            count = int(keep.sum())
-            contribution = vsum(terms * (keep.astype(np.float64) / count))
-            total = contribution if total is None else total + contribution
-    if not eligible_any:
-        return None
-    return total / len(traces)
-
-
-def _vstack(blocks):
-    """Rows of every block in order; Var blocks keep their gradient paths."""
-    sizes = [value(b).shape[0] for b in blocks]
-    n = sum(sizes)
-    starts = np.cumsum([0] + sizes[:-1])
-    return sum(segment_sum(b, start + np.arange(size), n)
-               for b, start, size in zip(blocks, starts, sizes))
+    for stage in trace.stages:
+        sizes = stage.graph.video_sizes
+        video = np.repeat(np.arange(len(sizes)), sizes)
+        labels = stage.partition.assignments
+        den_mask = (video[:, None] == video[None, :]) & ~np.eye(labels.shape[0], dtype=bool)
+        same = den_mask & (labels[:, None] == labels[None, :])
+        if not same.any():
+            continue
+        vh = project_visual(stage.output, params)
+        expz = vexp((vh @ vh.T) / temperature)
+        terms, keep = _masked_log_ratio(expz, same.astype(np.float64),
+                                        den_mask.astype(np.float64), axis=1)
+        contribution, _ = _video_sum(terms, keep, video)
+        total = contribution if total is None else total + contribution
+    return None if total is None else total / len(trace.stages[0].graph.video_sizes)
 
 
 def _collect_gradient(leaves) -> np.ndarray:
@@ -214,8 +200,8 @@ class TotalLossOp:
         in autodiff mode and the result carries dL/dparams; without it the
         pass runs on plain arrays and ``gradient`` is None.
 
-        ``partitions`` (per graph, as ``LossValue.partitions`` returns them)
-        fixes the cluster assignments, so repeated calls (finite
+        ``partitions`` (as ``LossValue.partitions`` returns them) fixes the
+        cluster assignments, so repeated calls (finite
         differences) see a smooth function of the parameters; by default
         each call partitions the batch afresh. Assignments are discrete and
         carry no gradient; an L_ft with no eligible node is 0 and adds
@@ -224,12 +210,10 @@ class TotalLossOp:
         cfg = self.config
         if gradient:
             params, leaves = params.to_vars()
-        fixed = partitions or [None] * len(batch.graphs)
-        traces = [forward(g, params, k=cfg.k, kappa=cfg.kappa, max_nodes=cfg.max_nodes,
-                          seed=cfg.seed, fixed_partitions=p)
-                  for g, p in zip(batch.graphs, fixed, strict=True)]
-        vna = _vna_scalar(batch, [t.output for t in traces], params, cfg)
-        ft = _ft_scalar(traces, params, cfg.temperature)
+        trace = forward(disjoint_union(batch.graphs), params, k=cfg.k, kappa=cfg.kappa,
+                        max_nodes=cfg.max_nodes, seed=cfg.seed, fixed_partitions=partitions)
+        vna = _vna_scalar(batch, trace.output, params, cfg)
+        ft = _ft_scalar(trace, params, cfg.temperature)
         if ft is None:
             logger.info("functional-threads loss skipped: no eligible node in batch")
         total = vna if ft is None else vna + ft
@@ -239,7 +223,7 @@ class TotalLossOp:
             grad = _collect_gradient(leaves)
         return LossValue(float(value(total)), float(value(vna)),
                          0.0 if ft is None else float(value(ft)), grad,
-                         [[s.partition for s in t.stages] for t in traces])
+                         [s.partition for s in trace.stages])
 
 
 def grad_check(loss_op, params: ModelParams, batch: AlignmentBatch,
@@ -301,10 +285,13 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
     """Gradient-descent training on an in-memory dataset.
 
     ``config.seed`` seeds the initialization, the batch order and the
-    clustering. Returns the final parameters and a per-epoch history of mean
-    total loss. Raises ConfigError naming the key for fewer than one epoch or
-    batch size below one, and TrainingDivergedError (with the epoch index) if
-    the loss goes non-finite.
+    clustering. Each batch is a set of videos, taken in dataset order.
+    Returns the final parameters and a per-epoch history of the mean total
+    loss and of its two terms (``vna``, ``ft``). The text width d_t is read
+    from the videos with narrations. Raises ConfigError naming the key for
+    fewer than one epoch or batch size below one, EmptyBatchError when no
+    video has a narration, and TrainingDivergedError (with the epoch index)
+    if the loss goes non-finite.
     """
     for key in ("epochs", "batch_size"):
         if getattr(config, key) < 1:
@@ -313,7 +300,10 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
     if not dataset:
         raise ShapeError("dataset must not be empty")
     d_in = dataset[0][0].dim
-    d_t = dataset[0][1].embeddings().shape[1]
+    narrated = [narrs for _, narrs in dataset if len(narrs)]
+    if not narrated:
+        raise EmptyBatchError("no video of the dataset has a narration")
+    d_t = narrated[0].embeddings().shape[1]
     dims = ModelDims(d_in=d_in, d_h=config.hidden, d_a=config.align_dim,
                      d_t=d_t, stages=config.stages, layers=config.layers)
     params = init_params(dims, seed=config.seed)
@@ -328,7 +318,7 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
         order = rng.permutation(len(dataset))
         losses = []
         for start in range(0, len(dataset), config.batch_size):
-            chosen = order[start:start + config.batch_size]
+            chosen = np.sort(order[start:start + config.batch_size])
             batch = AlignmentBatch([graphs[i] for i in chosen],
                                    [narration_sets[i] for i in chosen])
             try:
@@ -342,8 +332,9 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
             if not np.all(np.isfinite(updated)):
                 raise TrainingDivergedError(epoch)
             params = params.with_vector(updated)
-            losses.append(loss.value)
+            losses.append((loss.value, loss.vna, loss.ft))
             step += 1
-        history.append({"epoch": epoch, "mean_loss": float(np.mean(losses)),
+        mean_loss, vna, ft = (float(np.mean(column)) for column in zip(*losses))
+        history.append({"epoch": epoch, "mean_loss": mean_loss, "vna": vna, "ft": ft,
                         "lr": lr_at_step(config, step - 1, steps_per_epoch)})
     return params, history

@@ -519,6 +519,56 @@ class TestPipeline:
         assert len(lines) == 2
         assert "mean_loss" in json.loads(lines[0])
 
+    @staticmethod
+    def narrated_corpus(root):
+        """Three planted videos of 8-wide features and narrations, and a
+        one-epoch train config for them."""
+        for i in range(3):
+            assert run("synth", "--out", str(root / "data" / f"v{i}"), "--seed", str(700 + i),
+                       "--threads", "2", "--segments-per-step", "6", "--dim", "8",
+                       "--separation", "3", "--no-meta") == EXIT_OK
+        cfg = root / "tc.json"
+        cfg.write_text(json.dumps({"epochs": 1, "warmup_epochs": 0, "hidden": 8,
+                                   "align_dim": 8, "stages": 1, "layers": 1}))
+        return root / "data", ("--train-config", str(cfg), "--params-out", str(root / "p.bin"),
+                               "--history", str(root / "h.jsonl"), "--out",
+                               str(root / "s.json"), "--no-meta")
+
+    def test_first_video_without_narrations_trains(self, tmp_path):
+        # d_t comes from the narrated videos, not from the first one
+        data, flags = self.narrated_corpus(tmp_path)
+        (data / "v0" / "narrations.json").write_text(json.dumps({"items": []}))
+        assert run("train-toy", "--data", str(data), *flags) == EXIT_OK
+        assert len((tmp_path / "h.jsonl").read_text().splitlines()) == 1
+
+    def test_corpus_without_narrations_is_data_error(self, tmp_path, capsys):
+        data, flags = self.narrated_corpus(tmp_path)
+        for i in range(3):
+            (data / f"v{i}" / "narrations.json").write_text(json.dumps({"items": []}))
+        assert run("train-toy", "--data", str(data), *flags) == EXIT_DATA
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "SchemaError"
+        assert str(data) in error["message"]
+
+    def test_mixed_narration_widths_is_data_error(self, tmp_path, capsys):
+        data, flags = self.narrated_corpus(tmp_path)
+        path = data / "v1" / "narrations.json"
+        doc = json.loads(path.read_text())
+        for item in doc["items"]:
+            item["embedding"] = item["embedding"][:4]
+        path.write_text(json.dumps(doc))
+        assert run("train-toy", "--data", str(data), *flags) == EXIT_DATA
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "SchemaError"
+        assert str(path) in error["message"]
+
+    def test_history_rows_split_the_loss(self, tmp_path):
+        data, flags = self.narrated_corpus(tmp_path)
+        assert run("train-toy", "--data", str(data), *flags) == EXIT_OK
+        (row,) = [json.loads(line) for line in (tmp_path / "h.jsonl").read_text().splitlines()]
+        assert set(row) == {"epoch", "mean_loss", "vna", "ft", "lr"}
+        assert row["mean_loss"] == pytest.approx(row["vna"] + row["ft"], rel=1e-12)
+
     def test_unknown_train_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "tc.json"
         cfg.write_text(json.dumps({"learning_rate": 0.1}))

@@ -8,10 +8,14 @@ from videothreads.autodiff import Var
 from videothreads.dataio import FeatureSequence
 from videothreads.errors import GraphError
 from videothreads.graph import (
+    VideoGraph,
     build_graph,
     directed_edges,
+    disjoint_union,
+    interpolation_between,
     interpolation_matrix,
     nearest_indices,
+    split_videos,
     temporal_edges,
     temporal_subsample,
 )
@@ -184,3 +188,96 @@ class TestNearestIndices:
     def test_exact_hits(self):
         src = np.array([0.0, 1.0, 2.0])
         assert np.array_equal(nearest_indices(src, src), [0, 1, 2])
+
+
+def irregular_video(n, rng):
+    """An n-segment graph with irregular spacing that starts anywhere in
+    [0, 3), so the videos of a union overlap in time."""
+    times = rng.uniform(0.0, 3.0) + np.cumsum(rng.uniform(0.05, 0.9, n))
+    return build_graph(FeatureSequence("v", times, rng.standard_normal((n, 3))), 1.0)
+
+
+# 1 to 5 videos of 1, 2, 3, 7 or 16 segments, and a seed for their contents
+union_cases = st.tuples(st.lists(st.sampled_from([1, 2, 3, 7, 16]), min_size=1, max_size=5),
+                        st.integers(min_value=0, max_value=10_000))
+
+
+def assert_same_graph(got, want):
+    assert got.video_sizes == want.video_sizes
+    assert got.level == want.level
+    for name in ("embeddings", "timestamps", "edges"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestDisjointUnion:
+    @given(union_cases)
+    @settings(max_examples=100, deadline=None)
+    def test_every_step_acts_on_each_video_alone(self, case):
+        sizes, seed = case
+        rng = np.random.default_rng(seed)
+        graphs = [irregular_video(n, rng) for n in sizes]
+        union = disjoint_union(graphs)
+        assert union.video_sizes == tuple(sizes)
+        coarse = temporal_subsample(union)
+        for got, alone in zip(split_videos(union), graphs):
+            assert_same_graph(got, alone)
+        for got, alone in zip(split_videos(coarse), graphs):
+            assert_same_graph(got, temporal_subsample(alone))
+        assert_same_graph(coarse, disjoint_union([temporal_subsample(g) for g in graphs]))
+        # interpolation clamps at each video's own endpoints
+        values = rng.standard_normal((coarse.num_nodes, 2))
+        got = interpolation_between(coarse, union) @ values
+        for rows, source, alone in zip(union.video_rows(), coarse.video_rows(), graphs):
+            want = interpolate_ref(coarse.timestamps[source], values[source], alone.timestamps)
+            assert np.allclose(got[rows], want, rtol=0.0, atol=1e-12)
+
+    @given(union_cases, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_validation_rejects_order_breaks_and_crossing_edges(self, case, data):
+        sizes, seed = case
+        rng = np.random.default_rng(seed)
+        union = disjoint_union([irregular_video(n, rng) for n in sizes])
+        rows = union.video_rows()
+
+        def rebuilt(timestamps=union.timestamps, edges=union.edges):
+            return VideoGraph(union.embeddings, timestamps, edges,
+                              video_sizes=union.video_sizes)
+
+        rebuilt()  # times that restart at a video boundary are fine
+        long_videos = [r for r in rows if r.stop - r.start >= 2]
+        if long_videos:
+            r = data.draw(st.sampled_from(long_videos))
+            i = data.draw(st.integers(r.start, r.stop - 2))
+            swapped = union.timestamps.copy()
+            swapped[[i, i + 1]] = swapped[[i + 1, i]]
+            with pytest.raises(GraphError, match="within each video"):
+                rebuilt(timestamps=swapped)
+        if len(rows) >= 2:
+            a, b = sorted(data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                                             max_size=2, unique=True)))
+            i = data.draw(st.integers(rows[a].start, rows[a].stop - 1))
+            j = data.draw(st.integers(rows[b].start, rows[b].stop - 1))
+            with pytest.raises(GraphError, match="two different videos"):
+                rebuilt(edges=np.vstack([union.edges, [[i, j]]]))
+
+    def test_split_does_not_rely_on_edge_order(self):
+        times = np.array([0.0, 0.5, 1.0, 0.0, 0.5, 1.0])
+        edges = np.array([[3, 4], [0, 1], [1, 2], [4, 5]])
+        g = VideoGraph(np.zeros((6, 2)), times, edges, video_sizes=(3, 3))
+        for video in split_videos(g):
+            assert_edges(video.edges, [(0, 1), (1, 2)])
+
+    def test_sizes_must_cover_the_nodes(self):
+        g = build_graph(seq([0.0, 1.0, 2.0]), 1.0)
+        for sizes in ((), (1, 1), (0, 3), (2, 2)):
+            with pytest.raises(GraphError):
+                VideoGraph(g.embeddings, g.timestamps, g.edges, video_sizes=sizes)
+
+    def test_members_must_agree(self):
+        a = build_graph(seq([0.0, 1.0]), 1.0)
+        with pytest.raises(GraphError):
+            disjoint_union([a, build_graph(seq([0.0, 1.0]), 2.0)])
+        with pytest.raises(GraphError):
+            disjoint_union([a, build_graph(seq([0.0, 1.0], dim=4), 1.0)])
+        with pytest.raises(GraphError):
+            disjoint_union([])

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from videothreads.dataio import FeatureSequence
 from videothreads.errors import BadMagicError, ClusteringError, ShapeError, TruncatedFileError
-from videothreads.graph import build_graph, interpolation_matrix
+from videothreads.graph import (
+    build_graph,
+    disjoint_union,
+    interpolation_matrix,
+    nearest_indices,
+    split_videos,
+)
 from videothreads.metrics import adjusted_rand_index
 from videothreads.model import (
     LinearParams,
@@ -15,7 +23,7 @@ from videothreads.model import (
     save_params,
     tdgc_forward,
 )
-from videothreads.partition import single_partition
+from videothreads.partition import PartitionResult, single_partition
 from videothreads.synth import SynthSpec, generate
 
 from reference_impl import forward_ref, neighbors_from_times, tdgc_layer_ref
@@ -259,9 +267,64 @@ class TestFullForward:
         params = identity_params(ModelDims(d_in=16, d_h=16, d_a=16, d_t=16))
         trace = forward(g, params, k=2, seed=0)
         # every decoder stage's partition should recover the planted threads
-        from videothreads.graph import nearest_indices
-
         for stage in trace.stages:
             gt = ds.planted.thread_labels[
                 nearest_indices(g.timestamps, stage.graph.timestamps)]
             assert adjusted_rand_index(stage.partition.assignments, gt) >= 0.9
+
+
+class TestBatchForward:
+    """A batch graph (the disjoint union of several videos) runs each layer
+    once for the whole batch; every video's rows are still its own pass."""
+
+    @given(st.lists(st.sampled_from([1, 2, 3, 7, 16]), min_size=1, max_size=5),
+           st.sampled_from([1, 2, 9]), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_each_video_matches_its_own_forward(self, sizes, k, seed):
+        rng = np.random.default_rng(seed)
+        graphs = []
+        for n in sizes:
+            times = rng.uniform(0.0, 3.0) + np.cumsum(rng.uniform(0.05, 0.9, n))
+            graphs.append(build_graph(FeatureSequence("v", times, rng.standard_normal((n, 4))),
+                                      1.0))
+        params = init_params(ModelDims(d_in=4, d_h=5, d_a=5, d_t=4, stages=3, layers=2))
+        params = params.with_vector(rng.uniform(-1.0, 1.0, params.num_params))
+        union = disjoint_union(graphs)
+        trace = forward(union, params, k=k, seed=seed % 7)
+        assert trace.output.shape == (sum(sizes), 5)
+        for i, (g, rows) in enumerate(zip(graphs, union.video_rows())):
+            alone = forward(g, params, k=k, seed=seed % 7)
+            for stage, own in zip(trace.stages, alone.stages):
+                video = split_videos(stage.graph)[i]
+                assert video.num_nodes == own.graph.num_nodes
+                assert np.array_equal(video.timestamps, own.graph.timestamps)
+            partitions = [PartitionResult(s.partition.assignments[s.graph.video_rows()[i]],
+                                          k, 0.0) for s in trace.stages]
+            want = forward_ref(g, params, partitions)
+            assert np.max(np.abs(trace.output[rows] - want)) <= 1e-9
+
+    def test_each_video_is_partitioned_on_its_own(self):
+        # two planted videos with different thread embeddings: clustering the
+        # whole batch at once would split it by video instead of by thread
+        specs = [SynthSpec(num_threads=2, segments_per_step=20, dim=16, separation=10.0,
+                           seed=seed) for seed in (11, 12)]
+        sets = [generate(spec) for spec in specs]
+        graphs = [build_graph(ds.sequence, 1.0) for ds in sets]
+        params = identity_params(ModelDims(d_in=16, d_h=16, d_a=16, d_t=16))
+        trace = forward(disjoint_union(graphs), params, k=2, seed=0)
+        for stage in trace.stages:
+            for ds, g, rows in zip(sets, graphs, stage.graph.video_rows()):
+                times = stage.graph.timestamps[rows]
+                gt = ds.planted.thread_labels[nearest_indices(g.timestamps, times)]
+                assert adjusted_rand_index(stage.partition.assignments[rows], gt) >= 0.9
+
+    def test_one_video_union_is_the_plain_forward(self):
+        g = make_graph(n=13, d=4, seed=8)
+        params = init_params(ModelDims(d_in=4, d_h=5, d_a=5, d_t=4, stages=3, layers=2), seed=1)
+        a = forward(g, params, k=2, seed=0)
+        b = forward(disjoint_union([g]), params, k=2, seed=0)
+        assert a.output.tobytes() == b.output.tobytes()
+        for x, y in zip(a.stages, b.stages):
+            assert np.array_equal(x.partition.assignments, y.partition.assignments)
+            assert (x.partition.k, x.partition.eigengap) == (y.partition.k, y.partition.eigengap)
+

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from videothreads.config import RunConfig
 from videothreads.dataio import FeatureSequence, Narration, NarrationSet
 from videothreads.errors import EmptyBatchError, TrainingDivergedError
-from videothreads.graph import build_graph
+from videothreads.graph import build_graph, disjoint_union
 from videothreads.model import ModelDims, forward, identity_params, init_params
 from videothreads.partition import PartitionResult
 from videothreads.synth import SynthSpec, generate
@@ -191,8 +192,8 @@ class TestLossVna:
         scaled = outputs.copy()
         scaled[2] *= 12.5
         config = loss_op().config
-        a = float(_vna_scalar(batch, [outputs], params, config))
-        b = float(_vna_scalar(batch, [scaled], params, config))
+        a = float(_vna_scalar(batch, outputs, params, config))
+        b = float(_vna_scalar(batch, scaled, params, config))
         assert b == pytest.approx(a, rel=1e-9)
 
 
@@ -204,19 +205,19 @@ class TestLossFt:
     def test_two_equal_clusters_identical_features(self):
         params, g = single_stage_setup(n=8)  # one stage: decoder sees 4 nodes
         trace = self.fixed_trace(params, g, [0, 0, 1, 1], 2)
-        ft = float(_ft_scalar([trace], params, TAU))
+        ft = float(_ft_scalar(trace, params, TAU))
         assert ft == pytest.approx(-math.log(1.0 / 3.0), abs=1e-10)
 
     def test_single_cluster_identical_features_zero(self):
         params, g = single_stage_setup(n=8)
         trace = self.fixed_trace(params, g, [0, 0, 0, 0], 1)
-        ft = float(_ft_scalar([trace], params, TAU))
+        ft = float(_ft_scalar(trace, params, TAU))
         assert ft == pytest.approx(0.0, abs=1e-12)
 
     def test_no_eligible_nodes_zero_loss_empty_gradient(self):
         params, g = single_stage_setup(n=8)
         trace = self.fixed_trace(params, g, [0, 1, 2, 3], 4)  # singleton clusters
-        assert _ft_scalar([trace], params, TAU) is None  # no term, so no gradient
+        assert _ft_scalar(trace, params, TAU) is None  # no term, so no gradient
         # in the total loss: a video whose every decoder stage holds one node
         params, g = single_stage_setup(n=1, times=[10.0])
         batch = AlignmentBatch([g], [narration_set([(10.5, None), (14.0, None)])])
@@ -234,6 +235,26 @@ class TestLossFt:
         lv = loss_op(k=2, seed=3)(params, batch)
         want = oracle_ft(forward(g, params, k=2, seed=3), params, TAU)
         assert lv.ft == pytest.approx(want, abs=1e-10)
+
+    def test_batch_is_the_mean_over_its_videos(self):
+        # the union's stages hold every video; pairs never cross videos
+        rng = np.random.default_rng(31)
+        params = init_params(ModelDims(d_in=4, d_h=5, d_a=6, d_t=4, stages=2, layers=1), seed=31)
+        graphs = [video(np.arange(n) * 0.5 + shift, dim=4, seed=n)
+                  for n, shift in ((8, 0.0), (6, 0.7), (1, 0.2))]
+        narrs = [narration_set([(t, rng.standard_normal(4))]) for t in (1.0, 1.5, 0.2)]
+        lv = loss_op(k=2, seed=3)(params, AlignmentBatch(graphs, narrs))
+        trace = forward(disjoint_union(graphs), params, k=2, seed=3)
+        per_video = []
+        for i in range(len(graphs)):
+            stages = []
+            for s in trace.stages:
+                rows = s.graph.video_rows()[i]
+                part = SimpleNamespace(assignments=s.partition.assignments[rows])
+                stages.append(SimpleNamespace(output=s.output[rows], partition=part))
+            per_video.append(oracle_ft(SimpleNamespace(stages=stages), params, TAU))
+        assert lv.ft > 0.0
+        assert lv.ft == pytest.approx(sum(per_video) / len(graphs), abs=1e-10)
 
 
 class TestGradCheck:
@@ -283,7 +304,7 @@ class TestGradCheck:
         params, g = single_stage_setup(n=8)
         params_v, leaves = params.to_vars()
         trace = forward(g, params_v, fixed_partitions=[PartitionResult(np.array([0, 0, 1, 1]), 2, 0.0)])
-        _ft_scalar([trace], params_v, TAU).backward()
+        _ft_scalar(trace, params_v, TAU).backward()
         gradient = _collect_gradient(leaves)
         # locate h_t weight block at the end of the flat layout
         tail = sum(np.asarray(a).size for a in params.leaves()[-2:])
@@ -327,6 +348,39 @@ class TestFrozenPartitions:
         fixed = self.op()(self.params, batch, gradient=False, partitions=single.partitions)
         assert fixed.value == single.value
         assert fixed.partitions == single.partitions
+
+
+class TestBatchTape:
+    """The loss runs one forward pass per batch, so a layer records one
+    node however many videos the batch holds."""
+
+    @staticmethod
+    def affine_nodes(monkeypatch, batch):
+        from videothreads import autodiff
+
+        roots = []
+        backward = autodiff.Var.backward
+
+        def recording(self):
+            roots.append(self)
+            backward(self)
+
+        params = init_params(ModelDims(d_in=8, d_h=8, d_a=8, d_t=8, stages=2, layers=2), seed=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(autodiff.Var, "backward", recording)
+            loss_op(k=2, temperature=WIDE_TAU)(params, batch)
+        (root,) = roots
+        return sum(1 for node in autodiff._topological_order(root)
+                   if node._grad_fns and node._grad_fns[0].__qualname__.startswith("affine."))
+
+    def test_eight_copies_record_as_many_affine_nodes_as_one_video(self, monkeypatch):
+        ds = generate(SynthSpec(num_threads=2, steps_per_thread=2, segments_per_step=8,
+                                dim=8, separation=3.0, sigma=1.0, seed=4))
+        g = build_graph(ds.sequence, 1.0)
+        one = self.affine_nodes(monkeypatch, AlignmentBatch([g], [ds.narrations]))
+        eight = self.affine_nodes(monkeypatch, AlignmentBatch([g] * 8, [ds.narrations] * 8))
+        assert one > 0
+        assert eight == one
 
 
 class TestTrainToy:
