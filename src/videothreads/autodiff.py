@@ -2,11 +2,10 @@
 
 Covers exactly the operations the network forward pass and the contrastive
 losses need (2-D matmul, the fused affine map ``affine``, broadcast
-arithmetic, relu, exp/log/sqrt, axis sums, row gather, row scatter-add and
-slot-table row sums). The helper functions dispatch on type, so the same
-forward code runs on plain ndarrays when no gradient is wanted. Only Var
-operands are recorded on the tape: an ndarray or scalar operand is a
-constant and gets no node.
+arithmetic, relu, exp/log/sqrt, axis sums, row gather and row scatter-add).
+The helper functions dispatch on type, so the same forward code runs on
+plain ndarrays when no gradient is wanted. Only Var operands are recorded on
+the tape: an ndarray or scalar operand is a constant and gets no node.
 """
 
 from __future__ import annotations
@@ -246,28 +245,6 @@ def segment_sum(x, seg: np.ndarray, n: int):
     cells = (np.asarray(seg)[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(cells, weights=x.reshape(-1), minlength=n * width)
     return out.reshape((n,) + x.shape[1:])
-
-
-def slot_sum(x, slots: np.ndarray):
-    """Row v of the (N, ...) result sums the rows of ``x`` that ``slots[v]``
-    lists, left to right; an entry equal to ``len(x)`` is an empty slot.
-
-    ``slots`` is an (N, D) integer table in which every row of ``x`` appears
-    exactly once, so the gradient is one gather by owning row.
-    """
-    if isinstance(x, Var):
-        def grad_fn(g):
-            rows, cols = np.nonzero(slots < x.shape[0])
-            owner = np.empty(x.shape[0], dtype=np.intp)
-            owner[slots[rows, cols]] = rows
-            return g[owner]
-
-        return Var(slot_sum(x.value, slots), (x,), (grad_fn,))
-    out = np.zeros((slots.shape[0],) + x.shape[1:])
-    for column in slots.T:
-        filled = column < x.shape[0]
-        out[filled] += x[column[filled]]
-    return out
 
 
 def l2_normalize_rows(x):

@@ -17,7 +17,6 @@ import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -170,7 +169,8 @@ def _cmd_forward(args) -> int:
     _require_constant_dim(sequences)
     params = _resolve_params(args, cfg, sequences[0].dim)
 
-    def one(seq):
+    videos = []
+    for seq in sequences:
         trace = _run_forward(seq, params, cfg, k)
         doc = {
             "video_id": seq.video_id,
@@ -182,13 +182,7 @@ def _cmd_forward(args) -> int:
         }
         if args.emit_embeddings:
             doc["embeddings"] = trace.output.tolist()
-        return doc
-
-    if cfg.jobs > 1 and len(sequences) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            videos = list(pool.map(one, sequences))
-    else:
-        videos = [one(seq) for seq in sequences]
+        videos.append(doc)
     _emit(args, "forward", {"videos": videos})
     return EXIT_OK
 
@@ -479,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("forward", help="run the encoder/decoder on feature files")
-    _add_common(p, *_MODEL_FIELDS, *_PARTITION_FIELDS, "jobs", "k")
+    _add_common(p, *_MODEL_FIELDS, *_PARTITION_FIELDS, "k")
     p.add_argument("--features", nargs="+", required=True)
     p.add_argument("--no-cluster", action="store_true",
                    help="single functional thread, the same as --k 1 (short clips)")

@@ -42,7 +42,6 @@ class RunConfig:
     temperature: float = 0.05
     # run
     seed: int = 0
-    jobs: int = 1
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

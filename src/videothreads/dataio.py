@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -236,6 +236,16 @@ def _load_json(path) -> dict:
             raise SchemaError(str(path), f"invalid JSON ({exc})") from exc
 
 
+@contextmanager
+def _fields_of(path):
+    """Name ``path`` in a SchemaError raised inside: ``<path>: items[0].text``."""
+    try:
+        yield
+    except SchemaError as exc:
+        field = f"{path}: {exc.field}" if exc.field else str(path)
+        raise SchemaError(field, exc.reason) from None
+
+
 def write_json(path, doc: dict) -> None:
     """Stream ``doc`` as key-sorted JSON indented by one space, plus a
     newline, to the file ``path``; the path "-" means standard output.
@@ -332,15 +342,16 @@ def _write_dict(write, doc: dict, level: int) -> None:
 
 def read_narrations(path) -> NarrationSet:
     doc = _load_json(path)
-    items = _require(doc, "items", list, "")
-    parsed = []
-    for i, item in enumerate(items):
-        where = f"items[{i}]"
-        text = _require(item, "text", str, where)
-        timestamp = _require(item, "timestamp", float, where)
-        embedding = _vector(_require(item, "embedding", list, where), f"{where}.embedding")
-        parsed.append(Narration(text, timestamp, embedding))
-    return NarrationSet(tuple(parsed))
+    with _fields_of(path):
+        items = _require(doc, "items", list, "")
+        parsed = []
+        for i, item in enumerate(items):
+            where = f"items[{i}]"
+            text = _require(item, "text", str, where)
+            timestamp = _require(item, "timestamp", float, where)
+            embedding = _vector(_require(item, "embedding", list, where), f"{where}.embedding")
+            parsed.append(Narration(text, timestamp, embedding))
+        return NarrationSet(tuple(parsed))
 
 
 def write_narrations(path, narrations: NarrationSet) -> None:
@@ -354,15 +365,16 @@ def write_narrations(path, narrations: NarrationSet) -> None:
 
 def read_taxonomy(path) -> Taxonomy:
     doc = _load_json(path)
-    labels = _require(doc, "labels", list, "")
-    rows = _require(doc, "embeddings", list, "")
-    if len(labels) != len(rows):
-        raise SchemaError("embeddings", "row count must equal label count")
-    for i, label in enumerate(labels):
-        if not isinstance(label, str):
-            raise SchemaError(f"labels[{i}]", "expected a string")
-    matrix = [_vector(row, f"embeddings[{i}]") for i, row in enumerate(rows)]
-    return Taxonomy(tuple(labels), np.stack(matrix) if matrix else np.zeros((0, 0)))
+    with _fields_of(path):
+        labels = _require(doc, "labels", list, "")
+        rows = _require(doc, "embeddings", list, "")
+        if len(labels) != len(rows):
+            raise SchemaError("embeddings", "row count must equal label count")
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise SchemaError(f"labels[{i}]", "expected a string")
+        matrix = [_vector(row, f"embeddings[{i}]") for i, row in enumerate(rows)]
+        return Taxonomy(tuple(labels), np.stack(matrix) if matrix else np.zeros((0, 0)))
 
 
 def write_taxonomy(path, taxonomy: Taxonomy) -> None:
@@ -374,19 +386,18 @@ def write_taxonomy(path, taxonomy: Taxonomy) -> None:
 
 def read_annotations(path) -> StepAnnotation:
     doc = _load_json(path)
-    raw = _require(doc, "intervals", list, "")
-    intervals = []
-    for i, item in enumerate(raw):
-        where = f"intervals[{i}]"
-        start = _require(item, "start", float, where)
-        end = _require(item, "end", float, where)
-        label = item.get("label") if isinstance(item, dict) else None
-        if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-            raise SchemaError(f"{where}.label", "expected an integer or null")
-        if not start < end:
-            raise SchemaError(where, f"start {start} must be < end {end}")
-        intervals.append((start, end, label))
-    return StepAnnotation(tuple(intervals))
+    with _fields_of(path):
+        raw = _require(doc, "intervals", list, "")
+        intervals = []
+        for i, item in enumerate(raw):
+            where = f"intervals[{i}]"
+            start = _require(item, "start", float, where)
+            end = _require(item, "end", float, where)
+            label = item.get("label") if isinstance(item, dict) else None
+            if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
+                raise SchemaError(f"{where}.label", "expected an integer or null")
+            intervals.append((start, end, label))
+        return StepAnnotation(tuple(intervals))
 
 
 def write_annotations(path, annotation: StepAnnotation) -> None:
@@ -400,18 +411,19 @@ def write_annotations(path, annotation: StepAnnotation) -> None:
 
 def read_predictions(path) -> list[StepPrediction]:
     doc = _load_json(path)
-    raw = _require(doc, "predictions", list, "")
-    out = []
-    for i, item in enumerate(raw):
-        where = f"predictions[{i}]"
-        start = _require(item, "start", float, where)
-        end = _require(item, "end", float, where)
-        score = _require(item, "score", float, where)
-        label = item.get("label")
-        if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-            raise SchemaError(f"{where}.label", "expected an integer or null")
-        out.append(StepPrediction(start, end, label, score))
-    return out
+    with _fields_of(path):
+        raw = _require(doc, "predictions", list, "")
+        out = []
+        for i, item in enumerate(raw):
+            where = f"predictions[{i}]"
+            start = _require(item, "start", float, where)
+            end = _require(item, "end", float, where)
+            score = _require(item, "score", float, where)
+            label = item.get("label")
+            if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
+                raise SchemaError(f"{where}.label", "expected an integer or null")
+            out.append(StepPrediction(start, end, label, score))
+        return out
 
 
 def write_predictions(path, predictions: list[StepPrediction]) -> None:

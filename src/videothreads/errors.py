@@ -72,11 +72,13 @@ class TimestampOrderError(DataError):
 class SchemaError(DataError):
     """A JSON document violates its schema.
 
-    The offending field path is available as ``.field``.
+    The offending field path is available as ``.field`` and the complaint
+    about it as ``.reason``.
     """
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.reason = message
         super().__init__(f"{field}: {message}")
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Var, affine, l2_normalize_rows, relu, slot_sum, take_rows, value
+from .autodiff import Var, affine, l2_normalize_rows, relu, segment_sum, take_rows, value
 from .errors import BadMagicError, ClusteringError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
@@ -224,33 +224,35 @@ class _NeighborTable:
     """The directed edges of one graph, laid out for TDGC aggregation; every
     layer of a stage shares it.
 
-    Edges are sorted stably by destination. ``slots`` (N, D) lists each
-    node's incoming edge ids in that order, with E marking an empty slot.
-    ``dt`` holds the distinct signed time offsets t[dst] - t[src] and
-    ``dt_class`` each edge's index into it; ``inv_degree`` is 1 / in-degree,
-    0 for isolated nodes.
+    ``dst`` and ``src`` are the ends of each directed edge, in
+    ``directed_edges`` order. ``dt`` holds the distinct signed time offsets
+    t[dst] - t[src] and ``dt_class`` each edge's index into it;
+    ``inv_degree`` is 1 / in-degree, 0 for isolated nodes.
     """
 
+    dst: np.ndarray
     src: np.ndarray
-    slots: np.ndarray
     dt: np.ndarray
     dt_class: np.ndarray
     inv_degree: np.ndarray
 
 
 def _neighbor_table(edges: np.ndarray, timestamps: np.ndarray) -> _NeighborTable:
-    """Neighbor table of an (E, 2) undirected edge array over ``timestamps``."""
+    """Neighbor table of an (E, 2) undirected edge array over ``timestamps``.
+
+    ``segment_sum`` adds rows in row order from 0.0, and the recorded output
+    bytes need each TDGC sum to take its rows in stable-sort-by-``dst`` order.
+    On the lexicographic i < j edges of ``temporal_edges``, ``directed_edges``
+    lists node v's rows as (v, j), j ascending, then (i, v), i ascending: that
+    order. Timestamps rise within each video, so the rows of each ``dt`` class
+    and of each source node (the ``take_rows`` gradients) keep it too.
+    """
     n = timestamps.shape[0]
     dst, src = directed_edges(edges)
-    order = np.argsort(dst, kind="stable")
-    dst, src = dst[order], src[order]
     degree = np.bincount(dst, minlength=n)
-    first = np.cumsum(degree) - degree
-    slots = np.full((n, int(degree.max(initial=0))), dst.size, dtype=np.intp)
-    slots[dst, np.arange(dst.size) - first[dst]] = np.arange(dst.size)
     dt, dt_class = np.unique(timestamps[dst] - timestamps[src], return_inverse=True)
     inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
-    return _NeighborTable(src, slots, dt, dt_class, inv_degree)
+    return _NeighborTable(dst, src, dt, dt_class, inv_degree)
 
 
 def _tdgc_apply(x, table: _NeighborTable, layer: TdgcLayerParams):
@@ -270,7 +272,8 @@ def _tdgc_apply(x, table: _NeighborTable, layer: TdgcLayerParams):
                   layer.gate_b2)
     signed_gate = np.sign(table.dt)[:, None] * gate
     messages = take_rows(signed_gate, table.dt_class) * take_rows(projected, table.src)
-    return residual + slot_sum(messages, table.slots) * table.inv_degree[:, None]
+    aggregate = segment_sum(messages, table.dst, residual.shape[0])
+    return residual + aggregate * table.inv_degree[:, None]
 
 
 def tdgc_forward(g: VideoGraph, layer: TdgcLayerParams) -> np.ndarray:

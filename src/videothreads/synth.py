@@ -9,6 +9,7 @@ training tests without any real video data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,11 @@ class SynthSpec:
         for name in ("num_threads", "steps_per_thread", "segments_per_step", "dim"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1")
+        for name in ("segment_duration", "separation", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ShapeError(f"{name} must be finite")
+        if self.segment_duration <= 0.0:
+            raise ShapeError("segment_duration must be positive")
         if self.separation <= 0.0:
             raise ShapeError("separation must be positive")
         if self.sigma < 0.0:

@@ -235,10 +235,11 @@ def grad_check(loss_op, params: ModelParams, batch: AlignmentBatch,
     Every coordinate is checked unless the parameter count exceeds
     ``sample_threshold``, in which case a seeded random subset of
     ``min_sample`` coordinates is used. The error per coordinate is
-    |analytic - numeric| / max(1, |numeric|).
+    |analytic - numeric| / max(1, |numeric|). A non-finite finite-difference
+    quotient raises GradientError naming its coordinate.
     """
-    if epsilon <= 0.0:
-        raise ShapeError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ShapeError(f"epsilon must be positive and finite, got {epsilon}")
     analytic = loss_op(params, batch)
     if not np.all(np.isfinite(analytic.gradient)):
         raise GradientError("analytic gradient is not finite")
@@ -260,6 +261,8 @@ def grad_check(loss_op, params: ModelParams, batch: AlignmentBatch,
         f_minus = loss_op(params.with_vector(shifted), batch, gradient=False,
                           partitions=analytic.partitions).value
         numeric = (f_plus - f_minus) / (2.0 * epsilon)
+        if not math.isfinite(numeric):
+            raise GradientError(f"numeric derivative at coordinate {c} is not finite")
         err = abs(analytic.gradient[c] - numeric) / max(1.0, abs(numeric))
         worst = max(worst, err)
     return worst

@@ -14,7 +14,6 @@ from videothreads.autodiff import (
     l2_normalize_rows,
     relu,
     segment_sum,
-    slot_sum,
     take_rows,
     value,
     vexp,
@@ -132,25 +131,6 @@ def test_segment_sum_matches_scatter_add_oracle(case):
     ref = segment_sum_ref(x, seg, n)
     assert out.shape == ref.shape
     assert out.tobytes() == ref.tobytes()  # array_equal would let -0.0 pass for 0.0
-
-
-# 5 rows over 4 nodes: node 1 is isolated, node 3 sums rows 0 then 4 then 2
-SLOTS = np.array([[3, 5, 5], [5, 5, 5], [1, 5, 5], [0, 4, 2]])
-
-
-def test_slot_sum_empty_slots_and_isolated_node():
-    weights = np.arange(12.0).reshape(4, 3) - 5.0
-    finite_difference_check(lambda x: vsum(vexp(slot_sum(x, SLOTS)) * weights), [(5, 3)])
-
-
-def test_slot_sum_values():
-    x = np.array([[1.0, -2.0], [3.0, 0.5], [1e16, 1.0], [4.0, 4.0], [-1e16, 2.0]])
-    out = slot_sum(x, SLOTS)
-    # left to right: (1 + -1e16) + 1e16 = 0, not 1e16 + -1e16 + 1 = 1
-    assert np.array_equal(out, [[4.0, 4.0], [0.0, 0.0], [3.0, 0.5], [0.0, 1.0]])
-    assert np.array_equal(out, segment_sum(x, np.array([3, 2, 3, 0, 3]), 4))
-    assert np.array_equal(slot_sum(Var(x), SLOTS).value, out)
-    assert slot_sum(np.zeros((0, 2)), np.zeros((3, 0), dtype=np.intp)).shape == (3, 2)
 
 
 def test_diamond_graph_gradient_accumulates():

@@ -68,6 +68,7 @@ class TestConfig:
     @pytest.mark.parametrize("option, key, value", [
         pytest.param("--config", "row_normalize", True, id="row_normalize"),
         pytest.param("--config", "k_threads", 2, id="k_threads"),
+        pytest.param("--config", "jobs", 2, id="jobs"),
         pytest.param("--train-config", "cluster_enabled", True, id="cluster_enabled"),
     ])
     def test_removed_key_rejected(self, tmp_path, capsys, option, key, value):
@@ -115,7 +116,7 @@ class TestParser:
         "synth": {"--out", "--seed", "--threads", "--steps-per-thread", "--segments-per-step",
                   "--segment-duration", "--dim", "--separation", "--sigma", "--no-interleave",
                   "--no-meta"},
-        "forward": MODEL_OPTIONS | {"--kappa", "--max-nodes", "--jobs", "--k", "--features",
+        "forward": MODEL_OPTIONS | {"--kappa", "--max-nodes", "--k", "--features",
                                     "--no-cluster", "--emit-embeddings"},
         "procedure-learn": MODEL_OPTIONS | {"--kappa", "--max-nodes", "--k", "--depth",
                                             "--features"},
@@ -203,6 +204,10 @@ class TestErrorExitCodes:
         ("train_config_zero_batch_size", EXIT_CONFIG, "batch_size"),
         ("train_config_alpha_not_below_beta", EXIT_CONFIG, "alpha"),
         ("train_config_zero_temperature", EXIT_CONFIG, "temperature"),
+        ("train_narration_no_timestamp", EXIT_DATA, "items[0].timestamp"),
+        ("localize_taxonomy_zero_row", EXIT_DATA, "embeddings[0]"),
+        ("localization_annotation_no_end", EXIT_DATA, "intervals[0].end"),
+        ("localization_prediction_no_score", EXIT_DATA, "predictions[0].score"),
     ])
     def test_malformed_documents(self, corpus, tmp_path, capsys, case, expected_code, field):
         doc = tmp_path / "query.json"
@@ -213,6 +218,15 @@ class TestErrorExitCodes:
         write_feature_file(narrow, FeatureSequence("n", np.arange(4) * 0.5, np.ones((4, 8))))
         query = tmp_path / "q16.json"
         query.write_text(json.dumps({"embedding": [1.0] * 16}))
+        no_preds = tmp_path / "no_preds.json"
+        no_preds.write_text(json.dumps({"predictions": []}))
+        data = tmp_path / "data"  # two videos; only the second one's narrations are broken
+        if case == "train_narration_no_timestamp":
+            for video in ("a", "b"):
+                (data / video).mkdir(parents=True)
+                (data / video / "features.hft").write_bytes((corpus / "features.hft").read_bytes())
+            (data / "a" / "narrations.json").write_bytes((corpus / "narrations.json").read_bytes())
+            doc = data / "b" / "narrations.json"
 
         def params_file(d_in, d_t):
             path = tmp_path / "made.bin"
@@ -268,6 +282,12 @@ class TestErrorExitCodes:
             "train_config_zero_batch_size": json.dumps({"batch_size": 0}),
             "train_config_alpha_not_below_beta": json.dumps({"alpha": 4.0, "beta": 4.0}),
             "train_config_zero_temperature": json.dumps({"temperature": 0}),
+            "train_narration_no_timestamp": json.dumps({"items": [
+                {"text": "x", "embedding": [1.0] * 16}]}),
+            "localize_taxonomy_zero_row": json.dumps({"labels": ["a"], "embeddings": [[0.0] * 16]}),
+            "localization_annotation_no_end": json.dumps({"intervals": [{"start": 1.0}]}),
+            "localization_prediction_no_score": json.dumps({"predictions": [
+                {"start": 0.0, "end": 1.0}]}),
         }[case]
         if isinstance(content, bytes):
             doc.write_bytes(content)
@@ -321,6 +341,15 @@ class TestErrorExitCodes:
                for name in ("train_config_zero_epochs", "train_config_zero_batch_size",
                             "train_config_alpha_not_below_beta",
                             "train_config_zero_temperature")},
+            "train_narration_no_timestamp": ("train-toy", "--data", str(data),
+                                             "--params-out", str(tmp_path / "p.bin"),
+                                             "--history", str(tmp_path / "h.jsonl")),
+            "localize_taxonomy_zero_row": ("localize", "--features", feats,
+                                           "--taxonomy", str(doc)),
+            "localization_annotation_no_end": ("evaluate", "--task", "localization",
+                                               "--pred", str(no_preds), "--annotations", str(doc)),
+            "localization_prediction_no_score": ("evaluate", "--task", "localization",
+                                                 "--pred", str(doc), "--annotations", ann),
         }[case]
         code = exit_code(*argv, "--out", str(tmp_path / "o.json"))
         assert code == expected_code
@@ -377,15 +406,22 @@ class TestPipeline:
                      "annotations.json", "planted.json", "summary.json"):
             assert (corpus / name).exists()
 
-    def test_forward_and_jobs_order(self, corpus, tmp_path):
-        out1 = tmp_path / "fwd1.json"
-        out2 = tmp_path / "fwd2.json"
-        feats = str(corpus / "features.hft")
-        assert run("forward", "--features", feats, feats, "--jobs", "2",
-                   "--hidden", "16", "--out", str(out1), "--no-meta") == EXIT_OK
-        assert run("forward", "--features", feats, feats, "--jobs", "1",
-                   "--hidden", "16", "--out", str(out2), "--no-meta") == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_forward_keeps_input_order(self, corpus, tmp_path):
+        long = corpus / "features.hft"
+        short = tmp_path / "short.hft"
+        write_feature_file(short, FeatureSequence("short", np.arange(12) * 0.5,
+                                                  np.eye(12, 16) + 0.25))
+
+        def forward(*paths):
+            out = tmp_path / "fwd.json"
+            assert run("forward", "--features", *map(str, paths), "--hidden", "16",
+                       "--out", str(out), "--no-meta") == EXIT_OK
+            return json.loads(out.read_text())["videos"]
+
+        one = {p: forward(p)[0] for p in (long, short)}
+        assert forward(long, short) == [one[long], one[short]]
+        assert forward(short, long) == [one[short], one[long]]
+        assert one[long] != one[short]
 
     def test_procedure_learn_and_evaluate(self, corpus, tmp_path):
         labels = tmp_path / "labels.json"
@@ -494,6 +530,15 @@ class TestPipeline:
         doc = json.loads(out.read_text())
         assert doc["max_rel_error"] <= 1e-4
         assert doc["passed"] is True
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_grad_check_rejects_non_finite_epsilon(self, tmp_path, capsys, epsilon):
+        out = tmp_path / "gc.json"
+        assert run("grad-check", "--epsilon", epsilon, "--out", str(out)) == EXIT_ERROR
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ShapeError"
+        assert "epsilon" in err["message"]
 
     def test_train_toy_subcommand(self, tmp_path):
         for i in range(3):

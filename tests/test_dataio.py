@@ -131,6 +131,13 @@ class TestNarrations:
             read_narrations(path)
         assert "items[0].embedding" in str(info.value)
 
+    def test_document_that_is_not_an_object_names_the_file(self, tmp_path):
+        path = tmp_path / "narr.json"
+        path.write_text("[]")
+        with pytest.raises(SchemaError) as info:
+            read_narrations(path)
+        assert str(info.value) == f"{path}: expected an object"
+
 
 class TestTaxonomy:
     def test_round_trip(self, tmp_path):

@@ -16,6 +16,7 @@ from videothreads.metrics import adjusted_rand_index
 from videothreads.model import (
     LinearParams,
     ModelDims,
+    _neighbor_table,
     forward,
     identity_params,
     init_params,
@@ -160,6 +161,35 @@ class TestTdgcForward:
         params = init_params(ModelDims(d_in=4, d_h=4, d_a=4, d_t=4, stages=1, layers=1), seed=0)
         with pytest.raises(ShapeError):
             tdgc_forward(g, params.encoder[0][0])
+
+
+class TestNeighborTable:
+    """TDGC adds each node's messages, and each gate and source gradient, in
+    neighbor-table row order; the recorded output bytes need the order that a
+    stable sort of the rows by destination gives."""
+
+    @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
+           st.sampled_from([0.5, 1.0, 2.0]), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_keep_stable_destination_order(self, sizes, threshold, seed):
+        rng = np.random.default_rng(seed)
+        graphs = []
+        for n in sizes:
+            # quarter-second gaps: exact sums, so unequal offsets share a dt class
+            times = 0.25 * (rng.integers(0, 8) + np.cumsum(rng.integers(1, 4, n)))
+            seq = FeatureSequence("v", times, np.zeros((n, 1)))
+            graphs.append(build_graph(seq, threshold))
+        g = disjoint_union(graphs)
+        table = _neighbor_table(g.edges, g.timestamps)
+        for v in range(g.num_nodes):
+            sources = table.src[table.dst == v]
+            later, earlier = sources[sources > v], sources[sources < v]
+            assert np.array_equal(sources, np.concatenate([np.sort(later), np.sort(earlier)]))
+        rank = np.empty(table.dst.size, dtype=np.intp)
+        rank[np.argsort(table.dst, kind="stable")] = np.arange(table.dst.size)
+        for key in (table.dt_class, table.src):
+            for group in np.unique(key):
+                assert np.all(np.diff(rank[key == group]) > 0)
 
 
 class TestEncoderForward:

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from videothreads.cli import EXIT_ERROR, main
 from videothreads.errors import ShapeError
 from videothreads.metrics import adjusted_rand_index
 from videothreads.kernels import kmeans
@@ -78,6 +81,19 @@ class TestGenerate:
     def test_orthogonality_needs_enough_dims(self):
         with pytest.raises(ShapeError):
             generate(SynthSpec(num_threads=5, steps_per_thread=1, dim=3, seed=0))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--separation", "nan"), ("--sigma", "nan"), ("--sigma", "inf"),
+        ("--segment-duration", "0"), ("--segment-duration", "-1"),
+        ("--segment-duration", "nan"),
+    ])
+    def test_bad_float_rejected_before_writing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "c"
+        assert main(["synth", "--out", str(out), flag, value]) == EXIT_ERROR
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ShapeError"
+        assert flag[2:].replace("-", "_") in error["message"]
+        assert not out.exists()
 
     def test_narrations_near_step_centers(self):
         ds = generate(SynthSpec(num_threads=2, segments_per_step=6, dim=16,

@@ -7,7 +7,7 @@ import pytest
 
 from videothreads.config import RunConfig
 from videothreads.dataio import FeatureSequence, Narration, NarrationSet
-from videothreads.errors import EmptyBatchError, TrainingDivergedError
+from videothreads.errors import EmptyBatchError, GradientError, TrainingDivergedError
 from videothreads.graph import build_graph, disjoint_union
 from videothreads.model import ModelDims, forward, identity_params, init_params
 from videothreads.partition import PartitionResult
@@ -297,6 +297,25 @@ class TestGradCheck:
         worst = grad_check(Corrupt(op), params, batch, epsilon=1e-5, seed=0,
                            sample_threshold=10**9)  # check every coordinate
         assert worst >= 0.5
+
+    def test_non_finite_numeric_derivative_names_its_coordinate(self):
+        params, batch = self.toy()
+        op = loss_op(k=2, seed=0)
+        base = params.to_vector()
+
+        class NanShift:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __call__(self, p, b, *, gradient=True, partitions=None):
+                lv = self.inner(p, b, gradient=gradient, partitions=partitions)
+                if gradient or p.to_vector()[5] == base[5]:
+                    return lv
+                return dataclasses.replace(lv, value=float("nan"))
+
+        with pytest.raises(GradientError, match="coordinate 5 "):
+            grad_check(NanShift(op), params, batch, epsilon=1e-5, seed=0,
+                       sample_threshold=10**9)
 
     def test_zero_sensitivity_coordinate(self):
         # h_t bias coordinates are unused when no narration exists in the
