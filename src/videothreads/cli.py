@@ -181,7 +181,7 @@ def _cmd_forward(args) -> int:
             "output_dim": int(trace.output.shape[1]),
         }
         if args.emit_embeddings:
-            doc["embeddings"] = trace.output.tolist()
+            doc["embeddings"] = trace.output
         videos.append(doc)
     _emit(args, "forward", {"videos": videos})
     return EXIT_OK

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _floatrepr
 from .errors import (
     BadMagicError,
     PayloadShapeError,
@@ -217,11 +218,9 @@ def _vector(values, path: str, kind=float) -> np.ndarray:
     (``kind`` int; bools are neither) as a float64 or int64 array."""
     allowed, dtype, what = (((int, float), np.float64, "number") if kind is float
                             else (int, np.int64, "integer"))
-    if not isinstance(values, list) or not values:
+    if not isinstance(values, list) or not values or not all(
+            issubclass(t, allowed) and not issubclass(t, bool) for t in set(map(type, values))):
         raise SchemaError(path, f"expected a non-empty {what} array")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, allowed):
-            raise SchemaError(path, f"expected a non-empty {what} array")
     try:
         return np.array(values, dtype=dtype)
     except OverflowError:  # an integer beyond the float or int64 range
@@ -254,10 +253,14 @@ def write_json(path, doc: dict) -> None:
     followed by "\\n" writes: ASCII escapes, ``NaN``/``Infinity``/``-Infinity``
     for non-finite floats, shortest-repr floats. It is built here because
     ``json.dump`` with an indent runs its pure-Python encoder one value at a
-    time; this writer joins each all-float list in one call. Two deviations,
-    neither reachable from the writers in this package: a non-``str`` key
-    raises TypeError (``json.dump`` would stringify an int, float, bool or
-    None key), and a circular document raises RecursionError, not ValueError.
+    time; this writer joins each all-float list in one call. A float64
+    ndarray of one or more dimensions is accepted too and written as its
+    ``.tolist()`` would be, by the numpy kernel in ``_floatrepr``; arrays of
+    another dtype and 0-d arrays raise TypeError. Two deviations from
+    ``json.dump``, neither reachable from the writers in this package: a
+    non-``str`` key raises TypeError (``json.dump`` would stringify an int,
+    float, bool or None key), and a circular document raises RecursionError,
+    not ValueError.
     """
     with nullcontext(sys.stdout) if str(path) == "-" else open(path, "w", encoding="utf-8") as fh:
         _write_value(fh.write, doc, 0)
@@ -285,6 +288,8 @@ def _write_value(write, value, level: int) -> None:
         _write_list(write, value, level)
     elif isinstance(value, dict):
         _write_dict(write, value, level)
+    elif isinstance(value, np.ndarray):
+        _write_array(write, value, level)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -321,6 +326,45 @@ def _write_list(write, items, level: int) -> None:
         _write_value(write, item, level + 1)
         lead = comma
     write(close)
+
+
+def _write_array(write, array: np.ndarray, level: int) -> None:
+    """A float64 array as its ``.tolist()``: nested lists of shortest-repr
+    floats, rendered by ``_floatrepr`` a chunk of elements at a time. Each
+    element's row starts with the JSON between it and the element before:
+    a comma and indent, or list ends and starts."""
+    if array.dtype.type is not np.float64 or array.ndim == 0:
+        raise TypeError(f"Object of type ndarray ({array.dtype}, {array.ndim}-d) "
+                        "is not JSON serializable")
+    if array.size == 0:  # nested empty lists, no float
+        _write_list(write, array.tolist(), level)
+        return
+    depth, inner = array.ndim, level + array.ndim
+
+    def ends(r):  # close the r innermost lists
+        return "".join("\n" + " " * (inner - 1 - t) + "]" for t in range(r))
+
+    def starts(r):  # open r lists, the last one holding the next element
+        return "".join("[\n" + " " * (inner - r + 1 + t) for t in range(r))
+
+    # kinds[r]: the text before an element whose predecessor ended r lists;
+    # kinds[depth]: the text before the first element
+    kinds = [ends(r) + ",\n" + " " * (inner - r) + starts(r) for r in range(depth)] + [starts(depth)]
+    lead = -(-max(map(len, kinds)) // 8) * 8  # _floatrepr.rows wants a multiple of 8
+    separators = np.zeros((depth + 1, lead), np.uint8)
+    for row, text in zip(separators, kinds):  # NUL-padded, as the rows are
+        row[lead - len(text):] = np.frombuffer(text.encode("ascii"), np.uint8)
+    flat = array.reshape(-1)
+    blocks = np.cumprod(array.shape[:0:-1])  # elements per list at each inner depth
+    step = blocks[0] if depth > 1 else flat.size  # elements that start an innermost list
+    for start in range(0, flat.size, _floatrepr.CHUNK):
+        chunk = flat[start:start + _floatrepr.CHUNK]
+        text = _floatrepr.rows(chunk, lead)
+        text[:, :lead] = separators[0]
+        first = np.arange(-(-start // step) * step, start + chunk.size, step)
+        text[first - start, :lead] = separators[(first == 0) + sum(first % b == 0 for b in blocks)]
+        write(text.tobytes().translate(None, b"\0").decode("ascii"))
+    write(ends(depth))
 
 
 def _write_dict(write, doc: dict, level: int) -> None:
@@ -374,6 +418,10 @@ def read_taxonomy(path) -> Taxonomy:
             if not isinstance(label, str):
                 raise SchemaError(f"labels[{i}]", "expected a string")
         matrix = [_vector(row, f"embeddings[{i}]") for i, row in enumerate(rows)]
+        for i, row in enumerate(matrix):
+            if row.size != matrix[0].size:
+                raise SchemaError(f"embeddings[{i}]", f"has {row.size} numbers, embeddings[0] has "
+                                  f"{matrix[0].size}")
         return Taxonomy(tuple(labels), np.stack(matrix) if matrix else np.zeros((0, 0)))
 
 

@@ -206,6 +206,7 @@ class TestErrorExitCodes:
         ("train_config_zero_temperature", EXIT_CONFIG, "temperature"),
         ("train_narration_no_timestamp", EXIT_DATA, "items[0].timestamp"),
         ("localize_taxonomy_zero_row", EXIT_DATA, "embeddings[0]"),
+        ("localize_taxonomy_ragged_rows", EXIT_DATA, "embeddings[1]"),
         ("localization_annotation_no_end", EXIT_DATA, "intervals[0].end"),
         ("localization_prediction_no_score", EXIT_DATA, "predictions[0].score"),
     ])
@@ -285,6 +286,8 @@ class TestErrorExitCodes:
             "train_narration_no_timestamp": json.dumps({"items": [
                 {"text": "x", "embedding": [1.0] * 16}]}),
             "localize_taxonomy_zero_row": json.dumps({"labels": ["a"], "embeddings": [[0.0] * 16]}),
+            "localize_taxonomy_ragged_rows": json.dumps({"labels": ["a", "b"],
+                                                         "embeddings": [[1.0] * 16, [1.0] * 17]}),
             "localization_annotation_no_end": json.dumps({"intervals": [{"start": 1.0}]}),
             "localization_prediction_no_score": json.dumps({"predictions": [
                 {"start": 0.0, "end": 1.0}]}),
@@ -344,8 +347,8 @@ class TestErrorExitCodes:
             "train_narration_no_timestamp": ("train-toy", "--data", str(data),
                                              "--params-out", str(tmp_path / "p.bin"),
                                              "--history", str(tmp_path / "h.jsonl")),
-            "localize_taxonomy_zero_row": ("localize", "--features", feats,
-                                           "--taxonomy", str(doc)),
+            **{name: ("localize", "--features", feats, "--taxonomy", str(doc))
+               for name in ("localize_taxonomy_zero_row", "localize_taxonomy_ragged_rows")},
             "localization_annotation_no_end": ("evaluate", "--task", "localization",
                                                "--pred", str(no_preds), "--annotations", str(doc)),
             "localization_prediction_no_score": ("evaluate", "--task", "localization",

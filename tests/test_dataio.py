@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from videothreads import _floatrepr
 from videothreads.dataio import (
     FEATURE_MAGIC,
     FeatureSequence,
@@ -131,6 +132,21 @@ class TestNarrations:
             read_narrations(path)
         assert "items[0].embedding" in str(info.value)
 
+    @pytest.mark.parametrize("embedding", [[1.0, True, "x"], [True], [1.0, "x"], [1, None]])
+    def test_embedding_of_non_numbers_rejected(self, tmp_path, embedding):
+        path = tmp_path / "narr.json"
+        path.write_text(json.dumps({"items": [{"text": "x", "timestamp": 1.0,
+                                               "embedding": embedding}]}))
+        with pytest.raises(SchemaError) as info:
+            read_narrations(path)
+        assert str(info.value) == f"{path}: items[0].embedding: expected a non-empty number array"
+
+    def test_embedding_of_ints_and_floats_accepted(self, tmp_path):
+        path = tmp_path / "narr.json"
+        path.write_text(json.dumps({"items": [{"text": "x", "timestamp": 1.0,
+                                               "embedding": [1, 2.5, -3]}]}))
+        assert read_narrations(path).items[0].embedding.tolist() == [1.0, 2.5, -3.0]
+
     def test_document_that_is_not_an_object_names_the_file(self, tmp_path):
         path = tmp_path / "narr.json"
         path.write_text("[]")
@@ -159,6 +175,14 @@ class TestTaxonomy:
         path.write_text(json.dumps({"labels": ["a", "b"], "embeddings": [[1.0]]}))
         with pytest.raises(SchemaError):
             read_taxonomy(path)
+
+    def test_rows_of_unequal_width_name_the_row(self, tmp_path):
+        path = tmp_path / "tax.json"
+        path.write_text(json.dumps({"labels": ["a", "b", "c"],
+                                    "embeddings": [[1, 2], [1, 2], [1, 2, 3]]}))
+        with pytest.raises(SchemaError) as info:
+            read_taxonomy(path)
+        assert str(info.value).startswith(f"{path}: embeddings[2]: ")
 
 
 class TestAnnotations:
@@ -233,11 +257,91 @@ class TestWriteJson:
         assert capsys.readouterr().out == oracle_text(doc)
 
     @pytest.mark.parametrize("doc", [
-        {"x": np.zeros(2)},
-        {"x": [1.0, np.zeros(2)]},
+        {"x": np.zeros(2, dtype=np.int64)},
+        {"x": [1.0, np.zeros(2, dtype=np.float32)]},
+        {"x": np.array([1.0, "a"], dtype=object)},
+        {"x": np.array(1.5)},
         {1: "a"},
         {"x": {"y": 1, 2: "z"}},
-    ], ids=["ndarray", "ndarray_in_list", "int_key", "nested_int_key"])
+    ], ids=["int64_array", "float32_array_in_list", "object_array", "0d_array", "int_key",
+            "nested_int_key"])
     def test_type_error(self, tmp_path, doc):
         with pytest.raises(TypeError):
             write_json(tmp_path / "d.json", doc)
+
+
+def _json_reprs(values: np.ndarray) -> list[str]:
+    """The oracle: ``float.__repr__``, with JSON's spellings of non-finite values."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        texts[i] = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[texts[i]]
+    return texts
+
+
+def _kernel_texts(values: np.ndarray) -> list[str]:
+    text = _floatrepr.rows(values, lead=8)
+    text[:, 0] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[1:]
+
+
+def _assert_reprs(values: np.ndarray) -> None:
+    got, want = _kernel_texts(values), _json_reprs(values)
+    if got != want:
+        bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        pytest.fail(f"{values[bad].view(np.uint64):#018x}: kernel {got[bad]!r}, repr {want[bad]!r}")
+
+
+def _edge_values() -> np.ndarray:
+    powers = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]
+    subnormal = np.arange(1, 2**52, 2**52 // 997, dtype=np.uint64).view(np.float64)
+    layout = [1e-5, 1e-4, 1e16, 1e15, 123456789012345678.0, 0.1, 0.3]
+    values = np.array(powers + layout + [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**53 + 1,
+                                         np.finfo(float).max, np.finfo(float).tiny])
+    with np.errstate(over="ignore"):
+        values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf),
+                                 subnormal, np.arange(3000.0)])
+    values = values[np.isfinite(values)]
+    return np.concatenate([values, -values, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+
+
+class TestFloatArrays:
+    """``_floatrepr`` against ``float.__repr__``, and ``write_json`` of float64
+    arrays against ``json.dump`` of their ``.tolist()``."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_any_double(self, values):
+        _assert_reprs(np.array(values, dtype=np.float64))
+
+    def test_a_million_random_bit_patterns(self):
+        bits = np.random.default_rng(20180618).integers(0, 2**64, 10**6, dtype=np.uint64,
+                                                        endpoint=False)
+        _assert_reprs(bits.view(np.float64))
+
+    def test_edges(self):
+        values = _edge_values()
+        assert values.size > 8000
+        _assert_reprs(values)
+
+    def test_layout_switches_at_1e_minus_4_and_1e16(self):
+        texts = _kernel_texts(np.array([1e-5, 0.0001, 9999999999999998.0, 1e16, -0.0, 5e-324]))
+        assert texts == ["1e-05", "0.0001", "9999999999999998.0", "1e+16", "-0.0", "5e-324"]
+
+    @pytest.mark.parametrize("shape", [(0,), (7,), (5, 0), (0, 4), (6, 5), (2, 3, 4), (1, 1, 1),
+                                       (2,) + (1,) * 30 + (3,)])
+    def test_write_json_equals_the_list(self, tmp_path, shape):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        deeper = {"v": [{"e": a, "k": [a, 1]}]}  # arrays at more nesting levels
+        for doc, lists in (({"x": a}, {"x": a.tolist()}),
+                           (deeper, {"v": [{"e": a.tolist(), "k": [a.tolist(), 1]}]})):
+            write_json(tmp_path / "d.json", doc)
+            assert (tmp_path / "d.json").read_text() == oracle_text(lists)
+
+    def test_write_json_of_views_and_many_chunks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        big = rng.standard_normal((_floatrepr.CHUNK // 64 * 3 + 3, 64))
+        big[7, 3], big[9] = np.nan, np.inf
+        for a in (big, big.T, big[::3, ::-2], big[:, 5], np.asfortranarray(big[:40]),
+                  big.reshape(-1)[:13 * (_floatrepr.CHUNK // 5)].reshape(-1, 13, 1)):
+            write_json(tmp_path / "d.json", {"x": a})
+            assert (tmp_path / "d.json").read_text() == oracle_text({"x": a.tolist()})
