@@ -251,6 +251,8 @@ def _cmd_mcq(args) -> int:
         for i, pair in enumerate(pairs):
             if pair.size != 2:
                 raise SchemaError(f"{where}[{i}]", "expected a [start, end] number pair")
+            if pair[0] > pair[1]:
+                raise SchemaError(f"{where}[{i}]", f"start {pair[0]} is after end {pair[1]}")
         spans = [tuple(pair.tolist()) for pair in pairs]
     candidates = [read_feature_file(base / p) for p in paths]
     _require_constant_dim(candidates, f"{args.question}: candidates")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -50,9 +51,10 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Config with the values in ``doc``.
 
-        Every field is an integer or a float. Unknown keys, and values whose
-        JSON type does not match the type of the field's default, raise
-        ConfigError naming the key; integers are accepted for float fields.
+        Every field is an integer or a float. Unknown keys, values whose
+        JSON type does not match the type of the field's default, and NaN or
+        infinite floats raise ConfigError naming the key; integers are
+        accepted for float fields.
         """
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
@@ -67,7 +69,12 @@ class RunConfig:
             else:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ConfigError(f"{key}: expected a number")
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:  # an integer beyond the float range
+                    raise ConfigError(f"{key}: number out of range") from None
+                if not math.isfinite(value):
+                    raise ConfigError(f"{key}: expected a finite number, got {value}")
             setattr(merged, key, value)
         return merged
 
@@ -83,12 +90,8 @@ class RunConfig:
         return cls.from_dict(doc)
 
     def override(self, **updates) -> "RunConfig":
-        """New config with non-None updates applied (flags win over file)."""
-        out = dataclasses.replace(self)
-        for key, value in updates.items():
-            if value is None:
-                continue
-            if not hasattr(out, key):
-                raise ConfigError(f"unknown config key: {key}")
-            setattr(out, key, value)
-        return out
+        """``from_dict`` on this config with the non-None updates applied
+        (flags win over file)."""
+        return self.from_dict({**self.to_dict(),
+                               **{key: value for key, value in updates.items()
+                                  if value is not None}})

@@ -19,6 +19,7 @@ precision for that reason).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
 from contextlib import contextmanager, nullcontext
@@ -208,23 +209,30 @@ def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, "expected a number")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer beyond the float range
         raise SchemaError(path, "number out of range") from None
+    if not math.isfinite(number):  # json.load reads NaN, Infinity and 1e400
+        raise SchemaError(path, f"expected a finite number, got {number}")
+    return number
 
 
 def _vector(values, path: str, kind=float) -> np.ndarray:
-    """A non-empty JSON list of numbers (``kind`` float) or of integers
-    (``kind`` int; bools are neither) as a float64 or int64 array."""
+    """A non-empty JSON list of finite numbers (``kind`` float) or of
+    integers (``kind`` int; bools are neither) as a float64 or int64 array."""
     allowed, dtype, what = (((int, float), np.float64, "number") if kind is float
                             else (int, np.int64, "integer"))
     if not isinstance(values, list) or not values or not all(
             issubclass(t, allowed) and not issubclass(t, bool) for t in set(map(type, values))):
         raise SchemaError(path, f"expected a non-empty {what} array")
     try:
-        return np.array(values, dtype=dtype)
+        array = np.array(values, dtype=dtype)
     except OverflowError:  # an integer beyond the float or int64 range
         raise SchemaError(path, f"{what} out of range") from None
+    bad = np.flatnonzero(~np.isfinite(array))
+    if bad.size:
+        raise SchemaError(f"{path}[{int(bad[0])}]", f"expected a finite number, got {array[bad[0]]}")
+    return array
 
 
 def _load_json(path) -> dict:

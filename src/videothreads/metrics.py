@@ -109,13 +109,13 @@ def hungarian(cost) -> tuple[dict[int, int], float]:
     return mapping, total
 
 
-def procedure_f1_iou(pred_labels, gt_labels, num_steps: int,
-                     background: int = -1) -> tuple[float, float]:
+def procedure_f1_iou(pred_labels, gt_labels, num_steps: int) -> tuple[float, float]:
     """Hungarian-matched per-step F1 and IoU, averaged over ground-truth steps.
 
     Predicted cluster ids and ground-truth step ids are matched by maximal
-    frame overlap (background frames are not part of any ground-truth step;
-    they still count against precision when a matched cluster covers them).
+    frame overlap. A frame whose ground-truth label is not a step id in
+    [0, num_steps), such as background, is part of no ground-truth step; it
+    still counts against precision when a matched cluster covers it.
     Steps with no ground-truth frames are skipped; unmatched steps score 0.
     """
     pred = np.asarray(pred_labels)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Var, affine, l2_normalize_rows, relu, segment_sum, take_rows, value
-from .errors import BadMagicError, ClusteringError, ShapeError, TruncatedFileError
+from .errors import BadMagicError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
     coarse_rows,
@@ -31,14 +31,7 @@ from .graph import (
     temporal_subsample,
     with_embeddings,
 )
-from .partition import (
-    DEFAULT_KAPPA,
-    DEFAULT_MAX_NODES,
-    PartitionResult,
-    approx_partition,
-    concat_partitions,
-    single_partition,
-)
+from .partition import DEFAULT_KAPPA, DEFAULT_MAX_NODES, PartitionResult, approx_partition
 
 PARAMS_MAGIC = b"HIEROPM1"
 
@@ -337,17 +330,13 @@ class ForwardTrace:
 
 def _partition(g: VideoGraph, x: np.ndarray, k: int, kappa: float, max_nodes: int,
                seed: int) -> PartitionResult:
-    """Each video's functional threads, found on its own rows of ``x`` (an
-    embedding per node of ``g``): at most ``k`` per video, and one group
-    when k == 1 or the video holds a single node (deep stages may hold
-    fewer nodes than k)."""
-    parts = []
-    for video, rows in zip(split_videos(g), g.video_rows()):
-        video_k = min(k, video.num_nodes)
-        parts.append(single_partition(video.num_nodes) if video_k == 1
-                     else approx_partition(with_embeddings(video, x[rows]), video_k, kappa,
-                                           max_nodes, seed))
-    return concat_partitions(parts)
+    """Each video's functional threads, found by ``approx_partition`` on its
+    own rows of ``x`` (an embedding per node of ``g``), joined as the
+    partition of the batch graph (see ``PartitionResult``)."""
+    parts = [approx_partition(with_embeddings(video, x[rows]), k, kappa, max_nodes, seed)
+             for video, rows in zip(split_videos(g), g.video_rows())]
+    return PartitionResult(np.concatenate([p.assignments for p in parts]),
+                           min(p.eigengap for p in parts))
 
 
 def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
@@ -359,8 +348,8 @@ def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
     The encoder halves the graph once per stage. Top-down, each decoder
     stage then interpolates the deeper decoder output onto its lateral
     encoder stage's timestamps, sums the two, partitions the fused graph
-    into ``k`` functional threads (one group when k == 1 or the stage holds
-    a single node), and runs the stage's TDGC layers once over the union of
+    into at most ``k`` functional threads (``spectral_partition`` sets the
+    rules for k), and runs the stage's TDGC layers once over the union of
     the groups' induced sub-graphs, so no message crosses a group boundary.
     The shallowest stage's output is finally interpolated to the input
     timestamps.
@@ -376,8 +365,6 @@ def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
     """
     if g0.level != 0:
         raise ShapeError("forward input must be a level-0 graph")
-    if k < 1:
-        raise ClusteringError(f"k={k} must be >= 1")
     laterals, xs = _encode(g0, params)
 
     stages: list[Stage] = []

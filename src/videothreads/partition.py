@@ -31,14 +31,15 @@ DEFAULT_MAX_NODES = 64
 class PartitionResult:
     """Cluster index per node plus the spectral gap of the decomposition used.
 
-    ``eigengap`` is lambda_{K+1} - lambda_K of the normalized Laplacian
-    (0.0 when K equals the node count or no decomposition was involved).
-    Cluster indices in [0, K); clusters may be empty. A partition of a batch
-    graph is its videos' partitions side by side (``concat_partitions``).
+    Cluster indices lie in [0, k), k as asked for but at most the node
+    count; clusters may be empty. ``eigengap`` is lambda_{k+1} - lambda_k of
+    the normalized Laplacian, 0.0 when k is 1 or the node count. The
+    partition of a batch graph holds its videos' indices side by side (an
+    index compares only within its video) and the smallest of their
+    eigengaps.
     """
 
     assignments: np.ndarray
-    k: int
     eigengap: float
 
 
@@ -79,16 +80,23 @@ def normalized_laplacian(w) -> np.ndarray:
 
 
 def spectral_partition(x, k: int, kappa: float = DEFAULT_KAPPA, seed: int = 0) -> PartitionResult:
-    """Spectral clustering of embedding rows into ``k`` groups.
+    """Spectral clustering of embedding rows into at most ``k`` groups.
 
     Pipeline: similarity_matrix -> normalized_laplacian -> sym_eigen ->
     K-means (euclidean) on node rows of the K smallest-eigenvalue
-    eigenvectors.
+    eigenvectors, with K = min(k, rows). At K = 1 every row is in group 0
+    and no decomposition is made. k < 1, or ``x`` without rows, raises
+    ClusteringError.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
-    if not 1 <= k <= n:
-        raise ClusteringError(f"k={k} must be in [1, {n}]")
+    if k < 1:
+        raise ClusteringError(f"k={k} must be >= 1")
+    if n == 0:
+        raise ClusteringError("x has no rows to partition")
+    k = min(k, n)
+    if k == 1:
+        return PartitionResult(np.zeros(n, dtype=np.intp), 0.0)
     lap = normalized_laplacian(similarity_matrix(x, kappa))
     decomposition = sym_eigen(lap)
     embedding = decomposition.eigenvectors[:, :k]
@@ -97,7 +105,7 @@ def spectral_partition(x, k: int, kappa: float = DEFAULT_KAPPA, seed: int = 0) -
         eigengap = float(decomposition.eigenvalues[k] - decomposition.eigenvalues[k - 1])
     else:
         eigengap = 0.0
-    return PartitionResult(labels, k, eigengap)
+    return PartitionResult(labels, eigengap)
 
 
 def uniform_subsample_indices(n: int, max_nodes: int) -> np.ndarray:
@@ -114,29 +122,15 @@ def approx_partition(g: VideoGraph, k: int, kappa: float = DEFAULT_KAPPA,
     Graphs at or under ``max_nodes`` are partitioned exactly; larger graphs
     are uniformly subsampled in timestamp order, the subsample partitioned,
     and every remaining node given the label of the temporally closest
-    subsampled node (ties resolve to the earlier one).
+    subsampled node (ties resolve to the earlier one). The budget must hold
+    the min(k, nodes) groups that ``spectral_partition`` makes.
     """
-    if max_nodes < k:
-        raise ClusteringError(f"max_nodes={max_nodes} must be >= k={k}")
     n = g.num_nodes
+    if max_nodes < min(k, n):
+        raise ClusteringError(f"max_nodes={max_nodes} must be >= min(k={k}, nodes={n})")
     if n <= max_nodes:
         return spectral_partition(g.embeddings, k, kappa, seed)
     picked = uniform_subsample_indices(n, max_nodes)
     sub = spectral_partition(g.embeddings[picked], k, kappa, seed)
     closest = nearest_indices(g.timestamps[picked], g.timestamps)
-    return PartitionResult(sub.assignments[closest], k, sub.eigengap)
-
-
-def concat_partitions(parts: list[PartitionResult]) -> PartitionResult:
-    """The partitions of consecutive videos as one: assignments side by
-    side (a label compares only within its video), the largest k and the
-    smallest eigengap."""
-    if len(parts) == 1:
-        return parts[0]
-    return PartitionResult(np.concatenate([p.assignments for p in parts]),
-                           max(p.k for p in parts), min(p.eigengap for p in parts))
-
-
-def single_partition(n: int) -> PartitionResult:
-    """The trivial partition placing all ``n`` nodes in one cluster."""
-    return PartitionResult(np.zeros(n, dtype=np.intp), 1, 0.0)
+    return PartitionResult(sub.assignments[closest], sub.eigengap)

@@ -42,7 +42,6 @@ def procedure_learning(trace: ForwardTrace, k: int, depth: int = 1,
     if not 0 <= depth < len(trace.stages):
         raise TaskError(f"depth {depth} out of range for {len(trace.stages)} decoder stages")
     stage = trace.stages[depth]
-    k = min(k, stage.graph.num_nodes)
     part = spectral_partition(stage.output, k, kappa=kappa, seed=seed)
     pick = nearest_indices(stage.graph.timestamps, trace.output_timestamps)
     return part.assignments[pick]
@@ -77,7 +76,7 @@ def extract_candidates(trace: ForwardTrace, params: ModelParams, k: int,
     list when nothing survives.
     """
     n = trace.output.shape[0]
-    labels = spectral_partition(trace.output, min(k, n), kappa=kappa, seed=seed).assignments
+    labels = spectral_partition(trace.output, k, kappa=kappa, seed=seed).assignments
     projected = value(project_visual(trace.output, params))
     times = trace.output_timestamps
     duration = segment_duration if segment_duration is not None else (

@@ -61,7 +61,7 @@ class LossValue:
     """The total loss L = L_vna + L_ft, its two terms, the gradient of L
     over the flat parameter vector (None when it was not asked for), and the
     partitions it was taken under: one per decoder stage, deepest first, of
-    the batch's union graph (see ``concat_partitions``)."""
+    the batch's union graph (see ``PartitionResult``)."""
 
     value: float
     vna: float

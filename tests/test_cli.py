@@ -58,6 +58,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"kappa": True})
 
+    @pytest.mark.parametrize("doc", [{"kappa": float("nan")}, {"lr": float("inf")},
+                                     {"edge_threshold": -float("inf")}, {"delta": 10**400}])
+    def test_non_finite_values_rejected(self, doc):
+        [key] = doc
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict(doc)
+        with pytest.raises(ConfigError, match=key):
+            RunConfig().override(**doc)
+
     def test_flags_win_over_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kappa": 2.0, "hidden": 32}))
@@ -209,6 +218,12 @@ class TestErrorExitCodes:
         ("localize_taxonomy_ragged_rows", EXIT_DATA, "embeddings[1]"),
         ("localization_annotation_no_end", EXIT_DATA, "intervals[0].end"),
         ("localization_prediction_no_score", EXIT_DATA, "predictions[0].score"),
+        ("ground_embedding_nan", EXIT_DATA, "embedding[15]"),
+        ("localize_taxonomy_infinity", EXIT_DATA, "embeddings[0][3]"),
+        ("train_narration_timestamp_nan", EXIT_DATA, "items[0].timestamp"),
+        ("procedure_duration_overflow", EXIT_DATA, "segment_duration"),
+        ("mcq_span_inverted", EXIT_DATA, "spans[1]"),
+        ("mcq_span_inverted_empty_window", EXIT_DATA, "spans[0]"),
     ])
     def test_malformed_documents(self, corpus, tmp_path, capsys, case, expected_code, field):
         doc = tmp_path / "query.json"
@@ -222,7 +237,7 @@ class TestErrorExitCodes:
         no_preds = tmp_path / "no_preds.json"
         no_preds.write_text(json.dumps({"predictions": []}))
         data = tmp_path / "data"  # two videos; only the second one's narrations are broken
-        if case == "train_narration_no_timestamp":
+        if case.startswith("train_narration_"):
             for video in ("a", "b"):
                 (data / video).mkdir(parents=True)
                 (data / video / "features.hft").write_bytes((corpus / "features.hft").read_bytes())
@@ -291,6 +306,19 @@ class TestErrorExitCodes:
             "localization_annotation_no_end": json.dumps({"intervals": [{"start": 1.0}]}),
             "localization_prediction_no_score": json.dumps({"predictions": [
                 {"start": 0.0, "end": 1.0}]}),
+            "ground_embedding_nan": json.dumps({"embedding": [1.0] * 15 + [float("nan")]}),
+            "localize_taxonomy_infinity": json.dumps({
+                "labels": ["a"], "embeddings": [[1.0] * 3 + [float("inf")] + [1.0] * 12]}),
+            "train_narration_timestamp_nan": json.dumps({"items": [
+                {"text": "x", "timestamp": float("nan"), "embedding": [1.0] * 16}]}),
+            "procedure_duration_overflow":
+                '{"timestamps": [0.0, 0.5], "segment_duration": 1e400, "labels": [0, 1]}',
+            "mcq_span_inverted": json.dumps({
+                "query": [1.0] * 16, "candidates": [feats] * 5,
+                "spans": [[0.0, 1.0], [5.0, 1.0]] + [[0.0, 1.0]] * 3}),
+            "mcq_span_inverted_empty_window": json.dumps({
+                "query": [1.0] * 16, "candidates": [feats] * 5,
+                "spans": [[9000.0, 1.0]] + [[0.0, 1.0]] * 4}),
         }[case]
         if isinstance(content, bytes):
             doc.write_bytes(content)
@@ -344,9 +372,15 @@ class TestErrorExitCodes:
                for name in ("train_config_zero_epochs", "train_config_zero_batch_size",
                             "train_config_alpha_not_below_beta",
                             "train_config_zero_temperature")},
-            "train_narration_no_timestamp": ("train-toy", "--data", str(data),
-                                             "--params-out", str(tmp_path / "p.bin"),
-                                             "--history", str(tmp_path / "h.jsonl")),
+            **{name: ("train-toy", "--data", str(data), "--params-out", str(tmp_path / "p.bin"),
+                      "--history", str(tmp_path / "h.jsonl"))
+               for name in ("train_narration_no_timestamp", "train_narration_timestamp_nan")},
+            "ground_embedding_nan": ("ground", "--features", feats, "--query", str(doc)),
+            "localize_taxonomy_infinity": ("localize", "--features", feats, "--taxonomy", str(doc)),
+            "procedure_duration_overflow": ("evaluate", "--task", "procedure",
+                                            "--pred", str(doc), "--annotations", ann),
+            **{name: ("mcq", "--question", str(doc))
+               for name in ("mcq_span_inverted", "mcq_span_inverted_empty_window")},
             **{name: ("localize", "--features", feats, "--taxonomy", str(doc))
                for name in ("localize_taxonomy_zero_row", "localize_taxonomy_ragged_rows")},
             "localization_annotation_no_end": ("evaluate", "--task", "localization",
@@ -362,6 +396,24 @@ class TestErrorExitCodes:
             error = json.loads(err)["error"]
             assert error["type"] == "SchemaError"
             assert str(doc) in error["message"]
+
+    @pytest.mark.parametrize("key, value", [("kappa", "nan"), ("edge_threshold", "inf"),
+                                            ("kappa", "-inf")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_config_value_is_config_error(self, corpus, tmp_path, capsys, key, value,
+                                                     source):
+        if source == "flag":
+            options = ("--" + key.replace("_", "-") + "=" + value,)
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: float(value)}))  # NaN, Infinity, -Infinity
+            options = ("--config", str(path))
+        code = run("forward", "--features", str(corpus / "features.hft"), *options,
+                   "--hidden", "16", "--out", str(tmp_path / "o.json"))
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["message"].startswith(key + ":")
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_k_below_one_is_library_error(self, corpus, tmp_path, capsys, k):

@@ -104,6 +104,11 @@ class TestProcedureF1Iou:
         with pytest.raises(ShapeError):
             procedure_f1_iou([0, 1], [0, 1, 2], 3)
 
+    def test_background_takes_no_argument(self):
+        # any ground-truth label outside [0, num_steps) is background
+        with pytest.raises(TypeError):
+            procedure_f1_iou([0, 1], [0, 1], 2, background=-1)
+
 
 class TestRecallAtIou:
     def test_boundary_inclusive_hit(self):

@@ -24,7 +24,7 @@ from videothreads.model import (
     save_params,
     tdgc_forward,
 )
-from videothreads.partition import PartitionResult, single_partition
+from videothreads.partition import PartitionResult
 from videothreads.synth import SynthSpec, generate
 
 from reference_impl import forward_ref, neighbors_from_times, tdgc_layer_ref
@@ -266,7 +266,8 @@ class TestFullForward:
         params = init_params(ModelDims(d_in=4, d_h=5, d_a=5, d_t=4, stages=2, layers=2), seed=2)
         # k = 1 is the one way to say "no clustering": one group per stage
         one = forward(g, params, k=1, seed=0)
-        single = [single_partition(s.graph.num_nodes) for s in one.stages]
+        single = [PartitionResult(np.zeros(s.graph.num_nodes, dtype=np.intp), 0.0)
+                  for s in one.stages]
         off = forward(g, params, fixed_partitions=single)
         for got, want in zip(one.stages, single):
             assert np.array_equal(got.partition.assignments, want.assignments)
@@ -328,8 +329,8 @@ class TestBatchForward:
                 video = split_videos(stage.graph)[i]
                 assert video.num_nodes == own.graph.num_nodes
                 assert np.array_equal(video.timestamps, own.graph.timestamps)
-            partitions = [PartitionResult(s.partition.assignments[s.graph.video_rows()[i]],
-                                          k, 0.0) for s in trace.stages]
+            partitions = [PartitionResult(s.partition.assignments[s.graph.video_rows()[i]], 0.0)
+                          for s in trace.stages]
             want = forward_ref(g, params, partitions)
             assert np.max(np.abs(trace.output[rows] - want)) <= 1e-9
 
@@ -356,5 +357,5 @@ class TestBatchForward:
         assert a.output.tobytes() == b.output.tobytes()
         for x, y in zip(a.stages, b.stages):
             assert np.array_equal(x.partition.assignments, y.partition.assignments)
-            assert (x.partition.k, x.partition.eigengap) == (y.partition.k, y.partition.eigengap)
+            assert x.partition.eigengap == y.partition.eigengap
 

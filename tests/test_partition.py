@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from videothreads.dataio import FeatureSequence
 from videothreads.errors import ClusteringError, ZeroDegreeError, ZeroNormRowError
@@ -123,6 +125,33 @@ class TestSpectralPartition:
         x = np.random.default_rng(7).standard_normal((4, 3))
         assert spectral_partition(x, 4, seed=0).eigengap == 0.0
 
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=15),
+           st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_k_rules(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.1, 1.0, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))  # no zero rows
+        part = spectral_partition(x, k, seed=seed % 5)
+        capped = spectral_partition(x, min(k, n), seed=seed % 5)
+        assert part.assignments.dtype == capped.assignments.dtype
+        assert part.assignments.tobytes() == capped.assignments.tobytes()
+        assert part.eigengap == capped.eigengap
+        assert part.assignments.shape == (n,)
+        assert np.all((part.assignments >= 0) & (part.assignments < min(k, n)))
+        if k == 1 or n == 1:
+            assert not part.assignments.any()
+            assert part.eigengap == 0.0
+        with pytest.raises(ClusteringError):
+            spectral_partition(x, 1 - k)
+        with pytest.raises(ClusteringError):
+            spectral_partition(x[:0], k)
+
+    def test_k_one_makes_no_decomposition(self):
+        # zero rows have no cosine similarity, but one group needs none
+        part = spectral_partition(np.zeros((4, 3)), 1)
+        assert np.array_equal(part.assignments, [0, 0, 0, 0])
+        assert part.eigengap == 0.0
+
 
 class TestApproxPartition:
     def graph(self, features, spacing=0.5):
@@ -157,6 +186,18 @@ class TestApproxPartition:
         g = self.graph(np.random.default_rng(0).standard_normal((5, 3)))
         with pytest.raises(ClusteringError):
             approx_partition(g, 3, max_nodes=2)
+
+    def test_k_above_node_count(self):
+        # the budget need only hold min(k, nodes) groups
+        x = np.random.default_rng(10).standard_normal((5, 3))
+        g = self.graph(x)
+        exact = spectral_partition(x, 5, seed=1)
+        for max_nodes in (5, 6, 64):
+            part = approx_partition(g, 9, max_nodes=max_nodes, seed=1)
+            assert np.array_equal(part.assignments, exact.assignments)
+            assert part.eigengap == exact.eigengap == 0.0
+        with pytest.raises(ClusteringError):
+            approx_partition(g, 9, max_nodes=4)
 
     def test_uniform_indices(self):
         idx = uniform_subsample_indices(10, 4)

@@ -198,25 +198,25 @@ class TestLossVna:
 
 
 class TestLossFt:
-    def fixed_trace(self, params, g, assignments, k):
-        fixed = [PartitionResult(np.asarray(assignments), k, 0.0)]
+    def fixed_trace(self, params, g, assignments):
+        fixed = [PartitionResult(np.asarray(assignments), 0.0)]
         return forward(g, params, fixed_partitions=fixed)
 
     def test_two_equal_clusters_identical_features(self):
         params, g = single_stage_setup(n=8)  # one stage: decoder sees 4 nodes
-        trace = self.fixed_trace(params, g, [0, 0, 1, 1], 2)
+        trace = self.fixed_trace(params, g, [0, 0, 1, 1])
         ft = float(_ft_scalar(trace, params, TAU))
         assert ft == pytest.approx(-math.log(1.0 / 3.0), abs=1e-10)
 
     def test_single_cluster_identical_features_zero(self):
         params, g = single_stage_setup(n=8)
-        trace = self.fixed_trace(params, g, [0, 0, 0, 0], 1)
+        trace = self.fixed_trace(params, g, [0, 0, 0, 0])
         ft = float(_ft_scalar(trace, params, TAU))
         assert ft == pytest.approx(0.0, abs=1e-12)
 
     def test_no_eligible_nodes_zero_loss_empty_gradient(self):
         params, g = single_stage_setup(n=8)
-        trace = self.fixed_trace(params, g, [0, 1, 2, 3], 4)  # singleton clusters
+        trace = self.fixed_trace(params, g, [0, 1, 2, 3])  # singleton clusters
         assert _ft_scalar(trace, params, TAU) is None  # no term, so no gradient
         # in the total loss: a video whose every decoder stage holds one node
         params, g = single_stage_setup(n=1, times=[10.0])
@@ -322,7 +322,7 @@ class TestGradCheck:
         # loss under test; pick the ft-only loss on a fixed partition
         params, g = single_stage_setup(n=8)
         params_v, leaves = params.to_vars()
-        trace = forward(g, params_v, fixed_partitions=[PartitionResult(np.array([0, 0, 1, 1]), 2, 0.0)])
+        trace = forward(g, params_v, fixed_partitions=[PartitionResult(np.array([0, 0, 1, 1]), 0.0)])
         _ft_scalar(trace, params_v, TAU).backward()
         gradient = _collect_gradient(leaves)
         # locate h_t weight block at the end of the flat layout
