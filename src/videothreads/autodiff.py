@@ -29,7 +29,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _node(out, *operands) -> "Var":
+def node(out, *operands) -> "Var":
     """A Var over ``out`` whose parents are the Var operands among the
     ``(operand, grad_fn)`` pairs; the other operands are constants."""
     recorded = [pair for pair in operands if isinstance(pair[0], Var)]
@@ -63,9 +63,9 @@ class Var:
 
     def __add__(self, other):
         b = value(other)
-        return _node(self.value + b,
-                     (self, lambda g: _unbroadcast(g, self.shape)),
-                     (other, lambda g: _unbroadcast(g, b.shape)))
+        return node(self.value + b,
+                    (self, lambda g: _unbroadcast(g, self.shape)),
+                    (other, lambda g: _unbroadcast(g, b.shape)))
 
     __radd__ = __add__
 
@@ -74,9 +74,9 @@ class Var:
 
     def __sub__(self, other):
         b = value(other)
-        return _node(self.value - b,
-                     (self, lambda g: _unbroadcast(g, self.shape)),
-                     (other, lambda g: -_unbroadcast(g, b.shape)))
+        return node(self.value - b,
+                    (self, lambda g: _unbroadcast(g, self.shape)),
+                    (other, lambda g: -_unbroadcast(g, b.shape)))
 
     def __rsub__(self, other):
         return Var(value(other) - self.value, (self,),
@@ -84,18 +84,18 @@ class Var:
 
     def __mul__(self, other):
         b = value(other)
-        return _node(self.value * b,
-                     (self, lambda g: _unbroadcast(g * b, self.shape)),
-                     (other, lambda g: _unbroadcast(g * self.value, b.shape)))
+        return node(self.value * b,
+                    (self, lambda g: _unbroadcast(g * b, self.shape)),
+                    (other, lambda g: _unbroadcast(g * self.value, b.shape)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         b = value(other)
         out = self.value / b
-        return _node(out,
-                     (self, lambda g: _unbroadcast(g / b, self.shape)),
-                     (other, lambda g: _unbroadcast(-g * out / b, b.shape)))
+        return node(out,
+                    (self, lambda g: _unbroadcast(g / b, self.shape)),
+                    (other, lambda g: _unbroadcast(-g * out / b, b.shape)))
 
     def __rtruediv__(self, other):
         out = value(other) / self.value
@@ -103,9 +103,9 @@ class Var:
 
     def __matmul__(self, other):
         b = value(other)
-        return _node(self.value @ b,
-                     (self, lambda g: g @ b.T),
-                     (other, lambda g: self.value.T @ g))
+        return node(self.value @ b,
+                    (self, lambda g: g @ b.T),
+                    (other, lambda g: self.value.T @ g))
 
     def __rmatmul__(self, other):
         a = value(other)
@@ -172,13 +172,14 @@ def value(x) -> np.ndarray:
 def affine(x, w, b):
     """``x @ w + b`` as one node (an ndarray when no operand is a Var)."""
     xv, wv, bv = value(x), value(w), value(b)
-    out = xv @ wv + bv
+    out = xv @ wv
+    out += bv  # in place: one fresh array per call, not two
     if not isinstance(x, Var) and not isinstance(w, Var) and not isinstance(b, Var):
         return out
-    return _node(out,
-                 (x, lambda g: g @ wv.T),
-                 (w, lambda g: xv.T @ g),
-                 (b, lambda g: _unbroadcast(g, bv.shape)))
+    return node(out,
+                (x, lambda g: g @ wv.T),
+                (w, lambda g: xv.T @ g),
+                (b, lambda g: _unbroadcast(g, bv.shape)))
 
 
 # -- dispatching element-wise helpers ---------------------------------------

@@ -85,7 +85,7 @@ class RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a syntax error, bytes that are not UTF-8, a huge integer
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(doc)
 

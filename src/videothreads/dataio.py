@@ -239,7 +239,7 @@ def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a syntax error, bytes that are not UTF-8, a huge integer
             raise SchemaError(str(path), f"invalid JSON ({exc})") from exc
 
 

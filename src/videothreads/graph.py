@@ -174,24 +174,25 @@ def coarse_rows(g: VideoGraph) -> np.ndarray:
     return np.concatenate([np.arange(r.start, r.stop, 2) for r in g.video_rows()])
 
 
-def temporal_subsample(g: VideoGraph) -> VideoGraph:
+def temporal_subsample(g: VideoGraph, embeddings: np.ndarray | None = None) -> VideoGraph:
     """Halve the temporal resolution by keeping even timestamp-order
-    positions of each video.
+    positions of each video (the rows ``coarse_rows`` lists).
 
     The level increments and each video's edges are rebuilt under the
     doubled threshold, so degree stays roughly constant. ceil(N/2) nodes of
-    an N-node video survive.
+    an N-node video survive. ``embeddings`` are the kept nodes' embeddings,
+    for a caller that already has them; by default they are gathered from
+    ``g``.
     """
-    keep = coarse_rows(g)
-    timestamps = g.timestamps[keep]
     level = g.level + 1
-    sizes = tuple((size + 1) // 2 for size in g.video_sizes)
     threshold = g.edge_threshold * float(2 ** level)
-    edges = [temporal_edges(timestamps[rows], threshold) + rows.start
-             for rows in _row_slices(sizes)]
+    times = [g.timestamps[rows][::2] for rows in g.video_rows()]
+    sizes = tuple(t.shape[0] for t in times)
+    edges = [temporal_edges(t, threshold) + rows.start
+             for t, rows in zip(times, _row_slices(sizes))]
     return VideoGraph(
-        embeddings=g.embeddings[keep],
-        timestamps=timestamps,
+        embeddings=g.embeddings[coarse_rows(g)] if embeddings is None else embeddings,
+        timestamps=np.concatenate(times),
         edges=np.concatenate(edges),
         level=level,
         edge_threshold=g.edge_threshold,

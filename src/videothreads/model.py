@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Var, affine, l2_normalize_rows, relu, segment_sum, take_rows, value
+from .autodiff import Var, affine, l2_normalize_rows, node, relu, take_rows, value
 from .errors import BadMagicError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
@@ -214,38 +214,99 @@ def load_params(path) -> ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class _NeighborTable:
-    """The directed edges of one graph, laid out for TDGC aggregation; every
-    layer of a stage shares it.
+    """The directed edges of one graph, laid out in bands for TDGC
+    aggregation; every layer of a stage shares it.
 
-    ``dst`` and ``src`` are the ends of each directed edge, in
-    ``directed_edges`` order. ``dt`` holds the distinct signed time offsets
-    t[dst] - t[src] and ``dt_class`` each edge's index into it;
-    ``inv_degree`` is 1 / in-degree, 0 for isolated nodes.
+    ``dt`` holds the distinct signed time offsets t[dst] - t[src] and
+    ``edge_class`` each directed edge's index into it, with the edges in
+    ``directed_edges`` order: every (i, j), i < j, then every (j, i).
+    ``steps`` adds the edges into their destinations and ``transposed``
+    into their sources (the gradient), one band direction at a time. Each
+    step is (destination rows, source rows, dt classes, ``edge_class``
+    positions): the rows are a slice for a band without gaps and index
+    arrays otherwise. ``inv_degree`` is 1 / in-degree, 0 for isolated nodes.
     """
 
-    dst: np.ndarray
-    src: np.ndarray
     dt: np.ndarray
-    dt_class: np.ndarray
+    edge_class: np.ndarray
+    steps: tuple
+    transposed: tuple
     inv_degree: np.ndarray
 
 
 def _neighbor_table(edges: np.ndarray, timestamps: np.ndarray) -> _NeighborTable:
     """Neighbor table of an (E, 2) undirected edge array over ``timestamps``.
 
-    ``segment_sum`` adds rows in row order from 0.0, and the recorded output
-    bytes need each TDGC sum to take its rows in stable-sort-by-``dst`` order.
-    On the lexicographic i < j edges of ``temporal_edges``, ``directed_edges``
-    lists node v's rows as (v, j), j ascending, then (i, v), i ascending: that
-    order. Timestamps rise within each video, so the rows of each ``dt`` class
-    and of each source node (the ``take_rows`` gradients) keep it too.
+    The edges (i, i + k) of one offset k form a band. Band by band, the
+    steps add each node's later neighbors by offset ascending, then its
+    earlier neighbors by offset descending; the gradient steps add each
+    node's earlier destinations by offset descending, then its later ones
+    by offset ascending. On the lexicographic i < j edges of
+    ``temporal_edges``, or a subset of them, that is the ``directed_edges``
+    row order: the order in which a scatter-add over those rows sums each
+    node's rows from 0.0, and the recorded output bytes came from such a
+    scatter-add. The gate gradient still is one, over ``edge_class`` in
+    ``directed_edges`` order (``take_rows``' gradient).
     """
     n = timestamps.shape[0]
     dst, src = directed_edges(edges)
-    degree = np.bincount(dst, minlength=n)
-    dt, dt_class = np.unique(timestamps[dst] - timestamps[src], return_inverse=True)
+    dt, edge_class = np.unique(timestamps[dst] - timestamps[src], return_inverse=True)
+    offset = edges[:, 1] - edges[:, 0]
+    bands = []  # (i's, (i + k)'s, the edges' rows) for each offset k, ascending
+    degree = np.zeros(n)
+    for k in np.unique(offset):
+        rows = np.flatnonzero(offset == k)
+        lo = edges[rows, 0]
+        lo, hi = (slice(0, n - k), slice(k, n)) if lo.size == n - k else (lo, lo + k)
+        bands.append((lo, hi, rows))
+        degree[lo] += 1.0
+        degree[hi] += 1.0
+
+    def step(targets, sources, rows):
+        return targets, sources, edge_class[rows], rows
+
+    # edge (i, i + k) at row r of ``edges`` is directed row r as i <- i + k
+    # and directed row r + E as i + k <- i
+    e = edges.shape[0]
+    steps = ([step(lo, hi, rows) for lo, hi, rows in bands]
+             + [step(hi, lo, rows + e) for lo, hi, rows in reversed(bands)])
+    transposed = ([step(hi, lo, rows) for lo, hi, rows in reversed(bands)]
+                  + [step(lo, hi, rows + e) for lo, hi, rows in bands])
     inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
-    return _NeighborTable(dst, src, dt, dt_class, inv_degree)
+    return _NeighborTable(dt, edge_class, tuple(steps), tuple(transposed), inv_degree)
+
+
+def _band_pass(gate: np.ndarray, y: np.ndarray, steps) -> np.ndarray:
+    """Sum ``gate[classes] * y[src]`` into the rows ``dst`` of zeros, step
+    by step; no destination repeats within a step."""
+    out = np.zeros_like(y)
+    for dst, src, classes, _ in steps:
+        product = gate[classes]
+        product *= y[src]
+        out[dst] += product
+    return out
+
+
+def _aggregate(signed_gate, projected, table: _NeighborTable):
+    """Row v sums signed_gate[class of t_v - t_u] * projected[u] over the
+    neighbors u of v, in ``table.steps`` order; an ndarray when no operand
+    is a Var. Output and gradients equal those of gathering one message per
+    directed edge and scatter-adding them, bit for bit."""
+    g, p = value(signed_gate), value(projected)
+    out = _band_pass(g, p, table.steps)
+    if not isinstance(signed_gate, Var) and not isinstance(projected, Var):
+        return out
+
+    def edge_gate_grad(up):
+        grad = np.empty((table.edge_class.size, up.shape[1]))  # each edge is in one step
+        for dst, src, _, rows in table.steps:
+            grad[rows] = up[dst] * p[src]
+        return grad
+
+    # the per-edge gate gather's gradient sums each class's rows in edge order
+    edge_gate = take_rows(signed_gate, table.edge_class)
+    return node(out, (edge_gate, edge_gate_grad),
+                (projected, lambda up: _band_pass(g, up, table.transposed)))
 
 
 def _tdgc_apply(x, table: _NeighborTable, layer: TdgcLayerParams):
@@ -257,15 +318,14 @@ def _tdgc_apply(x, table: _NeighborTable, layer: TdgcLayerParams):
     once per distinct dt and gathered per edge.
     """
     residual = affine(x, layer.w_r, layer.b_r)
-    if table.src.size == 0:
+    if not table.steps:
         return residual
     projected = relu(affine(x, layer.w_n, layer.b_n))
     gate_in = np.abs(table.dt)[:, None]
     gate = affine(relu(affine(gate_in, layer.gate_w1, layer.gate_b1)), layer.gate_w2,
                   layer.gate_b2)
     signed_gate = np.sign(table.dt)[:, None] * gate
-    messages = take_rows(signed_gate, table.dt_class) * take_rows(projected, table.src)
-    aggregate = segment_sum(messages, table.dst, residual.shape[0])
+    aggregate = _aggregate(signed_gate, projected, table)
     return residual + aggregate * table.inv_degree[:, None]
 
 
@@ -292,7 +352,7 @@ def _encode(g: VideoGraph, params: ModelParams):
         for layer in stage:
             x = _tdgc_apply(x, table, layer)
         x = take_rows(x, coarse_rows(g))
-        g = with_embeddings(temporal_subsample(g), value(x))
+        g = temporal_subsample(g, value(x))
         graphs.append(g)
         xs.append(x)
     return graphs, xs

@@ -20,6 +20,12 @@ code runs the Hungarian algorithm.
 
 The scatter-add oracle is numpy's unbuffered ``np.add.at`` into zeros;
 production code runs one ``np.bincount`` over (segment, column) cells.
+
+The TDGC aggregation oracle gathers one message per directed edge and
+scatter-adds the messages into their destinations (``segment_sum``), for
+ndarrays and autodiff Vars alike; production code adds each band of
+temporal offsets with shifted slices in the same per-node order, so the two
+agree bit for bit, gradients included.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ import math
 
 import numpy as np
 
+from videothreads.autodiff import segment_sum, take_rows
 from videothreads.errors import ConvergenceError
+from videothreads.graph import directed_edges
 
 QL_MAX_SWEEPS = 60
 
@@ -344,3 +352,14 @@ def segment_sum_ref(x, seg: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((n,) + x.shape[1:])
     np.add.at(out, seg, x)
     return out
+
+
+def tdgc_aggregate_ref(signed_gate, projected, edges: np.ndarray, timestamps: np.ndarray):
+    """Row v sums signed_gate[c] * projected[u] over the directed edges
+    (v, u) of an (E, 2) edge array, c being the edge's index among the
+    sorted distinct t_v - t_u; one gathered message per edge, scatter-added
+    in ``directed_edges`` row order."""
+    dst, src = directed_edges(edges)
+    _, dt_class = np.unique(timestamps[dst] - timestamps[src], return_inverse=True)
+    messages = take_rows(signed_gate, dt_class) * take_rows(projected, src)
+    return segment_sum(messages, dst, timestamps.shape[0])

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,9 @@ from videothreads.config import RunConfig
 from videothreads.dataio import FeatureSequence, write_feature_file
 from videothreads.errors import ConfigError
 from videothreads.model import ModelDims, identity_params, save_params
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+NOT_UTF8 = b'{"embedding": [1.0, 2.\xcc]}'  # 0xcc starts a two-byte sequence; "]" cannot end it
 
 
 def run(*argv):
@@ -224,6 +231,8 @@ class TestErrorExitCodes:
         ("procedure_duration_overflow", EXIT_DATA, "segment_duration"),
         ("mcq_span_inverted", EXIT_DATA, "spans[1]"),
         ("mcq_span_inverted_empty_window", EXIT_DATA, "spans[0]"),
+        ("ground_query_not_utf8", EXIT_DATA, "query.json"),
+        ("train_config_not_utf8", EXIT_CONFIG, "query.json"),
     ])
     def test_malformed_documents(self, corpus, tmp_path, capsys, case, expected_code, field):
         doc = tmp_path / "query.json"
@@ -319,6 +328,8 @@ class TestErrorExitCodes:
             "mcq_span_inverted_empty_window": json.dumps({
                 "query": [1.0] * 16, "candidates": [feats] * 5,
                 "spans": [[9000.0, 1.0]] + [[0.0, 1.0]] * 4}),
+            "ground_query_not_utf8": NOT_UTF8,
+            "train_config_not_utf8": b'{"epochs": 3\xff}',
         }[case]
         if isinstance(content, bytes):
             doc.write_bytes(content)
@@ -387,6 +398,11 @@ class TestErrorExitCodes:
                                                "--pred", str(no_preds), "--annotations", str(doc)),
             "localization_prediction_no_score": ("evaluate", "--task", "localization",
                                                  "--pred", str(doc), "--annotations", ann),
+            "ground_query_not_utf8": ("ground", "--features", feats, "--query", str(doc)),
+            "train_config_not_utf8": ("train-toy", "--data", str(corpus.parent),
+                                      "--train-config", str(doc),
+                                      "--params-out", str(tmp_path / "p.bin"),
+                                      "--history", str(tmp_path / "h.jsonl")),
         }[case]
         code = exit_code(*argv, "--out", str(tmp_path / "o.json"))
         assert code == expected_code
@@ -396,6 +412,21 @@ class TestErrorExitCodes:
             error = json.loads(err)["error"]
             assert error["type"] == "SchemaError"
             assert str(doc) in error["message"]
+
+    def test_undecodable_query_in_a_fresh_process(self, corpus, tmp_path):
+        # the whole command as a user runs it: no traceback, the exit-code contract
+        doc = tmp_path / "query.json"
+        doc.write_bytes(NOT_UTF8)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "videothreads.cli", "ground", "--features",
+             str(corpus / "features.hft"), "--query", str(doc), "--out", str(tmp_path / "o.json")],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == EXIT_DATA
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "SchemaError"
+        assert error["message"].startswith(f"{doc}: invalid JSON")
+        assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("key, value", [("kappa", "nan"), ("edge_threshold", "inf"),
                                             ("kappa", "-inf")])

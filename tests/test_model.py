@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from videothreads.autodiff import Var, vsum
 from videothreads.dataio import FeatureSequence
 from videothreads.errors import BadMagicError, ClusteringError, ShapeError, TruncatedFileError
 from videothreads.graph import (
+    VideoGraph,
     build_graph,
     disjoint_union,
     interpolation_matrix,
@@ -16,6 +18,7 @@ from videothreads.metrics import adjusted_rand_index
 from videothreads.model import (
     LinearParams,
     ModelDims,
+    _aggregate,
     _neighbor_table,
     forward,
     identity_params,
@@ -27,7 +30,7 @@ from videothreads.model import (
 from videothreads.partition import PartitionResult
 from videothreads.synth import SynthSpec, generate
 
-from reference_impl import forward_ref, neighbors_from_times, tdgc_layer_ref
+from reference_impl import forward_ref, neighbors_from_times, tdgc_aggregate_ref, tdgc_layer_ref
 
 
 def make_graph(n=8, d=6, spacing=0.5, seed=0):
@@ -163,33 +166,82 @@ class TestTdgcForward:
             tdgc_forward(g, params.encoder[0][0])
 
 
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def check_against_scatter_oracle(edges, times, seed, d=3):
+    """The band aggregation against the gather + scatter-add oracle, bit for
+    bit: the output on ndarrays, and on Vars the output and both gradients."""
+    rng = np.random.default_rng(seed)
+    table = _neighbor_table(edges, times)
+    gate = rng.standard_normal((table.dt.size, d))
+    projected = rng.standard_normal((times.shape[0], d))
+    # -0.0 operands: a sum from 0.0 turns a lone -0.0 message into +0.0
+    gate[rng.random(gate.shape) < 0.2] = -0.0
+    projected[rng.random(projected.shape) < 0.2] = -0.0
+    upstream = rng.standard_normal(projected.shape)
+    assert_same_bits(_aggregate(gate, projected, table),
+                     tdgc_aggregate_ref(gate, projected, edges, times))
+    results = []
+    for aggregate in (lambda g, p: _aggregate(g, p, table),
+                      lambda g, p: tdgc_aggregate_ref(g, p, edges, times)):
+        g, p = Var(gate), Var(projected)
+        out = aggregate(g, p)
+        vsum(out * upstream).backward()
+        results.append([out.value] + [np.zeros_like(v.value) if v.grad is None else v.grad
+                                      for v in (g, p)])
+    for got, want in zip(*results):
+        assert_same_bits(got, want)
+
+
+def union_of(times_per_video, threshold):
+    return disjoint_union([build_graph(FeatureSequence("v", t, np.zeros((t.size, 1))), threshold)
+                           for t in times_per_video])
+
+
 class TestNeighborTable:
     """TDGC adds each node's messages, and each gate and source gradient, in
-    neighbor-table row order; the recorded output bytes need the order that a
-    stable sort of the rows by destination gives."""
+    the row order of a scatter-add over ``directed_edges``; the band layout
+    must reproduce those sums bit for bit."""
 
     @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
-           st.sampled_from([0.5, 1.0, 2.0]), st.integers(min_value=0, max_value=10_000))
+           st.sampled_from([0.5, 1.0, 2.0]), st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=1, max_value=4))
     @settings(max_examples=100, deadline=None)
-    def test_rows_keep_stable_destination_order(self, sizes, threshold, seed):
+    def test_bands_match_the_scatter_oracle(self, sizes, threshold, seed, groups):
         rng = np.random.default_rng(seed)
-        graphs = []
-        for n in sizes:
-            # quarter-second gaps: exact sums, so unequal offsets share a dt class
-            times = 0.25 * (rng.integers(0, 8) + np.cumsum(rng.integers(1, 4, n)))
-            seq = FeatureSequence("v", times, np.zeros((n, 1)))
-            graphs.append(build_graph(seq, threshold))
-        g = disjoint_union(graphs)
-        table = _neighbor_table(g.edges, g.timestamps)
-        for v in range(g.num_nodes):
-            sources = table.src[table.dst == v]
-            later, earlier = sources[sources > v], sources[sources < v]
-            assert np.array_equal(sources, np.concatenate([np.sort(later), np.sort(earlier)]))
-        rank = np.empty(table.dst.size, dtype=np.intp)
-        rank[np.argsort(table.dst, kind="stable")] = np.arange(table.dst.size)
-        for key in (table.dt_class, table.src):
-            for group in np.unique(key):
-                assert np.all(np.diff(rank[key == group]) > 0)
+        # quarter-second gaps: exact sums, so unequal offsets share a dt class
+        g = union_of([0.25 * (rng.integers(0, 8) + np.cumsum(rng.integers(1, 4, n)))
+                      for n in sizes], threshold)
+        # a decoder stage keeps the edges inside one group: bands with gaps
+        a = rng.integers(0, groups, g.num_nodes)
+        edges = g.edges[a[g.edges[:, 0]] == a[g.edges[:, 1]]]
+        check_against_scatter_oracle(edges, g.timestamps, seed)
+
+    @pytest.mark.parametrize("case", ["path", "irregular", "same_group", "three_videos",
+                                      "isolated_nodes", "one_node"])
+    def test_named_graphs_match_the_scatter_oracle(self, case):
+        rng = np.random.default_rng(7)
+        if case == "path":
+            g = union_of([np.arange(40) * (8 / 15)], 1.0)
+        elif case == "irregular":  # offsets up to 7, one dt class per edge
+            g = union_of([np.cumsum(rng.uniform(0.05, 0.9, 60))], 2.0)
+        elif case == "same_group":
+            g = union_of([np.cumsum(rng.uniform(0.05, 0.9, 60))], 2.0)
+            a = np.repeat([0, 1, 0, 2], 15)  # groups scattered in time, like a clustering
+            g = VideoGraph(g.embeddings, g.timestamps,
+                           g.edges[a[g.edges[:, 0]] == a[g.edges[:, 1]]])
+        elif case == "three_videos":  # seams leave gaps in every band
+            g = union_of([np.arange(9) * 0.5, np.cumsum(rng.uniform(0.1, 0.6, 12)),
+                          np.arange(7) * 0.25 + 3.0], 1.0)
+        elif case == "isolated_nodes":
+            g = union_of([np.array([0.0, 0.5, 10.0, 20.0, 20.5, 21.0, 40.0])], 1.0)
+        else:
+            g = union_of([np.array([3.0])], 1.0)
+        check_against_scatter_oracle(g.edges, g.timestamps, seed=len(case))
 
 
 class TestEncoderForward:

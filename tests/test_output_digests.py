@@ -1,0 +1,43 @@
+"""The benchmark workloads' ``--no-meta`` output digests, pinned.
+
+Each workload of ``bench/workloads.py`` is set up at seed 0 and run once over
+all of its inputs (``min_iterations``: every ``planted_tasks`` corpus), in
+process, and the digest over its outputs must equal the one recorded here.
+A change that moves an output byte fails this test; such a change records
+the new digest here and lists the move in CHANGES.md.
+
+The digests were taken with numpy 2.4.6 on scipy-openblas 0.3.31, a
+DYNAMIC_ARCH build that picked its SkylakeX kernels on an AVX-512 x86-64
+host. A BLAS kernel that rounds differently can move them; the CI log
+prints ``numpy.show_config()`` and ``numpy.show_runtime()`` to tell such a
+host apart.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from videothreads import cli  # noqa: E402
+from workloads import WORKLOADS, Session  # noqa: E402
+
+SEED_ZERO_DIGESTS = {
+    "long_video": "3138833b23dfcbe68186ba45c677ba0ed0ab4cae5929912903b1914d7d2f761e",
+    "planted_tasks": "f56f81210c1d428adb7afc6e39d72cf09f3c542cdef00cbffaf8d98d3688a3e7",
+    "toy_training": "dd68c5e77d9692f100ad5609082c7d521202e18a2cc8d46eec2b6a1acd850798",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_ZERO_DIGESTS))
+def test_seed_zero_digest(name, tmp_path):
+    workload = WORKLOADS[name]()
+    session = Session(cli)
+    workload.setup(session, tmp_path, 0)
+    for index in range(workload.min_iterations):
+        workload.iterate(session, index)
+    assert session.problems == []
+    assert session.digest() == SEED_ZERO_DIGESTS[name]
