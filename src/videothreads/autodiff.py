@@ -114,12 +114,15 @@ class Var:
     # -- backward pass ------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad across the graph.
+        """Accumulate d(self)/d(leaf) into the leaves' .grad.
 
         ``self`` must be scalar-valued. Grads are reset on every node this
         graph reaches before accumulation starts. A node's first incoming
         contribution becomes its C-ordered .grad and later ones are added to
-        it, so a node's contributions sum in reverse visit order.
+        it, so a node's contributions sum in reverse visit order. A node with
+        parents drops its .grad once it has passed it on, so afterwards only
+        the leaves hold one; the tape stays, and calling ``backward`` again
+        gives the same leaf grads.
         """
         if self.value.size != 1:
             raise ValueError("backward() requires a scalar root")
@@ -138,6 +141,8 @@ class Var:
                     parent.grad = np.asarray(contribution, order="C")
                 else:
                     parent.grad = parent.grad + contribution
+            if node._parents:
+                node.grad = None
 
 
 def _topological_order(root: Var) -> list[Var]:

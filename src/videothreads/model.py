@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Var, affine, l2_normalize_rows, node, relu, take_rows, value
+from .autodiff import Var, affine, l2_normalize_rows, node, relu, segment_sum, take_rows, value
 from .errors import BadMagicError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
@@ -245,8 +245,8 @@ def _neighbor_table(edges: np.ndarray, timestamps: np.ndarray) -> _NeighborTable
     ``temporal_edges``, or a subset of them, that is the ``directed_edges``
     row order: the order in which a scatter-add over those rows sums each
     node's rows from 0.0, and the recorded output bytes came from such a
-    scatter-add. The gate gradient still is one, over ``edge_class`` in
-    ``directed_edges`` order (``take_rows``' gradient).
+    scatter-add. The gate gradient still is one, ``segment_sum`` over
+    ``edge_class`` in ``directed_edges`` order.
     """
     n = timestamps.shape[0]
     dst, src = directed_edges(edges)
@@ -291,21 +291,22 @@ def _aggregate(signed_gate, projected, table: _NeighborTable):
     """Row v sums signed_gate[class of t_v - t_u] * projected[u] over the
     neighbors u of v, in ``table.steps`` order; an ndarray when no operand
     is a Var. Output and gradients equal those of gathering one message per
-    directed edge and scatter-adding them, bit for bit."""
+    directed edge and scatter-adding them, bit for bit; no per-edge array is
+    built in the forward pass."""
     g, p = value(signed_gate), value(projected)
     out = _band_pass(g, p, table.steps)
     if not isinstance(signed_gate, Var) and not isinstance(projected, Var):
         return out
 
-    def edge_gate_grad(up):
-        grad = np.empty((table.edge_class.size, up.shape[1]))  # each edge is in one step
+    def gate_grad(up):
+        # each class sums its edges' products in edge order, as the gradient
+        # of a per-edge gate gather would; no such gather is built
+        per_edge = np.empty((table.edge_class.size, up.shape[1]))  # each edge is in one step
         for dst, src, _, rows in table.steps:
-            grad[rows] = up[dst] * p[src]
-        return grad
+            per_edge[rows] = up[dst] * p[src]
+        return segment_sum(per_edge, table.edge_class, table.dt.size)
 
-    # the per-edge gate gather's gradient sums each class's rows in edge order
-    edge_gate = take_rows(signed_gate, table.edge_class)
-    return node(out, (edge_gate, edge_gate_grad),
+    return node(out, (signed_gate, gate_grad),
                 (projected, lambda up: _band_pass(g, up, table.transposed)))
 
 

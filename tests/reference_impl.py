@@ -26,6 +26,10 @@ scatter-adds the messages into their destinations (``segment_sum``), for
 ndarrays and autodiff Vars alike; production code adds each band of
 temporal offsets with shifted slices in the same per-node order, so the two
 agree bit for bit, gradients included.
+
+The backward oracle keeps the gradient of every node it reaches;
+production ``Var.backward`` drops each non-leaf gradient once it has passed
+it to the node's parents, and must leave the same leaf gradients.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 
 import numpy as np
 
-from videothreads.autodiff import segment_sum, take_rows
+from videothreads.autodiff import _topological_order, segment_sum, take_rows
 from videothreads.errors import ConvergenceError
 from videothreads.graph import directed_edges
 
@@ -352,6 +356,23 @@ def segment_sum_ref(x, seg: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((n,) + x.shape[1:])
     np.add.at(out, seg, x)
     return out
+
+
+def backward_ref(root) -> None:
+    """``Var.backward`` that leaves a .grad on every node the root reaches:
+    grads reset, then a node's first contribution stored C-ordered and
+    later ones added, in reverse topological order."""
+    order = _topological_order(root)
+    for node in order:
+        node.grad = None
+    root.grad = np.ones_like(root.value)
+    for node in reversed(order):
+        for parent, fn in zip(node._parents, node._grad_fns):
+            contribution = fn(node.grad)
+            if parent.grad is None:
+                parent.grad = np.asarray(contribution, order="C")
+            else:
+                parent.grad = parent.grad + contribution
 
 
 def tdgc_aggregate_ref(signed_gate, projected, edges: np.ndarray, timestamps: np.ndarray):

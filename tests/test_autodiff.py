@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_impl import segment_sum_ref
+from reference_impl import backward_ref, segment_sum_ref
 from videothreads.autodiff import (
     Var,
     _topological_order,
@@ -155,6 +155,75 @@ def test_repeated_backward_resets_grads():
     first = x.grad.copy()
     loss.backward()
     assert np.array_equal(x.grad, first)
+
+
+TAPE_OPS = ("square", "add", "transpose", "affine", "relu", "take_rows", "segment_sum")
+
+
+@st.composite
+def random_tapes(draw):
+    """A scalar root over a random tape and the leaves it was built from.
+
+    Each step applies one op to a node drawn from everything built so far;
+    ``add`` joins two nodes of one shape (the same node twice, or two that
+    share ancestors, is a diamond), and the root sums weighted copies of up
+    to three nodes, so a node can feed several consumers."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    leaves = []
+
+    def leaf(shape):
+        leaves.append(Var(rng.standard_normal(shape)))
+        return leaves[-1]
+
+    def size():
+        return draw(st.integers(min_value=1, max_value=4))
+
+    pool = [leaf((size(), size()))]
+    for op in draw(st.lists(st.sampled_from(TAPE_OPS), min_size=1, max_size=12)):
+        x = pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))]
+        rows, cols = x.shape
+        if op == "square":
+            y = x * x
+        elif op == "add":
+            same = [p for p in pool if p.shape == x.shape]
+            y = x + same[draw(st.integers(min_value=0, max_value=len(same) - 1))]
+        elif op == "transpose":
+            y = x.T
+        elif op == "affine":
+            width = size()
+            y = affine(x, leaf((cols, width)), leaf((width,)))
+        elif op == "relu":
+            y = relu(x)
+        elif op == "take_rows":
+            y = take_rows(x, rng.integers(0, rows, size=size()))
+        else:
+            n = size()
+            y = segment_sum(x, rng.integers(0, n, size=rows), n)
+        pool.append(y)
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1),
+                          min_size=1, max_size=3))
+    root = None
+    for i in picks:
+        term = vsum(pool[i] * rng.standard_normal(pool[i].shape))
+        root = term if root is None else root + term
+    return root, leaves
+
+
+def leaf_grads(leaves):
+    return [None if v.grad is None else (v.grad.shape, v.grad.tobytes()) for v in leaves]
+
+
+@given(tape=random_tapes())
+@settings(max_examples=200, deadline=None)
+def test_backward_keeps_the_oracle_leaf_grads_and_drops_the_rest(tape):
+    root, leaves = tape
+    backward_ref(root)
+    expected = leaf_grads(leaves)
+    root.backward()
+    assert leaf_grads(leaves) == expected
+    assert all(node.grad is None for node in _topological_order(root) if node._parents)
+    root.backward()
+    assert leaf_grads(leaves) == expected
 
 
 def test_value_passthrough():

@@ -6,6 +6,9 @@ process, and the digest over its outputs must equal the one recorded here.
 A change that moves an output byte fails this test; such a change records
 the new digest here and lists the move in CHANGES.md.
 
+``grad-check --no-meta`` is pinned the same way, by the digest of its
+output file at two seeds: it is the direct guard on the gradient bits.
+
 The digests were taken with numpy 2.4.6 on scipy-openblas 0.3.31, a
 DYNAMIC_ARCH build that picked its SkylakeX kernels on an AVX-512 x86-64
 host. A BLAS kernel that rounds differently can move them; the CI log
@@ -15,6 +18,7 @@ host apart.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -41,3 +45,16 @@ def test_seed_zero_digest(name, tmp_path):
         workload.iterate(session, index)
     assert session.problems == []
     assert session.digest() == SEED_ZERO_DIGESTS[name]
+
+
+GRAD_CHECK_DIGESTS = {
+    0: "3ef740bbff115563121e75f727f8db1e604604040d0c77bb8d76924bc6f12997",
+    1: "094463a68a800e8ab42f399d87e812ac92f4f9855fa3b0cf87e554b55de51331",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GRAD_CHECK_DIGESTS))
+def test_grad_check_digest(seed, tmp_path):
+    out = tmp_path / "grad_check.json"
+    assert cli.main(["grad-check", "--seed", str(seed), "--out", str(out), "--no-meta"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRAD_CHECK_DIGESTS[seed]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -400,6 +401,49 @@ class TestBatchTape:
         eight = self.affine_nodes(monkeypatch, AlignmentBatch([g] * 8, [ds.narrations] * 8))
         assert one > 0
         assert eight == one
+
+
+class TestBackwardMemory:
+    """One training step's backward frees each intermediate gradient once
+    it is passed on, so its extra memory stays near the few arrays in
+    flight rather than growing with the tape."""
+
+    # traced peak above backward's starting point on the batch below, with
+    # numpy 2.4.6: 2.10 MB when only the leaves keep .grad, 7.10 MB when
+    # every node does
+    BOUND_BYTES = 3_000_000
+
+    def test_backward_adds_a_bounded_traced_peak(self, monkeypatch):
+        from videothreads import autodiff
+
+        videos = [generate(SynthSpec(num_threads=2, steps_per_thread=2, segments_per_step=16,
+                                     dim=8, separation=3.0, seed=i)) for i in range(4)]
+        batch = AlignmentBatch([build_graph(v.sequence, 1.0) for v in videos],
+                               [v.narrations for v in videos])
+        d_t = videos[0].narrations.embeddings().shape[1]
+        params = init_params(ModelDims(d_in=8, d_h=16, d_a=16, d_t=d_t, stages=3, layers=3),
+                             seed=0)
+        peaks = []
+        backward = autodiff.Var.backward
+
+        def traced(self):
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                backward(self)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        monkeypatch.setattr(autodiff.Var, "backward", traced)
+        loss_op(k=2, seed=0)(params, batch)
+        assert sum(g.num_nodes for g in batch.graphs) == 256
+        (peak,) = peaks
+        assert peak <= self.BOUND_BYTES, f"backward added {peak / 1e6:.2f} MB"
 
 
 class TestTrainToy:
