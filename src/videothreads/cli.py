@@ -24,15 +24,17 @@ from . import __version__
 from .config import RunConfig
 from .dataio import (
     FeatureSequence,
-    _number,
-    _require,
-    _vector,
     read_annotations,
     read_feature_file,
+    read_grounding_queries,
+    read_label_predictions,
+    read_mcq_question,
+    read_mcq_results,
     read_narrations,
-    read_object,
     read_predictions,
+    read_query,
     read_taxonomy,
+    require_constant_dim,
     write_annotations,
     write_feature_file,
     write_json,
@@ -156,17 +158,11 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _require_constant_dim(sequences, where: str = "features") -> None:
-    dims = {seq.dim for seq in sequences}
-    if len(dims) > 1:
-        raise SchemaError(where, f"mixed feature dimensions across videos: {sorted(dims)}")
-
-
 def _cmd_forward(args) -> int:
     cfg = _load_config(args)
     k = 1 if args.no_cluster else cfg.k
     sequences = [read_feature_file(p) for p in args.features]
-    _require_constant_dim(sequences)
+    require_constant_dim(sequences)
     params = _resolve_params(args, cfg, sequences[0].dim)
 
     videos = []
@@ -215,7 +211,7 @@ def _candidates_for(cfg: RunConfig, seq: FeatureSequence, params):
 def _cmd_ground(args) -> int:
     cfg = _load_config(args)
     seq = read_feature_file(args.features)
-    query = _vector(read_object(args.query, "embedding")["embedding"], f"{args.query}: embedding")
+    query = read_query(args.query)
     params = _resolve_params(args, cfg, seq.dim, d_t=query.size)
     candidates = _candidates_for(cfg, seq, params)
     ranked = step_grounding(candidates, query, params)
@@ -236,48 +232,20 @@ def _cmd_localize(args) -> int:
 
 def _cmd_mcq(args) -> int:
     cfg = _load_config(args)
-    question = read_object(args.question, "query", "candidates")
-    base = Path(args.question).parent
-    query = _vector(question["query"], f"{args.question}: query")
-    paths = question["candidates"]
-    if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
-        raise SchemaError(f"{args.question}: candidates", "expected a non-empty list of paths")
-    spans = question.get("spans")
-    if spans is not None:
-        where = f"{args.question}: spans"
-        if not isinstance(spans, list) or len(spans) != len(paths):
-            raise SchemaError(where, "expected null or one [start, end] pair per candidate")
-        pairs = [_vector(span, f"{where}[{i}]") for i, span in enumerate(spans)]
-        for i, pair in enumerate(pairs):
-            if pair.size != 2:
-                raise SchemaError(f"{where}[{i}]", "expected a [start, end] number pair")
-            if pair[0] > pair[1]:
-                raise SchemaError(f"{where}[{i}]", f"start {pair[0]} is after end {pair[1]}")
-        spans = [tuple(pair.tolist()) for pair in pairs]
-    candidates = [read_feature_file(base / p) for p in paths]
-    _require_constant_dim(candidates, f"{args.question}: candidates")
-    params = _resolve_params(args, cfg, candidates[0].dim, d_t=query.size)
-    chosen = mcq_retrieval(query, candidates, params, context=cfg.delta,
-                           clip_spans=spans, edge_threshold=cfg.edge_threshold,
+    question = read_mcq_question(args.question)
+    candidates = question.read_candidates()
+    params = _resolve_params(args, cfg, candidates[0].dim, d_t=question.query.size)
+    chosen = mcq_retrieval(question.query, candidates, params, context=cfg.delta,
+                           clip_spans=question.spans, edge_threshold=cfg.edge_threshold,
                            seed=cfg.seed)
-    doc = {"chosen": chosen}
-    for key in ("correct", "group"):
-        if key in question:
-            doc[key] = question[key]
-    _emit(args, "mcq", doc)
+    _emit(args, "mcq", {"chosen": chosen, **question.answer})
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
     if args.task == "procedure":
-        pred_doc = read_object(args.pred, "timestamps", "segment_duration", "labels")
+        timestamps, segment_duration, labels = read_label_predictions(args.pred)
         annotation = read_annotations(args.annotations)
-        timestamps = _vector(pred_doc["timestamps"], f"{args.pred}: timestamps")
-        segment_duration = _number(pred_doc["segment_duration"], f"{args.pred}: segment_duration")
-        labels = _vector(pred_doc["labels"], f"{args.pred}: labels", kind=int)
-        if labels.size != timestamps.size:
-            raise SchemaError(f"{args.pred}: labels",
-                              f"{labels.size} labels for {timestamps.size} timestamps")
         gt = segment_labels_from_annotation(annotation, timestamps, segment_duration)
         num_steps = args.num_steps
         if num_steps is None:
@@ -287,20 +255,7 @@ def _cmd_evaluate(args) -> int:
         doc = {"scalars": {"F1": f1, "IoU": iou},
                "counts": {"segments": int(timestamps.size), "steps": num_steps}}
     elif args.task == "grounding":
-        base = Path(args.queries).parent
-        queries = []
-        items = read_object(args.queries, "queries")["queries"]
-        if not isinstance(items, list):
-            raise SchemaError(f"{args.queries}: queries", "expected a list")
-        for i, item in enumerate(items):
-            where = f"{args.queries}: queries[{i}]"
-            preds = read_predictions(base / _require(item, "predictions", str, where))
-            gt = item.get("gt")
-            interval = None
-            if gt:
-                interval = (_require(gt, "start", float, f"{where}.gt"),
-                            _require(gt, "end", float, f"{where}.gt"))
-            queries.append((preds, interval))
+        queries = [(read_predictions(p), gt) for p, gt in read_grounding_queries(args.queries)]
         doc = recall_at_iou(queries).to_json_dict()
     elif args.task == "localization":
         predictions = read_predictions(args.pred)
@@ -316,19 +271,7 @@ def _cmd_evaluate(args) -> int:
         report.scalars["label_accuracy"] = correct / len(predictions) if predictions else 0.0
         doc = report.to_json_dict()
     else:  # mcq
-        results = read_object(args.results, "results")["results"]
-        if not isinstance(results, list):
-            raise SchemaError(f"{args.results}: results", "expected a list")
-        choices = []
-        for i, r in enumerate(results):
-            where = f"{args.results}: results[{i}]"
-            chosen = _require(r, "chosen", int, where)
-            correct = _require(r, "correct", int, where)
-            group = r.get("group", "inter")
-            if group not in ("inter", "intra"):
-                raise SchemaError(f"{where}.group", 'expected "inter" or "intra"')
-            choices.append((chosen, correct, group))
-        doc = mcq_accuracy(choices).to_json_dict()
+        doc = mcq_accuracy(read_mcq_results(args.results)).to_json_dict()
     doc["task"] = args.task
     _emit(args, "evaluate", doc)
     return EXIT_OK
@@ -363,7 +306,7 @@ def _load_corpus(data_dir) -> list[tuple]:
         raise FileNotFoundError(f"no <video>/features.hft + narrations.json pairs under {root}")
     if narrated is None:
         raise SchemaError(str(root), "no video has a narration to train on")
-    _require_constant_dim([seq for seq, _ in dataset])
+    require_constant_dim([seq for seq, _ in dataset])
     return dataset
 
 
@@ -565,6 +508,8 @@ def main(argv: list[str] | None = None) -> int:
         missing = [f"--{name}" for name in _EVALUATE_INPUTS[args.task] if getattr(args, name) is None]
         if missing:
             parser.error(f"evaluate --task {args.task} requires {' and '.join(missing)}")
+        if args.num_steps is not None and args.num_steps < 0:
+            parser.error(f"--num-steps must be non-negative, got {args.num_steps}")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -9,11 +9,10 @@ loudly, and command-line flags win over file values.
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .dataio import finite_number, load_json
+from .errors import ConfigError, SchemaError
 
 
 @dataclass
@@ -67,14 +66,10 @@ class RunConfig:
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ConfigError(f"{key}: expected an integer")
             else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"{key}: expected a number")
                 try:
-                    value = float(value)
-                except OverflowError:  # an integer beyond the float range
-                    raise ConfigError(f"{key}: number out of range") from None
-                if not math.isfinite(value):
-                    raise ConfigError(f"{key}: expected a finite number, got {value}")
+                    value = finite_number(value, key)
+                except SchemaError as exc:
+                    raise ConfigError(str(exc)) from None
             setattr(merged, key, value)
         return merged
 
@@ -83,10 +78,9 @@ class RunConfig:
         """``from_dict`` on the JSON document in ``path``; invalid JSON is a
         ConfigError too."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except ValueError as exc:  # a syntax error, bytes that are not UTF-8, a huge integer
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+            doc = load_json(path)
+        except SchemaError as exc:
+            raise ConfigError(str(exc)) from exc
         return cls.from_dict(doc)
 
     def override(self, **updates) -> "RunConfig":

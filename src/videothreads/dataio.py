@@ -1,5 +1,5 @@
-"""File formats: binary feature sequences plus JSON narrations, taxonomies,
-annotations, and predictions.
+"""File formats: binary feature sequences plus the JSON documents the
+library and the CLI read.
 
 The binary feature layout is fixed and framework-neutral:
 
@@ -10,10 +10,12 @@ The binary feature layout is fixed and framework-neutral:
     N x f64 LE   timestamps (segment start times, strictly increasing)
     N*D x f32 LE features, row-major
 
-The video id is not stored; readers take it from the file name. All JSON
-documents are UTF-8 with schemas validated field by field; writing then
-reading any value reproduces it bit-exactly (features are kept at f32
-precision for that reason).
+The video id is not stored; readers take it from the file name. Each JSON
+document has one typed reader, which validates it field by field and names
+the file and the field in a SchemaError: narrations, taxonomies, annotations,
+predictions, and the CLI's query, MCQ question, label predictions, grounding
+queries and MCQ results. All are UTF-8; writing then reading any value
+reproduces it bit-exactly (features are kept at f32 precision for that reason).
 """
 
 from __future__ import annotations
@@ -147,6 +149,30 @@ class StepPrediction:
             raise SchemaError("prediction", f"start {self.start} must be < end {self.end}")
 
 
+@dataclass(frozen=True, eq=False)
+class McqQuestion:
+    """A query, candidate clip paths, their spans, and the answer keys given."""
+
+    path: Path
+    query: np.ndarray
+    candidates: tuple[Path, ...]
+    spans: list[tuple[float, float]] | None
+    answer: dict
+
+    def read_candidates(self) -> list[FeatureSequence]:
+        """The candidate feature files, which must share one feature width."""
+        clips = [read_feature_file(p) for p in self.candidates]
+        require_constant_dim(clips, f"{self.path}: candidates")
+        return clips
+
+
+def require_constant_dim(sequences, where: str = "features") -> None:
+    """A SchemaError naming ``where`` unless all sequences share one width."""
+    dims = {seq.dim for seq in sequences}
+    if len(dims) > 1:
+        raise SchemaError(where, f"mixed feature dimensions across videos: {sorted(dims)}")
+
+
 # ---------------------------------------------------------------------------
 # binary feature files
 
@@ -199,13 +225,38 @@ def _require(doc: dict, key: str, kind, path: str):
         raise SchemaError(where, "missing")
     value = doc[key]
     if kind is float:
-        return _number(value, where)
+        return finite_number(value, where)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(where, f"expected {kind.__name__}")
     return value
 
 
-def _number(value, path: str) -> float:
+def _member(doc, key: str, kind=object):
+    """``doc[key]`` of type ``kind``; "missing" if ``doc`` is no object holding ``key``."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise SchemaError(key, "missing")
+    if not isinstance(doc[key], kind):
+        raise SchemaError(key, f"expected a {kind.__name__}")
+    return doc[key]
+
+
+def _interval(start: float, end: float, path: str) -> tuple[float, float]:
+    """A (start, end) span in seconds; the start must not be after the end."""
+    if start > end:
+        raise SchemaError(path, f"start {start} is after end {end}")
+    return start, end
+
+
+def _label(item: dict, where: str) -> int | None:
+    """The item's optional step label: an integer, or null for background."""
+    label = item.get("label")
+    if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
+        raise SchemaError(f"{where}.label", "expected an integer or null")
+    return label
+
+
+def finite_number(value, path: str) -> float:
+    """A JSON number (not a bool) as a finite float, or a SchemaError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, "expected a number")
     try:
@@ -235,7 +286,8 @@ def _vector(values, path: str, kind=float) -> np.ndarray:
     return array
 
 
-def _load_json(path) -> dict:
+def load_json(path):
+    """The JSON value in ``path``; invalid JSON is a SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -245,9 +297,10 @@ def _load_json(path) -> dict:
 
 @contextmanager
 def _fields_of(path):
-    """Name ``path`` in a SchemaError raised inside: ``<path>: items[0].text``."""
+    """The JSON in ``path``; a SchemaError raised inside names the file: ``<path>: items[0]``."""
+    doc = load_json(path)
     try:
-        yield
+        yield doc
     except SchemaError as exc:
         field = f"{path}: {exc.field}" if exc.field else str(path)
         raise SchemaError(field, exc.reason) from None
@@ -393,8 +446,7 @@ def _write_dict(write, doc: dict, level: int) -> None:
 
 
 def read_narrations(path) -> NarrationSet:
-    doc = _load_json(path)
-    with _fields_of(path):
+    with _fields_of(path) as doc:
         items = _require(doc, "items", list, "")
         parsed = []
         for i, item in enumerate(items):
@@ -416,12 +468,9 @@ def write_narrations(path, narrations: NarrationSet) -> None:
 
 
 def read_taxonomy(path) -> Taxonomy:
-    doc = _load_json(path)
-    with _fields_of(path):
+    with _fields_of(path) as doc:
         labels = _require(doc, "labels", list, "")
         rows = _require(doc, "embeddings", list, "")
-        if len(labels) != len(rows):
-            raise SchemaError("embeddings", "row count must equal label count")
         for i, label in enumerate(labels):
             if not isinstance(label, str):
                 raise SchemaError(f"labels[{i}]", "expected a string")
@@ -441,18 +490,14 @@ def write_taxonomy(path, taxonomy: Taxonomy) -> None:
 
 
 def read_annotations(path) -> StepAnnotation:
-    doc = _load_json(path)
-    with _fields_of(path):
+    with _fields_of(path) as doc:
         raw = _require(doc, "intervals", list, "")
         intervals = []
         for i, item in enumerate(raw):
             where = f"intervals[{i}]"
             start = _require(item, "start", float, where)
             end = _require(item, "end", float, where)
-            label = item.get("label") if isinstance(item, dict) else None
-            if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-                raise SchemaError(f"{where}.label", "expected an integer or null")
-            intervals.append((start, end, label))
+            intervals.append((start, end, _label(item, where)))
         return StepAnnotation(tuple(intervals))
 
 
@@ -466,8 +511,7 @@ def write_annotations(path, annotation: StepAnnotation) -> None:
 
 
 def read_predictions(path) -> list[StepPrediction]:
-    doc = _load_json(path)
-    with _fields_of(path):
+    with _fields_of(path) as doc:
         raw = _require(doc, "predictions", list, "")
         out = []
         for i, item in enumerate(raw):
@@ -475,10 +519,7 @@ def read_predictions(path) -> list[StepPrediction]:
             start = _require(item, "start", float, where)
             end = _require(item, "end", float, where)
             score = _require(item, "score", float, where)
-            label = item.get("label")
-            if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-                raise SchemaError(f"{where}.label", "expected an integer or null")
-            out.append(StepPrediction(start, end, label, score))
+            out.append(StepPrediction(start, end, _label(item, where), score))
         return out
 
 
@@ -491,11 +532,78 @@ def write_predictions(path, predictions: list[StepPrediction]) -> None:
     })
 
 
-def read_object(path, *keys: str) -> dict:
-    """The JSON object in ``path``, checked to hold every key in ``keys``; a
-    SchemaError names the file and the missing field otherwise."""
-    doc = _load_json(path)
-    for key in keys:
-        if not isinstance(doc, dict) or key not in doc:
-            raise SchemaError(f"{path}: {key}", "missing")
-    return doc
+def read_query(path) -> np.ndarray:
+    """The embedding of a ``{"embedding": [number]}`` query."""
+    with _fields_of(path) as doc:
+        return _vector(_member(doc, "embedding"), "embedding")
+
+
+def read_mcq_question(path) -> McqQuestion:
+    """``{"query", "candidates": [path], "spans": null or [[start, end]]}``;
+    candidate paths are relative to the question's folder."""
+    with _fields_of(path) as doc:
+        query = _vector(_member(doc, "query"), "query")
+        paths = _member(doc, "candidates")
+        if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
+            raise SchemaError("candidates", "expected a non-empty list of paths")
+        spans = doc.get("spans")
+        if spans is not None:
+            if not isinstance(spans, list) or len(spans) != len(paths):
+                raise SchemaError("spans", "expected null or one [start, end] pair per candidate")
+            spans = [_vector(span, f"spans[{i}]") for i, span in enumerate(spans)]
+            for i, pair in enumerate(spans):
+                if pair.size != 2:
+                    raise SchemaError(f"spans[{i}]", "expected a [start, end] number pair")
+                spans[i] = _interval(*pair.tolist(), f"spans[{i}]")
+    base = Path(path).parent
+    return McqQuestion(Path(path), query, tuple(base / p for p in paths), spans,
+                       {key: doc[key] for key in ("correct", "group") if key in doc})
+
+
+def read_label_predictions(path) -> tuple[np.ndarray, float, np.ndarray]:
+    """What ``procedure-learn`` writes: ``{"timestamps", "segment_duration", "labels"}``,
+    one integer label per start time; times are non-negative and increasing."""
+    with _fields_of(path) as doc:
+        timestamps = _vector(_member(doc, "timestamps"), "timestamps")
+        duration = finite_number(_member(doc, "segment_duration"), "segment_duration")
+        labels = _vector(_member(doc, "labels"), "labels", kind=int)
+        if labels.size != timestamps.size:
+            raise SchemaError("labels", f"{labels.size} labels for {timestamps.size} timestamps")
+        if timestamps[0] < 0.0 or not np.all(np.diff(timestamps) > 0.0):
+            raise SchemaError("timestamps", "must be non-negative and strictly increasing")
+        if not duration > 0.0:
+            raise SchemaError("segment_duration", "must be positive")
+        return timestamps, duration, labels
+
+
+def read_grounding_queries(path) -> list[tuple[Path, tuple[float, float] | None]]:
+    """``{"queries": [{"predictions": path, "gt": {"start", "end"} or null}]}``
+    as (predictions file, span or None) pairs; paths are relative to the document."""
+    base = Path(path).parent
+    with _fields_of(path) as doc:
+        queries = []
+        for i, item in enumerate(_member(doc, "queries", list)):
+            where = f"queries[{i}]"
+            predictions = base / _require(item, "predictions", str, where)
+            gt = item.get("gt")
+            if gt:
+                gt = _interval(_require(gt, "start", float, f"{where}.gt"),
+                               _require(gt, "end", float, f"{where}.gt"), f"{where}.gt")
+            queries.append((predictions, gt or None))
+        return queries
+
+
+def read_mcq_results(path) -> list[tuple[int, int, str]]:
+    """``{"results": [{"chosen", "correct", "group"}]}`` as (chosen, correct,
+    group) triples; ``group`` is "inter" (the default) or "intra"."""
+    with _fields_of(path) as doc:
+        choices = []
+        for i, item in enumerate(_member(doc, "results", list)):
+            where = f"results[{i}]"
+            chosen = _require(item, "chosen", int, where)
+            correct = _require(item, "correct", int, where)
+            group = item.get("group", "inter")
+            if group not in ("inter", "intra"):
+                raise SchemaError(f"{where}.group", 'expected "inter" or "intra"')
+            choices.append((chosen, correct, group))
+        return choices

@@ -124,7 +124,7 @@ def procedure_f1_iou(pred_labels, gt_labels, num_steps: int) -> tuple[float, flo
         raise ShapeError(f"label sequences differ in length: {pred.shape} vs {gt.shape}")
 
     pred_ids = np.unique(pred)
-    gt_ids = [s for s in range(num_steps) if np.any(gt == s)]
+    gt_ids = [int(s) for s in np.unique(gt) if 0 <= s < num_steps and s == int(s)]
     if not gt_ids:
         return 0.0, 0.0
 

@@ -30,6 +30,10 @@ agree bit for bit, gradients included.
 The backward oracle keeps the gradient of every node it reaches;
 production ``Var.backward`` drops each non-leaf gradient once it has passed
 it to the node's parents, and must leave the same leaf gradients.
+
+The procedure F1/IoU oracle finds the ground-truth steps by testing every
+id in ``range(num_steps)``; production code takes the distinct labels that
+occur and keeps those in range, so its time does not grow with num_steps.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from videothreads.autodiff import _topological_order, segment_sum, take_rows
 from videothreads.errors import ConvergenceError
 from videothreads.graph import directed_edges
+from videothreads.metrics import hungarian
 
 QL_MAX_SWEEPS = 60
 
@@ -384,3 +389,34 @@ def tdgc_aggregate_ref(signed_gate, projected, edges: np.ndarray, timestamps: np
     _, dt_class = np.unique(timestamps[dst] - timestamps[src], return_inverse=True)
     messages = take_rows(signed_gate, dt_class) * take_rows(projected, src)
     return segment_sum(messages, dst, timestamps.shape[0])
+
+
+def procedure_f1_iou_ref(pred_labels, gt_labels, num_steps: int) -> tuple[float, float]:
+    """``metrics.procedure_f1_iou`` scanning every step id below num_steps."""
+    pred, gt = np.asarray(pred_labels), np.asarray(gt_labels)
+    pred_ids = np.unique(pred)
+    gt_ids = [s for s in range(num_steps) if np.any(gt == s)]
+    if not gt_ids:
+        return 0.0, 0.0
+    overlap = np.zeros((pred_ids.size, len(gt_ids)))
+    for a, p in enumerate(pred_ids):
+        for b, s in enumerate(gt_ids):
+            overlap[a, b] = np.sum((pred == p) & (gt == s))
+    mapping, _ = hungarian(-overlap)
+    matched = {gt_ids[col]: pred_ids[row] for row, col in mapping.items()}
+    f1s, ious = [], []
+    for s in gt_ids:
+        gt_mask = gt == s
+        if s not in matched:
+            f1s.append(0.0)
+            ious.append(0.0)
+            continue
+        pred_mask = pred == matched[s]
+        inter = float(np.sum(gt_mask & pred_mask))
+        precision = inter / max(float(np.sum(pred_mask)), 1.0)
+        recall = inter / float(np.sum(gt_mask))
+        f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+        union = float(np.sum(gt_mask | pred_mask))
+        f1s.append(f1)
+        ious.append(inter / union if union else 0.0)
+    return float(np.mean(f1s)), float(np.mean(ious))

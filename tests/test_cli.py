@@ -233,6 +233,11 @@ class TestErrorExitCodes:
         ("mcq_span_inverted_empty_window", EXIT_DATA, "spans[0]"),
         ("ground_query_not_utf8", EXIT_DATA, "query.json"),
         ("train_config_not_utf8", EXIT_CONFIG, "query.json"),
+        ("grounding_gt_inverted", EXIT_DATA, "queries[0].gt"),
+        ("grounding_fault_after_missing_predictions", EXIT_DATA, "queries[1].predictions"),
+        ("procedure_timestamps_decreasing", EXIT_DATA, "timestamps"),
+        ("procedure_timestamp_negative", EXIT_DATA, "timestamps"),
+        ("procedure_duration_negative", EXIT_DATA, "segment_duration"),
     ])
     def test_malformed_documents(self, corpus, tmp_path, capsys, case, expected_code, field):
         doc = tmp_path / "query.json"
@@ -330,6 +335,17 @@ class TestErrorExitCodes:
                 "spans": [[9000.0, 1.0]] + [[0.0, 1.0]] * 4}),
             "ground_query_not_utf8": NOT_UTF8,
             "train_config_not_utf8": b'{"epochs": 3\xff}',
+            "grounding_gt_inverted": json.dumps({"queries": [
+                {"predictions": no_preds.name, "gt": {"start": 5.0, "end": 1.0}}]}),
+            # the document is validated before any prediction file is opened
+            "grounding_fault_after_missing_predictions": json.dumps({"queries": [
+                {"predictions": "absent.json", "gt": None}, {"gt": None}]}),
+            "procedure_timestamps_decreasing": json.dumps({
+                "timestamps": [1.0, 0.5], "segment_duration": 0.5, "labels": [0, 1]}),
+            "procedure_timestamp_negative": json.dumps({
+                "timestamps": [-1.0, 0.5], "segment_duration": 0.5, "labels": [0, 1]}),
+            "procedure_duration_negative": json.dumps({
+                "timestamps": [0.0, 0.5], "segment_duration": -0.5, "labels": [0, 1]}),
         }[case]
         if isinstance(content, bytes):
             doc.write_bytes(content)
@@ -403,6 +419,11 @@ class TestErrorExitCodes:
                                       "--train-config", str(doc),
                                       "--params-out", str(tmp_path / "p.bin"),
                                       "--history", str(tmp_path / "h.jsonl")),
+            **{name: ("evaluate", "--task", "grounding", "--queries", str(doc))
+               for name in ("grounding_gt_inverted", "grounding_fault_after_missing_predictions")},
+            **{name: ("evaluate", "--task", "procedure", "--pred", str(doc), "--annotations", ann)
+               for name in ("procedure_timestamps_decreasing", "procedure_timestamp_negative",
+                            "procedure_duration_negative")},
         }[case]
         code = exit_code(*argv, "--out", str(tmp_path / "o.json"))
         assert code == expected_code
@@ -453,6 +474,25 @@ class TestErrorExitCodes:
         assert code == EXIT_ERROR
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ClusteringError"
+
+    @pytest.mark.parametrize("num_steps", ["-3", "4", "1000000000"])
+    def test_num_steps(self, corpus, tmp_path, capsys, num_steps):
+        pred = tmp_path / "labels.json"
+        pred.write_text(json.dumps({"timestamps": [0.0, 5.5], "segment_duration": 0.5,
+                                    "labels": [0, 1]}))
+        out = tmp_path / "o.json"
+        code = exit_code("evaluate", "--task", "procedure", "--pred", str(pred), "--annotations",
+                         str(corpus / "annotations.json"), "--num-steps", num_steps,
+                         "--out", str(out), "--no-meta")
+        if int(num_steps) < 0:
+            assert code == EXIT_USAGE
+            assert "--num-steps" in capsys.readouterr().err
+            assert not out.exists()
+        else:  # a step id no frame carries costs nothing: 10**9 steps score as 4 do
+            assert code == EXIT_OK
+            doc = json.loads(out.read_text())
+            assert doc["counts"]["steps"] == int(num_steps)
+            assert doc["scalars"] == {"F1": 1.0, "IoU": 1.0}
 
     def test_bad_magic_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.hft"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from videothreads import _floatrepr
+from videothreads.config import RunConfig
 from videothreads.dataio import (
     FEATURE_MAGIC,
     FeatureSequence,
@@ -18,8 +19,13 @@ from videothreads.dataio import (
     Taxonomy,
     read_annotations,
     read_feature_file,
+    read_grounding_queries,
+    read_label_predictions,
+    read_mcq_question,
+    read_mcq_results,
     read_narrations,
     read_predictions,
+    read_query,
     read_taxonomy,
     write_annotations,
     write_feature_file,
@@ -30,6 +36,7 @@ from videothreads.dataio import (
 )
 from videothreads.errors import (
     BadMagicError,
+    ConfigError,
     PayloadShapeError,
     SchemaError,
     TimestampOrderError,
@@ -210,6 +217,99 @@ class TestPredictions:
     def test_invalid_interval(self):
         with pytest.raises(SchemaError):
             StepPrediction(3.0, 2.0, None, 0.0)
+
+
+# one valid document per JSON reader: (reader, document, the error a malformed one raises)
+_READERS = {
+    "narrations": (read_narrations, {"items": [
+        {"text": "pick up pan", "timestamp": 1.25, "embedding": [0.5, -0.25, 1]},
+        {"text": "stir", "timestamp": 3.5, "embedding": [0.1, 0.2, 0.3]}]}, SchemaError),
+    "taxonomy": (read_taxonomy, {"labels": ["mix", "pour"],
+                                 "embeddings": [[1.0, 0.0], [0.0, 1.0]]}, SchemaError),
+    "annotations": (read_annotations, {"intervals": [
+        {"start": 0.0, "end": 2.0, "label": 1}, {"start": 2.0, "end": 4.0, "label": None}]},
+        SchemaError),
+    "predictions": (read_predictions, {"predictions": [
+        {"start": 0.0, "end": 1.5, "label": 3, "score": 0.75},
+        {"start": 2, "end": 4.0, "label": None, "score": -0.5}]}, SchemaError),
+    "query": (read_query, {"embedding": [1.0, 0.5, -2]}, SchemaError),
+    "mcq_question": (read_mcq_question, {
+        "query": [1.0, 0.0], "candidates": ["a.hft", "clips/b.hft"],
+        "spans": [[0, 1.5], [2.0, 3.0]], "correct": 1, "group": "intra"}, SchemaError),
+    "label_predictions": (read_label_predictions, {
+        "timestamps": [0.0, 0.5, 1.0], "segment_duration": 0.5, "labels": [0, 1, 1]},
+        SchemaError),
+    "grounding_queries": (read_grounding_queries, {"queries": [
+        {"predictions": "p.json", "gt": {"start": 0.0, "end": 1.0}},
+        {"predictions": "q.json", "gt": None}]}, SchemaError),
+    "mcq_results": (read_mcq_results, {"results": [
+        {"chosen": 1, "correct": 1, "group": "intra"}, {"chosen": 0, "correct": 2}]},
+        SchemaError),
+    "run_config": (RunConfig.from_file, {"epochs": 3, "lr": 0.001, "kappa": 1.5}, ConfigError),
+}
+
+# inserted bytes are JSON syntax half of the time, so that more mutants still parse
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(("flip", "insert", "delete")),
+                                st.integers(0, 2**16),
+                                st.one_of(st.sampled_from(b'0,.-e[]{}"'), st.integers(0, 255))),
+                      min_size=1, max_size=4)
+
+
+def mutate(blob: bytes, mutations) -> bytes:
+    """``blob`` with each (kind, position, byte) applied in turn: flip one
+    bit of a byte, insert the byte, or delete a byte."""
+    data = bytearray(blob)
+    for kind, position, value in mutations:
+        if kind == "insert":
+            data.insert(position % (len(data) + 1), value)
+        elif data and kind == "flip":
+            data[position % len(data)] ^= 1 << (value % 8)
+        elif data:
+            del data[position % len(data)]
+    return bytes(data)
+
+
+class TestReaderMutations:
+    """Every JSON reader returns or raises its own error on any bytes."""
+
+    @pytest.mark.parametrize("name", sorted(_READERS))
+    def test_valid_document_is_read(self, tmp_path, name):
+        reader, doc, _ = _READERS[name]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        reader(path)
+
+    def test_cli_documents_read_as_typed_values(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_READERS["mcq_question"][1]))
+        question = read_mcq_question(path)
+        assert question.query.tolist() == [1.0, 0.0]
+        assert question.candidates == (tmp_path / "a.hft", tmp_path / "clips" / "b.hft")
+        assert question.spans == [(0.0, 1.5), (2.0, 3.0)]
+        assert question.answer == {"correct": 1, "group": "intra"}
+        path.write_text(json.dumps({"queries": [
+            {"predictions": "p.json", "gt": {"start": 1, "end": 1.0}},
+            {"predictions": "q.json", "gt": {}}, {"predictions": "r.json"}]}))
+        assert read_grounding_queries(path) == [(tmp_path / "p.json", (1.0, 1.0)),
+                                                (tmp_path / "q.json", None),
+                                                (tmp_path / "r.json", None)]
+        path.write_text(json.dumps(_READERS["mcq_results"][1]))
+        assert read_mcq_results(path) == [(1, 1, "intra"), (0, 2, "inter")]
+        path.write_text(json.dumps(_READERS["label_predictions"][1]))
+        timestamps, duration, labels = read_label_predictions(path)
+        assert (timestamps.tolist(), duration, labels.tolist()) == ([0.0, 0.5, 1.0], 0.5, [0, 1, 1])
+
+    @pytest.mark.parametrize("name", sorted(_READERS))
+    @given(mutations=_MUTATIONS)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_mutated_document_is_read_or_rejected(self, tmp_path_factory, name, mutations):
+        reader, doc, error = _READERS[name]
+        path = tmp_path_factory.getbasetemp() / f"mutated_{name}.json"
+        path.write_bytes(mutate(json.dumps(doc, separators=(",", ":")).encode(), mutations))
+        try:
+            reader(path)
+        except error:
+            pass
 
 
 def oracle_text(doc) -> str:

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference_impl import brute_force_assignment
+from reference_impl import brute_force_assignment, procedure_f1_iou_ref
 from videothreads.dataio import StepPrediction
 from videothreads.errors import NonFiniteError, ShapeError
 from videothreads.metrics import (
@@ -108,6 +110,19 @@ class TestProcedureF1Iou:
         # any ground-truth label outside [0, num_steps) is background
         with pytest.raises(TypeError):
             procedure_f1_iou([0, 1], [0, 1], 2, background=-1)
+
+    @given(data=st.data(), num_steps=st.integers(-3, 50))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_range_scan(self, data, num_steps):
+        size = data.draw(st.integers(1, 30))
+        pred = np.array(data.draw(st.lists(st.integers(-2, 6), min_size=size, max_size=size)))
+        gt = np.array(data.draw(st.lists(st.integers(-2, 55), min_size=size, max_size=size)))
+        assert procedure_f1_iou(pred, gt, num_steps) == procedure_f1_iou_ref(pred, gt, num_steps)
+
+    def test_huge_num_steps_returns(self):
+        # the step ids come from the labels, so 2**62 costs what 3 does
+        pred, gt = np.array([0, 0, 1, 2, 2]), np.array([0, 1, 1, 2, -1])
+        assert procedure_f1_iou(pred, gt, 2**62) == procedure_f1_iou(pred, gt, 3)
 
 
 class TestRecallAtIou:
