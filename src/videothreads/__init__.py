@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .config import RunConfig
 from .dataio import (
     FeatureSequence,
-    Narration,
     NarrationSet,
     StepAnnotation,
     StepPrediction,

@@ -294,7 +294,7 @@ def _load_corpus(data_dir) -> list[tuple]:
             sequence = read_feature_file(feature_path)
             narrations = read_narrations(narration_path)
             if len(narrations):
-                width = narrations.embeddings().shape[1]
+                width = narrations.embeddings.shape[1]
                 if narrated is None:
                     narrated = (narration_path, width)
                 elif width != narrated[1]:

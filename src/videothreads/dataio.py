@@ -59,10 +59,7 @@ class FeatureSequence:
             raise SchemaError("features", "must be a 2-D array")
         if self.timestamps.shape[0] != self.features.shape[0]:
             raise SchemaError("timestamps", "length must equal feature rows")
-        if self.timestamps.size and self.timestamps[0] < 0.0:
-            raise SchemaError("timestamps", "must be non-negative")
-        if self.timestamps.size > 1 and not np.all(np.diff(self.timestamps) > 0.0):
-            raise TimestampOrderError("timestamps must be strictly increasing")
+        _check_timeline(self.timestamps, self.segment_duration)
 
     @property
     def num_segments(self) -> int:
@@ -73,37 +70,27 @@ class FeatureSequence:
         return int(self.features.shape[1])
 
 
-@dataclass(frozen=True)
-class Narration:
-    text: str
-    timestamp: float
-    embedding: np.ndarray
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NarrationSet:
-    """Timestamped textual descriptions with their text embeddings."""
+    """Timestamped textual descriptions as three columns: the texts, their
+    times (n,) and their text embeddings (n, d), or (0, 0) when empty."""
 
-    items: tuple[Narration, ...]
+    texts: tuple[str, ...]
+    timestamps: np.ndarray
+    embeddings: np.ndarray
 
     def __post_init__(self):
-        dims = {item.embedding.shape[0] for item in self.items}
-        if len(dims) > 1:
-            raise SchemaError("items", f"embeddings have mixed dimensions {sorted(dims)}")
-        for i, item in enumerate(self.items):
-            if item.timestamp < 0.0:
-                raise SchemaError(f"items[{i}].timestamp", "must be non-negative")
+        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.float64))
+        object.__setattr__(self, "embeddings", np.asarray(self.embeddings, dtype=np.float64))
+        n = len(self.texts)
+        if self.timestamps.shape != (n,) or self.embeddings.ndim != 2 or len(self.embeddings) != n:
+            raise SchemaError("items", "need one timestamp and one embedding row per text")
+        negative = np.flatnonzero(self.timestamps < 0.0)
+        if negative.size:
+            raise SchemaError(f"items[{int(negative[0])}].timestamp", "must be non-negative")
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    def timestamps(self) -> np.ndarray:
-        return np.array([item.timestamp for item in self.items], dtype=np.float64)
-
-    def embeddings(self) -> np.ndarray:
-        if not self.items:
-            return np.zeros((0, 0))
-        return np.stack([item.embedding for item in self.items]).astype(np.float64)
+        return len(self.texts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +153,16 @@ class McqQuestion:
         return clips
 
 
+def _check_timeline(timestamps: np.ndarray, segment_duration: float) -> None:
+    """Start times are finite, non-negative and strictly increasing; the duration is positive."""
+    if timestamps.size and not (timestamps[0] >= 0.0 and timestamps[-1] < math.inf):
+        raise SchemaError("timestamps", "must be finite and non-negative")
+    if not np.all(np.diff(timestamps) > 0.0):
+        raise TimestampOrderError("timestamps", "must be strictly increasing")
+    if not 0.0 < segment_duration < math.inf:
+        raise SchemaError("segment_duration", f"must be positive and finite, got {segment_duration}")
+
+
 def require_constant_dim(sequences, where: str = "features") -> None:
     """A SchemaError naming ``where`` unless all sequences share one width."""
     dims = {seq.dim for seq in sequences}
@@ -205,12 +202,11 @@ def read_feature_file(path) -> FeatureSequence:
         raise PayloadShapeError(f"{path}: {len(raw) - expected} trailing bytes beyond N x D payload")
     timestamps = np.frombuffer(raw, dtype="<f8", count=n, offset=header_end)
     features = np.frombuffer(raw, dtype="<f4", count=n * d, offset=header_end + 8 * n)
-    return FeatureSequence(
-        video_id=path.stem,
-        timestamps=timestamps.astype(np.float64),
-        features=features.reshape(n, d).astype(np.float64),
-        segment_duration=segment_duration,
-    )
+    try:
+        return FeatureSequence(path.stem, timestamps.astype(np.float64),
+                               features.reshape(n, d).astype(np.float64), segment_duration)
+    except SchemaError as exc:  # name the file, keep the error class
+        raise type(exc)(f"{path}: {exc.field}", exc.reason) from None
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +246,9 @@ def _interval(start: float, end: float, path: str) -> tuple[float, float]:
 def _label(item: dict, where: str) -> int | None:
     """The item's optional step label: an integer, or null for background."""
     label = item.get("label")
-    if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-        raise SchemaError(f"{where}.label", "expected an integer or null")
+    if label is not None and (isinstance(label, bool) or not isinstance(label, int)
+                              or not -2**63 <= label < 2**63):
+        raise SchemaError(f"{where}.label", "expected an int64 integer or null")
     return label
 
 
@@ -445,24 +442,32 @@ def _write_dict(write, doc: dict, level: int) -> None:
     write("\n" + " " * level + "}")
 
 
+def _stack(rows: list[np.ndarray], where: str) -> np.ndarray:
+    """Rows of one width as a matrix, (0, 0) for none; row i's field is ``where.format(i)``."""
+    for i, row in enumerate(rows):
+        if row.size != rows[0].size:
+            raise SchemaError(where.format(i), f"has {row.size} numbers, row 0 has {rows[0].size}")
+    return np.stack(rows) if rows else np.zeros((0, 0))
+
+
 def read_narrations(path) -> NarrationSet:
     with _fields_of(path) as doc:
         items = _require(doc, "items", list, "")
-        parsed = []
+        texts, timestamps, rows = [], [], []
         for i, item in enumerate(items):
             where = f"items[{i}]"
-            text = _require(item, "text", str, where)
-            timestamp = _require(item, "timestamp", float, where)
-            embedding = _vector(_require(item, "embedding", list, where), f"{where}.embedding")
-            parsed.append(Narration(text, timestamp, embedding))
-        return NarrationSet(tuple(parsed))
+            texts.append(_require(item, "text", str, where))
+            timestamps.append(_require(item, "timestamp", float, where))
+            rows.append(_vector(_require(item, "embedding", list, where), f"{where}.embedding"))
+        return NarrationSet(tuple(texts), timestamps, _stack(rows, "items[{}].embedding"))
 
 
 def write_narrations(path, narrations: NarrationSet) -> None:
     write_json(path, {
         "items": [
-            {"text": n.text, "timestamp": n.timestamp, "embedding": n.embedding.tolist()}
-            for n in narrations.items
+            {"text": text, "timestamp": timestamp, "embedding": embedding.tolist()}
+            for text, timestamp, embedding in zip(
+                narrations.texts, narrations.timestamps.tolist(), narrations.embeddings)
         ]
     })
 
@@ -475,11 +480,7 @@ def read_taxonomy(path) -> Taxonomy:
             if not isinstance(label, str):
                 raise SchemaError(f"labels[{i}]", "expected a string")
         matrix = [_vector(row, f"embeddings[{i}]") for i, row in enumerate(rows)]
-        for i, row in enumerate(matrix):
-            if row.size != matrix[0].size:
-                raise SchemaError(f"embeddings[{i}]", f"has {row.size} numbers, embeddings[0] has "
-                                  f"{matrix[0].size}")
-        return Taxonomy(tuple(labels), np.stack(matrix) if matrix else np.zeros((0, 0)))
+        return Taxonomy(tuple(labels), _stack(matrix, "embeddings[{}]"))
 
 
 def write_taxonomy(path, taxonomy: Taxonomy) -> None:
@@ -569,10 +570,7 @@ def read_label_predictions(path) -> tuple[np.ndarray, float, np.ndarray]:
         labels = _vector(_member(doc, "labels"), "labels", kind=int)
         if labels.size != timestamps.size:
             raise SchemaError("labels", f"{labels.size} labels for {timestamps.size} timestamps")
-        if timestamps[0] < 0.0 or not np.all(np.diff(timestamps) > 0.0):
-            raise SchemaError("timestamps", "must be non-negative and strictly increasing")
-        if not duration > 0.0:
-            raise SchemaError("segment_duration", "must be positive")
+        _check_timeline(timestamps, duration)
         return timestamps, duration, labels
 
 

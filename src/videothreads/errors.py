@@ -65,10 +65,6 @@ class PayloadShapeError(DataError):
     """A binary file's payload disagrees with its header dimensions."""
 
 
-class TimestampOrderError(DataError):
-    """Timestamps in a file are not strictly increasing."""
-
-
 class SchemaError(DataError):
     """A JSON document violates its schema.
 
@@ -80,6 +76,10 @@ class SchemaError(DataError):
         self.field = field
         self.reason = message
         super().__init__(f"{field}: {message}")
+
+
+class TimestampOrderError(SchemaError):
+    """Timestamps in a file are not strictly increasing (field ``timestamps``)."""
 
 
 class EmptyBatchError(VideoThreadsError):

@@ -17,7 +17,6 @@ import numpy as np
 from .dataio import (
     DEFAULT_SEGMENT_DURATION,
     FeatureSequence,
-    Narration,
     NarrationSet,
     StepAnnotation,
     Taxonomy,
@@ -141,17 +140,12 @@ def generate(spec: SynthSpec) -> SynthDataset:
     features = centers[step_labels] + spec.sigma * rng.standard_normal((n, spec.dim))
     features = features.astype(np.float32).astype(np.float64)
 
-    half = 0.5 * spec.segment_duration
-    narr_noise = 0.5 * spec.sigma
-    items = []
-    for i in range(n):
-        step = int(step_labels[i])
-        embedding = centers[step] + narr_noise * rng.standard_normal(spec.dim)
-        items.append(Narration(
-            text=f"step {step}",
-            timestamp=float(timestamps[i] + half),
-            embedding=embedding.astype(np.float32).astype(np.float64),
-        ))
+    narr_noise = 0.5 * spec.sigma * rng.standard_normal((n, spec.dim))
+    narrations = NarrationSet(
+        texts=tuple(f"step {step}" for step in step_labels.tolist()),
+        timestamps=timestamps + 0.5 * spec.segment_duration,
+        embeddings=(centers[step_labels] + narr_noise).astype(np.float32).astype(np.float64),
+    )
 
     taxonomy = Taxonomy(
         labels=tuple(f"step {s}" for s in range(spec.num_steps)),
@@ -171,7 +165,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
             features=features,
             segment_duration=spec.segment_duration,
         ),
-        narrations=NarrationSet(tuple(items)),
+        narrations=narrations,
         taxonomy=taxonomy,
         annotation=StepAnnotation(tuple(intervals)),
         planted=PlantedLabels(step_labels.copy(), thread_labels.copy()),

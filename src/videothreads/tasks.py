@@ -27,8 +27,6 @@ class CandidateStep:
     start: float
     end: float
     embedding: np.ndarray
-    first_segment: int
-    last_segment: int
 
 
 def procedure_learning(trace: ForwardTrace, k: int, depth: int = 1,
@@ -87,8 +85,6 @@ def extract_candidates(trace: ForwardTrace, params: ModelParams, k: int,
             start=float(times[lo]),
             end=float(times[hi - 1] + duration),
             embedding=projected[lo:hi].mean(axis=0),
-            first_segment=lo,
-            last_segment=hi - 1,
         )
         for lo, hi in candidate_runs(labels, min_len)
     ]

@@ -104,21 +104,14 @@ def _vna_scalar(batch: AlignmentBatch, output, params: ModelParams, config: RunC
     annulus plus every narration of the other videos (likewise for a
     narration's nodes). A node or narration without positives adds no term.
     """
-    node_times, node_video = [], []
-    narr_times, narr_video, narr_embeddings = [], [], []
-    for i, (g, narrs) in enumerate(zip(batch.graphs, batch.narrations)):
-        node_times.append(g.timestamps)
-        node_video.append(np.full(g.num_nodes, i))
-        if len(narrs):
-            narr_times.append(narrs.timestamps())
-            narr_video.append(np.full(len(narrs), i))
-            narr_embeddings.append(narrs.embeddings())
-    if not narr_times:
+    sets = [narrs for narrs in batch.narrations if len(narrs)]  # (0, 0) embeddings stack with none
+    if not sets:
         raise EmptyBatchError("batch has no narrations")
-    node_times = np.concatenate(node_times)
-    node_video = np.concatenate(node_video)
-    narr_times = np.concatenate(narr_times)
-    narr_video = np.concatenate(narr_video)
+    videos = np.arange(len(batch.graphs))
+    node_times = np.concatenate([g.timestamps for g in batch.graphs])
+    node_video = np.repeat(videos, [g.num_nodes for g in batch.graphs])
+    narr_times = np.concatenate([narrs.timestamps for narrs in sets])
+    narr_video = np.repeat(videos, [len(narrs) for narrs in batch.narrations])
 
     near, far = 2.0 ** config.alpha, 2.0 ** config.beta
     same = node_video[:, None] == narr_video[None, :]
@@ -129,7 +122,7 @@ def _vna_scalar(batch: AlignmentBatch, output, params: ModelParams, config: RunC
         raise EmptyBatchError("no narration falls inside any node's alignment window")
 
     vh = project_visual(output, params)
-    th = project_text(np.concatenate(narr_embeddings, axis=0), params)
+    th = project_text(np.concatenate([narrs.embeddings for narrs in sets]), params)
     expz = vexp((vh @ th.T) / config.temperature)
 
     def batch_mean(axis, video):
@@ -306,7 +299,7 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
     narrated = [narrs for _, narrs in dataset if len(narrs)]
     if not narrated:
         raise EmptyBatchError("no video of the dataset has a narration")
-    d_t = narrated[0].embeddings().shape[1]
+    d_t = narrated[0].embeddings.shape[1]
     dims = ModelDims(d_in=d_in, d_h=config.hidden, d_a=config.align_dim,
                      d_t=d_t, stages=config.stages, layers=config.layers)
     params = init_params(dims, seed=config.seed)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from videothreads.cli import (
     main,
 )
 from videothreads.config import RunConfig
-from videothreads.dataio import FeatureSequence, write_feature_file
+from videothreads.dataio import FEATURE_MAGIC, FeatureSequence, write_feature_file
 from videothreads.errors import ConfigError
 from videothreads.model import ModelDims, identity_params, save_params
 
@@ -29,6 +30,14 @@ NOT_UTF8 = b'{"embedding": [1.0, 2.\xcc]}'  # 0xcc starts a two-byte sequence; "
 
 def run(*argv):
     return main(list(argv))
+
+
+def feature_bytes(timestamps, features, duration=0.5):
+    """A feature file's bytes, written here so that values the reader
+    rejects can be stored."""
+    header = FEATURE_MAGIC + struct.pack("<IId", len(timestamps), features.shape[1], duration)
+    return (header + np.asarray(timestamps, dtype="<f8").tobytes()
+            + np.asarray(features, dtype="<f4").tobytes())
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +247,9 @@ class TestErrorExitCodes:
         ("procedure_timestamps_decreasing", EXIT_DATA, "timestamps"),
         ("procedure_timestamp_negative", EXIT_DATA, "timestamps"),
         ("procedure_duration_negative", EXIT_DATA, "segment_duration"),
+        ("procedure_learn_features_negative_duration", EXIT_DATA, "segment_duration"),
+        ("procedure_annotation_label_overflow", EXIT_DATA, "intervals[0].label"),
+        ("localization_prediction_label_overflow", EXIT_DATA, "predictions[0].label"),
     ])
     def test_malformed_documents(self, corpus, tmp_path, capsys, case, expected_code, field):
         doc = tmp_path / "query.json"
@@ -250,6 +262,9 @@ class TestErrorExitCodes:
         query.write_text(json.dumps({"embedding": [1.0] * 16}))
         no_preds = tmp_path / "no_preds.json"
         no_preds.write_text(json.dumps({"predictions": []}))
+        labels = tmp_path / "labels.json"  # what procedure-learn writes, for a two-segment video
+        labels.write_text(json.dumps({"timestamps": [0.0, 0.5], "segment_duration": 0.5,
+                                      "labels": [0, 1]}))
         data = tmp_path / "data"  # two videos; only the second one's narrations are broken
         if case.startswith("train_narration_"):
             for video in ("a", "b"):
@@ -346,6 +361,12 @@ class TestErrorExitCodes:
                 "timestamps": [-1.0, 0.5], "segment_duration": 0.5, "labels": [0, 1]}),
             "procedure_duration_negative": json.dumps({
                 "timestamps": [0.0, 0.5], "segment_duration": -0.5, "labels": [0, 1]}),
+            "procedure_learn_features_negative_duration": feature_bytes(
+                np.arange(40) * 0.5, np.ones((40, 16)), duration=-0.5),
+            "procedure_annotation_label_overflow": json.dumps({"intervals": [
+                {"start": 0.0, "end": 1.0, "label": 10**30}]}),
+            "localization_prediction_label_overflow": json.dumps({"predictions": [
+                {"start": 0.0, "end": 1.0, "label": -10**30, "score": 1.0}]}),
         }[case]
         if isinstance(content, bytes):
             doc.write_bytes(content)
@@ -424,6 +445,11 @@ class TestErrorExitCodes:
             **{name: ("evaluate", "--task", "procedure", "--pred", str(doc), "--annotations", ann)
                for name in ("procedure_timestamps_decreasing", "procedure_timestamp_negative",
                             "procedure_duration_negative")},
+            "procedure_learn_features_negative_duration": ("procedure-learn", "--features", str(doc)),
+            "procedure_annotation_label_overflow": ("evaluate", "--task", "procedure",
+                                                    "--pred", str(labels), "--annotations", str(doc)),
+            "localization_prediction_label_overflow": ("evaluate", "--task", "localization",
+                                                       "--pred", str(doc), "--annotations", ann),
         }[case]
         code = exit_code(*argv, "--out", str(tmp_path / "o.json"))
         assert code == expected_code
@@ -433,6 +459,21 @@ class TestErrorExitCodes:
             error = json.loads(err)["error"]
             assert error["type"] == "SchemaError"
             assert str(doc) in error["message"]
+
+    @pytest.mark.parametrize("timestamps, error", [
+        ([0.0, 0.5, 0.5], "TimestampOrderError"),
+        ([-1.0, 0.5, 1.0], "SchemaError"),
+        ([0.0, 0.5, float("inf")], "SchemaError"),
+    ])
+    def test_feature_file_errors_name_the_file(self, corpus, tmp_path, capsys, timestamps, error):
+        bad = tmp_path / "bad.hft"
+        bad.write_bytes(feature_bytes(np.array(timestamps), np.ones((3, 16))))
+        code = run("forward", "--features", str(corpus / "features.hft"), str(bad),
+                   "--out", str(tmp_path / "o.json"))
+        assert code == EXIT_DATA
+        payload = json.loads(capsys.readouterr().err)["error"]
+        assert payload["type"] == error
+        assert payload["message"].startswith(f"{bad}: timestamps: must be ")
 
     def test_undecodable_query_in_a_fresh_process(self, corpus, tmp_path):
         # the whole command as a user runs it: no traceback, the exit-code contract

@@ -12,7 +12,6 @@ from videothreads.config import RunConfig
 from videothreads.dataio import (
     FEATURE_MAGIC,
     FeatureSequence,
-    Narration,
     NarrationSet,
     StepAnnotation,
     StepPrediction,
@@ -112,25 +111,37 @@ class TestFeatureFiles:
         with pytest.raises(SchemaError):
             FeatureSequence("v", np.array([-1.0]), np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("duration", [0.0, -0.5, float("nan"), float("inf")])
+    def test_bad_segment_duration_names_the_file(self, tmp_path, duration):
+        path = tmp_path / "duration.hft"
+        blob = FEATURE_MAGIC + struct.pack("<IId", 2, 1, duration)
+        blob += np.array([0.0, 0.5], dtype="<f8").tobytes()
+        blob += np.zeros(2, dtype="<f4").tobytes()
+        path.write_bytes(blob)
+        with pytest.raises(SchemaError) as info:
+            read_feature_file(path)
+        assert str(info.value).startswith(f"{path}: segment_duration: must be positive")
+
 
 class TestNarrations:
     def test_round_trip(self, tmp_path):
-        narrs = NarrationSet((
-            Narration("pick up pan", 1.25, np.array([0.5, -0.25, 1.0])),
-            Narration("stir", 3.5, np.array([0.1, 0.2, 0.3])),
-        ))
+        narrs = NarrationSet(("pick up pan", "stir"), np.array([1.25, 3.5]),
+                             np.array([[0.5, -0.25, 1.0], [0.1, 0.2, 0.3]]))
         path = tmp_path / "narr.json"
         write_narrations(path, narrs)
         loaded = read_narrations(path)
         assert len(loaded) == 2
-        assert loaded.items[0].text == "pick up pan"
-        assert np.array_equal(loaded.embeddings(), narrs.embeddings())
-        assert np.array_equal(loaded.timestamps(), narrs.timestamps())
+        assert loaded.texts[0] == "pick up pan"
+        assert np.array_equal(loaded.embeddings, narrs.embeddings)
+        assert np.array_equal(loaded.timestamps, narrs.timestamps)
 
-    def test_mixed_dims_rejected(self):
+    def test_mixed_dims_rejected(self, tmp_path):
+        path = tmp_path / "narr.json"
+        path.write_text(json.dumps({"items": [
+            {"text": "a", "timestamp": 0.0, "embedding": [0.0, 0.0]},
+            {"text": "b", "timestamp": 1.0, "embedding": [0.0, 0.0, 0.0]}]}))
         with pytest.raises(SchemaError):
-            NarrationSet((Narration("a", 0.0, np.zeros(2)),
-                          Narration("b", 1.0, np.zeros(3))))
+            read_narrations(path)
 
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -152,7 +163,7 @@ class TestNarrations:
         path = tmp_path / "narr.json"
         path.write_text(json.dumps({"items": [{"text": "x", "timestamp": 1.0,
                                                "embedding": [1, 2.5, -3]}]}))
-        assert read_narrations(path).items[0].embedding.tolist() == [1.0, 2.5, -3.0]
+        assert read_narrations(path).embeddings[0].tolist() == [1.0, 2.5, -3.0]
 
     def test_document_that_is_not_an_object_names_the_file(self, tmp_path):
         path = tmp_path / "narr.json"

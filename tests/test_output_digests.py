@@ -58,3 +58,24 @@ def test_grad_check_digest(seed, tmp_path):
     out = tmp_path / "grad_check.json"
     assert cli.main(["grad-check", "--seed", str(seed), "--out", str(out), "--no-meta"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GRAD_CHECK_DIGESTS[seed]
+
+
+SYNTH_DIGESTS = {
+    "annotations.json": "ddcb332325daadf1b51742682dd43883d17aca0adc25cb1c0df9c82756b976b6",
+    "features.hft": "c0222484578b2b16c1ae269334050c82094ba48366c3aba59450e16b3e45e466",
+    "narrations.json": "92dc4c6741de6acbd16862bbf6b1ab7d2a7c7145d1415a228a2d9d72060625f3",
+    "planted.json": "bc25fce661b57faf4337a3e08c978ca235480180d198fb84329073327fb9704d",
+    "summary.json": "204252ec6fe7e9fe0d79de16e3f516d426d02bf255c1c5b2c43b50e254b57de6",
+    "taxonomy.json": "ad76050c58c5274cdeacf7cf06e958c6050d0cc0391bcbb2dfd3bff2bf8ea708",
+}
+
+
+def test_synth_digests(tmp_path):
+    # every file synth writes, narrations.json included: no workload digest
+    # covers its bytes, training sees them only through the loss
+    out = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(out), "--seed", "0", "--threads", "7",
+                     "--segments-per-step", "16", "--dim", "64", "--separation", "10",
+                     "--no-meta"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == SYNTH_DIGESTS

@@ -22,7 +22,7 @@ class TestGenerate:
         assert np.array_equal(a.sequence.features, b.sequence.features)
         assert np.array_equal(a.planted.step_labels, b.planted.step_labels)
         assert a.annotation.intervals == b.annotation.intervals
-        assert np.array_equal(a.narrations.embeddings(), b.narrations.embeddings())
+        assert np.array_equal(a.narrations.embeddings, b.narrations.embeddings)
 
     def test_shapes_and_consistency(self):
         spec = SynthSpec(num_threads=3, steps_per_thread=2, segments_per_step=5,
@@ -98,7 +98,7 @@ class TestGenerate:
     def test_narrations_near_step_centers(self):
         ds = generate(SynthSpec(num_threads=2, segments_per_step=6, dim=16,
                                 separation=10.0, sigma=1.0, seed=6))
-        embeddings = ds.narrations.embeddings()
+        embeddings = ds.narrations.embeddings
         centers = ds.taxonomy.embeddings
         for i, step in enumerate(ds.planted.step_labels):
             own = np.linalg.norm(embeddings[i] - centers[step])

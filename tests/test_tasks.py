@@ -94,9 +94,9 @@ class TestExtractCandidates:
 
 def toy_candidates():
     return [
-        CandidateStep(0.0, 2.0, np.array([0.9, 0.0]), 0, 3),
-        CandidateStep(2.0, 4.0, np.array([0.2, 0.1]), 4, 7),
-        CandidateStep(4.0, 6.0, np.array([0.5, 0.3]), 8, 11),
+        CandidateStep(0.0, 2.0, np.array([0.9, 0.0])),
+        CandidateStep(2.0, 4.0, np.array([0.2, 0.1])),
+        CandidateStep(4.0, 6.0, np.array([0.5, 0.3])),
     ]
 
 
@@ -109,8 +109,8 @@ class TestStepGrounding:
 
     def test_orthogonal_query_stable_order(self):
         cands = [
-            CandidateStep(4.0, 6.0, np.array([1.0, 0.0]), 0, 1),
-            CandidateStep(0.0, 2.0, np.array([2.0, 0.0]), 2, 3),
+            CandidateStep(4.0, 6.0, np.array([1.0, 0.0])),
+            CandidateStep(0.0, 2.0, np.array([2.0, 0.0])),
         ]
         ranked = step_grounding(cands, np.array([0.0, 1.0]))
         assert [p.score for p in ranked] == [pytest.approx(0.0), pytest.approx(0.0)]
@@ -142,21 +142,21 @@ class TestStepGrounding:
 class TestStepLocalization:
     def test_exact_taxonomy_row(self):
         taxonomy = Taxonomy(("a", "b", "c", "d"), np.eye(4))
-        cands = [CandidateStep(0.0, 1.0, np.eye(4)[3], 0, 1)]
+        cands = [CandidateStep(0.0, 1.0, np.eye(4)[3])]
         preds = step_localization(cands, taxonomy)
         assert preds[0].label == 3
         assert preds[0].score == pytest.approx(1.0)
 
     def test_tie_picks_lower_index(self):
         taxonomy = Taxonomy(("a", "b"), np.array([[1.0, 0.0], [1.0, 0.0]]))
-        cands = [CandidateStep(0.0, 1.0, np.array([2.0, 0.0]), 0, 1)]
+        cands = [CandidateStep(0.0, 1.0, np.array([2.0, 0.0]))]
         assert step_localization(cands, taxonomy)[0].label == 0
 
     def test_outputs_non_overlapping_and_sorted(self):
         taxonomy = Taxonomy(("a", "b"), np.eye(2))
         cands = [
-            CandidateStep(4.0, 6.0, np.array([1.0, 0.0]), 8, 11),
-            CandidateStep(0.0, 2.0, np.array([0.0, 1.0]), 0, 3),
+            CandidateStep(4.0, 6.0, np.array([1.0, 0.0])),
+            CandidateStep(0.0, 2.0, np.array([0.0, 1.0])),
         ]
         preds = step_localization(cands, taxonomy)
         assert [p.start for p in preds] == [0.0, 4.0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from videothreads.config import RunConfig
-from videothreads.dataio import FeatureSequence, Narration, NarrationSet
+from videothreads.dataio import FeatureSequence, NarrationSet
 from videothreads.errors import EmptyBatchError, GradientError, TrainingDivergedError
 from videothreads.graph import build_graph, disjoint_union
 from videothreads.model import ModelDims, forward, identity_params, init_params
@@ -28,11 +28,9 @@ WIDE_TAU = 1.0  # keeps every logit's share of a softmax well above rounding
 
 
 def narration_set(entries, dim=4, fill=1.0):
-    items = tuple(
-        Narration(f"n{i}", t, (np.full(dim, fill) if e is None else np.asarray(e, dtype=float)))
-        for i, (t, e) in enumerate(entries)
-    )
-    return NarrationSet(items)
+    rows = [np.full(dim, fill) if e is None else np.asarray(e, dtype=float) for _, e in entries]
+    return NarrationSet(tuple(f"n{i}" for i in range(len(entries))), [t for t, _ in entries],
+                        np.stack(rows) if rows else np.zeros((0, 0)))
 
 
 def video(times, dim=4, seed=0):
@@ -174,7 +172,8 @@ class TestLossVna:
         flipped = AlignmentBatch(graphs[::-1], narrs[::-1])
         assert loss_op(k=1, seed=0)(params, flipped).vna == pytest.approx(base, abs=1e-12)
 
-        shuffled = [NarrationSet(tuple(reversed(ns.items))) for ns in narrs]
+        shuffled = [NarrationSet(ns.texts[::-1], ns.timestamps[::-1], ns.embeddings[::-1])
+                    for ns in narrs]
         batch2 = AlignmentBatch(graphs, shuffled)
         assert loss_op(k=1, seed=0)(params, batch2).vna == pytest.approx(base, abs=1e-12)
 
@@ -420,7 +419,7 @@ class TestBackwardMemory:
                                      dim=8, separation=3.0, seed=i)) for i in range(4)]
         batch = AlignmentBatch([build_graph(v.sequence, 1.0) for v in videos],
                                [v.narrations for v in videos])
-        d_t = videos[0].narrations.embeddings().shape[1]
+        d_t = videos[0].narrations.embeddings.shape[1]
         params = init_params(ModelDims(d_in=8, d_h=16, d_a=16, d_t=d_t, stages=3, layers=3),
                              seed=0)
         peaks = []
@@ -521,8 +520,8 @@ def oracle_vna(batch, outputs, params, config):
     tau = config.temperature
     all_narrs = []
     for vid, narrs in enumerate(batch.narrations):
-        for item in narrs.items:
-            all_narrs.append((vid, item.timestamp, _ht(item.embedding, params)))
+        for timestamp, embedding in zip(narrs.timestamps, narrs.embeddings):
+            all_narrs.append((vid, timestamp, _ht(embedding, params)))
     v2t_video_means, t2v_video_means = [], []
     for vid, g in enumerate(batch.graphs):
         node_terms = []
@@ -551,17 +550,17 @@ def oracle_vna(batch, outputs, params, config):
             all_nodes.append((vid, g.timestamps[j], _hv(outputs[vid][j], params)))
     for vid, narrs in enumerate(batch.narrations):
         narr_terms = []
-        for item in narrs.items:
-            ht = _ht(item.embedding, params)
+        for timestamp, embedding in zip(narrs.timestamps, narrs.embeddings):
+            ht = _ht(embedding, params)
             num = den = 0.0
             has_pos = False
             for (nvid, p, hv) in all_nodes:
                 z = math.exp(float(hv @ ht) / tau)
-                if nvid == vid and abs(p - item.timestamp) <= near:
+                if nvid == vid and abs(p - timestamp) <= near:
                     num += z
                     den += z
                     has_pos = True
-                elif nvid == vid and abs(p - item.timestamp) <= far:
+                elif nvid == vid and abs(p - timestamp) <= far:
                     den += z
                 elif nvid != vid:
                     den += z
