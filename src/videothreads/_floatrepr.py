@@ -3,8 +3,12 @@
 ``rows(values, lead)`` returns one ``uint8`` row per element. With its NUL
 bytes dropped, row ``i`` is ``float.__repr__(values[i])``, or ``NaN``,
 ``Infinity`` or ``-Infinity`` as JSON spells the non-finite values; the
-first ``lead`` columns are left NUL for the caller. ``dataio.write_json``
-calls it a chunk of ``CHUNK`` elements at a time.
+first ``lead`` columns are left NUL for the caller. ``dataio``'s JSON
+writer calls it once per chunk of a float64 matrix's rows, never on more
+than ``CHUNK`` elements, and fills the lead columns with the JSON ahead of
+each element: a comma and indent, or, for a row's first element, the
+bracket closing the row before and the row's own "[", where it cuts the
+chunk's text into rows.
 
 Digits. Ryū (Adams, "Ryū: fast float-to-string conversion", PLDI 2018)
 finds, among the shortest decimals that read back as the same double, the

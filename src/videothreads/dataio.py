@@ -310,11 +310,10 @@ def write_json(path, doc: dict) -> None:
     The text is exactly what ``json.dump`` with ``sort_keys=True, indent=1``
     followed by "\\n" writes: ASCII escapes, ``NaN``/``Infinity``/``-Infinity``
     for non-finite floats, shortest-repr floats. It is built here because
-    ``json.dump`` with an indent runs its pure-Python encoder one value at a
-    time; this writer joins each all-float list in one call. A float64
-    ndarray of one or more dimensions is accepted too and written as its
-    ``.tolist()`` would be, by the numpy kernel in ``_floatrepr``; arrays of
-    another dtype and 0-d arrays raise TypeError. Two deviations from
+    ``json.dump`` with an indent encodes one value at a time in Python. A
+    float64 ndarray of one or more dimensions is written as its ``.tolist()``
+    would be, its rows printed a chunk at a time by the numpy kernel in
+    ``_floatrepr``; other arrays raise TypeError. Two deviations from
     ``json.dump``, neither reachable from the writers in this package: a
     non-``str`` key raises TypeError (``json.dump`` would stringify an int,
     float, bool or None key), and a circular document raises RecursionError,
@@ -326,7 +325,6 @@ def write_json(path, doc: dict) -> None:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INFINITY = float("inf")
 
 
 def _write_value(write, value, level: int) -> None:
@@ -334,32 +332,23 @@ def _write_value(write, value, level: int) -> None:
         write(_encode_str(value))
     elif value is None:
         write("null")
-    elif value is True:
-        write("true")
-    elif value is False:
-        write("false")
+    elif value is True or value is False:
+        write("true" if value else "false")
     elif isinstance(value, int):
         write(int.__repr__(value))
     elif isinstance(value, float):
-        write(_float_text(value))
+        write(float.__repr__(value) if math.isfinite(value) else
+              "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity")
     elif isinstance(value, (list, tuple)):
         _write_list(write, value, level)
     elif isinstance(value, dict):
         _write_dict(write, value, level)
     elif isinstance(value, np.ndarray):
         _write_array(write, value, level)
+    elif isinstance(value, _Row):
+        _write_rows(write, value.rows, (), value.index, level)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
 
 
 def _write_list(write, items, level: int) -> None:
@@ -367,75 +356,106 @@ def _write_list(write, items, level: int) -> None:
         write("[]")
         return
     inner = "\n" + " " * (level + 1)
-    comma = "," + inner
-    close = "\n" + " " * level + "]"
-    try:
-        # one join for a list of floats; "nan"/"inf" hold the only "n" that
-        # float.__repr__ can print, and JSON spells those differently
-        body = comma.join(map(float.__repr__, items))
-    except TypeError:  # an int, bool, None, string or container
-        body = None
-    if body is not None and "n" not in body:
-        write("[" + inner + body + close)
-        return
-    lead = "[" + inner
+    lead, comma = "[" + inner, "," + inner
     for item in items:
         write(lead)
         _write_value(write, item, level + 1)
         lead = comma
-    write(close)
+    write("\n" + " " * level + "]")
+
+
+class _Rows:
+    """A 2-D float64 matrix whose rows the writer prints as JSON lists.
+    ``_floatrepr`` renders a chunk of rows when the writer reaches it; the
+    lead of each row's first element closes the row before it, so a run of
+    rows is one slice of the chunk's text."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix, self.per = matrix, max(1, _floatrepr.CHUNK // max(matrix.shape[1], 1))
+        self.start, self.level, self.starts = 0, -1, []
+
+    def span(self, first: int, stop: int, level: int) -> tuple[str, int]:
+        """Rows ``first`` to ``stop``, or to the end of the chunk holding
+        ``first``, as comma-separated lists whose closing brackets are
+        indented by ``level``; and how many rows that is."""
+        if not (0 <= first - self.start < len(self.starts) and level == self.level):
+            self._render(first - first % self.per, level)
+        a, b = first - self.start, min(stop - self.start, len(self.starts))
+        return self.text[self.starts[a]:self.ends[b - 1]], b - a
+
+    def _render(self, start: int, level: int) -> None:
+        """One ``_floatrepr.rows`` call for the chunk from row ``start``, or
+        one per ``CHUNK`` columns of a longer row. ``grid`` keeps the last text
+        matrix until the next one exists: freed first, it lets malloc trim the
+        heap that the kernel then faults in again (9x the page faults)."""
+        block, width = self.matrix[start:start + self.per], self.matrix.shape[1]
+        indent, comma, close = "\n" + " " * (level + 1), ",\n" + " " * level, "\n" + " " * level + "]"
+        lead = (3 * level + 14) // 8 * 8  # room for close, comma, "[" and the indent
+        elem, row, first_row = (np.frombuffer(text.rjust(lead, "\0").encode("ascii"), np.uint8)
+                                for text in ("," + indent, close + comma + "[" + indent, "[" + indent))
+        pieces = []
+        for k in range(0, width, _floatrepr.CHUNK):
+            self.grid = text = _floatrepr.rows(block[:, k:k + _floatrepr.CHUNK], lead)
+            text[:, :lead] = elem
+            if k == 0:
+                text[::min(width, _floatrepr.CHUNK), :lead] = row
+                text[0, :lead] = first_row
+            pieces.append(text.tobytes().translate(None, b"\0"))
+        raw = (b"".join(pieces + [close.encode("ascii")]) if width
+               else comma.encode("ascii").join([b"[]"] * len(block)))
+        self.start, self.level, self.text = start, level, raw.decode("ascii")
+        self.starts = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("[")).tolist()
+        self.ends = [at - len(comma) for at in self.starts[1:]] + [len(raw)]
+
+
+@dataclass(slots=True)
+class _Row:
+    """Stands in a document for row ``index`` of a ``_Rows``; the writer prints that row's list."""
+    rows: _Rows
+    index: int
 
 
 def _write_array(write, array: np.ndarray, level: int) -> None:
-    """A float64 array as its ``.tolist()``: nested lists of shortest-repr
-    floats, rendered by ``_floatrepr`` a chunk of elements at a time. Each
-    element's row starts with the JSON between it and the element before:
-    a comma and indent, or list ends and starts."""
     if array.dtype.type is not np.float64 or array.ndim == 0:
         raise TypeError(f"Object of type ndarray ({array.dtype}, {array.ndim}-d) "
                         "is not JSON serializable")
     if array.size == 0:  # nested empty lists, no float
         _write_list(write, array.tolist(), level)
+    else:  # as its .tolist(): lists nesting the rows along the last axis
+        _write_rows(write, _Rows(array.reshape(-1, array.shape[-1])), array.shape[:-1], 0, level)
+
+
+def _write_rows(write, rows: _Rows, shape: tuple, first: int, level: int) -> None:
+    """The nested lists of ``shape`` whose innermost items are rows ``first``,
+    ``first + 1``, ... of ``rows``; shape () is row ``first`` alone."""
+    if not shape:
+        write(rows.span(first, first + 1, level)[0])
         return
-    depth, inner = array.ndim, level + array.ndim
-
-    def ends(r):  # close the r innermost lists
-        return "".join("\n" + " " * (inner - 1 - t) + "]" for t in range(r))
-
-    def starts(r):  # open r lists, the last one holding the next element
-        return "".join("[\n" + " " * (inner - r + 1 + t) for t in range(r))
-
-    # kinds[r]: the text before an element whose predecessor ended r lists;
-    # kinds[depth]: the text before the first element
-    kinds = [ends(r) + ",\n" + " " * (inner - r) + starts(r) for r in range(depth)] + [starts(depth)]
-    lead = -(-max(map(len, kinds)) // 8) * 8  # _floatrepr.rows wants a multiple of 8
-    separators = np.zeros((depth + 1, lead), np.uint8)
-    for row, text in zip(separators, kinds):  # NUL-padded, as the rows are
-        row[lead - len(text):] = np.frombuffer(text.encode("ascii"), np.uint8)
-    flat = array.reshape(-1)
-    blocks = np.cumprod(array.shape[:0:-1])  # elements per list at each inner depth
-    step = blocks[0] if depth > 1 else flat.size  # elements that start an innermost list
-    for start in range(0, flat.size, _floatrepr.CHUNK):
-        chunk = flat[start:start + _floatrepr.CHUNK]
-        text = _floatrepr.rows(chunk, lead)
-        text[:, :lead] = separators[0]
-        first = np.arange(-(-start // step) * step, start + chunk.size, step)
-        text[first - start, :lead] = separators[(first == 0) + sum(first % b == 0 for b in blocks)]
-        write(text.tobytes().translate(None, b"\0").decode("ascii"))
-    write(ends(depth))
+    inner = "\n" + " " * (level + 1)
+    lead, comma = "[" + inner, "," + inner
+    if len(shape) == 1:  # a list of rows, one write per chunk
+        stop = first + shape[0]
+        while first < stop:
+            text, count = rows.span(first, stop, level + 1)
+            write(lead)
+            write(text)
+            lead, first = comma, first + count
+    else:
+        size = math.prod(shape[1:])
+        for k in range(first, first + shape[0] * size, size):
+            write(lead)
+            _write_rows(write, rows, shape[1:], k, level + 1)
+            lead = comma
+    write("\n" + " " * level + "]")
 
 
 def _write_dict(write, doc: dict, level: int) -> None:
     if not doc:
         write("{}")
         return
-    for key in doc:
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
     inner = "\n" + " " * (level + 1)
-    comma = "," + inner
-    lead = "{" + inner
-    for key in sorted(doc):
+    lead, comma = "{" + inner, "," + inner
+    for key in sorted(doc):  # a key that is no str: sorted or _encode_str raises TypeError
         write(lead + _encode_str(key) + ": ")
         _write_value(write, doc[key], level + 1)
         lead = comma
@@ -463,13 +483,9 @@ def read_narrations(path) -> NarrationSet:
 
 
 def write_narrations(path, narrations: NarrationSet) -> None:
-    write_json(path, {
-        "items": [
-            {"text": text, "timestamp": timestamp, "embedding": embedding.tolist()}
-            for text, timestamp, embedding in zip(
-                narrations.texts, narrations.timestamps.tolist(), narrations.embeddings)
-        ]
-    })
+    rows, times = _Rows(narrations.embeddings), narrations.timestamps.tolist()
+    write_json(path, {"items": [{"text": text, "timestamp": times[i], "embedding": _Row(rows, i)}
+                                for i, text in enumerate(narrations.texts)]})
 
 
 def read_taxonomy(path) -> Taxonomy:
@@ -484,10 +500,7 @@ def read_taxonomy(path) -> Taxonomy:
 
 
 def write_taxonomy(path, taxonomy: Taxonomy) -> None:
-    write_json(path, {
-        "labels": list(taxonomy.labels),
-        "embeddings": [row.tolist() for row in taxonomy.embeddings],
-    })
+    write_json(path, {"labels": list(taxonomy.labels), "embeddings": taxonomy.embeddings})
 
 
 def read_annotations(path) -> StepAnnotation:

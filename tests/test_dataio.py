@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import struct
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from videothreads import _floatrepr
 from videothreads.config import RunConfig
@@ -203,6 +205,51 @@ class TestTaxonomy:
         assert str(info.value).startswith(f"{path}: embeddings[2]: ")
 
 
+def _matrix(n: int, d: int) -> np.ndarray:
+    """(n, d) normal floats with the layouts' edge values and non-finite ones mixed in."""
+    m = np.random.default_rng(n * 131 + d).standard_normal((n, d))
+    edges = [-0.0, 1e-5, 1e16, 5e-324, -2.5e-308, 1e150, np.nan, np.inf, -np.inf]
+    m.reshape(-1)[::7][:len(edges)] = edges[:m.reshape(-1)[::7].size]
+    return m
+
+
+_ROWS_PER_CHUNK = _floatrepr.CHUNK // 64
+
+
+class TestMatrixWriters:
+    """``write_narrations`` and ``write_taxonomy`` print their embedding
+    matrices through ``_floatrepr``, a chunk of rows per call, with the
+    bytes ``json.dump`` writes for the list-form document."""
+
+    @pytest.mark.parametrize("n, d", [
+        (0, 0), (0, 64), (1, 64), (_ROWS_PER_CHUNK - 1, 64), (_ROWS_PER_CHUNK + 1, 64),
+        (2 * _ROWS_PER_CHUNK + 5, 64), (9, 1), (_floatrepr.CHUNK + 1, 1), (3, 0),
+    ])
+    def test_bytes_equal_the_standard_library(self, tmp_path, n, d):
+        m = _matrix(n, d)
+        narrations = NarrationSet(tuple(f"step {i % 5}" for i in range(n)), np.arange(n) * 0.25, m)
+        write_narrations(tmp_path / "n.json", narrations)
+        assert (tmp_path / "n.json").read_text() == oracle_text({"items": [
+            {"text": text, "timestamp": float(t), "embedding": row.tolist()}
+            for text, t, row in zip(narrations.texts, narrations.timestamps, m)]})
+        if d:  # a taxonomy has no zero-norm row
+            m[np.linalg.norm(m, axis=1) == 0.0] = 0.5
+            labels = tuple(f"label {i}" for i in range(n))
+            write_taxonomy(tmp_path / "t.json", Taxonomy(labels, m))
+            assert (tmp_path / "t.json").read_text() == oracle_text(
+                {"labels": list(labels), "embeddings": [row.tolist() for row in m]})
+
+    def test_a_long_narration_set_takes_one_kernel_call_per_chunk(self, tmp_path, monkeypatch):
+        sizes, rows = [], _floatrepr.rows
+        monkeypatch.setattr(_floatrepr, "rows",
+                            lambda values, lead=0: sizes.append(values.size) or rows(values, lead))
+        n, d = 3584, 64
+        narrations = NarrationSet(("x",) * n, np.arange(n) * 0.5, _matrix(n, d))
+        write_narrations(tmp_path / "n.json", narrations)
+        assert 1 <= len(sizes) <= -(-n * d // _floatrepr.CHUNK) == 14
+        assert max(sizes) <= _floatrepr.CHUNK
+
+
 class TestAnnotations:
     def test_round_trip_with_background(self, tmp_path):
         ann = StepAnnotation(((0.0, 2.0, 1), (2.0, 4.0, None)))
@@ -280,6 +327,51 @@ def mutate(blob: bytes, mutations) -> bytes:
     return bytes(data)
 
 
+# structural mutations of the parsed document: (kind, which value or array, which element)
+_STRUCTURE_MUTATIONS = st.lists(st.tuples(st.sampled_from(("swap", "drop", "repeat")),
+                                          st.integers(0, 2**16), st.integers(0, 2**16)),
+                                min_size=1, max_size=3)
+_SAMPLES = (None, False, 2, -0.5, "x", [], [0.5], {}, {"a": 1})  # every JSON type
+
+
+def _json_type(value) -> str:
+    return "bool" if isinstance(value, bool) else "number" if isinstance(
+        value, (int, float)) else type(value).__name__
+
+
+def _slots(value):
+    """Every (container, key or index) of the values inside ``value``, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(
+        value, list) else ()
+    for key, child in items:
+        yield value, key
+        yield from _slots(child)
+
+
+def mutate_structure(doc, mutations):
+    """``doc`` with each (kind, at, pick) applied in turn: swap a value (the
+    document itself too) for one of another JSON type, or drop or repeat an
+    element of a non-empty array."""
+    root = {"doc": copy.deepcopy(doc)}
+    for kind, at, pick in mutations:
+        if kind == "swap":
+            slots = list(_slots(root))
+            container, key = slots[at % len(slots)]
+            others = [v for v in _SAMPLES if _json_type(v) != _json_type(container[key])]
+            container[key] = copy.deepcopy(others[pick % len(others)])
+            continue
+        arrays = [container[key] for container, key in _slots(root)
+                  if isinstance(container[key], list) and container[key]]
+        if arrays:
+            array = arrays[at % len(arrays)]
+            index = pick % len(array)
+            if kind == "drop":
+                del array[index]
+            else:
+                array.insert(index, copy.deepcopy(array[index]))
+    return root["doc"]
+
+
 class TestReaderMutations:
     """Every JSON reader returns or raises its own error on any bytes."""
 
@@ -322,6 +414,19 @@ class TestReaderMutations:
         except error:
             pass
 
+    @pytest.mark.parametrize("name", sorted(_READERS))
+    @given(mutations=_STRUCTURE_MUTATIONS)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_restructured_document_is_read_or_rejected(self, tmp_path_factory, name, mutations):
+        # mutants that parse: wrong types, and arrays one element short or long
+        reader, doc, error = _READERS[name]
+        path = tmp_path_factory.getbasetemp() / f"restructured_{name}.json"
+        path.write_text(json.dumps(mutate_structure(doc, mutations)))
+        try:
+            reader(path)
+        except error:
+            pass
+
 
 def oracle_text(doc) -> str:
     """What the standard library writes for ``doc``: the writer's contract."""
@@ -330,16 +435,29 @@ def oracle_text(doc) -> str:
     return fh.getvalue() + "\n"
 
 
+def as_lists(value):
+    """``value`` with each ndarray in it replaced by its ``.tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value
+
+
 _SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _SPECIAL_FLOATS,
                      st.text(max_size=8))
 _FLOAT_LISTS = st.one_of(
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),  # one join
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),  # finite
     st.lists(st.one_of(st.floats(), _SPECIAL_FLOATS), min_size=1, max_size=8),
     st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), max_size=8),
 )
+_FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+                       elements=st.one_of(st.floats(), _SPECIAL_FLOATS))
 _DOCUMENTS = st.dictionaries(st.text(max_size=8), st.recursive(
-    st.one_of(_SCALARS, _FLOAT_LISTS),
+    st.one_of(_SCALARS, _FLOAT_LISTS, _FLOAT_ARRAYS),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -355,7 +473,7 @@ class TestWriteJson:
     def test_bytes_equal_the_standard_library(self, tmp_path_factory, doc):
         path = tmp_path_factory.getbasetemp() / "write_json_property.json"
         write_json(path, doc)
-        assert path.read_bytes() == oracle_text(doc).encode("ascii")
+        assert path.read_bytes() == oracle_text(as_lists(doc)).encode("ascii")
 
     def test_float_subclasses_and_nested_float_rows(self, tmp_path):
         doc = {"b": [np.float64(0.1), 2.0], "a": [[1e-300, -0.0], [], [float("nan"), 1.5]]}
@@ -456,3 +574,13 @@ class TestFloatArrays:
                   big.reshape(-1)[:13 * (_floatrepr.CHUNK // 5)].reshape(-1, 13, 1)):
             write_json(tmp_path / "d.json", {"x": a})
             assert (tmp_path / "d.json").read_text() == oracle_text({"x": a.tolist()})
+
+    def test_rows_longer_than_a_chunk(self, tmp_path, monkeypatch):
+        sizes, rows = [], _floatrepr.rows
+        monkeypatch.setattr(_floatrepr, "rows",
+                            lambda values, lead=0: sizes.append(values.size) or rows(values, lead))
+        a = _matrix(2, 2 * _floatrepr.CHUNK + 3)
+        for doc in ({"x": a}, {"x": a[1]}, {"x": [a[:, :5], a.reshape(2, 1, 1, -1)]}):
+            write_json(tmp_path / "d.json", doc)
+            assert (tmp_path / "d.json").read_text() == oracle_text(as_lists(doc))
+        assert max(sizes) == _floatrepr.CHUNK

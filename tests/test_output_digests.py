@@ -61,21 +61,35 @@ def test_grad_check_digest(seed, tmp_path):
 
 
 SYNTH_DIGESTS = {
-    "annotations.json": "ddcb332325daadf1b51742682dd43883d17aca0adc25cb1c0df9c82756b976b6",
-    "features.hft": "c0222484578b2b16c1ae269334050c82094ba48366c3aba59450e16b3e45e466",
-    "narrations.json": "92dc4c6741de6acbd16862bbf6b1ab7d2a7c7145d1415a228a2d9d72060625f3",
-    "planted.json": "bc25fce661b57faf4337a3e08c978ca235480180d198fb84329073327fb9704d",
-    "summary.json": "204252ec6fe7e9fe0d79de16e3f516d426d02bf255c1c5b2c43b50e254b57de6",
-    "taxonomy.json": "ad76050c58c5274cdeacf7cf06e958c6050d0cc0391bcbb2dfd3bff2bf8ea708",
+    "7x16": {
+        "annotations.json": "ddcb332325daadf1b51742682dd43883d17aca0adc25cb1c0df9c82756b976b6",
+        "features.hft": "c0222484578b2b16c1ae269334050c82094ba48366c3aba59450e16b3e45e466",
+        "narrations.json": "92dc4c6741de6acbd16862bbf6b1ab7d2a7c7145d1415a228a2d9d72060625f3",
+        "planted.json": "bc25fce661b57faf4337a3e08c978ca235480180d198fb84329073327fb9704d",
+        "summary.json": "204252ec6fe7e9fe0d79de16e3f516d426d02bf255c1c5b2c43b50e254b57de6",
+        "taxonomy.json": "ad76050c58c5274cdeacf7cf06e958c6050d0cc0391bcbb2dfd3bff2bf8ea708",
+    },
+    # the long_video corpus: its 3584 narration rows of 64 floats span 14
+    # _floatrepr chunks, where the 7x16 corpus fits in one
+    "7x512": {
+        "annotations.json": "dc51edcc517a93b926ad650ba0b58c45e3f03706b5c821d2e1536d1cfc619647",
+        "features.hft": "4b85567b977b92212d411a08738c1966353f7032c790b59518388ec6606bb9ff",
+        "narrations.json": "7164d012528c3bdef851521ba07a5e7fd22ed1d5ce2632aaa164b380859dc643",
+        "planted.json": "6eb917c4319a3cb58c712bbd499c86e2c1d34920af93c87648cc110dabd0770f",
+        "summary.json": "fb5a076830cff715b56e2020151f845c865befad3deffdad2d8f73491902cd0e",
+        "taxonomy.json": "ad76050c58c5274cdeacf7cf06e958c6050d0cc0391bcbb2dfd3bff2bf8ea708",
+    },
 }
 
 
-def test_synth_digests(tmp_path):
+@pytest.mark.parametrize("corpus", sorted(SYNTH_DIGESTS))
+def test_synth_digests(corpus, tmp_path):
     # every file synth writes, narrations.json included: no workload digest
     # covers its bytes, training sees them only through the loss
+    threads, segments_per_step = corpus.split("x")
     out = tmp_path / "corpus"
-    assert cli.main(["synth", "--out", str(out), "--seed", "0", "--threads", "7",
-                     "--segments-per-step", "16", "--dim", "64", "--separation", "10",
-                     "--no-meta"]) == 0
+    assert cli.main(["synth", "--out", str(out), "--seed", "0", "--threads", threads,
+                     "--segments-per-step", segments_per_step, "--dim", "64",
+                     "--separation", "10", "--no-meta"]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert written == SYNTH_DIGESTS
+    assert written == SYNTH_DIGESTS[corpus]
