@@ -24,7 +24,7 @@ import json
 import math
 import struct
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -317,17 +317,52 @@ def write_json(path, doc: dict) -> None:
     ``json.dump``, neither reachable from the writers in this package: a
     non-``str`` key raises TypeError (``json.dump`` would stringify an int,
     float, bool or None key), and a circular document raises RecursionError,
-    not ValueError.
+    not ValueError. The bytes go to the file, or to ``sys.stdout.buffer``
+    after ``sys.stdout`` is flushed.
     """
-    with nullcontext(sys.stdout) if str(path) == "-" else open(path, "w", encoding="utf-8") as fh:
-        _write_value(fh.write, doc, 0)
-        fh.write("\n")
+    if str(path) == "-":
+        sys.stdout.flush()
+        _write_document(sys.stdout.buffer, doc)
+        sys.stdout.buffer.flush()
+    else:
+        with open(path, "wb") as fh:
+            _write_document(fh, doc)
 
 
+def _write_document(file, doc) -> None:
+    out = _Out(file)
+    _write_value(out, doc, 0)
+    out.write("\n")
+    out.flush()
+
+
+class _Out:
+    """Where the writer puts the text: ``write`` gathers str pieces, which go
+    to the binary ``file`` joined and encoded at once, before each run of
+    float rows (``raw``, bytes straight from the kernel's buffer) and
+    whenever ``_PENDING`` have gathered."""
+
+    __slots__ = ("file", "pieces", "write")
+
+    def __init__(self, file):
+        self.file, self.pieces = file, []
+        self.write = self.pieces.append
+
+    def raw(self, data) -> None:
+        self.flush()
+        self.file.write(data)
+
+    def flush(self) -> None:
+        self.file.write("".join(self.pieces).encode("ascii"))
+        self.pieces.clear()
+
+
+_PENDING = 4096  # str pieces a list gathers before they go to the file
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _write_value(write, value, level: int) -> None:
+def _write_value(out: _Out, value, level: int) -> None:
+    write = out.write
     if isinstance(value, str):
         write(_encode_str(value))
     elif value is None:
@@ -340,72 +375,84 @@ def _write_value(write, value, level: int) -> None:
         write(float.__repr__(value) if math.isfinite(value) else
               "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity")
     elif isinstance(value, (list, tuple)):
-        _write_list(write, value, level)
+        _write_list(out, value, level)
     elif isinstance(value, dict):
-        _write_dict(write, value, level)
+        _write_dict(out, value, level)
     elif isinstance(value, np.ndarray):
-        _write_array(write, value, level)
+        _write_array(out, value, level)
     elif isinstance(value, _Row):
-        _write_rows(write, value.rows, (), value.index, level)
+        value.rows.write(out, value.index, value.index + 1, level)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_list(write, items, level: int) -> None:
+def _write_list(out: _Out, items, level: int) -> None:
     if not items:
-        write("[]")
+        out.write("[]")
         return
     inner = "\n" + " " * (level + 1)
     lead, comma = "[" + inner, "," + inner
+    write, pieces = out.write, out.pieces
     for item in items:
         write(lead)
-        _write_value(write, item, level + 1)
+        _write_value(out, item, level + 1)
         lead = comma
+        if len(pieces) > _PENDING:
+            out.flush()
     write("\n" + " " * level + "]")
 
 
 class _Rows:
     """A 2-D float64 matrix whose rows the writer prints as JSON lists.
-    ``_floatrepr`` renders a chunk of rows when the writer reaches it; the
-    lead of each row's first element closes the row before it, so a run of
-    rows is one slice of the chunk's text."""
+    ``_floatrepr`` renders a chunk of rows when the writer reaches it, into
+    the workspace this object owns for the write; the lead of each row's
+    first element closes the row before it, so a run of rows is one slice
+    of the chunk's text. A row longer than ``CHUNK`` takes one call per
+    ``CHUNK`` columns, each written as soon as it is rendered."""
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix, self.per = matrix, max(1, _floatrepr.CHUNK // max(matrix.shape[1], 1))
-        self.start, self.level, self.starts = 0, -1, []
+        count, width = matrix.shape
+        self.matrix, self.per = matrix, max(1, _floatrepr.CHUNK // max(width, 1))
+        self.work = _floatrepr.Workspace(min(min(self.per, count) * width, _floatrepr.CHUNK))
+        self.level, self.start, self.starts = -1, 0, []
 
-    def span(self, first: int, stop: int, level: int) -> tuple[str, int]:
-        """Rows ``first`` to ``stop``, or to the end of the chunk holding
-        ``first``, as comma-separated lists whose closing brackets are
-        indented by ``level``; and how many rows that is."""
-        if not (0 <= first - self.start < len(self.starts) and level == self.level):
-            self._render(first - first % self.per, level)
+    def write(self, out: _Out, first: int, stop: int, level: int) -> int:
+        """Write rows ``first`` to ``stop``, or to the end of the chunk
+        holding ``first``, as comma-separated lists whose closing brackets
+        are indented by ``level``; returns how many rows that is."""
+        if level != self.level:  # new leads: the chunk is rendered again
+            indent, self.comma = "\n" + " " * (level + 1), ",\n" + " " * level
+            self.close = "\n" + " " * level + "]"
+            self.leads = tuple(text.encode("ascii") for text in
+                               ("," + indent, self.close + self.comma + "[" + indent, "[" + indent))
+            self.level, self.starts = level, []
+        width = self.matrix.shape[1]
+        if not width:
+            out.write(self.comma.join(["[]"] * (stop - first)))
+            return stop - first
+        if width > _floatrepr.CHUNK:
+            row = self.matrix[first:first + 1]
+            for k in range(0, width, _floatrepr.CHUNK):
+                leads = self.leads if k == 0 else self.leads[:1] * 3
+                out.raw(_floatrepr.rows(row[:, k:k + _floatrepr.CHUNK], leads, self.work)[0])
+            out.write(self.close)
+            return 1
+        if not 0 <= first - self.start < len(self.starts):
+            self._render(first - first % self.per)
         a, b = first - self.start, min(stop - self.start, len(self.starts))
-        return self.text[self.starts[a]:self.ends[b - 1]], b - a
+        out.raw(self.text[self.starts[a]:self.ends[b - 1]])
+        if b == len(self.starts):
+            out.write(self.close)
+        return b - a
 
-    def _render(self, start: int, level: int) -> None:
-        """One ``_floatrepr.rows`` call for the chunk from row ``start``, or
-        one per ``CHUNK`` columns of a longer row. ``grid`` keeps the last text
-        matrix until the next one exists: freed first, it lets malloc trim the
-        heap that the kernel then faults in again (9x the page faults)."""
-        block, width = self.matrix[start:start + self.per], self.matrix.shape[1]
-        indent, comma, close = "\n" + " " * (level + 1), ",\n" + " " * level, "\n" + " " * level + "]"
-        lead = (3 * level + 14) // 8 * 8  # room for close, comma, "[" and the indent
-        elem, row, first_row = (np.frombuffer(text.rjust(lead, "\0").encode("ascii"), np.uint8)
-                                for text in ("," + indent, close + comma + "[" + indent, "[" + indent))
-        pieces = []
-        for k in range(0, width, _floatrepr.CHUNK):
-            self.grid = text = _floatrepr.rows(block[:, k:k + _floatrepr.CHUNK], lead)
-            text[:, :lead] = elem
-            if k == 0:
-                text[::min(width, _floatrepr.CHUNK), :lead] = row
-                text[0, :lead] = first_row
-            pieces.append(text.tobytes().translate(None, b"\0"))
-        raw = (b"".join(pieces + [close.encode("ascii")]) if width
-               else comma.encode("ascii").join([b"[]"] * len(block)))
-        self.start, self.level, self.text = start, level, raw.decode("ascii")
-        self.starts = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("[")).tolist()
-        self.ends = [at - len(comma) for at in self.starts[1:]] + [len(raw)]
+    def _render(self, start: int) -> None:
+        """One ``_floatrepr.rows`` call for the chunk from row ``start``."""
+        self.text, offsets = _floatrepr.rows(self.matrix[start:start + self.per], self.leads,
+                                             self.work)
+        self.start = start
+        self.starts = (offsets + len(self.close) + len(self.comma)).tolist()  # each row's "["
+        self.starts[0] = 0
+        self.ends = (offsets[1:] + len(self.close)).tolist() + [len(self.text)]
 
 
 @dataclass(slots=True)
@@ -415,41 +462,41 @@ class _Row:
     index: int
 
 
-def _write_array(write, array: np.ndarray, level: int) -> None:
+def _write_array(out: _Out, array: np.ndarray, level: int) -> None:
     if array.dtype.type is not np.float64 or array.ndim == 0:
         raise TypeError(f"Object of type ndarray ({array.dtype}, {array.ndim}-d) "
                         "is not JSON serializable")
     if array.size == 0:  # nested empty lists, no float
-        _write_list(write, array.tolist(), level)
+        _write_list(out, array.tolist(), level)
     else:  # as its .tolist(): lists nesting the rows along the last axis
-        _write_rows(write, _Rows(array.reshape(-1, array.shape[-1])), array.shape[:-1], 0, level)
+        _write_rows(out, _Rows(array.reshape(-1, array.shape[-1])), array.shape[:-1], 0, level)
 
 
-def _write_rows(write, rows: _Rows, shape: tuple, first: int, level: int) -> None:
+def _write_rows(out: _Out, rows: _Rows, shape: tuple, first: int, level: int) -> None:
     """The nested lists of ``shape`` whose innermost items are rows ``first``,
     ``first + 1``, ... of ``rows``; shape () is row ``first`` alone."""
     if not shape:
-        write(rows.span(first, first + 1, level)[0])
+        rows.write(out, first, first + 1, level)
         return
     inner = "\n" + " " * (level + 1)
     lead, comma = "[" + inner, "," + inner
     if len(shape) == 1:  # a list of rows, one write per chunk
         stop = first + shape[0]
         while first < stop:
-            text, count = rows.span(first, stop, level + 1)
-            write(lead)
-            write(text)
-            lead, first = comma, first + count
+            out.write(lead)
+            first += rows.write(out, first, stop, level + 1)
+            lead = comma
     else:
         size = math.prod(shape[1:])
         for k in range(first, first + shape[0] * size, size):
-            write(lead)
-            _write_rows(write, rows, shape[1:], k, level + 1)
+            out.write(lead)
+            _write_rows(out, rows, shape[1:], k, level + 1)
             lead = comma
-    write("\n" + " " * level + "]")
+    out.write("\n" + " " * level + "]")
 
 
-def _write_dict(write, doc: dict, level: int) -> None:
+def _write_dict(out: _Out, doc: dict, level: int) -> None:
+    write = out.write
     if not doc:
         write("{}")
         return
@@ -457,7 +504,7 @@ def _write_dict(write, doc: dict, level: int) -> None:
     lead, comma = "{" + inner, "," + inner
     for key in sorted(doc):  # a key that is no str: sorted or _encode_str raises TypeError
         write(lead + _encode_str(key) + ": ")
-        _write_value(write, doc[key], level + 1)
+        _write_value(out, doc[key], level + 1)
         lead = comma
     write("\n" + " " * level + "}")
 

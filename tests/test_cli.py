@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from videothreads import _floatrepr
 from videothreads.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -622,6 +623,15 @@ class TestPipeline:
                    "--query", str(query), "--hidden", "16", "--k", "4") == EXIT_OK
         assert json.loads(capsys.readouterr().out)["predictions"]
         assert not (tmp_path / "-").exists()
+
+    def test_forward_embeddings_on_stdout_equal_the_file(self, corpus, tmp_path, monkeypatch,
+                                                           capsysbinary):
+        monkeypatch.setattr(_floatrepr, "CHUNK", 64)  # many chunks of rows
+        argv = ("forward", "--features", str(corpus / "features.hft"), "--hidden", "16",
+                "--emit-embeddings", "--no-meta")
+        assert run(*argv, "--out", str(tmp_path / "fwd.json")) == EXIT_OK
+        assert run(*argv) == EXIT_OK
+        assert capsysbinary.readouterr().out == (tmp_path / "fwd.json").read_bytes()
 
     def test_ground_and_evaluate(self, corpus, tmp_path):
         taxonomy = json.loads((corpus / "taxonomy.json").read_text())

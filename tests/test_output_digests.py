@@ -69,7 +69,7 @@ SYNTH_DIGESTS = {
         "summary.json": "204252ec6fe7e9fe0d79de16e3f516d426d02bf255c1c5b2c43b50e254b57de6",
         "taxonomy.json": "ad76050c58c5274cdeacf7cf06e958c6050d0cc0391bcbb2dfd3bff2bf8ea708",
     },
-    # the long_video corpus: its 3584 narration rows of 64 floats span 14
+    # the long_video corpus: its 3584 narration rows of 64 floats span 28
     # _floatrepr chunks, where the 7x16 corpus fits in one
     "7x512": {
         "annotations.json": "dc51edcc517a93b926ad650ba0b58c45e3f03706b5c821d2e1536d1cfc619647",
