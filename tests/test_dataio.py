@@ -225,6 +225,8 @@ class TestMatrixWriters:
     @pytest.mark.parametrize("n, d", [
         (0, 0), (0, 64), (1, 64), (_ROWS_PER_CHUNK - 1, 64), (_ROWS_PER_CHUNK + 1, 64),
         (2 * _ROWS_PER_CHUNK + 5, 64), (9, 1), (_floatrepr.CHUNK + 1, 1), (3, 0),
+        # the same edges for a chunk of 16384 elements: several chunks each now
+        (255, 64), (257, 64), (517, 64), (16385, 1),
     ])
     def test_bytes_equal_the_standard_library(self, tmp_path, n, d):
         m = _matrix(n, d)
