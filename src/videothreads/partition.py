@@ -20,6 +20,7 @@ from .kernels import (
     as_matrix,
     cosine_similarity_matrix,
     kmeans,
+    max_asymmetry,
     sym_eigen,
 )
 
@@ -64,7 +65,7 @@ def normalized_laplacian(w) -> np.ndarray:
     n, m = w.shape
     if n != m:
         raise NotSymmetricError(f"affinity must be square, got {n}x{m}")
-    if not np.allclose(w, w.T, rtol=0.0, atol=SYMMETRY_ATOL):
+    if max_asymmetry(w) > SYMMETRY_ATOL:
         raise NotSymmetricError("affinity matrix is not symmetric")
     if np.any(w < 0.0):
         raise ClusteringError("affinity matrix has negative entries")

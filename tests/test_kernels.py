@@ -84,6 +84,18 @@ class TestSymEigen:
         with pytest.raises(NotSymmetricError):
             sym_eigen([[0.0, 1.0], [0.5, 0.0]])
 
+    def test_asymmetry_message_names_the_largest_difference(self):
+        with pytest.raises(NotSymmetricError,
+                           match=r"^matrix is not symmetric \(max \|A - A\^T\| = 5\.000e-01\)$"):
+            sym_eigen([[0.0, 1.0], [0.5, 0.0]])
+
+    def test_symmetry_tolerance_is_inclusive(self):
+        # |0 - 1e-10| is exactly SYMMETRY_ATOL; twice that is rejected
+        assert kernels.SYMMETRY_ATOL == 1e-10
+        sym_eigen([[0.0, 0.0], [1e-10, 0.0]])
+        with pytest.raises(NotSymmetricError, match=r"= 2\.000e-10\)$"):
+            sym_eigen([[0.0, 0.0], [2e-10, 0.0]])
+
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
             sym_eigen([[np.nan, 0.0], [0.0, 1.0]])
@@ -263,7 +275,7 @@ def kmeans_inputs(draw):
     or coarse half-integer grids full of distance ties."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    n = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 128))
     dim = draw(st.integers(1, 9))
     kind = draw(st.sampled_from(["free", "duplicates", "grid"]))
     if kind == "free":
@@ -299,6 +311,34 @@ class TestKMeansAgainstReference:
         chosen = _kmeanspp_indices(pts, np.array([1, 4]), np.array([[0.5, 0.99, 0.2],
                                                                     [0.1, 0.0, 0.7]]))
         assert chosen.tolist() == [[1, 4, 4, 1], [4, 0, 0, 3]]
+
+    def test_means_add_members_in_the_order_mean_does(self):
+        # One big value then eight ones: a running sum loses every one, numpy's
+        # pairwise sum of a single column keeps them.
+        column = np.array([[1e16]] + [[1.0]] * 8)
+        assert float(np.cumsum(column)[-1]) != float(np.sum(column))
+        for pts in (column, np.hstack([column, column])):
+            got = kmeans(pts, 1).centroids[0]
+            assert got.tobytes() == pts.mean(axis=0).tobytes()
+
+    def test_distance_table_built_in_blocks(self, monkeypatch):
+        # one table row per block gives the table, and so the result, of one block
+        pts = np.random.default_rng(13).standard_normal((40, 9))
+        whole = kmeans(pts, 5, seed=3)
+        monkeypatch.setattr(kernels, "_TABLE_BLOCK", 1)
+        blocked = kmeans(pts, 5, seed=3)
+        assert np.array_equal(whole.assignments, blocked.assignments)
+        assert whole.centroids.tobytes() == blocked.centroids.tobytes()
+        assert whole.inertia == blocked.inertia
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 300])
+    def test_sum_squares_adds_in_numpys_last_axis_order(self, dim):
+        # magnitudes over 16 decades make every regrouping of the sum visible
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((3, 5, dim)) * 10.0 ** rng.uniform(-8, 8, (3, 5, dim))
+        expected = np.sum(x ** 2, axis=-1)
+        got = kernels._sum_squares(np.ascontiguousarray(np.moveaxis(x, -1, 0)))
+        assert got.tobytes() == expected.tobytes()
 
     def test_max_iter_stops_unconverged_restarts(self):
         pts = np.random.default_rng(12).standard_normal((60, 3))

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from videothreads.dataio import FeatureSequence
-from videothreads.errors import ClusteringError, ZeroDegreeError, ZeroNormRowError
+from videothreads.errors import (
+    ClusteringError,
+    NotSymmetricError,
+    ZeroDegreeError,
+    ZeroNormRowError,
+)
 from videothreads.graph import build_graph
 from videothreads.kernels import sym_eigen
 from videothreads.metrics import adjusted_rand_index
@@ -86,6 +91,19 @@ class TestNormalizedLaplacian:
         with pytest.raises(ZeroDegreeError):
             normalized_laplacian(np.zeros((3, 3)))
 
+    def test_empty_affinity(self):
+        lap = normalized_laplacian(np.zeros((0, 0)))
+        assert lap.shape == (0, 0)
+
+    def test_single_node(self):
+        assert normalized_laplacian([[4.0]]).tolist() == [[0.0]]
+
+    def test_asymmetric_affinity_rejected(self):
+        # |0 - 1e-10| is exactly SYMMETRY_ATOL and passes; twice that does not
+        normalized_laplacian([[1.0, 0.0], [1e-10, 1.0]])
+        with pytest.raises(NotSymmetricError, match=r"^affinity matrix is not symmetric$"):
+            normalized_laplacian([[1.0, 0.0], [2e-10, 1.0]])
+
 
 class TestSpectralPartition:
     def test_two_orthogonal_groups(self):
@@ -120,6 +138,15 @@ class TestSpectralPartition:
         values = sym_eigen(lap).eigenvalues
         assert part.eigengap == pytest.approx(values[k] - values[k - 1], abs=1e-12)
         assert part.eigengap >= -1e-10
+
+    def test_degenerate_eigenspace_is_pinned(self):
+        # Six identical rows: the Laplacian is I - J/6, so eigenvalue 1 has
+        # multiplicity 5 and the 3 groups come from an arbitrary basis of its
+        # eigenspace. The split is deterministic; these are its labels.
+        x = np.tile(np.arange(1.0, 5.0), (6, 1))
+        part = spectral_partition(x, 3, seed=0)
+        assert part.assignments.tolist() == [2, 0, 1, 1, 2, 2]
+        assert part.eigengap == 2.220446049250313e-16
 
     def test_k_equals_n_eigengap_zero(self):
         x = np.random.default_rng(7).standard_normal((4, 3))
