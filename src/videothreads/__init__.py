@@ -56,7 +56,6 @@ from .model import (
     init_params,
     load_params,
     save_params,
-    tdgc_forward,
 )
 from .partition import (
     PartitionResult,

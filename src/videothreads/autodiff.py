@@ -2,7 +2,9 @@
 
 Covers exactly the operations the network forward pass and the contrastive
 losses need (2-D matmul, the fused affine map ``affine``, broadcast
-arithmetic, relu, exp/log/sqrt, axis sums, row gather and row scatter-add).
+arithmetic, relu, exp/log/sqrt, axis sums, row gather and row scatter-add),
+and ``joint_node`` for a node whose operands' gradients come from one
+function, such as a training loss computed a block at a time.
 The helper functions dispatch on type, so the same forward code runs on
 plain ndarrays when no gradient is wanted. Only Var operands are recorded on
 the tape: an ndarray or scalar operand is a constant and gets no node.
@@ -34,6 +36,28 @@ def node(out, *operands) -> "Var":
     ``(operand, grad_fn)`` pairs; the other operands are constants."""
     recorded = [pair for pair in operands if isinstance(pair[0], Var)]
     return Var(out, tuple(p for p, _ in recorded), tuple(fn for _, fn in recorded))
+
+
+def joint_node(out, operands, grads):
+    """A Var over ``out`` whose gradients for all ``operands`` come from one
+    call ``grads(g)``, which returns one gradient per operand; ``out`` itself
+    when no operand is a Var. The first of the node's grad functions that
+    ``backward`` calls makes that call, and each one hands on its own part."""
+    recorded = [i for i, operand in enumerate(operands) if isinstance(operand, Var)]
+    if not recorded:
+        return out
+    held: dict[int, np.ndarray] = {}
+
+    def part(i):
+        def grad_fn(g):
+            if not held:
+                every = grads(g)
+                held.update((j, every[j]) for j in recorded)
+            return held.pop(i)
+
+        return grad_fn
+
+    return Var(out, tuple(operands[i] for i in recorded), tuple(part(i) for i in recorded))
 
 
 class Var:

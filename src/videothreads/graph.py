@@ -57,7 +57,7 @@ class VideoGraph:
         rising = np.diff(self.timestamps) > 0.0
         if len(sizes) > 1:
             # a video may start before the previous one ends
-            rising[[rows.stop - 1 for rows in _row_slices(sizes[:-1])]] = True
+            rising[[rows.stop - 1 for rows in row_slices(sizes[:-1])]] = True
             video = np.repeat(np.arange(len(sizes)), sizes)
             if np.any(video[self.edges[:, 0]] != video[self.edges[:, 1]]):
                 raise GraphError("an edge links two different videos")
@@ -72,10 +72,11 @@ class VideoGraph:
 
     def video_rows(self) -> list[slice]:
         """Each video's rows, in order."""
-        return _row_slices(self.video_sizes)
+        return row_slices(self.video_sizes)
 
 
-def _row_slices(sizes) -> list[slice]:
+def row_slices(sizes) -> list[slice]:
+    """Consecutive row slices of the given sizes, from row 0."""
     return [slice(stop - size, stop) for size, stop in zip(sizes, itertools.accumulate(sizes))]
 
 
@@ -133,7 +134,7 @@ def disjoint_union(graphs: list[VideoGraph]) -> VideoGraph:
             raise GraphError("union members must share their level and edge_threshold")
         if g.embeddings.shape[1:] != first.embeddings.shape[1:]:
             raise GraphError("union members must share their embedding width")
-    rows = _row_slices([g.num_nodes for g in graphs])
+    rows = row_slices([g.num_nodes for g in graphs])
     return VideoGraph(
         embeddings=np.concatenate([g.embeddings for g in graphs]),
         timestamps=np.concatenate([g.timestamps for g in graphs]),
@@ -189,7 +190,7 @@ def temporal_subsample(g: VideoGraph, embeddings: np.ndarray | None = None) -> V
     times = [g.timestamps[rows][::2] for rows in g.video_rows()]
     sizes = tuple(t.shape[0] for t in times)
     edges = [temporal_edges(t, threshold) + rows.start
-             for t, rows in zip(times, _row_slices(sizes))]
+             for t, rows in zip(times, row_slices(sizes))]
     return VideoGraph(
         embeddings=g.embeddings[coarse_rows(g)] if embeddings is None else embeddings,
         timestamps=np.concatenate(times),

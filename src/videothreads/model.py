@@ -330,21 +330,6 @@ def _tdgc_apply(x, table: _NeighborTable, layer: TdgcLayerParams):
     return residual + aggregate * table.inv_degree[:, None]
 
 
-def tdgc_forward(g: VideoGraph, layer: TdgcLayerParams) -> np.ndarray:
-    """Apply one TDGC layer to a graph's embeddings.
-
-    ``forward`` does not call this: it builds each stage's neighbor table
-    once for all of the stage's layers. This single-layer entry point lets a
-    layer be checked in isolation, against the dense-loop reference, so that
-    a mismatch of the full pass can be pinned to one layer.
-    """
-    d = g.embeddings.shape[1]
-    w_n = value(layer.w_n)
-    if w_n.shape[0] != d:
-        raise ShapeError(f"layer expects dimension {w_n.shape[0]}, graph has {d}")
-    return value(_tdgc_apply(g.embeddings, _neighbor_table(g.edges, g.timestamps), layer))
-
-
 def _encode(g: VideoGraph, params: ModelParams):
     x = affine(g.embeddings, params.input_proj.w, params.input_proj.b)
     graphs, xs = [], []

@@ -7,6 +7,15 @@ batch) and a functional-threads objective that tightens each decoder
 partition in the aligned feature space. Gradients are exact, computed by
 reverse-mode autodiff through the full forward pass with cluster assignments
 held constant, and are validated against central finite differences.
+
+Each loss is one autodiff node over the projected nodes (and narrations),
+in the blockwise-recompute style of Chen et al. (2016): its forward builds
+the logits z and their masks a block of node rows at a time and keeps only
+each row's and column's log-sum-exp over its positives and over its
+denominator, each taken with its own running max shift (Rabe & Staats,
+2021), so a small temperature cannot overflow exp; its backward rebuilds
+dL/dz block by block from those sums. No (nodes x narrations) or
+(stage nodes)^2 array is held, and L_ft never builds one across videos.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import value, vexp, vlog, vsum
+from .autodiff import joint_node, value
 from .config import RunConfig
 from .dataio import FeatureSequence, NarrationSet
 from .errors import (
@@ -28,7 +37,7 @@ from .errors import (
     ShapeError,
     TrainingDivergedError,
 )
-from .graph import VideoGraph, build_graph, disjoint_union
+from .graph import VideoGraph, build_graph, disjoint_union, row_slices
 from .model import (
     ForwardTrace,
     ModelDims,
@@ -71,88 +80,213 @@ class LossValue:
 
 
 # ---------------------------------------------------------------------------
-# loss internals (shared by the ndarray and autodiff paths)
+# loss internals: each loss is one autodiff node, built a block at a time
+
+# floats in one block of a loss's logits z; a block holds whole rows
+_BLOCK = 1 << 15
 
 
-def _masked_log_ratio(expz, pos_mask: np.ndarray, den_mask: np.ndarray, axis: int):
-    """Per-row (axis=1) or per-column (axis=0) -log(pos / den) with rows
-    lacking positives excluded; returns (terms, contributing mask)."""
-    contributing = pos_mask.any(axis=axis)
-    num = vsum(expz * pos_mask, axis=axis)
-    den = vsum(expz * den_mask, axis=axis)
-    keep = contributing.astype(np.float64)
-    num_safe = num * keep + (1.0 - keep)  # excluded entries see log(1) = 0
-    den_safe = den * keep + (1.0 - keep)
-    return vlog(den_safe) - vlog(num_safe), contributing
+def _row_blocks(rows: list[slice], cols: list[slice], width: int) -> list[tuple[slice, slice]]:
+    """(rows, cols) of each block: video v's rows ``rows[v]`` in slices of at
+    most ``_BLOCK // width`` rows (at least one), each with the video's
+    columns ``cols[v]``."""
+    step = max(1, _BLOCK // max(width, 1))
+    return [(slice(r, min(r + step, own.stop)), col)
+            for own, col in zip(rows, cols) for r in range(own.start, own.stop, step)]
 
 
-def _video_sum(terms, keep: np.ndarray, video: np.ndarray):
-    """Sum over videos of each video's mean term over its ``keep`` rows
-    (row r belongs to video ``video[r]``), and the number of videos that
-    keep a row; a video that keeps none adds nothing."""
-    count = np.bincount(video, weights=keep)
-    weight = np.divide(keep, count[video], out=np.zeros(keep.shape), where=keep)
-    return vsum(terms * weight), int(np.count_nonzero(count))
+def _log(x: np.ndarray) -> np.ndarray:
+    """log x, -inf where x is 0."""
+    return np.log(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
+
+
+def _along(v: np.ndarray, axis: int) -> np.ndarray:
+    """Per-row (axis 1) or per-column (axis 0) values, shaped to broadcast
+    over a block."""
+    return v[:, None] if axis == 1 else v
+
+
+class _LogSumExp:
+    """log sum exp(x) along ``axis`` of a masked array x (-inf off the mask)
+    that arrives a block at a time, ``at`` picking the block's entries: the
+    running maximum is the shift, and the sum so far is rescaled when it
+    grows (Rabe & Staats, 2021)."""
+
+    def __init__(self, size: int, axis: int):
+        self.axis = axis
+        self.top = np.full(size, -np.inf)
+        self.total = np.zeros(size)  # in units of exp(top)
+
+    def add(self, x: np.ndarray, at: slice) -> None:
+        top = np.maximum(x.max(axis=self.axis, initial=-np.inf), self.top[at])
+        shift = np.where(top > -np.inf, top, 0.0)
+        part = np.exp(x - _along(shift, self.axis)).sum(axis=self.axis)
+        self.total[at] = self.total[at] * np.exp(self.top[at] - shift) + part
+        self.top[at] = top
+
+    def log(self) -> np.ndarray:
+        return self.top + _log(self.total)
+
+
+class _LogRatios:
+    """The terms -log(pos / den) of the rows (axis 1) or the columns (axis 0)
+    of the logits z, where pos sums exp(z) over an entry's positives and den
+    over its denominator, the positives included; an entry without positives
+    has no term. Blocks arrive as zp, z with -inf off the positives, and zd,
+    z with -inf off the denominator, each with the slice of entries it
+    covers."""
+
+    def __init__(self, size: int, axis: int):
+        self.axis = axis
+        self.pos = _LogSumExp(size, axis)
+        self.den = _LogSumExp(size, axis)
+
+    def add(self, zp: np.ndarray, pos_at: slice, zd: np.ndarray, den_at: slice) -> None:
+        self.pos.add(zp, pos_at)
+        self.den.add(zd, den_at)
+
+    def finish(self, video: np.ndarray, videos: int | None = None) -> tuple[float, bool]:
+        """The sum over videos of each video's mean term (entry r belongs to
+        video ``video[r]``), divided by ``videos`` (by default the number of
+        videos with a term), and whether any entry has a term. Keeps what
+        ``shares`` needs: each entry's log sums less the log of its weight."""
+        log_pos, log_den = self.pos.log(), self.den.log()
+        del self.pos, self.den
+        keep = log_pos > -np.inf
+        count = np.bincount(video, weights=keep)
+        if not count.any():
+            return 0.0, False
+        videos = np.count_nonzero(count) if videos is None else videos
+        weight = np.divide(keep, count[video], out=np.zeros(keep.shape), where=keep)
+        terms = np.subtract(log_den, log_pos, out=np.zeros(keep.shape), where=keep)
+        log_weight = _log(weight / videos)
+        # an entry without a term gets shifts of +inf, so its shares are 0
+        self.pos_shift = np.subtract(log_pos, log_weight, out=np.full(keep.shape, np.inf),
+                                     where=keep)
+        self.den_shift = np.subtract(log_den, log_weight, out=np.full(keep.shape, np.inf),
+                                     where=keep)
+        return float(np.sum(terms * weight) / videos), True
+
+    def shares(self, zp: np.ndarray, pos_at: slice, zd: np.ndarray, den_at: slice):
+        """Each entry's weighted softmax share in its den and in its pos; the
+        block's dL/dz is the first less the second."""
+        axis = self.axis
+        return (np.exp(zd - _along(self.den_shift[den_at], axis)),
+                np.exp(zp - _along(self.pos_shift[pos_at], axis)))
 
 
 def _vna_scalar(batch: AlignmentBatch, output, params: ModelParams, config: RunConfig):
     """Video-narration alignment loss over the forward output of a batch
-    (its graphs' rows stacked in order).
+    (its graphs' rows stacked in order), as one node over the projected
+    nodes and narrations.
 
     A node's positives are its video's narrations within 2**alpha seconds;
     its negatives are its video's narrations in the (2**alpha, 2**beta]
     annulus plus every narration of the other videos (likewise for a
     narration's nodes). A node or narration without positives adds no term.
+    The logits are built a block of one video's node rows at a time; only
+    the block's own-video columns need the time windows.
     """
     sets = [narrs for narrs in batch.narrations if len(narrs)]  # (0, 0) embeddings stack with none
     if not sets:
         raise EmptyBatchError("batch has no narrations")
     videos = np.arange(len(batch.graphs))
+    node_sizes = [g.num_nodes for g in batch.graphs]
+    narr_sizes = [len(narrs) for narrs in batch.narrations]
     node_times = np.concatenate([g.timestamps for g in batch.graphs])
-    node_video = np.repeat(videos, [g.num_nodes for g in batch.graphs])
     narr_times = np.concatenate([narrs.timestamps for narrs in sets])
-    narr_video = np.repeat(videos, [len(narrs) for narrs in batch.narrations])
-
-    near, far = 2.0 ** config.alpha, 2.0 ** config.beta
-    same = node_video[:, None] == narr_video[None, :]
-    dt = np.abs(node_times[:, None] - narr_times[None, :])
-    pos_mask = (same & (dt <= near)).astype(np.float64)
-    den_mask = (same & (dt <= far) | ~same).astype(np.float64)
-    if pos_mask.sum() == 0.0:
-        raise EmptyBatchError("no narration falls inside any node's alignment window")
+    near, far, tau = 2.0 ** config.alpha, 2.0 ** config.beta, config.temperature
 
     vh = project_visual(output, params)
     th = project_text(np.concatenate([narrs.embeddings for narrs in sets]), params)
-    expz = vexp((vh @ th.T) / config.temperature)
+    vhv, thv = value(vh), value(th)
+    every = slice(None)
+    blocks = _row_blocks(row_slices(node_sizes), row_slices(narr_sizes), len(narr_times))
 
-    def batch_mean(axis, video):
-        video_sum, videos = _video_sum(*_masked_log_ratio(expz, pos_mask, den_mask, axis),
-                                       video)
-        return video_sum / videos
+    def block(rows: slice, own: slice):
+        z = (vhv[rows] @ thv.T) / tau
+        dt = np.abs(node_times[rows, None] - narr_times[own])
+        zp = np.where(dt <= near, z[:, own], -np.inf)
+        z[:, own][dt > far] = -np.inf
+        return rows, own, zp, z
 
-    return batch_mean(1, node_video) + batch_mean(0, narr_video)
+    per_node, per_narration = _LogRatios(len(node_times), 1), _LogRatios(len(narr_times), 0)
+    for rows, own, zp, zd in (block(*b) for b in blocks):
+        per_node.add(zp, rows, zd, rows)
+        per_narration.add(zp, own, zd, every)
+    v2t, any_term = per_node.finish(np.repeat(videos, node_sizes))
+    if not any_term:
+        raise EmptyBatchError("no narration falls inside any node's alignment window")
+    t2v, _ = per_narration.finish(np.repeat(videos, narr_sizes))
+
+    def grads(g):
+        dvh, dth = np.empty_like(vhv), np.zeros_like(thv)
+        for rows, own, zp, zd in (block(*b) for b in blocks):
+            dz, pos = per_node.shares(zp, rows, zd, rows)
+            narr_den, narr_pos = per_narration.shares(zp, own, zd, every)
+            dz += narr_den
+            pos += narr_pos
+            dz[:, own] -= pos
+            dvh[rows] = dz @ thv
+            dth += dz.T @ vhv[rows]
+        scale = g / tau
+        return dvh * scale, dth * scale
+
+    return joint_node(v2t + t2v, (vh, th), grads)
+
+
+def _ft_stage(stage, params: ModelParams, temperature: float, videos: int):
+    """One decoder stage's functional-threads term, divided by ``videos``,
+    as one node over the stage's projected nodes; None when no node has a
+    same-cluster partner in its video. A node's positives are the other
+    nodes of its video and cluster, its denominator every other node of its
+    video; each video's (n_v x n_v) logits are built a block of rows at a
+    time."""
+    sizes = stage.graph.video_sizes
+    video = np.repeat(np.arange(len(sizes)), sizes)
+    labels = stage.partition.assignments
+    _, partners = np.unique(np.stack([video, labels], axis=1), axis=0, return_counts=True)
+    if not np.any(partners > 1):
+        return None
+    vh = project_visual(stage.output, params)
+    vhv = value(vh)
+    per_video = row_slices(sizes)
+    blocks = _row_blocks(per_video, per_video, max(sizes))
+
+    def block(rows: slice, own: slice):
+        z = (vhv[rows] @ vhv[own].T) / temperature
+        diagonal = np.arange(rows.start, rows.stop)[:, None] == np.arange(own.start, own.stop)
+        same = labels[rows, None] == labels[own]
+        same &= ~diagonal
+        zp = np.where(same, z, -np.inf)
+        z[diagonal] = -np.inf
+        return rows, own, zp, z
+
+    per_node = _LogRatios(len(labels), 1)
+    for rows, _, zp, zd in (block(*b) for b in blocks):
+        per_node.add(zp, rows, zd, rows)
+    loss, _ = per_node.finish(video, videos)
+
+    def grads(g):
+        dvh = np.zeros_like(vhv)
+        for rows, own, zp, zd in (block(*b) for b in blocks):
+            dz, pos = per_node.shares(zp, rows, zd, rows)
+            dz -= pos
+            dvh[rows] += dz @ vhv[own]
+            dvh[own] += dz.T @ vhv[rows]
+        return (dvh * (g / temperature),)
+
+    return joint_node(loss, (vh,), grads)
 
 
 def _ft_scalar(trace: ForwardTrace, params: ModelParams, temperature: float):
     """Functional-threads loss: per decoder depth, pull each video's
     same-cluster nodes together in the h_v space, averaged over the videos
     of the trace's graph; returns None when no node is eligible."""
-    total = None
-    for stage in trace.stages:
-        sizes = stage.graph.video_sizes
-        video = np.repeat(np.arange(len(sizes)), sizes)
-        labels = stage.partition.assignments
-        den_mask = (video[:, None] == video[None, :]) & ~np.eye(labels.shape[0], dtype=bool)
-        same = den_mask & (labels[:, None] == labels[None, :])
-        if not same.any():
-            continue
-        vh = project_visual(stage.output, params)
-        expz = vexp((vh @ vh.T) / temperature)
-        terms, keep = _masked_log_ratio(expz, same.astype(np.float64),
-                                        den_mask.astype(np.float64), axis=1)
-        contribution, _ = _video_sum(terms, keep, video)
-        total = contribution if total is None else total + contribution
-    return None if total is None else total / len(trace.stages[0].graph.video_sizes)
+    videos = len(trace.stages[0].graph.video_sizes)
+    terms = [term for stage in trace.stages
+             if (term := _ft_stage(stage, params, temperature, videos)) is not None]
+    return sum(terms[1:], terms[0]) if terms else None
 
 
 def _collect_gradient(leaves) -> np.ndarray:

@@ -31,6 +31,16 @@ The backward oracle keeps the gradient of every node it reaches;
 production ``Var.backward`` drops each non-leaf gradient once it has passed
 it to the node's parents, and must leave the same leaf gradients.
 
+The training-loss oracles compose each loss out of autodiff Var nodes:
+exp(z) over the whole (nodes x narrations) or (stage nodes)^2 logits, masked
+sums along an axis and their log ratio, with no max shift; production code
+builds each loss as one node a block of rows at a time, with a max-shifted
+log-sum-exp per row and per column, and rebuilds dL/dz in its backward.
+
+``tdgc_forward`` applies one TDGC layer through the production layer code
+on its own, so that a mismatch of the full pass can be pinned to one layer
+against the dense-loop ``tdgc_layer_ref``.
+
 The procedure F1/IoU oracle finds the ground-truth steps by testing every
 id in ``range(num_steps)``; production code takes the distinct labels that
 occur and keeps those in range, so its time does not grow with num_steps.
@@ -43,10 +53,19 @@ import math
 
 import numpy as np
 
-from videothreads.autodiff import _topological_order, segment_sum, take_rows
-from videothreads.errors import ConvergenceError
+from videothreads.autodiff import (
+    _topological_order,
+    segment_sum,
+    take_rows,
+    value,
+    vexp,
+    vlog,
+    vsum,
+)
+from videothreads.errors import ConvergenceError, ShapeError
 from videothreads.graph import directed_edges
 from videothreads.metrics import hungarian
+from videothreads.model import _neighbor_table, _tdgc_apply, project_text, project_visual
 
 QL_MAX_SWEEPS = 60
 
@@ -420,3 +439,84 @@ def procedure_f1_iou_ref(pred_labels, gt_labels, num_steps: int) -> tuple[float,
         f1s.append(f1)
         ious.append(inter / union if union else 0.0)
     return float(np.mean(f1s)), float(np.mean(ious))
+
+
+def tdgc_forward(g, layer) -> np.ndarray:
+    """One TDGC layer applied to a graph's embeddings by the production layer
+    code (``forward`` builds each stage's neighbor table once for all of the
+    stage's layers instead)."""
+    d = g.embeddings.shape[1]
+    w_n = value(layer.w_n)
+    if w_n.shape[0] != d:
+        raise ShapeError(f"layer expects dimension {w_n.shape[0]}, graph has {d}")
+    return value(_tdgc_apply(g.embeddings, _neighbor_table(g.edges, g.timestamps), layer))
+
+
+def _masked_log_ratio(expz, pos_mask: np.ndarray, den_mask: np.ndarray, axis: int):
+    """Per-row (axis=1) or per-column (axis=0) -log(pos / den) with rows
+    lacking positives excluded; returns (terms, contributing mask)."""
+    contributing = pos_mask.any(axis=axis)
+    num = vsum(expz * pos_mask, axis=axis)
+    den = vsum(expz * den_mask, axis=axis)
+    keep = contributing.astype(np.float64)
+    num_safe = num * keep + (1.0 - keep)  # excluded entries see log(1) = 0
+    den_safe = den * keep + (1.0 - keep)
+    return vlog(den_safe) - vlog(num_safe), contributing
+
+
+def _video_sum(terms, keep: np.ndarray, video: np.ndarray):
+    """Sum over videos of each video's mean term over its ``keep`` rows
+    (row r belongs to video ``video[r]``), and the number of videos that
+    keep a row; a video that keeps none adds nothing."""
+    count = np.bincount(video, weights=keep)
+    weight = np.divide(keep, count[video], out=np.zeros(keep.shape), where=keep)
+    return vsum(terms * weight), int(np.count_nonzero(count))
+
+
+def vna_composed(batch, output, params, config):
+    """``training._vna_scalar`` composed of Var nodes over the whole
+    (nodes x narrations) logits."""
+    sets = [narrs for narrs in batch.narrations if len(narrs)]
+    videos = np.arange(len(batch.graphs))
+    node_times = np.concatenate([g.timestamps for g in batch.graphs])
+    node_video = np.repeat(videos, [g.num_nodes for g in batch.graphs])
+    narr_times = np.concatenate([narrs.timestamps for narrs in sets])
+    narr_video = np.repeat(videos, [len(narrs) for narrs in batch.narrations])
+
+    near, far = 2.0 ** config.alpha, 2.0 ** config.beta
+    same = node_video[:, None] == narr_video[None, :]
+    dt = np.abs(node_times[:, None] - narr_times[None, :])
+    pos_mask = (same & (dt <= near)).astype(np.float64)
+    den_mask = (same & (dt <= far) | ~same).astype(np.float64)
+
+    vh = project_visual(output, params)
+    th = project_text(np.concatenate([narrs.embeddings for narrs in sets]), params)
+    expz = vexp((vh @ th.T) / config.temperature)
+
+    def batch_mean(axis, video):
+        video_sum, videos = _video_sum(*_masked_log_ratio(expz, pos_mask, den_mask, axis),
+                                       video)
+        return video_sum / videos
+
+    return batch_mean(1, node_video) + batch_mean(0, narr_video)
+
+
+def ft_composed(trace, params, temperature: float):
+    """``training._ft_scalar`` composed of Var nodes over each stage's whole
+    (stage nodes)^2 logits; None when no node is eligible."""
+    total = None
+    for stage in trace.stages:
+        sizes = stage.graph.video_sizes
+        video = np.repeat(np.arange(len(sizes)), sizes)
+        labels = stage.partition.assignments
+        den_mask = (video[:, None] == video[None, :]) & ~np.eye(labels.shape[0], dtype=bool)
+        same = den_mask & (labels[:, None] == labels[None, :])
+        if not same.any():
+            continue
+        vh = project_visual(stage.output, params)
+        expz = vexp((vh @ vh.T) / temperature)
+        terms, keep = _masked_log_ratio(expz, same.astype(np.float64),
+                                        den_mask.astype(np.float64), axis=1)
+        contribution, _ = _video_sum(terms, keep, video)
+        total = contribution if total is None else total + contribution
+    return None if total is None else total / len(trace.stages[0].graph.video_sizes)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import struct
 import subprocess
@@ -740,6 +741,27 @@ class TestPipeline:
         lines = history.read_text().splitlines()
         assert len(lines) == 2
         assert "mean_loss" in json.loads(lines[0])
+
+    def test_train_toy_small_temperature_stays_finite(self, tmp_path):
+        # at temperature 0.001 the logits reach 1000, where exp overflows;
+        # each loss sum is taken with its own max shift
+        for i in range(3):
+            assert run("synth", "--out", str(tmp_path / "data" / f"v{i}"),
+                       "--seed", str(500 + i), "--threads", "2",
+                       "--steps-per-thread", "2", "--segments-per-step", "8",
+                       "--dim", "8", "--separation", "3", "--no-meta") == EXIT_OK
+        cfg = tmp_path / "tc.json"
+        cfg.write_text(json.dumps({
+            "epochs": 2, "batch_size": 8, "lr": 0.05, "warmup_epochs": 1,
+            "hidden": 8, "align_dim": 8, "stages": 2, "layers": 1,
+            "alpha": 2.0, "beta": 5.0, "k": 2, "temperature": 0.001,
+        }))
+        summary = tmp_path / "s.json"
+        assert run("train-toy", "--data", str(tmp_path / "data"),
+                   "--train-config", str(cfg), "--params-out", str(tmp_path / "p.bin"),
+                   "--history", str(tmp_path / "h.jsonl"), "--seed", "1",
+                   "--out", str(summary), "--no-meta") == EXIT_OK
+        assert math.isfinite(json.loads(summary.read_text())["final_loss"])
 
     @staticmethod
     def narrated_corpus(root):

@@ -25,12 +25,17 @@ from videothreads.model import (
     init_params,
     load_params,
     save_params,
-    tdgc_forward,
 )
 from videothreads.partition import PartitionResult
 from videothreads.synth import SynthSpec, generate
 
-from reference_impl import forward_ref, neighbors_from_times, tdgc_aggregate_ref, tdgc_layer_ref
+from reference_impl import (
+    forward_ref,
+    neighbors_from_times,
+    tdgc_aggregate_ref,
+    tdgc_forward,
+    tdgc_layer_ref,
+)
 
 
 def make_graph(n=8, d=6, spacing=0.5, seed=0):

@@ -32,7 +32,7 @@ from workloads import WORKLOADS, Session  # noqa: E402
 SEED_ZERO_DIGESTS = {
     "long_video": "3138833b23dfcbe68186ba45c677ba0ed0ab4cae5929912903b1914d7d2f761e",
     "planted_tasks": "f56f81210c1d428adb7afc6e39d72cf09f3c542cdef00cbffaf8d98d3688a3e7",
-    "toy_training": "dd68c5e77d9692f100ad5609082c7d521202e18a2cc8d46eec2b6a1acd850798",
+    "toy_training": "07f4a3403c3016a324e8fb4f6e03cbdabbd483618c9def9346eb12480ef4e12f",
 }
 
 
@@ -48,8 +48,8 @@ def test_seed_zero_digest(name, tmp_path):
 
 
 GRAD_CHECK_DIGESTS = {
-    0: "3ef740bbff115563121e75f727f8db1e604604040d0c77bb8d76924bc6f12997",
-    1: "094463a68a800e8ab42f399d87e812ac92f4f9855fa3b0cf87e554b55de51331",
+    0: "b00a05f9731420c8abb174a019aaacfc356cde874f109da4a2a7e1a353c914dd",
+    1: "e96569663cf9daf95a659ae403eda14dec6d3b64a481f51f2f52901b099473ee",
 }
 
 

@@ -2,10 +2,15 @@ import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from videothreads import training
+from videothreads.autodiff import Var
 from videothreads.config import RunConfig
 from videothreads.dataio import FeatureSequence, NarrationSet
 from videothreads.errors import EmptyBatchError, GradientError, TrainingDivergedError
@@ -18,10 +23,13 @@ from videothreads.training import (
     TotalLossOp,
     _collect_gradient,
     _ft_scalar,
+    _vna_scalar,
     grad_check,
     lr_at_step,
     train_toy,
 )
+
+from reference_impl import ft_composed, vna_composed
 
 TAU = 0.05
 WIDE_TAU = 1.0  # keeps every logit's share of a softmax well above rounding
@@ -180,8 +188,6 @@ class TestLossVna:
     def test_invariant_to_positive_rescaling_before_projection(self):
         # with zero projection bias, L2 normalization absorbs any positive
         # per-row scale applied before h_v
-        from videothreads.training import _vna_scalar
-
         rng = np.random.default_rng(9)
         dims = ModelDims(d_in=3, d_h=3, d_a=4, d_t=3, stages=1, layers=1)
         params = init_params(dims, seed=1)
@@ -255,6 +261,94 @@ class TestLossFt:
             per_video.append(oracle_ft(SimpleNamespace(stages=stages), params, TAU))
         assert lv.ft > 0.0
         assert lv.ft == pytest.approx(sum(per_video) / len(graphs), abs=1e-10)
+
+
+@st.composite
+def loss_cases(draw):
+    """Per-video node and narration counts (some video narrated), the widths
+    (d_h, d_a, d_t), a temperature, a seed for the float data, and the
+    losses' block size: the default, or 24 floats, which splits each
+    video's rows over several blocks."""
+    videos = draw(st.integers(1, 4))
+    nodes = draw(st.lists(st.integers(1, 12), min_size=videos, max_size=videos))
+    narrations = draw(st.lists(st.integers(0, 12), min_size=videos, max_size=videos).filter(any))
+    widths = draw(st.tuples(*[st.integers(2, 6)] * 3))
+    return (nodes, narrations, widths, draw(st.sampled_from([0.05, 0.01])),
+            draw(st.integers(0, 999)), draw(st.sampled_from([training._BLOCK, 24])))
+
+
+class TestLossesAgainstComposedOracle:
+    """The block-built loss nodes against the same losses composed of Var
+    nodes over the whole logits (``reference_impl``): values within 1e-12 and
+    gradients within 1e-10, relative to the oracle's largest magnitude or 1
+    if that is smaller (a loss near 0 is a difference of nearly equal logs,
+    in both)."""
+
+    @staticmethod
+    def value_and_gradient(loss, outputs, params):
+        params_v, leaves = params.to_vars()
+        outputs = [Var(o) for o in outputs]
+        total = loss(outputs, params_v)
+        if total is None:
+            return None
+        total.backward()
+        grads = [np.zeros_like(v.value) if v.grad is None else v.grad for v in outputs + leaves]
+        return float(total.value), np.concatenate([np.ravel(g) for g in grads])
+
+    def check(self, loss, oracle, outputs, params, block):
+        with mock.patch.object(training, "_BLOCK", block):
+            got = self.value_and_gradient(loss, outputs, params)
+        want = self.value_and_gradient(oracle, outputs, params)
+        if want is None:
+            assert got is None
+            return
+        assert abs(got[0] - want[0]) <= 1e-12 * max(abs(want[0]), 1.0)
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-10 * max(np.max(np.abs(want[1])), 1.0)
+
+    @staticmethod
+    def draw_data(case):
+        nodes, narrations, (d_h, d_a, d_t), tau, seed, block = case
+        rng = np.random.default_rng(seed)
+        params = init_params(ModelDims(d_in=2, d_h=d_h, d_a=d_a, d_t=d_t, stages=1, layers=1),
+                             seed=seed)
+        return rng, params, d_h, d_t, tau, block
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(loss_cases())
+    def test_vna(self, case):
+        rng, params, d_h, d_t, tau, block = self.draw_data(case)
+        nodes, narrations = case[:2]
+        graphs = [video(np.sort(rng.uniform(0.0, 20.0, n)), dim=2, seed=i)
+                  for i, n in enumerate(nodes)]
+        narrs = [narration_set([(t, rng.standard_normal(d_t))
+                                for t in np.sort(rng.uniform(0.0, 20.0, m))], dim=d_t)
+                 for m in narrations]
+        # alpha = 1: some node must have a narration of its video within 2 s
+        assume(any(np.any(np.abs(g.timestamps[:, None] - n.timestamps) <= 2.0)
+                   for g, n in zip(graphs, narrs)))
+        batch = AlignmentBatch(graphs, narrs)
+        config = RunConfig(alpha=1.0, beta=3.0, temperature=tau)
+        output = rng.standard_normal((sum(nodes), d_h))
+        self.check(lambda o, p: _vna_scalar(batch, o[0], p, config),
+                   lambda o, p: vna_composed(batch, o[0], p, config), [output], params, block)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(loss_cases(), st.integers(1, 3), st.integers(1, 4))
+    def test_ft(self, case, stages, clusters):
+        rng, params, d_h, _, tau, block = self.draw_data(case)
+        videos = len(case[0])
+        sizes = [rng.integers(1, 12, videos) for _ in range(stages)]
+        labels = [rng.integers(0, clusters, int(n.sum())) for n in sizes]
+        outputs = [rng.standard_normal((int(n.sum()), d_h)) for n in sizes]
+
+        def trace(outputs):
+            return SimpleNamespace(stages=[
+                SimpleNamespace(graph=SimpleNamespace(video_sizes=n), output=o,
+                                partition=PartitionResult(a, 0.0))
+                for n, o, a in zip(sizes, outputs, labels)])
+
+        self.check(lambda o, p: _ft_scalar(trace(o), p, tau),
+                   lambda o, p: ft_composed(trace(o), p, tau), outputs, params, block)
 
 
 class TestGradCheck:
@@ -443,6 +537,40 @@ class TestBackwardMemory:
         assert sum(g.num_nodes for g in batch.graphs) == 256
         (peak,) = peaks
         assert peak <= self.BOUND_BYTES, f"backward added {peak / 1e6:.2f} MB"
+
+
+class TestLossCallMemory:
+    """A whole loss call (forward pass, both losses and backward) builds
+    the losses' logits a block at a time, so its traced peak stays near the
+    forward tape rather than growing with (nodes x narrations)."""
+
+    # traced peak of the call below, run first in its process, with numpy
+    # 2.4.6: 7.68 MB with the block-built loss nodes (6.65 MB after other
+    # tests), 38.34 MB with the losses composed of Var nodes over the whole
+    # logits
+    BOUND_BYTES = 9_000_000
+
+    def test_one_call_has_a_bounded_traced_peak(self):
+        videos = [generate(SynthSpec(num_threads=2, steps_per_thread=2, segments_per_step=16,
+                                     dim=8, separation=3.0, seed=i)) for i in range(8)]
+        batch = AlignmentBatch([build_graph(v.sequence, 1.0) for v in videos],
+                               [v.narrations for v in videos])
+        params = init_params(ModelDims(d_in=8, d_h=16, d_a=16, d_t=8, stages=3, layers=3),
+                             seed=0)
+        op = loss_op(k=2, seed=0)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            op(params, batch)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert sum(g.num_nodes for g in batch.graphs) == 512
+        assert peak <= self.BOUND_BYTES, f"the loss call peaked {peak / 1e6:.2f} MB above its start"
 
 
 class TestTrainToy:
