@@ -3,11 +3,13 @@ localize | mcq | evaluate | train-toy | grad-check | dump-config.
 
 Every subcommand that runs or trains the model reads the one JSON run
 config, ``RunConfig`` (``--config``; ``--train-config`` for train-toy). Each
-flag that sets a config value is declared from its field, and flags win over
-file values. Results are deterministic JSON (metadata such as creation time
-is dropped under --no-meta so reruns are byte-identical), and each failure
-class exits with its own code: 2 usage, 3 bad config, 4 missing or
-unreadable input path, 5 malformed data, 1 any other library error.
+flag that sets a config value (a ``SynthSpec`` value for synth) is declared
+from its field, and flags win over file values. Handlers only wire: ``dataio``
+reads and checks every input, ``metrics`` scores. Results are deterministic
+JSON (metadata such as creation time is dropped under --no-meta so reruns are
+byte-identical), and each failure class exits with its own code, looked up in
+``_EXIT_CODES``: 2 usage, 3 bad config, 4 missing or unreadable input path,
+5 malformed data, 1 any other library error.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from .config import RunConfig
 from .dataio import (
     FeatureSequence,
     read_annotations,
+    read_corpus,
     read_feature_file,
     read_grounding_queries,
     read_label_predictions,
     read_mcq_question,
     read_mcq_results,
-    read_narrations,
     read_predictions,
     read_query,
     read_taxonomy,
@@ -45,11 +47,12 @@ from .dataio import (
 from .errors import ConfigError, DataError, SchemaError, VideoThreadsError
 from .graph import build_graph
 from .metrics import (
+    MetricReport,
+    label_accuracy,
     map_at_iou,
     mcq_accuracy,
     procedure_f1_iou,
     recall_at_iou,
-    temporal_iou,
 )
 from .model import (
     ModelDims,
@@ -89,10 +92,15 @@ def _emit(args, command: str, doc: dict) -> None:
     write_json(args.out, doc)
 
 
+def _set_flags(args, schema) -> dict:
+    """The values of the given flags that ``_add_config_flags`` declared for ``schema``."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(schema)
+            if getattr(args, f.name, None) is not None}
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    return cfg.override(**{f.name: getattr(args, f.name)
-                           for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)})
+    return cfg.override(**_set_flags(args, RunConfig))
 
 
 def _resolve_params(args, cfg: RunConfig, d_in: int, d_t: int | None = None):
@@ -128,12 +136,7 @@ def _run_forward(seq: FeatureSequence, params, cfg: RunConfig, k: int):
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        num_threads=args.threads, steps_per_thread=args.steps_per_thread,
-        segments_per_step=args.segments_per_step, segment_duration=args.segment_duration,
-        dim=args.dim, separation=args.separation, sigma=args.sigma,
-        interleave=not args.no_interleave, seed=args.seed,
-    )
+    spec = dataclasses.replace(SynthSpec(), **_set_flags(args, SynthSpec))
     ds = generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -252,67 +255,25 @@ def _cmd_evaluate(args) -> int:
             num_steps = max((lab for _, _, lab in annotation.intervals
                              if lab is not None), default=-1) + 1
         f1, iou = procedure_f1_iou(labels, gt, num_steps)
-        doc = {"scalars": {"F1": f1, "IoU": iou},
-               "counts": {"segments": int(timestamps.size), "steps": num_steps}}
+        report = MetricReport({"F1": f1, "IoU": iou},
+                              {"segments": timestamps.size, "steps": num_steps})
     elif args.task == "grounding":
         queries = [(read_predictions(p), gt) for p, gt in read_grounding_queries(args.queries)]
-        doc = recall_at_iou(queries).to_json_dict()
+        report = recall_at_iou(queries)
     elif args.task == "localization":
         predictions = read_predictions(args.pred)
-        annotation = read_annotations(args.annotations)
-        labeled = [iv for iv in annotation.intervals if iv[2] is not None]
-        correct = 0
-        for p in predictions:
-            if not labeled:
-                break
-            best = max(labeled, key=lambda iv: temporal_iou((p.start, p.end), (iv[0], iv[1])))
-            correct += int(p.label == best[2])
-        report = map_at_iou(predictions, annotation.intervals)
-        report.scalars["label_accuracy"] = correct / len(predictions) if predictions else 0.0
-        doc = report.to_json_dict()
+        intervals = read_annotations(args.annotations).intervals
+        report = map_at_iou(predictions, intervals)
+        report.scalars["label_accuracy"] = label_accuracy(predictions, intervals)
     else:  # mcq
-        doc = mcq_accuracy(read_mcq_results(args.results)).to_json_dict()
-    doc["task"] = args.task
-    _emit(args, "evaluate", doc)
+        report = mcq_accuracy(read_mcq_results(args.results))
+    _emit(args, "evaluate", {**report.to_json_dict(), "task": args.task})
     return EXIT_OK
-
-
-def _load_corpus(data_dir) -> list[tuple]:
-    """Every ``<video>/features.hft`` + ``narrations.json`` pair under
-    ``data_dir``, in name order. Feature widths must agree, and so must the
-    narration embedding widths of the videos that have narrations, of which
-    there must be at least one."""
-    root = Path(data_dir)
-    if not root.is_dir():
-        raise FileNotFoundError(f"{root} is not a directory")
-    dataset = []
-    narrated = None  # (narrations.json, embedding width) of the first narrated video
-    for video_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        feature_path = video_dir / "features.hft"
-        narration_path = video_dir / "narrations.json"
-        if feature_path.exists() and narration_path.exists():
-            sequence = read_feature_file(feature_path)
-            narrations = read_narrations(narration_path)
-            if len(narrations):
-                width = narrations.embeddings.shape[1]
-                if narrated is None:
-                    narrated = (narration_path, width)
-                elif width != narrated[1]:
-                    raise SchemaError(f"{narration_path}: items",
-                                      f"narration embeddings are {width} wide, "
-                                      f"{narrated[0]} has {narrated[1]}")
-            dataset.append((sequence, narrations))
-    if not dataset:
-        raise FileNotFoundError(f"no <video>/features.hft + narrations.json pairs under {root}")
-    if narrated is None:
-        raise SchemaError(str(root), "no video has a narration to train on")
-    require_constant_dim([seq for seq, _ in dataset])
-    return dataset
 
 
 def _cmd_train_toy(args) -> int:
     cfg = _load_config(args)
-    dataset = _load_corpus(args.data)
+    dataset = read_corpus(args.data)
     params, history = train_toy(dataset, cfg)
     save_params(args.params_out, params)
     with open(args.history, "w", encoding="utf-8") as fh:
@@ -330,15 +291,10 @@ def _cmd_train_toy(args) -> int:
 def _toy_gradcheck_batch(seed: int):
     from .training import AlignmentBatch
 
-    videos = []
-    for i in range(2):
-        spec = SynthSpec(num_threads=2, steps_per_thread=1, segments_per_step=5,
-                         segment_duration=0.5, dim=6, separation=4.0, sigma=1.0,
-                         interleave=True, seed=seed + i)
-        ds = generate(spec)
-        videos.append((ds.sequence, ds.narrations))
-    graphs = [build_graph(seq, 1.0) for seq, _ in videos]
-    return AlignmentBatch(graphs=graphs, narrations=[n for _, n in videos])
+    videos = [generate(SynthSpec(num_threads=2, segments_per_step=5, segment_duration=0.5,
+                                 dim=6, separation=4.0, seed=seed + i)) for i in range(2)]
+    return AlignmentBatch(graphs=[build_graph(ds.sequence, 1.0) for ds in videos],
+                          narrations=[ds.narrations for ds in videos])
 
 
 def _cmd_grad_check(args) -> int:
@@ -370,17 +326,23 @@ _MODEL_FIELDS = ("hidden", "align_dim", "stages", "layers", "edge_threshold")
 _PARTITION_FIELDS = ("kappa", "max_nodes")
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *fields: str, **flag_fields: str) -> None:
-    """One flag per config field that the subcommand's handler reads:
-    ``--dashed-name``, typed like the field's default, stored under the
-    field's name. A keyword names a flag that sets another field
-    (``k="k_procedure"`` makes ``--k`` set ``k_procedure``). Flags default to
-    None, so ``_load_config`` keeps the file's value unless one is given."""
-    defaults = RunConfig()
+def _add_config_flags(p: argparse.ArgumentParser, *fields: str, schema=RunConfig,
+                      **flag_fields: str) -> None:
+    """One flag per field of the ``schema`` dataclass that the subcommand's
+    handler reads: ``--dashed-name``, typed like the field's default, stored
+    under the field's name; a bool field's flag switches it away from its
+    default (``--no-dashed-name`` when that is True). A keyword names a flag
+    that sets another field (``k="k_procedure"`` makes ``--k`` set
+    ``k_procedure``). Flags default to None, so ``_set_flags`` returns only
+    the ones given and the file's value or the schema default stands."""
+    defaults = schema()
     for flag, field in [*zip(fields, fields), *flag_fields.items()]:
         default = getattr(defaults, field)
-        p.add_argument("--" + flag.replace("_", "-"), dest=field, type=type(default),
-                       default=None, help=f"config {field} (default {default})")
+        kind = ({"action": "store_const", "const": not default} if isinstance(default, bool)
+                else {"type": type(default)})
+        name = ("--no-" if default is True else "--") + flag.replace("_", "-")
+        p.add_argument(name, dest=field, default=None,
+                       help=f"{schema.__name__}.{field} (default {default})", **kind)
 
 
 def _add_common(p: argparse.ArgumentParser, *fields: str, **flag_fields: str) -> None:
@@ -404,16 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a planted-structure corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=3)
-    p.add_argument("--steps-per-thread", dest="steps_per_thread", type=int, default=1)
-    p.add_argument("--segments-per-step", dest="segments_per_step", type=int, default=20)
-    p.add_argument("--segment-duration", dest="segment_duration", type=float,
-                   default=16.0 / 30.0)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--separation", type=float, default=10.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--no-interleave", action="store_true")
+    spec_fields = [f.name for f in dataclasses.fields(SynthSpec) if f.name != "num_threads"]
+    _add_config_flags(p, *spec_fields, schema=SynthSpec, threads="num_threads")
     p.add_argument("--no-meta", action="store_true")
     p.set_defaults(func=_cmd_synth)
 
@@ -486,10 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(exc: Exception) -> dict:
-    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
-
-
 _EVALUATE_INPUTS = {"procedure": ("pred", "annotations"), "grounding": ("queries",),
                    "localization": ("pred", "annotations"), "mcq": ("results",)}
 
@@ -499,6 +449,15 @@ def _shared_parser() -> argparse.ArgumentParser:
     """The parser every ``main`` call in this process parses with; parsing
     leaves it unchanged, and building it costs about 5 ms."""
     return build_parser()
+
+
+_EXIT_CODES = (  # the first row naming a class of the error gives the exit code
+    ((ConfigError,), EXIT_CONFIG),
+    ((FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError), EXIT_MISSING),
+    ((DataError,), EXIT_DATA),
+    ((VideoThreadsError,), EXIT_ERROR),
+)
+_HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -512,18 +471,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--num-steps must be non-negative, got {args.num_steps}")
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        return EXIT_MISSING
-    except DataError as exc:
-        print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        return EXIT_DATA
-    except VideoThreadsError as exc:
-        print(json.dumps(_error_payload(exc)), file=sys.stderr)
-        return EXIT_ERROR
+    except _HANDLED as exc:
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
+              file=sys.stderr)
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

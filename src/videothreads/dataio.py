@@ -16,6 +16,7 @@ the file and the field in a SchemaError: narrations, taxonomies, annotations,
 predictions, and the CLI's query, MCQ question, label predictions, grounding
 queries and MCQ results. All are UTF-8; writing then reading any value
 reproduces it bit-exactly (features are kept at f32 precision for that reason).
+``read_corpus`` reads a training directory of feature and narration file pairs.
 """
 
 from __future__ import annotations
@@ -213,7 +214,13 @@ def read_feature_file(path) -> FeatureSequence:
 # JSON documents
 
 
-def _require(doc: dict, key: str, kind, path: str):
+_KINDS = {str: "a string", list: "a list", int: "an integer"}
+
+
+def _field(doc, key: str, kind=None, path: str = ""):
+    """``doc[key]``, ``doc`` being the object at ``path``: any value for no ``kind``,
+    a finite float for float, else of a type in ``_KINDS`` (a bool is no int).
+    A SchemaError names ``path`` if ``doc`` is no object, else ``path.key``."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
     where = f"{path}.{key}" if path else key
@@ -222,18 +229,9 @@ def _require(doc: dict, key: str, kind, path: str):
     value = doc[key]
     if kind is float:
         return finite_number(value, where)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise SchemaError(where, f"expected {kind.__name__}")
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise SchemaError(where, f"expected {_KINDS[kind]}")
     return value
-
-
-def _member(doc, key: str, kind=object):
-    """``doc[key]`` of type ``kind``; "missing" if ``doc`` is no object holding ``key``."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise SchemaError(key, "missing")
-    if not isinstance(doc[key], kind):
-        raise SchemaError(key, f"expected a {kind.__name__}")
-    return doc[key]
 
 
 def _interval(start: float, end: float, path: str) -> tuple[float, float]:
@@ -519,13 +517,13 @@ def _stack(rows: list[np.ndarray], where: str) -> np.ndarray:
 
 def read_narrations(path) -> NarrationSet:
     with _fields_of(path) as doc:
-        items = _require(doc, "items", list, "")
+        items = _field(doc, "items", list)
         texts, timestamps, rows = [], [], []
         for i, item in enumerate(items):
             where = f"items[{i}]"
-            texts.append(_require(item, "text", str, where))
-            timestamps.append(_require(item, "timestamp", float, where))
-            rows.append(_vector(_require(item, "embedding", list, where), f"{where}.embedding"))
+            texts.append(_field(item, "text", str, where))
+            timestamps.append(_field(item, "timestamp", float, where))
+            rows.append(_vector(_field(item, "embedding", list, where), f"{where}.embedding"))
         return NarrationSet(tuple(texts), timestamps, _stack(rows, "items[{}].embedding"))
 
 
@@ -537,8 +535,8 @@ def write_narrations(path, narrations: NarrationSet) -> None:
 
 def read_taxonomy(path) -> Taxonomy:
     with _fields_of(path) as doc:
-        labels = _require(doc, "labels", list, "")
-        rows = _require(doc, "embeddings", list, "")
+        labels = _field(doc, "labels", list)
+        rows = _field(doc, "embeddings", list)
         for i, label in enumerate(labels):
             if not isinstance(label, str):
                 raise SchemaError(f"labels[{i}]", "expected a string")
@@ -552,12 +550,12 @@ def write_taxonomy(path, taxonomy: Taxonomy) -> None:
 
 def read_annotations(path) -> StepAnnotation:
     with _fields_of(path) as doc:
-        raw = _require(doc, "intervals", list, "")
+        raw = _field(doc, "intervals", list)
         intervals = []
         for i, item in enumerate(raw):
             where = f"intervals[{i}]"
-            start = _require(item, "start", float, where)
-            end = _require(item, "end", float, where)
+            start = _field(item, "start", float, where)
+            end = _field(item, "end", float, where)
             intervals.append((start, end, _label(item, where)))
         return StepAnnotation(tuple(intervals))
 
@@ -573,13 +571,13 @@ def write_annotations(path, annotation: StepAnnotation) -> None:
 
 def read_predictions(path) -> list[StepPrediction]:
     with _fields_of(path) as doc:
-        raw = _require(doc, "predictions", list, "")
+        raw = _field(doc, "predictions", list)
         out = []
         for i, item in enumerate(raw):
             where = f"predictions[{i}]"
-            start = _require(item, "start", float, where)
-            end = _require(item, "end", float, where)
-            score = _require(item, "score", float, where)
+            start = _field(item, "start", float, where)
+            end = _field(item, "end", float, where)
+            score = _field(item, "score", float, where)
             out.append(StepPrediction(start, end, _label(item, where), score))
         return out
 
@@ -596,15 +594,15 @@ def write_predictions(path, predictions: list[StepPrediction]) -> None:
 def read_query(path) -> np.ndarray:
     """The embedding of a ``{"embedding": [number]}`` query."""
     with _fields_of(path) as doc:
-        return _vector(_member(doc, "embedding"), "embedding")
+        return _vector(_field(doc, "embedding"), "embedding")
 
 
 def read_mcq_question(path) -> McqQuestion:
     """``{"query", "candidates": [path], "spans": null or [[start, end]]}``;
     candidate paths are relative to the question's folder."""
     with _fields_of(path) as doc:
-        query = _vector(_member(doc, "query"), "query")
-        paths = _member(doc, "candidates")
+        query = _vector(_field(doc, "query"), "query")
+        paths = _field(doc, "candidates")
         if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
             raise SchemaError("candidates", "expected a non-empty list of paths")
         spans = doc.get("spans")
@@ -625,9 +623,9 @@ def read_label_predictions(path) -> tuple[np.ndarray, float, np.ndarray]:
     """What ``procedure-learn`` writes: ``{"timestamps", "segment_duration", "labels"}``,
     one integer label per start time; times are non-negative and increasing."""
     with _fields_of(path) as doc:
-        timestamps = _vector(_member(doc, "timestamps"), "timestamps")
-        duration = finite_number(_member(doc, "segment_duration"), "segment_duration")
-        labels = _vector(_member(doc, "labels"), "labels", kind=int)
+        timestamps = _vector(_field(doc, "timestamps"), "timestamps")
+        duration = _field(doc, "segment_duration", float)
+        labels = _vector(_field(doc, "labels"), "labels", kind=int)
         if labels.size != timestamps.size:
             raise SchemaError("labels", f"{labels.size} labels for {timestamps.size} timestamps")
         _check_timeline(timestamps, duration)
@@ -635,20 +633,55 @@ def read_label_predictions(path) -> tuple[np.ndarray, float, np.ndarray]:
 
 
 def read_grounding_queries(path) -> list[tuple[Path, tuple[float, float] | None]]:
-    """``{"queries": [{"predictions": path, "gt": {"start", "end"} or null}]}``
-    as (predictions file, span or None) pairs; paths are relative to the document."""
+    """``{"queries": [{"predictions": path, "gt": {"start", "end"}}]}`` as
+    (predictions file, span or None) pairs; a missing, null or empty ``gt``
+    is no ground truth. Paths are relative to the document."""
     base = Path(path).parent
     with _fields_of(path) as doc:
         queries = []
-        for i, item in enumerate(_member(doc, "queries", list)):
+        for i, item in enumerate(_field(doc, "queries", list)):
             where = f"queries[{i}]"
-            predictions = base / _require(item, "predictions", str, where)
-            gt = item.get("gt")
-            if gt:
-                gt = _interval(_require(gt, "start", float, f"{where}.gt"),
-                               _require(gt, "end", float, f"{where}.gt"), f"{where}.gt")
-            queries.append((predictions, gt or None))
+            predictions = base / _field(item, "predictions", str, where)
+            gt, span = item.get("gt"), None
+            if gt is not None and gt != {}:  # anything else must be a span object
+                where += ".gt"
+                span = _interval(_field(gt, "start", float, where),
+                                 _field(gt, "end", float, where), where)
+            queries.append((predictions, span))
         return queries
+
+
+def read_corpus(data_dir) -> list[tuple[FeatureSequence, NarrationSet]]:
+    """The ``train-toy`` data directory: every ``<video>/features.hft`` +
+    ``narrations.json`` pair under ``data_dir``, in name order. Feature
+    widths must agree, and so must the narration embedding widths of the
+    videos that have narrations, of which there must be at least one."""
+    root = Path(data_dir)
+    if not root.is_dir():
+        raise FileNotFoundError(f"{root} is not a directory")
+    dataset = []
+    narrated = None  # (narrations.json, embedding width) of the first narrated video
+    for video_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        feature_path = video_dir / "features.hft"
+        narration_path = video_dir / "narrations.json"
+        if feature_path.exists() and narration_path.exists():
+            sequence = read_feature_file(feature_path)
+            narrations = read_narrations(narration_path)
+            if len(narrations):
+                width = narrations.embeddings.shape[1]
+                if narrated is None:
+                    narrated = (narration_path, width)
+                elif width != narrated[1]:
+                    raise SchemaError(f"{narration_path}: items",
+                                      f"narration embeddings are {width} wide, "
+                                      f"{narrated[0]} has {narrated[1]}")
+            dataset.append((sequence, narrations))
+    if not dataset:
+        raise FileNotFoundError(f"no <video>/features.hft + narrations.json pairs under {root}")
+    if narrated is None:
+        raise SchemaError(str(root), "no video has a narration to train on")
+    require_constant_dim([seq for seq, _ in dataset])
+    return dataset
 
 
 def read_mcq_results(path) -> list[tuple[int, int, str]]:
@@ -656,10 +689,10 @@ def read_mcq_results(path) -> list[tuple[int, int, str]]:
     group) triples; ``group`` is "inter" (the default) or "intra"."""
     with _fields_of(path) as doc:
         choices = []
-        for i, item in enumerate(_member(doc, "results", list)):
+        for i, item in enumerate(_field(doc, "results", list)):
             where = f"results[{i}]"
-            chosen = _require(item, "chosen", int, where)
-            correct = _require(item, "correct", int, where)
+            chosen = _field(item, "chosen", int, where)
+            correct = _field(item, "correct", int, where)
             group = item.get("group", "inter")
             if group not in ("inter", "intra"):
                 raise SchemaError(f"{where}.group", 'expected "inter" or "intra"')

@@ -1,5 +1,5 @@
-"""Benchmark metrics: Hungarian-matched F1/IoU, Recall@IoU, mAP@IoU, MCQ
-accuracy, and the adjusted Rand index used by the planted-structure oracles.
+"""Benchmark metrics: Hungarian-matched F1/IoU, Recall@IoU, mAP@IoU, label
+accuracy, MCQ accuracy, and the adjusted Rand index of the planted oracles.
 
 All IoU threshold comparisons are inclusive (>=).
 """
@@ -38,6 +38,16 @@ def temporal_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
         return 0.0
     union = max(a[1], b[1]) - min(a[0], b[0])
     return inter / union
+
+
+def _contingency(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted distinct values of two equal-shape label arrays and the
+    int64 table counting the items labeled (a value, b value), one cell each."""
+    a_values, a_ids = np.unique(a, return_inverse=True)
+    b_values, b_ids = np.unique(b, return_inverse=True)
+    cells = a_ids.ravel() * b_values.size + b_ids.ravel()
+    table = np.bincount(cells, minlength=a_values.size * b_values.size)
+    return a_values, b_values, table.reshape(a_values.size, b_values.size)
 
 
 def hungarian(cost) -> tuple[dict[int, int], float]:
@@ -123,35 +133,38 @@ def procedure_f1_iou(pred_labels, gt_labels, num_steps: int) -> tuple[float, flo
     if pred.shape != gt.shape:
         raise ShapeError(f"label sequences differ in length: {pred.shape} vs {gt.shape}")
 
-    pred_ids = np.unique(pred)
-    gt_ids = [int(s) for s in np.unique(gt) if 0 <= s < num_steps and s == int(s)]
-    if not gt_ids:
+    _, gt_values, table = _contingency(pred, gt)
+    steps = [b for b, s in enumerate(gt_values) if 0 <= s < num_steps and s == int(s)]
+    if not steps:
         return 0.0, 0.0
 
-    overlap = np.zeros((pred_ids.size, len(gt_ids)))
-    for a, p in enumerate(pred_ids):
-        mask = pred == p
-        for b, s in enumerate(gt_ids):
-            overlap[a, b] = np.sum(mask & (gt == s))
+    overlap = table[:, steps]
     mapping, _ = hungarian(-overlap)
-    matched = {gt_ids[col]: pred_ids[row] for row, col in mapping.items()}
-
-    f1s, ious = [], []
-    for s in gt_ids:
-        gt_mask = gt == s
-        if s not in matched:
-            f1s.append(0.0)
-            ious.append(0.0)
-            continue
-        pred_mask = pred == matched[s]
-        inter = float(np.sum(gt_mask & pred_mask))
-        precision = inter / max(float(np.sum(pred_mask)), 1.0)
-        recall = inter / float(np.sum(gt_mask))
-        f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
-        union = float(np.sum(gt_mask | pred_mask))
-        f1s.append(f1)
-        ious.append(inter / union if union else 0.0)
+    pred_sizes, gt_sizes = table.sum(axis=1), overlap.sum(axis=0)
+    f1s, ious = np.zeros(len(steps)), np.zeros(len(steps))  # an unmatched step scores 0
+    for a, b in mapping.items():
+        inter = float(overlap[a, b])
+        precision = inter / float(pred_sizes[a])
+        recall = inter / float(gt_sizes[b])
+        if precision + recall:
+            f1s[b] = 2.0 * precision * recall / (precision + recall)
+        ious[b] = inter / (float(pred_sizes[a] + gt_sizes[b]) - inter)
     return float(np.mean(f1s)), float(np.mean(ious))
+
+
+def label_accuracy(predictions, gt_intervals) -> float:
+    """Share of predictions whose label is the label of the labeled
+    (start, end, label) interval they overlap with the highest IoU, the
+    first such on ties. A prediction that overlaps no labeled interval is
+    wrong; no predictions score 0.0."""
+    labeled = [(start, end, label) for start, end, label in gt_intervals if label is not None]
+    correct = 0
+    for p in predictions:
+        iou, label = max(((temporal_iou((p.start, p.end), (start, end)), label)
+                          for start, end, label in labeled),
+                         key=lambda pair: pair[0], default=(0.0, None))
+        correct += iou > 0.0 and p.label == label
+    return correct / len(predictions) if predictions else 0.0
 
 
 def recall_at_iou(queries, ks=RECALL_KS, thresholds=RECALL_THRESHOLDS) -> MetricReport:
@@ -287,10 +300,7 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     n = a.size
     if n == 0:
         return 1.0
-    _, a_ids = np.unique(a, return_inverse=True)
-    _, b_ids = np.unique(b, return_inverse=True)
-    na, nb = a_ids.max() + 1, b_ids.max() + 1
-    table = np.bincount((a_ids * nb + b_ids).ravel(), minlength=na * nb).reshape(na, nb)
+    table = _contingency(a, b)[2]
 
     def comb2(x):
         return x * (x - 1) / 2.0

@@ -245,6 +245,7 @@ class TestErrorExitCodes:
         ("ground_query_not_utf8", EXIT_DATA, "query.json"),
         ("train_config_not_utf8", EXIT_CONFIG, "query.json"),
         ("grounding_gt_inverted", EXIT_DATA, "queries[0].gt"),
+        ("grounding_gt_zero", EXIT_DATA, "queries[0].gt"),
         ("grounding_fault_after_missing_predictions", EXIT_DATA, "queries[1].predictions"),
         ("procedure_timestamps_decreasing", EXIT_DATA, "timestamps"),
         ("procedure_timestamp_negative", EXIT_DATA, "timestamps"),
@@ -354,6 +355,7 @@ class TestErrorExitCodes:
             "train_config_not_utf8": b'{"epochs": 3\xff}',
             "grounding_gt_inverted": json.dumps({"queries": [
                 {"predictions": no_preds.name, "gt": {"start": 5.0, "end": 1.0}}]}),
+            "grounding_gt_zero": json.dumps({"queries": [{"predictions": no_preds.name, "gt": 0}]}),
             # the document is validated before any prediction file is opened
             "grounding_fault_after_missing_predictions": json.dumps({"queries": [
                 {"predictions": "absent.json", "gt": None}, {"gt": None}]}),
@@ -443,7 +445,8 @@ class TestErrorExitCodes:
                                       "--params-out", str(tmp_path / "p.bin"),
                                       "--history", str(tmp_path / "h.jsonl")),
             **{name: ("evaluate", "--task", "grounding", "--queries", str(doc))
-               for name in ("grounding_gt_inverted", "grounding_fault_after_missing_predictions")},
+               for name in ("grounding_gt_inverted", "grounding_gt_zero",
+                            "grounding_fault_after_missing_predictions")},
             **{name: ("evaluate", "--task", "procedure", "--pred", str(doc), "--annotations", ann)
                for name in ("procedure_timestamps_decreasing", "procedure_timestamp_negative",
                             "procedure_duration_negative")},
@@ -574,6 +577,16 @@ class TestPipeline:
         for name in ("features.hft", "narrations.json", "taxonomy.json",
                      "annotations.json", "planted.json", "summary.json"):
             assert (corpus / name).exists()
+
+    def test_no_interleave_lays_the_steps_out_in_order(self, tmp_path):
+        labels = {}
+        for name, flags in (("plain", ("--no-interleave",)), ("mixed", ())):
+            assert run("synth", "--out", str(tmp_path / name), "--seed", "7", "--threads", "4",
+                       "--segments-per-step", "3", "--dim", "8", *flags, "--no-meta") == EXIT_OK
+            doc = json.loads((tmp_path / name / "annotations.json").read_text())
+            labels[name] = [item["label"] for item in doc["intervals"]]
+        assert labels["plain"] == [0, 1, 2, 3]
+        assert sorted(labels["mixed"]) == labels["plain"] != labels["mixed"]
 
     def test_forward_keeps_input_order(self, corpus, tmp_path):
         long = corpus / "features.hft"

@@ -20,6 +20,7 @@ from videothreads.dataio import (
     StepPrediction,
     Taxonomy,
     read_annotations,
+    read_corpus,
     read_feature_file,
     read_grounding_queries,
     read_label_predictions,
@@ -450,6 +451,16 @@ class TestReaderMutations:
         timestamps, duration, labels = read_label_predictions(path)
         assert (timestamps.tolist(), duration, labels.tolist()) == ([0.0, 0.5, 1.0], 0.5, [0, 1, 1])
 
+    @pytest.mark.parametrize("gt", [0, False, "", [], 1.5, "0 to 1", [0.0, 1.0]])
+    def test_grounding_gt_that_is_no_object_is_rejected(self, tmp_path, gt):
+        # only null, an empty object or no key at all read as "no ground truth"
+        path = tmp_path / "queries.json"
+        path.write_text(json.dumps({"queries": [{"predictions": "p.json", "gt": None},
+                                                {"predictions": "q.json", "gt": gt}]}))
+        with pytest.raises(SchemaError) as info:
+            read_grounding_queries(path)
+        assert str(info.value) == f"{path}: queries[1].gt: expected an object"
+
     @pytest.mark.parametrize("name", sorted(_READERS))
     @given(mutations=_MUTATIONS)
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -513,6 +524,24 @@ _DOCUMENTS = st.dictionaries(st.text(max_size=8), st.recursive(
     ),
     max_leaves=20,
 ), max_size=4)
+
+
+class TestCorpus:
+    def test_pairs_in_name_order(self, tmp_path):
+        for name, n in (("b", 5), ("a", 4)):
+            (tmp_path / name).mkdir()
+            write_feature_file(tmp_path / name / "features.hft", sample_sequence(n))
+            write_narrations(tmp_path / name / "narrations.json",
+                             NarrationSet(("x",), [0.5], np.ones((1, 3))))
+        (tmp_path / "c").mkdir()  # no feature file: not a video
+        (tmp_path / "notes.txt").write_text("")
+        assert [seq.num_segments for seq, _ in read_corpus(tmp_path)] == [4, 5]
+
+    def test_no_directory_or_no_video_is_a_missing_path(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="is not a directory"):
+            read_corpus(tmp_path / "absent")
+        with pytest.raises(FileNotFoundError, match="no <video>/features.hft"):
+            read_corpus(tmp_path)
 
 
 class TestWriteJson:

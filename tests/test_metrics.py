@@ -11,6 +11,7 @@ from videothreads.errors import NonFiniteError, ShapeError
 from videothreads.metrics import (
     adjusted_rand_index,
     hungarian,
+    label_accuracy,
     map_at_iou,
     mcq_accuracy,
     procedure_f1_iou,
@@ -211,6 +212,27 @@ class TestMapAtIou:
         report = map_at_iou([StepPrediction(0.0, 1.0, 0, 0.5)],
                             [(0.0, 1.0, 0), (5.0, 6.0, None)])
         assert report.counts["gt_instances"] == 1
+
+
+class TestLabelAccuracy:
+    GT = [(0.0, 10.0, 0), (10.0, 20.0, 1), (20.0, 30.0, None)]
+
+    def test_label_of_the_best_overlap_scores(self):
+        preds = [StepPrediction(1.0, 12.0, 0, 0.9), StepPrediction(8.0, 19.0, 0, 0.5)]
+        assert label_accuracy(preds, self.GT) == 0.5
+
+    def test_prediction_overlapping_no_labeled_interval_is_wrong(self):
+        # it would score right against the first labeled interval, label 0
+        for start, end in ((40.0, 50.0), (20.0, 30.0), (-5.0, 0.0)):
+            assert label_accuracy([StepPrediction(start, end, 0, 0.9)], self.GT) == 0.0
+
+    def test_ties_go_to_the_first_interval(self):
+        assert label_accuracy([StepPrediction(5.0, 15.0, 0, 0.9)], self.GT) == 1.0
+        assert label_accuracy([StepPrediction(5.0, 15.0, 1, 0.9)], self.GT) == 0.0
+
+    def test_no_predictions_or_no_labels(self):
+        assert label_accuracy([], self.GT) == 0.0
+        assert label_accuracy([StepPrediction(0.0, 1.0, None, 0.9)], [(0.0, 1.0, None)]) == 0.0
 
 
 class TestMcqAccuracy:
