@@ -21,6 +21,7 @@ reproduces it bit-exactly (features are kept at f32 precision for that reason).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -268,8 +269,7 @@ def _vector(values, path: str, kind=float) -> np.ndarray:
     integers (``kind`` int; bools are neither) as a float64 or int64 array."""
     allowed, dtype, what = (((int, float), np.float64, "number") if kind is float
                             else (int, np.int64, "integer"))
-    if not isinstance(values, list) or not values or not all(
-            issubclass(t, allowed) and not issubclass(t, bool) for t in set(map(type, values))):
+    if not isinstance(values, list) or not values or not _all_of(values, allowed):
         raise SchemaError(path, f"expected a non-empty {what} array")
     try:
         array = np.array(values, dtype=dtype)
@@ -279,6 +279,12 @@ def _vector(values, path: str, kind=float) -> np.ndarray:
     if bad.size:
         raise SchemaError(f"{path}[{int(bad[0])}]", f"expected a finite number, got {array[bad[0]]}")
     return array
+
+
+def _all_of(values, allowed) -> bool:
+    """Whether every value is of a type in ``allowed`` and none is a bool,
+    by one scan over the values' types."""
+    return all(issubclass(t, allowed) and not issubclass(t, bool) for t in set(map(type, values)))
 
 
 def load_json(path):
@@ -507,12 +513,39 @@ def _write_dict(out: _Out, doc: dict, level: int) -> None:
     write("\n" + " " * level + "}")
 
 
-def _stack(rows: list[np.ndarray], where: str) -> np.ndarray:
-    """Rows of one width as a matrix, (0, 0) for none; row i's field is ``where.format(i)``."""
-    for i, row in enumerate(rows):
-        if row.size != rows[0].size:
-            raise SchemaError(where.format(i), f"has {row.size} numbers, row 0 has {rows[0].size}")
-    return np.stack(rows) if rows else np.zeros((0, 0))
+def _stack(rows: list, where: str) -> np.ndarray:
+    """JSON rows that ``_vector`` accepts, all of one width, as a float64
+    matrix, (0, 0) for none; row i's field is ``where.format(i)``.
+
+    All values are checked and converted at once: one type scan, one
+    ``np.array``, one ``isfinite``. If a check fails, ``_vector`` checks
+    the rows in order, so the first bad row, and in it the first bad
+    element, is the one named. A row whose width differs from row 0's is
+    named after that.
+    """
+    flat = _finite_numbers(rows)
+    if flat is None:
+        flat = np.concatenate([_vector(row, where.format(i)) for i, row in enumerate(rows)])
+    widths = [len(row) for row in rows]
+    for i, width in enumerate(widths):
+        if width != widths[0]:
+            raise SchemaError(where.format(i), f"has {width} numbers, row 0 has {widths[0]}")
+    return flat.reshape(len(rows), -1) if rows else np.zeros((0, 0))
+
+
+def _finite_numbers(rows: list) -> np.ndarray | None:
+    """The values of ``rows`` in order as one float64 array if every row is
+    a non-empty list of finite numbers (bools are none), else None."""
+    if not all(isinstance(row, list) and row for row in rows):
+        return None
+    values = list(itertools.chain.from_iterable(rows))
+    if not _all_of(values, (int, float)):
+        return None
+    try:
+        flat = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return flat if np.isfinite(flat).all() else None
 
 
 def read_narrations(path) -> NarrationSet:
@@ -523,7 +556,7 @@ def read_narrations(path) -> NarrationSet:
             where = f"items[{i}]"
             texts.append(_field(item, "text", str, where))
             timestamps.append(_field(item, "timestamp", float, where))
-            rows.append(_vector(_field(item, "embedding", list, where), f"{where}.embedding"))
+            rows.append(_field(item, "embedding", list, where))
         return NarrationSet(tuple(texts), timestamps, _stack(rows, "items[{}].embedding"))
 
 
@@ -540,8 +573,7 @@ def read_taxonomy(path) -> Taxonomy:
         for i, label in enumerate(labels):
             if not isinstance(label, str):
                 raise SchemaError(f"labels[{i}]", "expected a string")
-        matrix = [_vector(row, f"embeddings[{i}]") for i, row in enumerate(rows)]
-        return Taxonomy(tuple(labels), _stack(matrix, "embeddings[{}]"))
+        return Taxonomy(tuple(labels), _stack(rows, "embeddings[{}]"))
 
 
 def write_taxonomy(path, taxonomy: Taxonomy) -> None:

@@ -18,6 +18,21 @@ class NonFiniteError(VideoThreadsError):
     """An array argument contains NaN or infinity."""
 
 
+class NonFiniteRowError(NonFiniteError):
+    """A row of one matrix in a stack of them (one per video) holds NaN or
+    infinity.
+
+    The row index is available as ``.row`` and the matrix's index in the
+    stack as ``.video``.
+    """
+
+    def __init__(self, row: int, context: str, video: int):
+        self.row = row
+        self.context = context
+        self.video = video
+        super().__init__(f"row {row} of video {video} of {context} contains non-finite entries")
+
+
 class NotSymmetricError(VideoThreadsError):
     """A matrix required to be symmetric is not (beyond tolerance)."""
 
@@ -25,12 +40,16 @@ class NotSymmetricError(VideoThreadsError):
 class ZeroNormRowError(VideoThreadsError):
     """A row that must have positive norm is (numerically) zero.
 
-    The offending row index is available as ``.row``.
+    The offending row index is available as ``.row``; in a stack of
+    matrices (one per video) the matrix's index is ``.video``, else None.
     """
 
-    def __init__(self, row: int, context: str = "input"):
+    def __init__(self, row: int, context: str = "input", video: int | None = None):
         self.row = row
-        super().__init__(f"row {row} of {context} has zero norm")
+        self.context = context
+        self.video = video
+        where = f"row {row}" if video is None else f"row {row} of video {video}"
+        super().__init__(f"{where} of {context} has zero norm")
 
 
 class ZeroDegreeError(VideoThreadsError):

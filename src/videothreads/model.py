@@ -27,7 +27,6 @@ from .graph import (
     coarse_rows,
     directed_edges,
     interpolation_between,
-    split_videos,
     temporal_subsample,
     with_embeddings,
 )
@@ -374,17 +373,6 @@ class ForwardTrace:
     output_timestamps: np.ndarray
 
 
-def _partition(g: VideoGraph, x: np.ndarray, k: int, kappa: float, max_nodes: int,
-               seed: int) -> PartitionResult:
-    """Each video's functional threads, found by ``approx_partition`` on its
-    own rows of ``x`` (an embedding per node of ``g``), joined as the
-    partition of the batch graph (see ``PartitionResult``)."""
-    parts = [approx_partition(with_embeddings(video, x[rows]), k, kappa, max_nodes, seed)
-             for video, rows in zip(split_videos(g), g.video_rows())]
-    return PartitionResult(np.concatenate([p.assignments for p in parts]),
-                           min(p.eigengap for p in parts))
-
-
 def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
             kappa: float = DEFAULT_KAPPA, max_nodes: int = DEFAULT_MAX_NODES,
             seed: int = 0,
@@ -421,7 +409,8 @@ def forward(g0: VideoGraph, params: ModelParams, k: int = 1,
         if fixed_partitions is not None:
             part = fixed_partitions[depth]
         else:
-            part = _partition(lateral, value(fused), k, kappa, max_nodes, seed)
+            part = approx_partition(with_embeddings(lateral, value(fused)), k, kappa,
+                                    max_nodes, seed)
         # A group's induced sub-graph is the lateral graph's edges whose two
         # ends share a group (the same |t_i - t_j| <= threshold test on the
         # same timestamps), so one pass over those edges serves every group.

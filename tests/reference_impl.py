@@ -15,6 +15,11 @@ The k-means oracle runs its restarts one after another, each seeded with
 ``Generator.choice`` and iterated to its own fixpoint; production code runs
 all restarts at once.
 
+The batch partition oracle partitions each video of a batch graph by an
+``approx_partition`` call on that video's own graph and joins the results;
+production code partitions the videos at one node count in one stacked
+pass.
+
 The assignment oracle enumerates every row-to-column matching; production
 code runs the Hungarian algorithm.
 
@@ -63,9 +68,10 @@ from videothreads.autodiff import (
     vsum,
 )
 from videothreads.errors import ConvergenceError, ShapeError
-from videothreads.graph import directed_edges
+from videothreads.graph import directed_edges, split_videos, with_embeddings
 from videothreads.metrics import hungarian
 from videothreads.model import _neighbor_table, _tdgc_apply, project_text, project_visual
+from videothreads.partition import PartitionResult, approx_partition
 
 QL_MAX_SWEEPS = 60
 
@@ -246,6 +252,18 @@ def cluster_means(pts: np.ndarray, assignments: np.ndarray, k: int,
 
 def inertia(pts: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> float:
     return float(np.sum((pts - centroids[assignments]) ** 2))
+
+
+def batch_partition_ref(g, x: np.ndarray, k: int, kappa: float, max_nodes: int,
+                        seed: int) -> PartitionResult:
+    """Each video's functional threads, found by ``approx_partition`` on its
+    own rows of ``x`` (an embedding per node of ``g``), joined as the
+    partition of the batch graph: labels side by side, the smallest
+    eigengap."""
+    parts = [approx_partition(with_embeddings(video, x[rows]), k, kappa, max_nodes, seed)
+             for video, rows in zip(split_videos(g), g.video_rows())]
+    return PartitionResult(np.concatenate([p.assignments for p in parts]),
+                           min(p.eigengap for p in parts))
 
 
 def relu_vec(v):

@@ -163,6 +163,22 @@ class TestNarrations:
             read_narrations(path)
         assert str(info.value) == f"{path}: items[0].embedding: expected a non-empty number array"
 
+    @pytest.mark.parametrize("bad, field, reason", [
+        (float("nan"), "items[1].embedding[2]", "expected a finite number, got nan"),
+        (1e400, "items[1].embedding[2]", "expected a finite number, got inf"),
+        (True, "items[1].embedding", "expected a non-empty number array"),
+        (10**400, "items[1].embedding", "number out of range"),
+    ])
+    def test_first_bad_embedding_element_named(self, tmp_path, bad, field, reason):
+        # row 2 holds a second fault and row 3 a width fault; the first row's names the file
+        rows = [[0.5, 1, 2.0], [0.5, 1, bad], [None, 1.0, 2.0], [1.0]]
+        path = tmp_path / "narr.json"
+        path.write_text(json.dumps({"items": [{"text": "x", "timestamp": float(i), "embedding": row}
+                                              for i, row in enumerate(rows)]}))
+        with pytest.raises(SchemaError) as info:
+            read_narrations(path)
+        assert str(info.value) == f"{path}: {field}: {reason}"
+
     def test_embedding_of_ints_and_floats_accepted(self, tmp_path):
         path = tmp_path / "narr.json"
         path.write_text(json.dumps({"items": [{"text": "x", "timestamp": 1.0,
@@ -197,6 +213,18 @@ class TestTaxonomy:
         path.write_text(json.dumps({"labels": ["a", "b"], "embeddings": [[1.0]]}))
         with pytest.raises(SchemaError):
             read_taxonomy(path)
+
+    @pytest.mark.parametrize("bad, field, reason", [
+        (float("-inf"), "embeddings[1][0]", "expected a finite number, got -inf"),
+        (False, "embeddings[1]", "expected a non-empty number array"),
+    ])
+    def test_first_bad_embedding_element_named(self, tmp_path, bad, field, reason):
+        path = tmp_path / "tax.json"
+        path.write_text(json.dumps({"labels": ["a", "b", "c"],
+                                    "embeddings": [[1, 2], [bad, 2], [float("nan"), 2, 3]]}))
+        with pytest.raises(SchemaError) as info:
+            read_taxonomy(path)
+        assert str(info.value) == f"{path}: {field}: {reason}"
 
     def test_rows_of_unequal_width_name_the_row(self, tmp_path):
         path = tmp_path / "tax.json"

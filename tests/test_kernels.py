@@ -9,6 +9,7 @@ from videothreads.errors import (
     ClusteringError,
     ConvergenceError,
     NonFiniteError,
+    NonFiniteRowError,
     NotSymmetricError,
     ShapeError,
     ZeroNormRowError,
@@ -308,9 +309,9 @@ class TestKMeansAgainstReference:
         # Two distinct rows and k = 4: after two seeds every squared distance
         # is zero, and seed i is taken at index floor(u * n) of its uniform.
         pts = np.array([[0.0, 1.0]] * 3 + [[5.0, 5.0]] * 2)
-        chosen = _kmeanspp_indices(pts, np.array([1, 4]), np.array([[0.5, 0.99, 0.2],
-                                                                    [0.1, 0.0, 0.7]]))
-        assert chosen.tolist() == [[1, 4, 4, 1], [4, 0, 0, 3]]
+        chosen = _kmeanspp_indices(pts[None], np.array([1, 4]), np.array([[0.5, 0.99, 0.2],
+                                                                          [0.1, 0.0, 0.7]]))
+        assert chosen[0].tolist() == [[1, 4, 4, 1], [4, 0, 0, 3]]
 
     def test_means_add_members_in_the_order_mean_does(self):
         # One big value then eight ones: a running sum loses every one, numpy's
@@ -350,6 +351,92 @@ class TestKMeansAgainstReference:
             assert got.inertia == inertia
 
 
+@st.composite
+def kmeans_stacks(draw):
+    """V point sets of one shape, with k in [1, n], at one column or at 8
+    and more (the two ways ``_Lloyd.means`` sums), each set of the kinds
+    ``kmeans_inputs`` draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    videos = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 64))
+    dim = draw(st.one_of(st.just(1), st.integers(8, 12)))
+    sets = []
+    for _ in range(videos):
+        kind = draw(st.sampled_from(["free", "duplicates", "grid"]))
+        if kind == "free":
+            sets.append(rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3))
+        elif kind == "duplicates":
+            distinct = rng.standard_normal((int(rng.integers(1, 4)), dim))
+            sets.append(distinct[rng.integers(0, distinct.shape[0], n)])
+        else:
+            sets.append(np.round(rng.standard_normal((n, dim)) * 2.0) / 2.0)
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return np.stack(sets), k, draw(st.integers(0, 10_000))
+
+
+class TestStackedKernels:
+    """A stack along a leading video axis against one call per video."""
+
+    @given(case=kmeans_stacks())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_kmeans_matches_one_call_per_video(self, case):
+        pts, k, seed = case
+        got = kmeans(pts, k, seed=seed)
+        alone = [kmeans(video, k, seed=seed) for video in pts]
+        assert got.assignments.tobytes() == np.stack([r.assignments for r in alone]).tobytes()
+        assert got.centroids.tobytes() == np.stack([r.centroids for r in alone]).tobytes()
+        assert got.inertia.tobytes() == np.array([r.inertia for r in alone]).tobytes()
+
+    def test_kmeans_stack_with_max_iter(self):
+        pts = np.random.default_rng(16).standard_normal((3, 40, 3))
+        for max_iter in (1, 2):
+            got = kmeans(pts, 5, seed=2, max_iter=max_iter)
+            for v, video in enumerate(pts):
+                assignments, centroids, inertia = kmeans_ref(video, 5, seed=2, max_iter=max_iter)
+                assert np.array_equal(got.assignments[v], assignments)
+                assert np.array_equal(got.centroids[v], centroids)
+                assert got.inertia[v] == inertia
+
+    def test_sym_eigen_matches_one_call_per_matrix(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 9, 33):
+            a = np.stack([random_symmetric(rng, n) for _ in range(4)])
+            got = sym_eigen(a)
+            for v in range(4):
+                alone = sym_eigen(a[v])
+                assert got.eigenvalues[v].tobytes() == alone.eigenvalues.tobytes()
+                assert got.eigenvectors[v].tobytes() == alone.eigenvectors.tobytes()
+
+    def test_canonical_signs_of_a_stack(self):
+        rng = np.random.default_rng(18)
+        vectors = np.stack([np.linalg.eigh(random_symmetric(rng, 6))[1] for _ in range(3)])
+        expected = vectors.copy()
+        for matrix in expected:
+            canonical_signs_ref(matrix)
+        _canonical_signs(vectors)
+        assert vectors.tobytes() == expected.tobytes()
+
+    def test_cosine_matches_one_call_per_video(self):
+        x = np.random.default_rng(19).standard_normal((4, 7, 5))
+        got = cosine_similarity_matrix(x)
+        assert got.tobytes() == np.stack([cosine_similarity_matrix(v) for v in x]).tobytes()
+
+    def test_zero_row_names_video_and_row(self):
+        x = np.ones((3, 4, 2))
+        x[1, 2] = 0.0
+        with pytest.raises(ZeroNormRowError, match=r"^row 2 of video 1 of x has zero norm$") as info:
+            cosine_similarity_matrix(x)
+        assert (info.value.video, info.value.row) == (1, 2)
+
+    def test_non_finite_row_names_video_and_row(self):
+        x = np.ones((3, 4, 2))
+        x[2, 0, 1] = np.nan
+        with pytest.raises(NonFiniteRowError,
+                           match=r"^row 0 of video 2 of points contains non-finite entries$") as info:
+            kmeans(x, 2)
+        assert (info.value.video, info.value.row) == (2, 0)
+
+
 class TestCosineSimilarityMatrix:
     def test_orthonormal_rows_identity(self):
         assert np.allclose(cosine_similarity_matrix(np.eye(4)), np.eye(4))
@@ -373,3 +460,4 @@ class TestCosineSimilarityMatrix:
         with pytest.raises(ZeroNormRowError) as info:
             cosine_similarity_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
         assert info.value.row == 1
+        assert str(info.value) == "row 1 of x has zero norm"

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_impl import batch_partition_ref
 from videothreads.dataio import FeatureSequence
 from videothreads.errors import (
     ClusteringError,
+    NonFiniteError,
+    NonFiniteRowError,
     NotSymmetricError,
     ZeroDegreeError,
     ZeroNormRowError,
 )
-from videothreads.graph import build_graph
+from videothreads.graph import build_graph, disjoint_union, with_embeddings
 from videothreads.kernels import sym_eigen
 from videothreads.metrics import adjusted_rand_index
 from videothreads.partition import (
@@ -230,3 +233,98 @@ class TestApproxPartition:
         idx = uniform_subsample_indices(10, 4)
         assert np.array_equal(idx, [0, 2, 5, 7])
         assert np.array_equal(uniform_subsample_indices(3, 8), [0, 1, 2])
+
+
+@st.composite
+def batch_graphs(draw):
+    """A batch graph of 1-6 videos and a request for it: node counts from a
+    short list, so that several videos often share a count, some over the
+    node budget (which subsamples them to the budget's count); k of 1, 2,
+    any up to the budget, or the budget itself (above every smaller video's
+    count); widths 1-70, rows free or copied from a few distinct ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    max_nodes = draw(st.sampled_from([2, 5, 8, 16]))
+    counts = [1, 2, 3, max_nodes - 1, max_nodes, max_nodes + 1, 2 * max_nodes + 3]
+    sizes = draw(st.lists(st.sampled_from(counts), min_size=1, max_size=6))
+    k = draw(st.one_of(st.just(1), st.just(2), st.integers(1, max_nodes), st.just(max_nodes)))
+    dim = draw(st.integers(1, 70))
+    graphs = []
+    for n in sizes:
+        if draw(st.booleans()):
+            x = rng.standard_normal((n, dim))
+        else:
+            distinct = rng.standard_normal((int(rng.integers(1, 4)), dim))
+            x = distinct[rng.integers(0, distinct.shape[0], n)]
+        times = rng.uniform(0.0, 3.0) + np.cumsum(rng.uniform(0.05, 1.0, n))
+        graphs.append(build_graph(FeatureSequence("v", times, x), 1.0))
+    return disjoint_union(graphs), k, max_nodes, draw(st.sampled_from([0.5, 1.0])), \
+        draw(st.integers(0, 10_000))
+
+
+class TestBatchPartition:
+    """The videos of a batch graph partitioned together, in one stacked pass
+    per node count, against one ``approx_partition`` call per video."""
+
+    @given(case=batch_graphs())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_matches_one_call_per_video(self, case):
+        g, k, max_nodes, kappa, seed = case
+        got = approx_partition(g, k, kappa, max_nodes, seed)
+        want = batch_partition_ref(g, g.embeddings, k, kappa, max_nodes, seed)
+        assert got.assignments.dtype == want.assignments.dtype
+        assert got.assignments.tobytes() == want.assignments.tobytes()
+        assert np.float64(got.eigengap).tobytes() == np.float64(want.eigengap).tobytes()
+
+    def test_stacked_spectral_partition_is_one_call_per_video(self):
+        x = np.random.default_rng(14).standard_normal((3, 9, 5))
+        stacked = spectral_partition(x, 3, seed=4)
+        alone = [spectral_partition(video, 3, seed=4) for video in x]
+        assert stacked.assignments.shape == (3, 9)
+        assert stacked.assignments.tobytes() == np.stack([p.assignments for p in alone]).tobytes()
+        assert stacked.eigengap == min(p.eigengap for p in alone)
+
+    def batch(self, bad_video, bad_row, value):
+        # videos 0 and 2 share a node count and a stacked pass; 1 and 3 are alone
+        rng = np.random.default_rng(15)
+        g = disjoint_union([build_graph(FeatureSequence("v", np.arange(n) * 0.5,
+                                                        rng.standard_normal((n, 3))), 1.0)
+                            for n in (6, 4, 6, 9)])
+        x = g.embeddings.copy()
+        x[g.video_rows()[bad_video].start + bad_row] = value
+        return with_embeddings(g, x)
+
+    @pytest.mark.parametrize("video", [1, 2])
+    def test_zero_norm_row_names_the_batch_video(self, video):
+        g = self.batch(video, 3, 0.0)
+        with pytest.raises(ZeroNormRowError,
+                           match=rf"^row 3 of video {video} of x has zero norm$") as info:
+            approx_partition(g, 2, max_nodes=16)
+        assert (info.value.video, info.value.row) == (video, 3)
+
+    @pytest.mark.parametrize("video", [1, 2])
+    def test_non_finite_row_names_the_batch_video(self, video):
+        g = self.batch(video, 2, np.nan)
+        with pytest.raises(NonFiniteRowError,
+                           match=rf"^row 2 of video {video} of x contains non-finite entries$"):
+            approx_partition(g, 2, max_nodes=16)
+
+    def test_stacked_rows_errors_name_the_stack_index(self):
+        x = np.ones((3, 4, 2))
+        x[2, 1] = 0.0
+        with pytest.raises(ZeroNormRowError, match=r"^row 1 of video 2 of x has zero norm$"):
+            spectral_partition(x, 2)
+        x[1, 3, 0] = np.inf
+        with pytest.raises(NonFiniteRowError,
+                           match=r"^row 3 of video 1 of x contains non-finite entries$"):
+            spectral_partition(x, 2)
+
+    def test_one_matrix_errors_keep_their_messages(self):
+        x = np.ones((4, 2))
+        x[2] = 0.0
+        with pytest.raises(ZeroNormRowError, match=r"^row 2 of x has zero norm$") as info:
+            spectral_partition(x, 2)
+        assert info.value.video is None
+        x[1, 0] = np.nan
+        with pytest.raises(NonFiniteError, match=r"^x contains non-finite entries$") as info:
+            spectral_partition(x, 2)
+        assert not isinstance(info.value, NonFiniteRowError)
