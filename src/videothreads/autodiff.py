@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Covers exactly the operations the network forward pass and the contrastive
-losses need (2-D matmul, the fused affine map ``affine``, broadcast
-arithmetic, relu, exp/log/sqrt, axis sums, row gather and row scatter-add),
-and ``joint_node`` for a node whose operands' gradients come from one
-function, such as a training loss computed a block at a time.
+Covers the operations the network forward pass needs outside its TDGC
+layers (2-D matmul, the fused affine map ``affine``, broadcast arithmetic,
+sqrt, axis sums, row gather and row scatter-add), and ``joint_node`` for a
+node whose operands' gradients come from one function, such as a TDGC layer
+or a training loss computed a block at a time.
 The helper functions dispatch on type, so the same forward code runs on
 plain ndarrays when no gradient is wanted. Only Var operands are recorded on
 the tape: an ndarray or scalar operand is a constant and gets no node.
@@ -79,9 +79,6 @@ class Var:
     @property
     def T(self) -> "Var":
         return Var(self.value.T, (self,), (lambda g: g.T,))
-
-    def item(self) -> float:
-        return float(self.value)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -212,26 +209,6 @@ def affine(x, w, b):
 
 
 # -- dispatching element-wise helpers ---------------------------------------
-
-
-def relu(x):
-    if isinstance(x, Var):
-        mask = x.value > 0.0
-        return Var(np.where(mask, x.value, 0.0), (x,), (lambda g: g * mask,))
-    return np.maximum(x, 0.0)
-
-
-def vexp(x):
-    if isinstance(x, Var):
-        out = np.exp(x.value)
-        return Var(out, (x,), (lambda g: g * out,))
-    return np.exp(x)
-
-
-def vlog(x):
-    if isinstance(x, Var):
-        return Var(np.log(x.value), (x,), (lambda g: g / x.value,))
-    return np.log(x)
 
 
 def vsqrt(x):

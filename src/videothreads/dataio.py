@@ -548,16 +548,36 @@ def _finite_numbers(rows: list) -> np.ndarray | None:
     return flat if np.isfinite(flat).all() else None
 
 
+_NARRATION_FIELDS = (("text", str), ("timestamp", float), ("embedding", list))
+
+
 def read_narrations(path) -> NarrationSet:
+    """The narration file's items. Their ``text`` and ``timestamp`` columns
+    are checked a column at a time, and their embeddings by ``_stack``; only
+    when a column check fails are the items walked in order, so the first
+    bad item, and in it the first bad field, is the one named."""
     with _fields_of(path) as doc:
         items = _field(doc, "items", list)
-        texts, timestamps, rows = [], [], []
-        for i, item in enumerate(items):
-            where = f"items[{i}]"
-            texts.append(_field(item, "text", str, where))
-            timestamps.append(_field(item, "timestamp", float, where))
-            rows.append(_field(item, "embedding", list, where))
+        columns = _narration_columns(items)
+        if columns is None:  # items walked in order: the first bad one raises
+            columns = zip(*[[_field(item, key, kind, f"items[{i}]")
+                             for key, kind in _NARRATION_FIELDS] for i, item in enumerate(items)])
+        texts, timestamps, rows = columns
         return NarrationSet(tuple(texts), timestamps, _stack(rows, "items[{}].embedding"))
+
+
+def _narration_columns(items: list) -> tuple | None:
+    """The items' texts, timestamps (an array) and embedding rows if every
+    item is an object with a string ``text``, a finite number ``timestamp``
+    and a list ``embedding``, by one pass per column; else None."""
+    try:
+        texts, times, rows = ([item[key] for item in items] for key, _ in _NARRATION_FIELDS)
+    except (TypeError, KeyError):  # an item that is no object, or lacks a field
+        return None
+    timestamps = _finite_numbers([times]) if items else np.zeros(0)
+    if timestamps is None or not (_all_of(texts, str) and _all_of(rows, list)):
+        return None
+    return texts, timestamps, rows
 
 
 def write_narrations(path, narrations: NarrationSet) -> None:

@@ -145,19 +145,6 @@ def disjoint_union(graphs: list[VideoGraph]) -> VideoGraph:
     )
 
 
-def split_videos(g: VideoGraph) -> list[VideoGraph]:
-    """Each video of ``g`` as a graph of its own (the inverse of
-    ``disjoint_union``)."""
-    if len(g.video_sizes) == 1:
-        return [g]
-    rows = g.video_rows()
-    owner = np.repeat(np.arange(len(rows)), g.video_sizes)[g.edges[:, 0]]
-    return [VideoGraph(embeddings=g.embeddings[r], timestamps=g.timestamps[r],
-                       edges=g.edges[owner == i] - r.start, level=g.level,
-                       edge_threshold=g.edge_threshold)
-            for i, r in enumerate(rows)]
-
-
 def with_embeddings(g: VideoGraph, embeddings: np.ndarray) -> VideoGraph:
     """Same graph structure, new node embeddings."""
     return VideoGraph(

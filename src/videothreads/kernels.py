@@ -178,7 +178,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
     sum adds its terms in the order the sequential restart loop in
     ``tests/reference_impl.py`` adds them, so the result is the same to the
     last bit: squared distances as ``np.sum`` over a row's columns
-    (``_pairwise_sum``), cluster means as ``mean`` over the members
+    (``_sum_squares``), cluster means as ``mean`` over the members
     (``_Lloyd.means``).
 
     ``points`` may also be a (V, n, dim) stack of V videos' point sets:
@@ -272,36 +272,15 @@ def _kmeanspp_indices(pts: np.ndarray, first: np.ndarray, u: np.ndarray) -> np.n
 
 
 def _sum_squares(diff: np.ndarray) -> np.ndarray:
-    """``_pairwise_sum`` of ``diff ** 2``, squaring ``diff`` in place."""
+    """Sum of ``diff ** 2`` over axis 0, squaring ``diff`` in place, in the
+    order ``np.sum(..., axis=-1)`` adds a contiguous last axis: below 8
+    terms one after another, from 8 on numpy's pairwise summation, which
+    ``np.sum`` runs on a copy with that axis last. numpy starts from 0.0, so
+    an all -0.0 sum may differ in sign; sums of squares cannot."""
     np.square(diff, out=diff)
-    return _pairwise_sum(diff)
-
-
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order ``np.sum(..., axis=-1)`` adds a
-    contiguous last axis (numpy's pairwise summation).
-
-    Below 8 terms, one after another. Up to 128, 8 running lanes over
-    blocks of 8, joined as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)),
-    then the rest one by one. Above 128, the two halves (split at a
-    multiple of 8) each so, then added. numpy starts from 0.0, so an
-    all -0.0 sum may differ in sign; sums of squares cannot.
-    """
-    m = terms.shape[0]
-    if m < 8:
-        return np.add.reduce(terms, axis=0)
-    if m > 128:
-        half = m // 2 - (m // 2) % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    lanes = terms[:8].copy()
-    end = m - m % 8
-    for i in range(8, end, 8):
-        lanes += terms[i:i + 8]
-    total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-    for i in range(end, m):
-        total += terms[i]
-    return total
+    if diff.shape[0] < 8:
+        return np.add.reduce(diff, axis=0)
+    return np.ascontiguousarray(np.moveaxis(diff, 0, -1)).sum(axis=-1)
 
 
 class _Lloyd:
@@ -341,9 +320,9 @@ class _Lloyd:
         does. With two or more columns that is row by row in point order from
         0.0, which one bincount over (column, run, cluster) cells does, as in
         ``autodiff.segment_sum``. A single column is summed pairwise instead
-        (the scheme ``_pairwise_sum`` describes), so there each group's
-        members are laid out left-aligned in point order and summed by one
-        masked reduction, which adds them in that order.
+        (numpy's pairwise summation), so there each group's members are laid
+        out left-aligned in point order and summed by one masked reduction,
+        which adds them in that order.
         """
         dim, runs, k = previous.shape
         groups = (assignments + self.run_cells).ravel()

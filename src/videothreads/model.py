@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Var, affine, l2_normalize_rows, node, relu, segment_sum, take_rows, value
+from .autodiff import Var, affine, joint_node, l2_normalize_rows, segment_sum, take_rows, value
 from .errors import BadMagicError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
@@ -244,22 +244,18 @@ def _neighbor_table(edges: np.ndarray, timestamps: np.ndarray) -> _NeighborTable
     ``temporal_edges``, or a subset of them, that is the ``directed_edges``
     row order: the order in which a scatter-add over those rows sums each
     node's rows from 0.0, and the recorded output bytes came from such a
-    scatter-add. The gate gradient still is one, ``segment_sum`` over
-    ``edge_class`` in ``directed_edges`` order.
+    scatter-add.
     """
     n = timestamps.shape[0]
     dst, src = directed_edges(edges)
     dt, edge_class = np.unique(timestamps[dst] - timestamps[src], return_inverse=True)
     offset = edges[:, 1] - edges[:, 0]
     bands = []  # (i's, (i + k)'s, the edges' rows) for each offset k, ascending
-    degree = np.zeros(n)
     for k in np.unique(offset):
         rows = np.flatnonzero(offset == k)
         lo = edges[rows, 0]
         lo, hi = (slice(0, n - k), slice(k, n)) if lo.size == n - k else (lo, lo + k)
         bands.append((lo, hi, rows))
-        degree[lo] += 1.0
-        degree[hi] += 1.0
 
     def step(targets, sources, rows):
         return targets, sources, edge_class[rows], rows
@@ -271,6 +267,7 @@ def _neighbor_table(edges: np.ndarray, timestamps: np.ndarray) -> _NeighborTable
              + [step(hi, lo, rows + e) for lo, hi, rows in reversed(bands)])
     transposed = ([step(hi, lo, rows) for lo, hi, rows in reversed(bands)]
                   + [step(lo, hi, rows + e) for lo, hi, rows in bands])
+    degree = np.bincount(dst, minlength=n)
     inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
     return _NeighborTable(dt, edge_class, tuple(steps), tuple(transposed), inv_degree)
 
@@ -286,47 +283,53 @@ def _band_pass(gate: np.ndarray, y: np.ndarray, steps) -> np.ndarray:
     return out
 
 
-def _aggregate(signed_gate, projected, table: _NeighborTable):
-    """Row v sums signed_gate[class of t_v - t_u] * projected[u] over the
-    neighbors u of v, in ``table.steps`` order; an ndarray when no operand
-    is a Var. Output and gradients equal those of gathering one message per
-    directed edge and scatter-adding them, bit for bit; no per-edge array is
-    built in the forward pass."""
-    g, p = value(signed_gate), value(projected)
-    out = _band_pass(g, p, table.steps)
-    if not isinstance(signed_gate, Var) and not isinstance(projected, Var):
-        return out
-
-    def gate_grad(up):
-        # each class sums its edges' products in edge order, as the gradient
-        # of a per-edge gate gather would; no such gather is built
-        per_edge = np.empty((table.edge_class.size, up.shape[1]))  # each edge is in one step
-        for dst, src, _, rows in table.steps:
-            per_edge[rows] = up[dst] * p[src]
-        return segment_sum(per_edge, table.edge_class, table.dt.size)
-
-    return node(out, (signed_gate, gate_grad),
-                (projected, lambda up: _band_pass(g, up, table.transposed)))
+def _band_grads(gate: np.ndarray, y: np.ndarray, up: np.ndarray, table: _NeighborTable):
+    """The gradients for ``gate`` and ``y`` of ``_band_pass(gate, y, table.steps)``
+    under the upstream ``up``, summed as the gradient of one gathered message
+    per directed edge would be: each dt class over its edges in edge order."""
+    per_edge = np.empty((table.edge_class.size, up.shape[1]))  # each edge is in one step
+    for dst, src, _, rows in table.steps:
+        per_edge[rows] = up[dst] * y[src]
+    return (segment_sum(per_edge, table.edge_class, table.dt.size),
+            _band_pass(gate, up, table.transposed))
 
 
 def _tdgc_apply(x, table: _NeighborTable, layer: TdgcLayerParams):
-    """One TDGC layer on embeddings ``x`` (rows = nodes).
+    """One TDGC layer on embeddings ``x`` (rows = nodes): one node over ``x``
+    and the layer's eight leaves with a hand-derived backward, an ndarray
+    when none is a Var. ``tests/reference_impl.py`` composes it of nodes.
 
     Neighbor features pass through relu(x @ w_n + b_n), get gated by an MLP
     of |dt| and signed by temporal order, and are mean-aggregated per node;
     nodes without neighbors receive a zero aggregate. The gate is evaluated
     once per distinct dt and gathered per edge.
     """
-    residual = affine(x, layer.w_r, layer.b_r)
     if not table.steps:
-        return residual
-    projected = relu(affine(x, layer.w_n, layer.b_n))
+        return affine(x, layer.w_r, layer.b_r)
+    leaves = (layer.w_n, layer.b_n, layer.w_r, layer.b_r, layer.gate_w1, layer.gate_b1,
+              layer.gate_w2, layer.gate_b2)
+    xv, w_n, b_n, w_r, b_r, w1, b1, w2, b2 = (v.value if isinstance(v, Var) else v
+                                              for v in (x, *leaves))
+    # the composed layer's arithmetic and allocations, in its order, so inference
+    # keeps its output bytes and its memory peak
+    residual = affine(xv, w_r, b_r)
+    projected = np.maximum(affine(xv, w_n, b_n), 0.0)
     gate_in = np.abs(table.dt)[:, None]
-    gate = affine(relu(affine(gate_in, layer.gate_w1, layer.gate_b1)), layer.gate_w2,
-                  layer.gate_b2)
-    signed_gate = np.sign(table.dt)[:, None] * gate
-    aggregate = _aggregate(signed_gate, projected, table)
-    return residual + aggregate * table.inv_degree[:, None]
+    hidden = np.maximum(affine(gate_in, w1, b1), 0.0)
+    signed_gate = np.sign(table.dt)[:, None] * affine(hidden, w2, b2)
+    aggregate = _band_pass(signed_gate, projected, table.steps)
+    out = residual + aggregate * table.inv_degree[:, None]
+
+    def grads(g):
+        d_gate, d_pre = _band_grads(signed_gate, projected, g * table.inv_degree[:, None], table)
+        d_gate *= np.sign(table.dt)[:, None]
+        d_pre *= projected > 0.0
+        d_hidden = (d_gate @ w2.T) * (hidden > 0.0)
+        return (g @ w_r.T + d_pre @ w_n.T, xv.T @ d_pre, d_pre.sum(axis=0), xv.T @ g,
+                g.sum(axis=0), gate_in.T @ d_hidden, d_hidden.sum(axis=0), hidden.T @ d_gate,
+                d_gate.sum(axis=0))
+
+    return joint_node(out, (x, *leaves), grads)
 
 
 def _encode(g: VideoGraph, params: ModelParams):

@@ -32,6 +32,13 @@ ndarrays and autodiff Vars alike; production code adds each band of
 temporal offsets with shifted slices in the same per-node order, so the two
 agree bit for bit, gradients included.
 
+The TDGC layer oracle composes the layer out of autodiff Var nodes (two
+``affine``s and a relu for the neighbor features, three nodes for the gate
+MLP, the signed gate, the aggregation oracle above, the degree scale and the
+residual add); production code makes the whole layer one node with a
+hand-derived backward. The outputs agree bit for bit; the gradient for the
+layer input sums its residual and neighbor parts in another order.
+
 The backward oracle keeps the gradient of every node it reaches;
 production ``Var.backward`` drops each non-leaf gradient once it has passed
 it to the node's parents, and must leave the same leaf gradients.
@@ -46,6 +53,10 @@ log-sum-exp per row and per column, and rebuilds dL/dz in its backward.
 on its own, so that a mismatch of the full pass can be pinned to one layer
 against the dense-loop ``tdgc_layer_ref``.
 
+The narration reader oracle checks each item's text, timestamp and
+embedding in turn; production code checks the items a column at a time
+and walks them only to name the first bad one.
+
 The procedure F1/IoU oracle finds the ground-truth steps by testing every
 id in ``range(num_steps)``; production code takes the distinct labels that
 occur and keeps those in range, so its time does not grow with num_steps.
@@ -59,21 +70,58 @@ import math
 import numpy as np
 
 from videothreads.autodiff import (
+    Var,
     _topological_order,
+    affine,
     segment_sum,
     take_rows,
     value,
-    vexp,
-    vlog,
     vsum,
 )
+from videothreads.dataio import NarrationSet, _field, _fields_of, _stack
 from videothreads.errors import ConvergenceError, ShapeError
-from videothreads.graph import directed_edges, split_videos, with_embeddings
+from videothreads.graph import VideoGraph, directed_edges, with_embeddings
 from videothreads.metrics import hungarian
 from videothreads.model import _neighbor_table, _tdgc_apply, project_text, project_visual
 from videothreads.partition import PartitionResult, approx_partition
 
 QL_MAX_SWEEPS = 60
+
+
+# -- autodiff ops that only the oracles use ----------------------------------
+
+
+def relu(x):
+    if isinstance(x, Var):
+        mask = x.value > 0.0
+        return Var(np.where(mask, x.value, 0.0), (x,), (lambda g: g * mask,))
+    return np.maximum(x, 0.0)
+
+
+def vexp(x):
+    if isinstance(x, Var):
+        out = np.exp(x.value)
+        return Var(out, (x,), (lambda g: g * out,))
+    return np.exp(x)
+
+
+def vlog(x):
+    if isinstance(x, Var):
+        return Var(np.log(x.value), (x,), (lambda g: g / x.value,))
+    return np.log(x)
+
+
+def split_videos(g: VideoGraph) -> list[VideoGraph]:
+    """Each video of ``g`` as a graph of its own (the inverse of
+    ``graph.disjoint_union``)."""
+    if len(g.video_sizes) == 1:
+        return [g]
+    rows = g.video_rows()
+    owner = np.repeat(np.arange(len(rows)), g.video_sizes)[g.edges[:, 0]]
+    return [VideoGraph(embeddings=g.embeddings[r], timestamps=g.timestamps[r],
+                       edges=g.edges[owner == i] - r.start, level=g.level,
+                       edge_threshold=g.edge_threshold)
+            for i, r in enumerate(rows)]
 
 
 def sym_eigen_ref(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,6 +476,27 @@ def tdgc_aggregate_ref(signed_gate, projected, edges: np.ndarray, timestamps: np
     return segment_sum(messages, dst, timestamps.shape[0])
 
 
+def tdgc_layer_composed(x, edges: np.ndarray, timestamps: np.ndarray, layer):
+    """``model._tdgc_apply`` composed of autodiff nodes over the (E, 2) edge
+    array of a graph with ``timestamps``: the residual and neighbor
+    ``affine``s, relu, the gate MLP over the sorted distinct dt, the signed
+    gate, the gathered and scatter-added messages (``tdgc_aggregate_ref``),
+    the 1 / in-degree scale and the residual add. On ndarrays it is the same
+    arithmetic in the same order as the production layer."""
+    residual = affine(x, layer.w_r, layer.b_r)
+    if not edges.size:
+        return residual
+    dst, src = directed_edges(edges)
+    dt = np.unique(timestamps[dst] - timestamps[src])
+    degree = np.bincount(dst, minlength=timestamps.shape[0])
+    inv_degree = np.divide(1.0, degree, out=np.zeros(degree.shape), where=degree > 0)
+    projected = relu(affine(x, layer.w_n, layer.b_n))
+    gate = affine(relu(affine(np.abs(dt)[:, None], layer.gate_w1, layer.gate_b1)),
+                  layer.gate_w2, layer.gate_b2)
+    aggregate = tdgc_aggregate_ref(np.sign(dt)[:, None] * gate, projected, edges, timestamps)
+    return residual + aggregate * inv_degree[:, None]
+
+
 def procedure_f1_iou_ref(pred_labels, gt_labels, num_steps: int) -> tuple[float, float]:
     """``metrics.procedure_f1_iou`` scanning every step id below num_steps."""
     pred, gt = np.asarray(pred_labels), np.asarray(gt_labels)
@@ -538,3 +607,16 @@ def ft_composed(trace, params, temperature: float):
         contribution, _ = _video_sum(terms, keep, video)
         total = contribution if total is None else total + contribution
     return None if total is None else total / len(trace.stages[0].graph.video_sizes)
+
+
+def read_narrations_ref(path) -> NarrationSet:
+    """``dataio.read_narrations`` checking each item's fields in turn."""
+    with _fields_of(path) as doc:
+        items = _field(doc, "items", list)
+        texts, timestamps, rows = [], [], []
+        for i, item in enumerate(items):
+            where = f"items[{i}]"
+            texts.append(_field(item, "text", str, where))
+            timestamps.append(_field(item, "timestamp", float, where))
+            rows.append(_field(item, "embedding", list, where))
+        return NarrationSet(tuple(texts), timestamps, _stack(rows, "items[{}].embedding"))

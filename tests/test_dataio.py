@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from reference_impl import read_narrations_ref
 from videothreads import _floatrepr, dataio
 from videothreads.config import RunConfig
 from videothreads.dataio import (
@@ -500,6 +501,20 @@ class TestReaderMutations:
             reader(path)
         except error:
             pass
+
+    @given(mutations=_STRUCTURE_MUTATIONS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_narration_columns_name_what_the_item_walk_names(self, tmp_path_factory, mutations):
+        path = tmp_path_factory.getbasetemp() / "walked_narrations.json"
+        path.write_text(json.dumps(mutate_structure(_READERS["narrations"][1], mutations)))
+        outcomes = []
+        for reader in (read_narrations, read_narrations_ref):
+            try:
+                got = reader(path)
+                outcomes.append((got.texts, got.timestamps.tobytes(), got.embeddings.tobytes()))
+            except SchemaError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("name", sorted(_READERS))
     @given(mutations=_STRUCTURE_MUTATIONS)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_impl import interpolate_ref
+from reference_impl import interpolate_ref, split_videos
 from videothreads.autodiff import Var
 from videothreads.dataio import FeatureSequence
 from videothreads.errors import GraphError
@@ -15,7 +15,6 @@ from videothreads.graph import (
     interpolation_between,
     interpolation_matrix,
     nearest_indices,
-    split_videos,
     temporal_edges,
     temporal_subsample,
 )

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +15,16 @@ from videothreads.graph import (
     disjoint_union,
     interpolation_matrix,
     nearest_indices,
-    split_videos,
 )
 from videothreads.metrics import adjusted_rand_index
 from videothreads.model import (
     LinearParams,
     ModelDims,
-    _aggregate,
+    TdgcLayerParams,
+    _band_grads,
+    _band_pass,
     _neighbor_table,
+    _tdgc_apply,
     forward,
     identity_params,
     init_params,
@@ -32,8 +37,10 @@ from videothreads.synth import SynthSpec, generate
 from reference_impl import (
     forward_ref,
     neighbors_from_times,
+    split_videos,
     tdgc_aggregate_ref,
     tdgc_forward,
+    tdgc_layer_composed,
     tdgc_layer_ref,
 )
 
@@ -188,18 +195,15 @@ def check_against_scatter_oracle(edges, times, seed, d=3):
     gate[rng.random(gate.shape) < 0.2] = -0.0
     projected[rng.random(projected.shape) < 0.2] = -0.0
     upstream = rng.standard_normal(projected.shape)
-    assert_same_bits(_aggregate(gate, projected, table),
+    assert_same_bits(_band_pass(gate, projected, table.steps),
                      tdgc_aggregate_ref(gate, projected, edges, times))
-    results = []
-    for aggregate in (lambda g, p: _aggregate(g, p, table),
-                      lambda g, p: tdgc_aggregate_ref(g, p, edges, times)):
-        g, p = Var(gate), Var(projected)
-        out = aggregate(g, p)
-        vsum(out * upstream).backward()
-        results.append([out.value] + [np.zeros_like(v.value) if v.grad is None else v.grad
-                                      for v in (g, p)])
-    for got, want in zip(*results):
-        assert_same_bits(got, want)
+    g, p = Var(gate), Var(projected)
+    out = tdgc_aggregate_ref(g, p, edges, times)
+    vsum(out * upstream).backward()
+    want = [out.value] + [np.zeros_like(v.value) if v.grad is None else v.grad for v in (g, p)]
+    got = [_band_pass(gate, projected, table.steps), *_band_grads(gate, projected, upstream, table)]
+    for pair in zip(got, want):
+        assert_same_bits(*pair)
 
 
 def union_of(times_per_video, threshold):
@@ -207,46 +211,140 @@ def union_of(times_per_video, threshold):
                            for t in times_per_video])
 
 
+def cut_graph(sizes, threshold, seed, groups):
+    """The edges and timestamps of a union of videos with quarter-second gaps
+    (exact sums, so unequal offsets share a dt class), keeping only the edges
+    inside one of ``groups`` random groups, as a decoder stage does: bands
+    with gaps, and isolated nodes."""
+    rng = np.random.default_rng(seed)
+    g = union_of([0.25 * (rng.integers(0, 8) + np.cumsum(rng.integers(1, 4, n)))
+                  for n in sizes], threshold)
+    a = rng.integers(0, groups, g.num_nodes)
+    return g.edges[a[g.edges[:, 0]] == a[g.edges[:, 1]]], g.timestamps
+
+
+NAMED_GRAPHS = ["path", "irregular", "same_group", "three_videos", "isolated_nodes", "one_node"]
+
+
+def named_graph(case):
+    rng = np.random.default_rng(7)
+    if case == "path":
+        return union_of([np.arange(40) * (8 / 15)], 1.0)
+    if case == "irregular":  # offsets up to 7, one dt class per edge
+        return union_of([np.cumsum(rng.uniform(0.05, 0.9, 60))], 2.0)
+    if case == "same_group":
+        g = union_of([np.cumsum(rng.uniform(0.05, 0.9, 60))], 2.0)
+        a = np.repeat([0, 1, 0, 2], 15)  # groups scattered in time, like a clustering
+        return VideoGraph(g.embeddings, g.timestamps,
+                          g.edges[a[g.edges[:, 0]] == a[g.edges[:, 1]]])
+    if case == "three_videos":  # seams leave gaps in every band
+        return union_of([np.arange(9) * 0.5, np.cumsum(rng.uniform(0.1, 0.6, 12)),
+                         np.arange(7) * 0.25 + 3.0], 1.0)
+    if case == "isolated_nodes":
+        return union_of([np.array([0.0, 0.5, 10.0, 20.0, 20.5, 21.0, 40.0])], 1.0)
+    return union_of([np.array([3.0])], 1.0)
+
+
+graph_cases = (st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
+               st.sampled_from([0.5, 1.0, 2.0]), st.integers(min_value=0, max_value=10_000),
+               st.integers(min_value=1, max_value=4))
+
+
 class TestNeighborTable:
     """TDGC adds each node's messages, and each gate and source gradient, in
     the row order of a scatter-add over ``directed_edges``; the band layout
     must reproduce those sums bit for bit."""
 
-    @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
-           st.sampled_from([0.5, 1.0, 2.0]), st.integers(min_value=0, max_value=10_000),
-           st.integers(min_value=1, max_value=4))
+    @given(*graph_cases)
     @settings(max_examples=100, deadline=None)
     def test_bands_match_the_scatter_oracle(self, sizes, threshold, seed, groups):
-        rng = np.random.default_rng(seed)
-        # quarter-second gaps: exact sums, so unequal offsets share a dt class
-        g = union_of([0.25 * (rng.integers(0, 8) + np.cumsum(rng.integers(1, 4, n)))
-                      for n in sizes], threshold)
-        # a decoder stage keeps the edges inside one group: bands with gaps
-        a = rng.integers(0, groups, g.num_nodes)
-        edges = g.edges[a[g.edges[:, 0]] == a[g.edges[:, 1]]]
-        check_against_scatter_oracle(edges, g.timestamps, seed)
+        check_against_scatter_oracle(*cut_graph(sizes, threshold, seed, groups), seed)
 
-    @pytest.mark.parametrize("case", ["path", "irregular", "same_group", "three_videos",
-                                      "isolated_nodes", "one_node"])
+    @pytest.mark.parametrize("case", NAMED_GRAPHS)
     def test_named_graphs_match_the_scatter_oracle(self, case):
-        rng = np.random.default_rng(7)
-        if case == "path":
-            g = union_of([np.arange(40) * (8 / 15)], 1.0)
-        elif case == "irregular":  # offsets up to 7, one dt class per edge
-            g = union_of([np.cumsum(rng.uniform(0.05, 0.9, 60))], 2.0)
-        elif case == "same_group":
-            g = union_of([np.cumsum(rng.uniform(0.05, 0.9, 60))], 2.0)
-            a = np.repeat([0, 1, 0, 2], 15)  # groups scattered in time, like a clustering
-            g = VideoGraph(g.embeddings, g.timestamps,
-                           g.edges[a[g.edges[:, 0]] == a[g.edges[:, 1]]])
-        elif case == "three_videos":  # seams leave gaps in every band
-            g = union_of([np.arange(9) * 0.5, np.cumsum(rng.uniform(0.1, 0.6, 12)),
-                          np.arange(7) * 0.25 + 3.0], 1.0)
-        elif case == "isolated_nodes":
-            g = union_of([np.array([0.0, 0.5, 10.0, 20.0, 20.5, 21.0, 40.0])], 1.0)
-        else:
-            g = union_of([np.array([3.0])], 1.0)
+        g = named_graph(case)
         check_against_scatter_oracle(g.edges, g.timestamps, seed=len(case))
+
+
+def check_layer_against_composed(edges, times, seed, d):
+    """The one-node TDGC layer against the layer composed of autodiff nodes,
+    on random leaves: the output bit for bit on ndarrays and on Vars, and
+    the gradients for the input and each leaf within 1e-10 of the larger of
+    1 and the oracle's largest entry."""
+    rng = np.random.default_rng(seed)
+    table = _neighbor_table(edges, times)
+    params = init_params(ModelDims(d_in=d, d_h=d, d_a=d, d_t=d, stages=1, layers=1))
+    layer = params.with_vector(rng.standard_normal(params.num_params)).encoder[0][0]
+    x = rng.standard_normal((times.shape[0], d))
+    upstream = rng.standard_normal(x.shape)
+    assert_same_bits(_tdgc_apply(x, table, layer), tdgc_layer_composed(x, edges, times, layer))
+    results = []
+    for apply in (lambda x, layer: _tdgc_apply(x, table, layer),
+                  lambda x, layer: tdgc_layer_composed(x, edges, times, layer)):
+        leaves = [Var(x)] + [Var(getattr(layer, f.name)) for f in dataclasses.fields(layer)]
+        out = apply(leaves[0], TdgcLayerParams(*leaves[1:]))
+        vsum(out * upstream).backward()
+        results.append([out.value] + [np.zeros_like(v.value) if v.grad is None else v.grad
+                                      for v in leaves])
+    (got, *got_grads), (want, *want_grads) = results
+    assert_same_bits(got, want)
+    for got_grad, want_grad in zip(got_grads, want_grads):
+        assert np.max(np.abs(got_grad - want_grad)) <= 1e-10 * max(np.max(np.abs(want_grad)), 1.0)
+
+
+class TestLayerNode:
+    """``_tdgc_apply`` is one node with a hand-derived backward; the layer
+    composed of autodiff nodes (``tests/reference_impl.py``) is its oracle."""
+
+    @given(*graph_cases, st.integers(min_value=1, max_value=5))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_the_composed_oracle(self, sizes, threshold, seed, groups, d):
+        check_layer_against_composed(*cut_graph(sizes, threshold, seed, groups), seed, d)
+
+    @pytest.mark.parametrize("case", NAMED_GRAPHS)
+    def test_named_graphs_match_the_composed_oracle(self, case):
+        g = named_graph(case)
+        check_layer_against_composed(g.edges, g.timestamps, seed=len(case), d=4)
+
+    def test_one_node_per_layer(self):
+        g = named_graph("three_videos")
+        params = init_params(ModelDims(d_in=3, d_h=3, d_a=3, d_t=3, stages=1, layers=1))
+        layer = params.to_vars()[0].encoder[0][0]
+        out = _tdgc_apply(Var(np.ones((g.num_nodes, 3))), _neighbor_table(g.edges, g.timestamps),
+                          layer)
+        assert len(out._parents) == 9
+        assert all(not parent._parents for parent in out._parents)
+
+
+class TestForwardMemory:
+    """The TDGC layer's ndarray path allocates what the layer composed of
+    autodiff nodes allocated, in the same order, so an inference ``forward``
+    peaks no higher."""
+
+    # traced peak of a warm call below, with numpy 2.4.6: 10.80 MiB for the
+    # composed layer and for the one-node layer, 12.56 MiB when the layer
+    # keeps its (N, d) pre-activation alive until it returns
+    BOUND_BYTES = 11 * 2**20
+
+    def test_identity_forward_has_a_bounded_traced_peak(self):
+        ds = generate(SynthSpec(num_threads=7, segments_per_step=512, dim=64,
+                                separation=10.0, seed=1000))
+        g = build_graph(ds.sequence, 1.0)
+        params = identity_params(ModelDims(d_in=64, d_h=64, d_a=64, d_t=64))
+        assert g.num_nodes == 3584
+        forward(g, params, k=7)  # the first call also fills one-time caches
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            forward(g, params, k=7)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= self.BOUND_BYTES, f"forward peaked {peak / 2**20:.2f} MiB above its start"
 
 
 class TestEncoderForward:

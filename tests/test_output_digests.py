@@ -32,7 +32,7 @@ from workloads import WORKLOADS, Session  # noqa: E402
 SEED_ZERO_DIGESTS = {
     "long_video": "3138833b23dfcbe68186ba45c677ba0ed0ab4cae5929912903b1914d7d2f761e",
     "planted_tasks": "f56f81210c1d428adb7afc6e39d72cf09f3c542cdef00cbffaf8d98d3688a3e7",
-    "toy_training": "07f4a3403c3016a324e8fb4f6e03cbdabbd483618c9def9346eb12480ef4e12f",
+    "toy_training": "eefed2f5d1af62c1335dc504e050e646033d31cc013e071b941b0bc0ace123cd",
 }
 
 

@@ -463,27 +463,33 @@ class TestFrozenPartitions:
         assert fixed.partitions == single.partitions
 
 
+def recorded_tape(monkeypatch, op, params, batch):
+    """The nodes of the tape that one loss call runs ``backward`` over."""
+    from videothreads import autodiff
+
+    roots = []
+    backward = autodiff.Var.backward
+
+    def recording(self):
+        roots.append(self)
+        backward(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(autodiff.Var, "backward", recording)
+        op(params, batch)
+    (root,) = roots
+    return autodiff._topological_order(root)
+
+
 class TestBatchTape:
     """The loss runs one forward pass per batch, so a layer records one
     node however many videos the batch holds."""
 
     @staticmethod
     def affine_nodes(monkeypatch, batch):
-        from videothreads import autodiff
-
-        roots = []
-        backward = autodiff.Var.backward
-
-        def recording(self):
-            roots.append(self)
-            backward(self)
-
         params = init_params(ModelDims(d_in=8, d_h=8, d_a=8, d_t=8, stages=2, layers=2), seed=0)
-        with monkeypatch.context() as patch:
-            patch.setattr(autodiff.Var, "backward", recording)
-            loss_op(k=2, temperature=WIDE_TAU)(params, batch)
-        (root,) = roots
-        return sum(1 for node in autodiff._topological_order(root)
+        tape = recorded_tape(monkeypatch, loss_op(k=2, temperature=WIDE_TAU), params, batch)
+        return sum(1 for node in tape
                    if node._grad_fns and node._grad_fns[0].__qualname__.startswith("affine."))
 
     def test_eight_copies_record_as_many_affine_nodes_as_one_video(self, monkeypatch):
@@ -494,6 +500,28 @@ class TestBatchTape:
         eight = self.affine_nodes(monkeypatch, AlignmentBatch([g] * 8, [ds.narrations] * 8))
         assert one > 0
         assert eight == one
+
+
+class TestTapeSize:
+    """Each TDGC layer and each loss is one node on the tape, so a step's
+    tape holds few op nodes besides the parameter leaves."""
+
+    # op nodes of the step below: 238 with each TDGC layer composed of ten
+    # nodes, 76 with one node per layer
+    BOUND = 80
+
+    def test_toy_step_records_one_node_per_layer(self, monkeypatch):
+        videos = [generate(SynthSpec(num_threads=2, steps_per_thread=2, segments_per_step=16,
+                                     dim=64, separation=3.0, seed=i)) for i in range(8)]
+        batch = AlignmentBatch([build_graph(v.sequence, 1.0) for v in videos],
+                               [v.narrations for v in videos])
+        d_t = videos[0].narrations.embeddings.shape[1]
+        params = init_params(ModelDims(d_in=64, d_h=64, d_a=64, d_t=d_t, stages=3, layers=3),
+                             seed=0)
+        tape = recorded_tape(monkeypatch, loss_op(alpha=2.0, beta=5.0, k=2), params, batch)
+        assert sum(g.num_nodes for g in batch.graphs) == 512
+        op_nodes = sum(1 for node in tape if node._parents)
+        assert op_nodes <= self.BOUND, f"a step recorded {op_nodes} op nodes"
 
 
 class TestBackwardMemory:
