@@ -1,17 +1,19 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Covers the operations the network forward pass needs outside its TDGC
-layers (2-D matmul, the fused affine map ``affine``, broadcast arithmetic,
-sqrt, axis sums, row gather and row scatter-add), and ``joint_node`` for a
-node whose operands' gradients come from one function, such as a TDGC layer
-or a training loss computed a block at a time.
-The helper functions dispatch on type, so the same forward code runs on
-plain ndarrays when no gradient is wanted. Only Var operands are recorded on
-the tape: an ndarray or scalar operand is a constant and gets no node.
+Covers the operations a training step records outside its TDGC layers and
+losses: addition, the fused affine map ``affine``, row gather ``take_rows``
+(whose gradient is the ndarray scatter-add ``segment_sum``) and
+``l2_normalize_rows``. Every op node is built by ``joint_node``: a node
+whose operands' gradients all come from one function, such as a TDGC layer,
+a training loss computed a block at a time, or a graph interpolation.
+The helpers dispatch on type, so the same forward code runs on plain
+ndarrays when no gradient is wanted. Only Var operands are recorded on the
+tape: an ndarray or scalar operand is a constant and gets no node.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,106 +33,48 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def node(out, *operands) -> "Var":
-    """A Var over ``out`` whose parents are the Var operands among the
-    ``(operand, grad_fn)`` pairs; the other operands are constants."""
-    recorded = [pair for pair in operands if isinstance(pair[0], Var)]
-    return Var(out, tuple(p for p, _ in recorded), tuple(fn for _, fn in recorded))
-
-
 def joint_node(out, operands, grads):
-    """A Var over ``out`` whose gradients for all ``operands`` come from one
-    call ``grads(g)``, which returns one gradient per operand; ``out`` itself
-    when no operand is a Var. The first of the node's grad functions that
-    ``backward`` calls makes that call, and each one hands on its own part."""
+    """A Var over ``out`` whose parents are the Var ``operands``, in order;
+    ``out`` itself when no operand is a Var. ``grads(g)`` returns one
+    gradient per operand (any value, such as None, for one that is no Var),
+    and the node keeps it as its backward function."""
     recorded = [i for i, operand in enumerate(operands) if isinstance(operand, Var)]
     if not recorded:
         return out
-    held: dict[int, np.ndarray] = {}
+    backward = grads
+    if len(recorded) < len(operands):
 
-    def part(i):
-        def grad_fn(g):
-            if not held:
-                every = grads(g)
-                held.update((j, every[j]) for j in recorded)
-            return held.pop(i)
+        @functools.wraps(grads)  # the node keeps its op's name
+        def backward(g):
+            parts = grads(g)
+            return tuple(parts[i] for i in recorded)
 
-        return grad_fn
-
-    return Var(out, tuple(operands[i] for i in recorded), tuple(part(i) for i in recorded))
+    return Var(out, tuple(operands[i] for i in recorded), backward)
 
 
 class Var:
-    """A node in the computation graph wrapping a float64 array."""
+    """A node in the computation graph wrapping a float64 array: a leaf, or
+    an op node whose ``_backward(g)`` returns one gradient per parent."""
 
-    __slots__ = ("value", "grad", "_parents", "_grad_fns")
+    __slots__ = ("value", "grad", "_parents", "_backward")
     __array_ufunc__ = None  # make numpy defer binary ops to us
 
-    def __init__(self, value, parents=(), grad_fns=()):
+    def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = parents
-        self._grad_fns = grad_fns
+        self._backward = backward
 
     @property
     def shape(self):
         return self.value.shape
 
-    @property
-    def T(self) -> "Var":
-        return Var(self.value.T, (self,), (lambda g: g.T,))
-
-    # -- arithmetic ---------------------------------------------------------
-
     def __add__(self, other):
         b = value(other)
-        return node(self.value + b,
-                    (self, lambda g: _unbroadcast(g, self.shape)),
-                    (other, lambda g: _unbroadcast(g, b.shape)))
+        return joint_node(self.value + b, (self, other),
+                          lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, b.shape)))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Var(-self.value, (self,), (lambda g: -g,))
-
-    def __sub__(self, other):
-        b = value(other)
-        return node(self.value - b,
-                    (self, lambda g: _unbroadcast(g, self.shape)),
-                    (other, lambda g: -_unbroadcast(g, b.shape)))
-
-    def __rsub__(self, other):
-        return Var(value(other) - self.value, (self,),
-                   (lambda g: -_unbroadcast(g, self.shape),))
-
-    def __mul__(self, other):
-        b = value(other)
-        return node(self.value * b,
-                    (self, lambda g: _unbroadcast(g * b, self.shape)),
-                    (other, lambda g: _unbroadcast(g * self.value, b.shape)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = value(other)
-        out = self.value / b
-        return node(out,
-                    (self, lambda g: _unbroadcast(g / b, self.shape)),
-                    (other, lambda g: _unbroadcast(-g * out / b, b.shape)))
-
-    def __rtruediv__(self, other):
-        out = value(other) / self.value
-        return Var(out, (self,), (lambda g: _unbroadcast(-g * out / self.value, self.shape),))
-
-    def __matmul__(self, other):
-        b = value(other)
-        return node(self.value @ b,
-                    (self, lambda g: g @ b.T),
-                    (other, lambda g: self.value.T @ g))
-
-    def __rmatmul__(self, other):
-        a = value(other)
-        return Var(a @ self.value, (self,), (lambda g: a.T @ g,))
 
     # -- backward pass ------------------------------------------------------
 
@@ -153,17 +97,15 @@ class Var:
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
             g = node.grad
-            if g is None:
+            if g is None or not node._parents:
                 continue
-            for parent, fn in zip(node._parents, node._grad_fns):
-                contribution = fn(g)
+            for parent, contribution in zip(node._parents, node._backward(g)):
                 if parent.grad is None:
                     # C order matters: BLAS sums F-ordered operands differently
                     parent.grad = np.asarray(contribution, order="C")
                 else:
                     parent.grad = parent.grad + contribution
-            if node._parents:
-                node.grad = None
+            node.grad = None
 
 
 def _topological_order(root: Var) -> list[Var]:
@@ -202,49 +144,24 @@ def affine(x, w, b):
     out += bv  # in place: one fresh array per call, not two
     if not isinstance(x, Var) and not isinstance(w, Var) and not isinstance(b, Var):
         return out
-    return node(out,
-                (x, lambda g: g @ wv.T),
-                (w, lambda g: xv.T @ g),
-                (b, lambda g: _unbroadcast(g, bv.shape)))
 
+    def grads(g):
+        return (g @ wv.T if isinstance(x, Var) else None, xv.T @ g, _unbroadcast(g, bv.shape))
 
-# -- dispatching element-wise helpers ---------------------------------------
-
-
-def vsqrt(x):
-    if isinstance(x, Var):
-        out = np.sqrt(x.value)
-        return Var(out, (x,), (lambda g: 0.5 * g / out,))
-    return np.sqrt(x)
-
-
-def vsum(x, axis=None, keepdims: bool = False):
-    if isinstance(x, Var):
-        out = np.sum(x.value, axis=axis, keepdims=keepdims)
-        shape = x.shape
-
-        def grad_fn(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, shape)
-
-        return Var(out, (x,), (grad_fn,))
-    return np.sum(x, axis=axis, keepdims=keepdims)
+    return joint_node(out, (x, w, b), grads)
 
 
 def take_rows(x, idx: np.ndarray):
     """Gather ``x[idx]`` along the first axis; ``idx`` may repeat rows."""
-    if isinstance(x, Var):
-        n = x.shape[0]
-        return Var(x.value[idx], (x,), (lambda g: segment_sum(g, idx, n),))
-    return x[idx]
+    if not isinstance(x, Var):
+        return x[idx]
+    n = x.shape[0]
+    return joint_node(x.value[idx], (x,), lambda g: (segment_sum(g, idx, n),))
 
 
-def segment_sum(x, seg: np.ndarray, n: int):
+def segment_sum(x: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
     """Scatter-add: row s of the (n, ...) result sums the rows r of ``x`` with
     ``seg[r] == s``; segments no row maps to stay zero."""
-    if isinstance(x, Var):
-        return Var(segment_sum(x.value, seg, n), (x,), (lambda g: g[seg],))
     # one bincount over (segment, column) cells sums each cell's rows in
     # row order, starting from 0.0, like a row-by-row scatter-add loop
     x = np.asarray(x, dtype=np.float64)
@@ -255,6 +172,20 @@ def segment_sum(x, seg: np.ndarray, n: int):
 
 
 def l2_normalize_rows(x):
-    """Rows scaled to unit norm; a tiny floor keeps zero rows finite."""
-    sq = vsum(x * x, axis=1, keepdims=True)
-    return x / vsqrt(sq + 1e-30)
+    """Rows scaled to unit norm, as one node (an ndarray for an ndarray);
+    a tiny floor keeps zero rows finite. Forward and backward do the
+    arithmetic of the row norm composed of nodes (``x * x``, a row sum, the
+    floor, sqrt, the division), in its order, so both keep its bytes."""
+    xv = value(x)
+    norm = np.sqrt(np.sum(xv * xv, axis=1, keepdims=True) + 1e-30)
+    out = xv / norm
+    if not isinstance(x, Var):
+        return out
+
+    def grads(g):
+        # the division's share, then the square's two, one per operand
+        d_sq = 0.5 * _unbroadcast(-g * out / norm, norm.shape) / norm
+        c = d_sq * xv
+        return ((g / norm + c) + c,)
+
+    return joint_node(out, (x,), grads)

@@ -195,6 +195,9 @@ def read_feature_file(path) -> FeatureSequence:
     if len(raw) < header_end:
         raise TruncatedFileError(f"{path}: header truncated")
     n, d, segment_duration = struct.unpack_from("<IId", raw, len(FEATURE_MAGIC))
+    if n == 0 or d == 0:
+        raise PayloadShapeError(f"{path}: header declares {n} segments of {d} features; "
+                                "a feature file needs at least one of each")
     expected = header_end + 8 * n + 4 * n * d
     if len(raw) < expected:
         raise TruncatedFileError(
@@ -204,9 +207,13 @@ def read_feature_file(path) -> FeatureSequence:
         raise PayloadShapeError(f"{path}: {len(raw) - expected} trailing bytes beyond N x D payload")
     timestamps = np.frombuffer(raw, dtype="<f8", count=n, offset=header_end)
     features = np.frombuffer(raw, dtype="<f4", count=n * d, offset=header_end + 8 * n)
+    features = features.reshape(n, d)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise SchemaError(f"{path}: features[{int(bad[0])}]", "must be finite")
     try:
         return FeatureSequence(path.stem, timestamps.astype(np.float64),
-                               features.reshape(n, d).astype(np.float64), segment_duration)
+                               features.astype(np.float64), segment_duration)
     except SchemaError as exc:  # name the file, keep the error class
         raise type(exc)(f"{path}: {exc.field}", exc.reason) from None
 

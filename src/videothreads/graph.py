@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import take_rows
+from .autodiff import Var, joint_node, segment_sum, value
 from .errors import GraphError
 from .kernels import as_matrix
 
@@ -193,7 +193,10 @@ class Interpolation:
     """Two-tap linear interpolation operator: target row r is
     (1 - weight[r]) * y[left[r]] + weight[r] * y[right[r]].
 
-    ``op @ y`` applies it to a (sources x d) ndarray or autodiff Var.
+    ``op @ y`` applies it to a (sources x d) ndarray, or to an autodiff Var
+    as one node that lists ``y`` once per tap: its gradient is the left
+    tap's scatter-add, then the right tap's, added in that order, as when
+    each tap was a gather node of its own.
     """
 
     left: np.ndarray
@@ -202,7 +205,13 @@ class Interpolation:
 
     def __matmul__(self, y):
         w = self.weight[:, None]
-        return take_rows(y, self.left) * (1.0 - w) + take_rows(y, self.right) * w
+        yv = value(y)
+        out = yv[self.left] * (1.0 - w) + yv[self.right] * w
+        if not isinstance(y, Var):
+            return out
+        n = yv.shape[0]
+        return joint_node(out, (y, y), lambda g: (segment_sum(g * (1.0 - w), self.left, n),
+                                                  segment_sum(g * w, self.right, n)))
 
 
 def interpolation_matrix(source_times: np.ndarray, target_times: np.ndarray) -> Interpolation:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Var, affine, joint_node, l2_normalize_rows, segment_sum, take_rows, value
-from .errors import BadMagicError, ShapeError, TruncatedFileError
+from .errors import BadMagicError, PayloadShapeError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
     coarse_rows,
@@ -143,12 +143,22 @@ def _build(dims: ModelDims, leaf) -> ModelParams:
                        linear(h, dims.d_a), linear(dims.d_t, dims.d_a))
 
 
+def _param_count(dims: ModelDims) -> int:
+    """The number of parameters ``_build`` lays out for ``dims``, counted
+    without building the layout."""
+    h = dims.d_h
+    layer = 3 * h * h + 5 * h  # w_n, w_r and gate_w2; b_n, b_r, gate_w1, gate_b1 and gate_b2
+    return ((dims.d_in + 1) * h + 2 * dims.stages * dims.layers * layer
+            + (h + 1) * dims.d_a + (dims.d_t + 1) * dims.d_a)
+
+
 def _from_vector(dims: ModelDims, vec: np.ndarray) -> ModelParams:
     """Parameters read in serialization order from a flat vector that holds
-    exactly as many values as ``dims`` needs (ShapeError otherwise)."""
+    exactly as many values as ``dims`` needs (ShapeError otherwise, raised
+    before the layout is built: a file's header may declare 2**32 - 1 stages)."""
+    if vec.shape != (_param_count(dims),):
+        raise ShapeError(f"expected {_param_count(dims)} parameters, found {vec.size}")
     sizes = [math.prod(shape) for shape in _build(dims, lambda name, shape: shape).leaves()]
-    if vec.shape != (sum(sizes),):
-        raise ShapeError(f"expected {sum(sizes)} parameters, found {vec.size}")
     blocks = iter(np.split(vec, np.cumsum(sizes)[:-1]))
     return _build(dims, lambda name, shape: next(blocks).reshape(shape).copy())
 
@@ -194,17 +204,16 @@ def load_params(path) -> ModelParams:
     header = struct.calcsize("<6IQ")
     if len(raw) < len(PARAMS_MAGIC) + header:
         raise TruncatedFileError(f"{path}: header truncated")
-    d_in, d_h, d_a, d_t, stages, layers, count = struct.unpack_from("<6IQ", raw, len(PARAMS_MAGIC))
-    dims = ModelDims(d_in, d_h, d_a, d_t, stages, layers)
+    *dims, count = struct.unpack_from("<6IQ", raw, len(PARAMS_MAGIC))
     payload = len(raw) - len(PARAMS_MAGIC) - header
     if payload != 8 * count:
         raise TruncatedFileError(f"{path}: header declares {count} parameters "
                                  f"({8 * count} bytes), found {payload} bytes")
     vec = np.frombuffer(raw, dtype="<f8", count=count, offset=len(PARAMS_MAGIC) + header)
     try:
-        return _from_vector(dims, vec.astype(np.float64))
-    except ShapeError as exc:
-        raise TruncatedFileError(f"{path}: {exc}") from exc
+        return _from_vector(ModelDims(*dims), vec.astype(np.float64))
+    except ShapeError as exc:  # a zero dimension, or dimensions that need another count
+        raise PayloadShapeError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

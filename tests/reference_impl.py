@@ -39,6 +39,16 @@ residual add); production code makes the whole layer one node with a
 hand-derived backward. The outputs agree bit for bit; the gradient for the
 layer input sums its residual and neighbor parts in another order.
 
+The row-normalization oracle composes ``l2_normalize_rows`` of nodes (the
+square, the row sum, the floor, sqrt and the division), and the
+interpolation oracle composes ``Interpolation.__matmul__`` of each tap's
+gather and weight and their sum; production code makes each one node whose
+backward adds the same terms in the same order, so outputs and gradients
+agree bit for bit. These and the other composed oracles use the Var algebra
+defined here (``-``, ``*``, ``/``, ``@``, ``.T``, ``vsum``, ``vsqrt``,
+``relu``, ``vexp``, ``vlog`` and the Var scatter-add ``vsegment_sum``),
+which the library's training step does not need.
+
 The backward oracle keeps the gradient of every node it reaches;
 production ``Var.backward`` drops each non-leaf gradient once it has passed
 it to the node's parents, and must leave the same leaf gradients.
@@ -72,15 +82,16 @@ import numpy as np
 from videothreads.autodiff import (
     Var,
     _topological_order,
+    _unbroadcast,
     affine,
+    joint_node,
     segment_sum,
     take_rows,
     value,
-    vsum,
 )
 from videothreads.dataio import NarrationSet, _field, _fields_of, _stack
 from videothreads.errors import ConvergenceError, ShapeError
-from videothreads.graph import VideoGraph, directed_edges, with_embeddings
+from videothreads.graph import Interpolation, VideoGraph, directed_edges, with_embeddings
 from videothreads.metrics import hungarian
 from videothreads.model import _neighbor_table, _tdgc_apply, project_text, project_visual
 from videothreads.partition import PartitionResult, approx_partition
@@ -89,26 +100,109 @@ QL_MAX_SWEEPS = 60
 
 
 # -- autodiff ops that only the oracles use ----------------------------------
+#
+# Each is one node per operation. The binary operators, their reflected
+# forms, unary minus and ``.T`` are installed on ``autodiff.Var`` when this
+# module is imported; the library itself defines only ``+`` on a Var.
+
+
+def _sub(a, b):
+    av, bv = value(a), value(b)
+    return joint_node(av - bv, (a, b),
+                      lambda g: (_unbroadcast(g, av.shape), -_unbroadcast(g, bv.shape)))
+
+
+def _mul(a, b):
+    av, bv = value(a), value(b)
+    return joint_node(av * bv, (a, b),
+                      lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)))
+
+
+def _div(a, b):
+    av, bv = value(a), value(b)
+    out = av / bv
+    return joint_node(out, (a, b),
+                      lambda g: (_unbroadcast(g / bv, av.shape),
+                                 _unbroadcast(-g * out / bv, bv.shape)))
+
+
+def _matmul(a, b):
+    av, bv = value(a), value(b)
+    return joint_node(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+
+
+Var.__neg__ = lambda self: joint_node(-self.value, (self,), lambda g: (-g,))
+Var.__sub__ = _sub
+Var.__rsub__ = lambda self, other: _sub(other, self)
+Var.__mul__ = Var.__rmul__ = _mul
+Var.__truediv__ = _div
+Var.__rtruediv__ = lambda self, other: _div(other, self)
+Var.__matmul__ = _matmul
+Var.__rmatmul__ = lambda self, other: _matmul(other, self)
+Var.T = property(lambda self: joint_node(self.value.T, (self,), lambda g: (g.T,)))
 
 
 def relu(x):
     if isinstance(x, Var):
         mask = x.value > 0.0
-        return Var(np.where(mask, x.value, 0.0), (x,), (lambda g: g * mask,))
+        return joint_node(np.where(mask, x.value, 0.0), (x,), lambda g: (g * mask,))
     return np.maximum(x, 0.0)
 
 
 def vexp(x):
     if isinstance(x, Var):
         out = np.exp(x.value)
-        return Var(out, (x,), (lambda g: g * out,))
+        return joint_node(out, (x,), lambda g: (g * out,))
     return np.exp(x)
 
 
 def vlog(x):
     if isinstance(x, Var):
-        return Var(np.log(x.value), (x,), (lambda g: g / x.value,))
+        return joint_node(np.log(x.value), (x,), lambda g: (g / x.value,))
     return np.log(x)
+
+
+def vsqrt(x):
+    if isinstance(x, Var):
+        out = np.sqrt(x.value)
+        return joint_node(out, (x,), lambda g: (0.5 * g / out,))
+    return np.sqrt(x)
+
+
+def vsum(x, axis=None, keepdims: bool = False):
+    if isinstance(x, Var):
+        out = np.sum(x.value, axis=axis, keepdims=keepdims)
+        shape = x.shape
+
+        def grads(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, shape),)
+
+        return joint_node(out, (x,), grads)
+    return np.sum(x, axis=axis, keepdims=keepdims)
+
+
+def vsegment_sum(x, seg: np.ndarray, n: int):
+    """``autodiff.segment_sum`` on a Var as well: the gradient of a
+    scatter-add is the gather ``g[seg]``."""
+    if isinstance(x, Var):
+        return joint_node(segment_sum(x.value, seg, n), (x,), lambda g: (g[seg],))
+    return segment_sum(x, seg, n)
+
+
+def l2_normalize_rows_composed(x):
+    """``autodiff.l2_normalize_rows`` composed of nodes: the square, the row
+    sum, the floor, sqrt and the division."""
+    sq = vsum(x * x, axis=1, keepdims=True)
+    return x / vsqrt(sq + 1e-30)
+
+
+def interpolate_composed(op: Interpolation, y):
+    """``op @ y`` composed of nodes: each tap's gather and weight, then the
+    sum of the two taps."""
+    w = op.weight[:, None]
+    return take_rows(y, op.left) * (1.0 - w) + take_rows(y, op.right) * w
 
 
 def split_videos(g: VideoGraph) -> list[VideoGraph]:
@@ -457,8 +551,8 @@ def backward_ref(root) -> None:
         node.grad = None
     root.grad = np.ones_like(root.value)
     for node in reversed(order):
-        for parent, fn in zip(node._parents, node._grad_fns):
-            contribution = fn(node.grad)
+        for parent, contribution in zip(node._parents,
+                                        node._backward(node.grad) if node._parents else ()):
             if parent.grad is None:
                 parent.grad = np.asarray(contribution, order="C")
             else:
@@ -473,7 +567,7 @@ def tdgc_aggregate_ref(signed_gate, projected, edges: np.ndarray, timestamps: np
     dst, src = directed_edges(edges)
     _, dt_class = np.unique(timestamps[dst] - timestamps[src], return_inverse=True)
     messages = take_rows(signed_gate, dt_class) * take_rows(projected, src)
-    return segment_sum(messages, dst, timestamps.shape[0])
+    return vsegment_sum(messages, dst, timestamps.shape[0])
 
 
 def tdgc_layer_composed(x, edges: np.ndarray, timestamps: np.ndarray, layer):

@@ -3,10 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_impl import backward_ref, relu, segment_sum_ref, vexp, vlog
+from reference_impl import (
+    backward_ref,
+    l2_normalize_rows_composed,
+    relu,
+    segment_sum_ref,
+    vexp,
+    vlog,
+    vsegment_sum,
+    vsqrt,
+    vsum,
+)
 from videothreads.autodiff import (
     Var,
     _topological_order,
@@ -15,8 +25,6 @@ from videothreads.autodiff import (
     segment_sum,
     take_rows,
     value,
-    vsqrt,
-    vsum,
 )
 
 
@@ -89,7 +97,7 @@ def test_take_rows_repeated_indices():
 def test_segment_sum_empty_segments():
     seg = np.array([3, 0, 3, 5])  # segments 1, 2 and 4 receive no row
     weights = np.arange(18.0).reshape(6, 3) - 7.0
-    finite_difference_check(lambda x: vsum(vexp(segment_sum(x, seg, 6)) * weights), [(4, 3)])
+    finite_difference_check(lambda x: vsum(vexp(vsegment_sum(x, seg, 6)) * weights), [(4, 3)])
 
 
 def test_gather_scatter_values():
@@ -98,7 +106,7 @@ def test_gather_scatter_values():
     assert np.array_equal(take_rows(x, idx), x[idx])
     summed = segment_sum(x, np.array([2, 2, 0, 2]), 4)
     assert np.array_equal(summed, [[4.0, 5.0], [0.0, 0.0], [8.0, 11.0], [0.0, 0.0]])
-    assert np.array_equal(segment_sum(Var(x), np.array([2, 2, 0, 2]), 4).value, summed)
+    assert np.array_equal(vsegment_sum(Var(x), np.array([2, 2, 0, 2]), 4).value, summed)
     assert np.array_equal(take_rows(Var(x), idx).value, x[idx])
 
 
@@ -195,7 +203,7 @@ def random_tapes(draw):
             y = take_rows(x, rng.integers(0, rows, size=size()))
         else:
             n = size()
-            y = segment_sum(x, rng.integers(0, n, size=rows), n)
+            y = vsegment_sum(x, rng.integers(0, n, size=rows), n)
         pool.append(y)
     picks = draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1),
                           min_size=1, max_size=3))
@@ -277,3 +285,33 @@ def test_affine_is_matmul_plus_bias_bit_for_bit(is_var):
         if isinstance(f, Var):
             assert f.grad.shape == r.grad.shape
             assert f.grad.tobytes() == r.grad.tobytes()
+
+
+@st.composite
+def normalize_inputs(draw):
+    """One row or a batch of rows, some of them zero, holding -0.0 and
+    entries of very different scales, and a random upstream gradient."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = draw(st.sampled_from([1, 2, 9]))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    x = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    x[rng.random(x.shape) < 0.2] = -0.0
+    x[rng.random(rows) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return x, rng.standard_normal(x.shape)
+
+
+@given(case=normalize_inputs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(case=(np.zeros((1, 3)), np.array([[1.0, -2.0, 0.5]])))
+@example(case=(np.array([[3.0, 4.0], [0.0, -0.0]]), np.array([[1.0, 2.0], [3.0, 4.0]])))
+def test_row_normalization_node_matches_the_composed_rows_bit_for_bit(case):
+    x, upstream = case
+    assert l2_normalize_rows(x).tobytes() == l2_normalize_rows_composed(x).tobytes()
+    results = []
+    for normalize in (l2_normalize_rows, l2_normalize_rows_composed):
+        leaf = Var(x)
+        out = normalize(leaf)
+        vsum(out * upstream).backward()
+        results.append((out.value.tobytes(), leaf.grad.tobytes()))
+    assert results[0] == results[1]
+    assert np.all(np.isfinite(np.frombuffer(results[0][1])))

@@ -480,6 +480,36 @@ class TestErrorExitCodes:
         assert payload["type"] == error
         assert payload["message"].startswith(f"{bad}: timestamps: must be ")
 
+    @pytest.mark.parametrize("case, error, message", [
+        ("zero_width_features", "PayloadShapeError", "header declares 3 segments of 0 features"),
+        ("nan_feature", "SchemaError", "features[1]: must be finite"),
+        ("zero_d_in_params", "PayloadShapeError", "d_in must be >= 1"),
+    ])
+    def test_bad_binary_inputs_exit_5_and_name_the_file(self, corpus, tmp_path, capsys, case,
+                                                         error, message):
+        feats = str(corpus / "features.hft")
+        bad = tmp_path / "bad.hft"
+        argv = ["--features", feats, str(bad)]
+        if case == "zero_width_features":
+            bad.write_bytes(feature_bytes(np.arange(3) * 0.5, np.ones((3, 0))))
+        elif case == "nan_feature":
+            features = np.ones((3, 16))
+            features[1, 4] = np.nan
+            bad.write_bytes(feature_bytes(np.arange(3) * 0.5, features))
+        else:
+            bad = tmp_path / "params.bin"
+            argv = ["--features", feats, "--params", str(bad)]
+            save_params(bad, identity_params(ModelDims(d_in=16, d_h=16, d_a=16, d_t=16,
+                                                       stages=1, layers=1)))
+            blob = bytearray(bad.read_bytes())
+            blob[8:12] = struct.pack("<I", 0)  # d_in, after the magic
+            bad.write_bytes(bytes(blob))
+        code = run("forward", *argv, "--out", str(tmp_path / "o.json"))
+        assert code == EXIT_DATA
+        payload = json.loads(capsys.readouterr().err)["error"]
+        assert payload["type"] == error
+        assert payload["message"].startswith(f"{bad}: {message}")
+
     def test_undecodable_query_in_a_fresh_process(self, corpus, tmp_path):
         # the whole command as a user runs it: no traceback, the exit-code contract
         doc = tmp_path / "query.json"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 import struct
@@ -41,11 +42,13 @@ from videothreads.dataio import (
 from videothreads.errors import (
     BadMagicError,
     ConfigError,
+    DataError,
     PayloadShapeError,
     SchemaError,
     TimestampOrderError,
     TruncatedFileError,
 )
+from videothreads.model import PARAMS_MAGIC, ModelDims, init_params, load_params, save_params
 
 
 def sample_sequence(n=4, d=3, seed=0):
@@ -448,6 +451,111 @@ def mutate_structure(doc, mutations):
             else:
                 array.insert(index, copy.deepcopy(array[index]))
     return root["doc"]
+
+
+# byte mutations of a binary file: (kind, position, byte)
+_BINARY_MUTATIONS = st.lists(st.tuples(st.sampled_from(("flip", "set", "truncate", "extend")),
+                                       st.integers(0, 2**16), st.integers(0, 255)),
+                             min_size=1, max_size=3)
+
+
+def mutate_binary(blob: bytes, mutations) -> bytes:
+    """``blob`` with each (kind, position, byte) applied in turn: flip one bit
+    of a byte, overwrite a byte with the byte, cut the bytes from a position
+    on, or append 1 to 16 copies of the byte."""
+    data = bytearray(blob)
+    for kind, position, value in mutations:
+        if kind == "truncate":
+            del data[position % (len(data) + 1):]
+        elif kind == "extend":
+            data += bytes([value]) * (1 + position % 16)
+        elif data and kind == "set":
+            data[position % len(data)] = value
+        elif data:
+            data[position % len(data)] ^= 1 << (value % 8)
+    return bytes(data)
+
+
+def params_blob(tmp_path) -> bytes:
+    """A parameter file whose every dimension is 1, so that one bit flip can
+    make any of them 0."""
+    path = tmp_path / "params.bin"
+    save_params(path, init_params(ModelDims(d_in=1, d_h=1, d_a=1, d_t=1, stages=1, layers=1)))
+    return path.read_bytes()
+
+
+class TestBinaryReaderMutations:
+    """The feature and parameter readers return a value that keeps their
+    contract, or raise a DataError that names the file, on any bytes."""
+
+    @given(mutations=_BINARY_MUTATIONS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_mutated_feature_file_is_read_or_rejected(self, tmp_path_factory, mutations):
+        path = tmp_path_factory.getbasetemp() / "mutated.hft"
+        seq = sample_sequence()
+        # features in [1, 2): flipping the top exponent bit of any of them
+        # makes it infinite or NaN
+        features = 1.0 + np.abs(seq.features) % 1.0
+        write_feature_file(path, FeatureSequence("m", seq.timestamps, features))
+        path.write_bytes(mutate_binary(path.read_bytes(), mutations))
+        try:
+            read = read_feature_file(path)
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        assert read.num_segments >= 1 and read.dim >= 1
+        assert np.all(np.isfinite(read.features))
+
+    @given(mutations=_BINARY_MUTATIONS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_mutated_params_file_is_read_or_rejected(self, tmp_path_factory, mutations):
+        path = tmp_path_factory.getbasetemp() / "mutated_params.bin"
+        path.write_bytes(mutate_binary(params_blob(tmp_path_factory.getbasetemp()), mutations))
+        try:
+            params = load_params(path)
+        except DataError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        assert min(dataclasses.astuple(params.dims)) >= 1
+        assert params.to_vector().shape == (params.num_params,)
+
+    @pytest.mark.parametrize("n, d", [(0, 3), (4, 0), (0, 0)])
+    def test_a_zero_dimension_is_rejected(self, tmp_path, n, d):
+        path = tmp_path / "empty.hft"
+        path.write_bytes(FEATURE_MAGIC + struct.pack("<IId", n, d, 0.5)
+                         + np.zeros(n, dtype="<f8").tobytes())
+        with pytest.raises(PayloadShapeError) as info:
+            read_feature_file(path)
+        assert str(info.value).startswith(f"{path}: header declares {n} segments of {d} features")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_feature_names_its_row(self, tmp_path, value):
+        path = tmp_path / "nan.hft"
+        seq = sample_sequence(n=5)
+        features = seq.features.copy()
+        features[3, 1] = value
+        features[4, 0] = value
+        write_feature_file(path, FeatureSequence("nan", seq.timestamps, features))
+        with pytest.raises(SchemaError) as info:
+            read_feature_file(path)
+        assert str(info.value) == f"{path}: features[3]: must be finite"
+
+    def test_a_zero_params_dimension_is_rejected(self, tmp_path):
+        path = tmp_path / "params.bin"
+        blob = bytearray(params_blob(tmp_path))
+        blob[len(PARAMS_MAGIC):len(PARAMS_MAGIC) + 4] = struct.pack("<I", 0)  # d_in
+        path.write_bytes(bytes(blob))
+        with pytest.raises(PayloadShapeError) as info:
+            load_params(path)
+        assert str(info.value) == f"{path}: d_in must be >= 1"
+
+    def test_a_huge_stage_count_is_rejected_before_the_layout_is_built(self, tmp_path):
+        path = tmp_path / "params.bin"
+        blob = bytearray(params_blob(tmp_path))
+        blob[len(PARAMS_MAGIC) + 16:len(PARAMS_MAGIC) + 20] = struct.pack("<I", 2**32 - 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(PayloadShapeError, match="parameters, found"):
+            load_params(path)
 
 
 class TestReaderMutations:

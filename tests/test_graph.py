@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_impl import interpolate_ref, split_videos
+from reference_impl import interpolate_composed, interpolate_ref, split_videos, vsum
 from videothreads.autodiff import Var
 from videothreads.dataio import FeatureSequence
 from videothreads.errors import GraphError
@@ -280,3 +280,34 @@ class TestDisjointUnion:
             disjoint_union([a, build_graph(seq([0.0, 1.0], dim=4), 1.0)])
         with pytest.raises(GraphError):
             disjoint_union([])
+
+
+class TestInterpolationNode:
+    """``op @ y`` on a Var is one node; the operator composed of the taps'
+    gathers and weights and their sum (``tests/reference_impl.py``) is its
+    oracle, output and gradient bit for bit."""
+
+    @given(union_cases)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @example(([1], 0))  # one source row: every target clamps to it
+    @example(([2, 1, 7], 3))
+    def test_matches_the_composed_operator(self, case):
+        sizes, seed = case
+        rng = np.random.default_rng(seed)
+        union = disjoint_union([irregular_video(n, rng) for n in sizes])
+        coarse = temporal_subsample(union)
+        op = interpolation_between(coarse, union)
+        y = rng.standard_normal((coarse.num_nodes, 3))
+        upstream = rng.standard_normal((union.num_nodes, 3))
+        weights = rng.standard_normal(y.shape)
+        assert (op @ y).tobytes() == interpolate_composed(op, y).tobytes()
+        results = []
+        for apply in (lambda y: op @ y, lambda y: interpolate_composed(op, y)):
+            leaf = Var(y)
+            out = apply(leaf)
+            # y feeds another node too, whose gradient reaches y first, as a
+            # decoder stage's output feeds L_ft: the order in which the taps'
+            # gradients are added to it then shows in the bytes
+            (vsum(leaf * weights) + vsum(out * upstream)).backward()
+            results.append((out.value.tobytes(), leaf.grad.tobytes()))
+        assert results[0] == results[1]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from videothreads.autodiff import Var, vsum
+from videothreads.autodiff import Var
 from videothreads.dataio import FeatureSequence
 from videothreads.errors import BadMagicError, ClusteringError, ShapeError, TruncatedFileError
 from videothreads.graph import (
@@ -24,6 +24,7 @@ from videothreads.model import (
     _band_grads,
     _band_pass,
     _neighbor_table,
+    _param_count,
     _tdgc_apply,
     forward,
     identity_params,
@@ -42,6 +43,7 @@ from reference_impl import (
     tdgc_forward,
     tdgc_layer_composed,
     tdgc_layer_ref,
+    vsum,
 )
 
 
@@ -114,6 +116,7 @@ class TestSerialization:
         order = [(5, 3), (3,)] + layer * 4 + [(3, 4), (4,), (6, 4), (4,)]
         params = init_params(dims, seed=11)
         assert [leaf.shape for leaf in params.leaves()] == order
+        assert _param_count(dims) == params.num_params
         rng = np.random.default_rng(11)
         draws = [rng.uniform(-np.sqrt(6.0 / sum(s)), np.sqrt(6.0 / sum(s)), size=s)
                  if len(s) == 2 else np.zeros(s) for s in order]

@@ -490,7 +490,7 @@ class TestBatchTape:
         params = init_params(ModelDims(d_in=8, d_h=8, d_a=8, d_t=8, stages=2, layers=2), seed=0)
         tape = recorded_tape(monkeypatch, loss_op(k=2, temperature=WIDE_TAU), params, batch)
         return sum(1 for node in tape
-                   if node._grad_fns and node._grad_fns[0].__qualname__.startswith("affine."))
+                   if node._parents and node._backward.__qualname__.startswith("affine."))
 
     def test_eight_copies_record_as_many_affine_nodes_as_one_video(self, monkeypatch):
         ds = generate(SynthSpec(num_threads=2, steps_per_thread=2, segments_per_step=8,
@@ -503,12 +503,17 @@ class TestBatchTape:
 
 
 class TestTapeSize:
-    """Each TDGC layer and each loss is one node on the tape, so a step's
-    tape holds few op nodes besides the parameter leaves."""
+    """Each TDGC layer, each loss, each row normalization and each
+    interpolation is one node on the tape, so a step's tape holds few op
+    nodes besides the parameter leaves."""
 
     # op nodes of the step below: 238 with each TDGC layer composed of ten
-    # nodes, 76 with one node per layer
-    BOUND = 80
+    # nodes, 76 with one node per layer, 44 with one node per row
+    # normalization and per interpolation too
+    BOUND = 44
+    # every op node's kind: the op whose backward function it keeps
+    KINDS = {"Var.__add__", "affine", "take_rows", "l2_normalize_rows",
+             "Interpolation.__matmul__", "_tdgc_apply", "_vna_scalar", "_ft_stage"}
 
     def test_toy_step_records_one_node_per_layer(self, monkeypatch):
         videos = [generate(SynthSpec(num_threads=2, steps_per_thread=2, segments_per_step=16,
@@ -520,8 +525,10 @@ class TestTapeSize:
                              seed=0)
         tape = recorded_tape(monkeypatch, loss_op(alpha=2.0, beta=5.0, k=2), params, batch)
         assert sum(g.num_nodes for g in batch.graphs) == 512
-        op_nodes = sum(1 for node in tape if node._parents)
-        assert op_nodes <= self.BOUND, f"a step recorded {op_nodes} op nodes"
+        op_nodes = [node for node in tape if node._parents]
+        assert len(op_nodes) <= self.BOUND, f"a step recorded {len(op_nodes)} op nodes"
+        kinds = {node._backward.__qualname__.split(".<locals>")[0] for node in op_nodes}
+        assert kinds <= self.KINDS, kinds - self.KINDS
 
 
 class TestBackwardMemory:
