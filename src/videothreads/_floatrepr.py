@@ -8,25 +8,33 @@ float64 matrix's rows, never on more than ``CHUNK`` elements, with the JSON
 ahead of each element as the leads: a comma and indent, or, for a row's
 first element, the bracket closing the row before and the row's own "[".
 
-Digits. Ryū (Adams, "Ryū: fast float-to-string conversion", PLDI 2018)
-finds, among the shortest decimals that read back as the same double, the
-one nearest to it, ties to even: the digits CPython's dtoa prints for
-``repr``. Its steps are fixed-width integer arithmetic, so they run here
-over integer arrays. Ryū's 126-bit power-of-5 multipliers are held as five
-28-bit limbs: a limb product, and the sum of two, fit in a signed 64-bit
-integer without splitting. The limbs and the other per-exponent constants
-are gathered into contiguous rows, one ``np.take`` each: one gather of a
-packed (n, 8) table was faster on its own, but left the constants strided,
+Digits. Schubfach (Giulietti, "The Schubfach way to render doubles", 2020;
+Java's ``Double.toString`` since JDK 19) finds, among the shortest
+decimals that read back as the same double, the one nearest to it, ties to
+even: the digits CPython's dtoa prints for ``repr``. For v = c 2^q it
+scales the rounding interval by 10^-k, k = floor(log10 2^q), so that it is
+1 to 10 units wide: it holds at most one multiple of 10, and s = floor(v
+10^-k) or s + 1. So the digits come in a fixed number of integer steps,
+with no digit-removal loop and no rule for bounds that are exact, and the
+steps run here over integer arrays; only the few elements whose digits end
+in zeros take a loop that strips them. Each bound is the product of 4 c +
+d with a 131-bit constant G, rounded to odd: its quotient by 2^127, whose
+last bit is set when any of the product's bits 64 to 126 is. G is held as
+five 28-bit limbs: a limb product, and the sum of two, fit in a signed
+64-bit integer without splitting. The limbs and the decimal exponent are
+gathered into contiguous rows, one ``np.take`` each: one gather of a
+packed table was faster on its own, but left the constants strided,
 which made each product that reads them three to four times slower. The
-three bounds of the rounding interval, ``(4 m + d) * mul`` for d = 0, 2
-and -1 or -2, share the one product ``4 m * mul`` and carry their columns
-as one (3, n) array. Digit removal divides by the scalar 10 only, over all
-elements while many still drop a digit, then over the few that do; where
-only some elements take a new value, a bitwise blend with an all-ones mask
-stands in for a masked copy, which costs several times as much when the
-mask is irregular. The rules that need to know whether a bound is exact,
-which only the ties and the doubles of at least 2^50 reach, run on those
-elements.
+three bounds, d = 0, 2 and -2, share the one product ``4 c * G`` and carry
+their columns as one (3, n) array. Checked against ``repr``, three rules
+matter: the multiple of 10 is looked for from s = 10 on (Java, which
+prints at least two digits, looks from s = 100); the round-to-odd bit
+reads the product's bits 64 to 126 only, not every bit it discards; and a
+power of 2 above the smallest exponent, whose gap below is half the gap
+above, takes k = floor(log10 (3/4) 2^q) and d = -1 for its lower bound.
+Where only some elements take a new value, a bitwise blend with an
+all-ones mask stands in for a masked copy, which costs several times as
+much when the mask is irregular.
 
 Layout. CPython prints the digits with the decimal point after ``decpt``
 of them positionally when -4 < decpt <= 16 (``0.0001``, ``1e15`` as
@@ -46,18 +54,18 @@ Workspace. A ``Workspace`` holds every array the kernel fills, through
 ``out=`` arguments and in-place ufuncs, and the text buffer. ``dataio``
 makes one per matrix it writes and drops it when the write returns, so a
 chunk allocates only the index arrays of its rare cases and the subsets
-they take. ``CHUNK`` sets its size, 30 rows of ``CHUNK`` words. Measured
+they take. ``CHUNK`` sets its size, 29 rows of ``CHUNK`` words. Measured
 on one core of a 2-core Xeon VM (2 MB L2, numpy 2.4.6), printing the
 3584 x 64 ``long_video`` embeddings in a loop (kernel and assembly, median
 of 20 loops, three runs), and the rise of the peak RSS over the first
 ``forward --emit-embeddings`` write:
 
     CHUNK   229k floats      peak RSS rise
-    4096    51.0-53.9 ms     1.0 MB
-    8192    40.6-42.8 ms     1.0 MB
-    16384   38.3-39.4 ms     5.3 MB
+    4096    50.4-53.2 ms     0.75 MB
+    8192    42.8-43.7 ms     0.75-0.9 MB
+    16384   40.8-42.4 ms     4.5 MB
 
-Below 8192 the fixed cost of each ufunc call dominates; 16384 is 5-9%
+Below 8192 the fixed cost of each ufunc call dominates; 16384 is 3-7%
 faster than 8192 but raises the peak RSS five times as much.
 """
 
@@ -76,7 +84,6 @@ _RADIX = 28  # bits per limb: a limb product and a sum of two fit in 63 bits
 _LIMB_MASK = (1 << _RADIX) - 1
 _FRACTION = np.uint64((1 << 52) - 1)
 _ONE_BITS = np.float64(1.0).view(np.uint64)
-_RARE = 1073  # biased exponents from here on (doubles of at least 2^50) have 5-adic rules
 _POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)  # up to 2^64
 _POINTS = np.uint64(0x2E2E2E2E2E2E2E2E)
 _TEN = np.uint64(10)
@@ -92,12 +99,16 @@ _SPECIAL = [(int.from_bytes(text, "little"), len(text))
 
 
 class _Tables:
-    """Ryū's per-exponent constants indexed by the biased exponent 0..2046 and
-    built from exact Python integers. ``common`` holds, one row each, the
-    eight that every element reads: the five limbs of ``mul``, the shift
-    ``j - 112``, the decimal exponent and the implicit bit of ``4 m``. The
-    trailing-zero mask and the power of 5 of the 5-adic tests are read for
-    a few elements only.
+    """Schubfach's per-exponent constants, built from exact Python integers.
+    Column ``b`` serves the biased exponent b (0..2046), column ``2047 + b``
+    a power of 2 of that exponent, whose gap below is half the gap above.
+    ``common`` holds, one row each, the five limbs of G, the implicit bit of
+    4 c and the decimal exponent k.
+
+    For v = c 2^q, k is floor(log10 2^q), or floor(log10 (3/4) 2^q) in the
+    power-of-2 columns; with r = floor(log2 10^-k), g = floor(10^-k 2^(125 - r))
+    + 1 lies in [2^125, 2^126), h = q + r + 2 in [2, 5], and G = g 2^h. The
+    logarithms' integer parts are Giulietti's fixed-point products.
 
     The arrays live in an anonymous memory map, not on the malloc heap: built
     during a run's first write, heap tables would sit above the memory the
@@ -105,38 +116,18 @@ class _Tables:
     rose by about 4 MB that way)."""
 
     def __init__(self):
-        common, tz_mask, small_q, pow5 = [], [], [], []
-        for biased in range(2047):
-            e2 = (biased if biased else 1) - 1023 - 52 - 2
-            if e2 >= 0:
-                q = (e2 * 78913 >> 18) - (e2 > 3)  # about log10(2^e2)
-                bits = (5**q).bit_length()
-                mul = (1 << (bits - 1 + 125)) // 5**q + 1
-                j = -e2 + q + 125 + bits - 1
-                e10 = q
-                tz_mask.append(2**64 - 1)  # decided by the 5-adic test instead
-                pow5.append(5**q if q <= 21 else 0)
-                small_q.append(0)
-            else:
-                q = (-e2 * 732923 >> 20) - (-e2 > 1)  # about log10(5^-e2)
-                bits = (5 ** (-e2 - q)).bit_length()
-                mul = 5 ** (-e2 - q) >> (bits - 125) if bits >= 125 else 5 ** (-e2 - q) << (125 - bits)
-                j = q - (bits - 125)
-                e10 = q + e2
-                # the bound 4m * 5^-e2 / 2^q is an integer iff 4m has q trailing zero bits
-                tz_mask.append(0 if q <= 1 else (1 << q) - 1 if q < 63 else 2**64 - 1)
-                pow5.append(0)
-                small_q.append(int(q <= 1))
-            shift = j - 4 * _RADIX  # j lies in [118, 125]
-            common.append([mul >> (_RADIX * b) & _LIMB_MASK for b in range(5)]
-                          + [shift, e10, 1 << 54 if biased else 0])
-        if any(small_q[:_RARE]) or any(pow5[:_RARE]):
-            raise AssertionError("a 5-adic rule below _RARE")
-        block = np.frombuffer(mmap.mmap(-1, 2047 * 11 * 8), np.uint64).reshape(11, 2047)
-        self.common = block[:8].view(np.int64)
-        self.tz_mask, self.small_q, self.pow5 = block[8:]
-        self.common[:] = np.array(common, dtype=np.int64).T
-        self.tz_mask[:], self.small_q[:], self.pow5[:] = tz_mask, small_q, pow5
+        column = np.arange(4094)
+        biased = column % 2047
+        q = np.maximum(biased, 1) - 1075
+        k = q * 661971961083 - 274743187321 * (column >= 2047) >> 41  # 2^41 log10 2, 2^41 log10 4/3
+        r = -k * 913124641741 >> 38
+        g = {(e, f): (10**max(-e, 0) << max(125 - f, 0)) // (10**max(e, 0) << max(f - 125, 0)) + 1
+             for e, f in set(zip(k.tolist(), r.tolist()))}
+        big = [g[e, f] << h for e, f, h in zip(k.tolist(), r.tolist(), (q + r + 2).tolist())]
+        self.common = np.frombuffer(mmap.mmap(-1, 7 * 4094 * 8), np.int64).reshape(7, 4094)
+        for b in range(5):
+            self.common[b] = [value >> _RADIX * b & _LIMB_MASK for value in big]
+        self.common[5], self.common[6] = np.where(biased, 1 << 54, 0), k
 
 
 @functools.cache
@@ -167,42 +158,43 @@ class Workspace:
 
 # The rows of Workspace.rows: first the bounds' six columns of three (the
 # last column has one, and d sits in the two rows after it), of which the
-# rounding and the layout reuse all but the first three rows; later steps
+# digit choice and the layout reuse all but the first three rows; later steps
 # also reuse the rows of values that earlier ones have consumed.
 _COLS = 18
-_X, _SIGN, _BIASED, _LIMBS, _SHIFT, _E10, _IMPLICIT, _MV = 18, 19, 20, 21, 26, 27, 28, 29
+_X, _SIGN, _BIASED, _LIMBS, _IMPLICIT, _E10, _MV = 18, 19, 20, 21, 26, 27, 28
 _M0, _M1, _DELTA = _X, _IMPLICIT, 16
-_ROWS = 30
-_VR0, _KEPT, _VM10, _LAST, _GO, _BLEND, _REMOVED = 3, 4, 5, 6, 7, 8, 17
+_ROWS = 29
+_S, _FOUR, _BIT, _INSIDE, _TENS, _REMOVED = 3, 4, 5, 6, 7, 17
 _DECPT, _FRAC, _POINT_AT, _LENGTH, _ZEROS, _COUNT, _POWER = 21, 22, 23, 24, 25, 26, 28
 _TEXT, _SCRATCH, _BEFORE, _THROUGH, _SPILL, _TMP = 3, 6, 9, 12, 15, 16
 
 
-def _bounds(u: np.ndarray, flag: np.ndarray, tables: _Tables):
-    """Ryū's scaled interval ``(vr, vp, vm)`` of each finite nonzero double
-    in ``u[_X]``, as the first three rows of ``u``, and the elements whose
-    lower bound ``vm`` is exact."""
+def _bounds(u: np.ndarray, flag: np.ndarray, tables: _Tables) -> None:
+    """Schubfach's rounding interval of each finite nonzero double c 2^q in
+    ``u[_X]``, scaled by 4 10^-k, into the first three rows of ``u``:
+    ``vb``, ``vbr`` and ``vbl``, G (4 c + d) / 2^127 rounded to odd for
+    d = 0, 2 and -2 (-1 for a power of 2)."""
     i = u.view(np.int64)
     cols = i[:_COLS].reshape(6, 3, -1)
     bits, biased = u[_X], i[_BIASED]
+    mv, m0, m1, delta = i[_MV], i[_M0], i[_M1], i[_DELTA:_DELTA + 2]
     np.right_shift(bits, np.uint64(52), out=u[_BIASED])
     np.bitwise_and(biased, 0x7FF, out=biased)
-    for row, table in enumerate(tables.common):
-        np.take(table, biased, out=i[_LIMBS + row], mode="clip")
-    limbs, shift = i[_LIMBS:_LIMBS + 5], i[_SHIFT]
-
-    mv, m0, m1, delta = i[_MV], i[_M0], i[_M1], i[_DELTA:_DELTA + 2]
     np.bitwise_and(bits, _FRACTION, out=u[_MV])
-    np.equal(mv, 0, out=flag)  # a power of 2: the gap below is half the gap above
+    np.equal(mv, 0, out=flag)  # a power of 2, unless of the smallest exponent
     halved = np.flatnonzero(flag) if flag.any() else _NONE
     halved = halved[biased[halved] > 1]
+    biased[halved] += 2047
+    for row, table in enumerate(tables.common):
+        np.take(table, biased, out=i[_LIMBS + row], mode="clip")
+    limbs = i[_LIMBS:_LIMBS + 5]
     np.left_shift(mv, 2, out=mv)
-    np.add(mv, i[_IMPLICIT], out=mv)  # 4 m
+    np.add(mv, i[_IMPLICIT], out=mv)  # 4 c
     np.bitwise_and(mv, _LIMB_MASK, out=m0)
     np.right_shift(mv, _RADIX, out=m1)
 
-    # 4 m * mul in six 28-bit columns, two limbs of 4 m times five of mul;
-    # rows 1 and 2 add 2 mul and -2 mul (-mul above a power of 2) to row 0
+    # G 4 c in six 28-bit columns, two limbs of 4 c times five of G; rows 1
+    # and 2 add 2 G and -2 G (-G for a power of 2) to row 0
     np.multiply(limbs, m0, out=cols[:5, 0])
     cols[5, 0] = 0
     np.multiply(limbs, m1, out=cols[:5, 1])
@@ -211,51 +203,24 @@ def _bounds(u: np.ndarray, flag: np.ndarray, tables: _Tables):
     delta[1, halved] = -1
     np.multiply(limbs[:, None], delta, out=cols[:5, 1:])
     np.add(cols[:5, 1:], cols[:5, :1], out=cols[:5, 1:])
-    # (4 m + d) * mul >> j, carrying the columns
-    for c in range(1, 5):
+    # carry the columns; the sticky bit is set when any of the product's
+    # bits 64 to 126 is: bits 8 up of column 2, column 3, bits 0 to 14 of
+    # column 4
+    np.right_shift(cols[0], _RADIX, out=cols[0])
+    np.add(cols[1], cols[0], out=cols[1])
+    sticky, low = cols[0], cols[1]  # each free once carried out of
+    sticky.fill(0)
+    for c, keep in ((2, _LIMB_MASK ^ 0xFF), (3, _LIMB_MASK), (4, 0x7FFF)):
         np.right_shift(cols[c - 1], _RADIX, out=cols[c - 1])
         np.add(cols[c], cols[c - 1], out=cols[c])
-    top, lsh = cols[0], delta[0]
-    np.right_shift(cols[4], _RADIX, out=top)
-    np.add(top, cols[5, 0], out=top)
-    np.subtract(_RADIX, shift, out=lsh)
-    np.left_shift(top, lsh, out=top)
-    np.bitwise_and(cols[4], _LIMB_MASK, out=cols[4])
-    np.right_shift(cols[4], shift, out=cols[4])
-    np.add(top, cols[4], out=top)
-    vr, vp, vm = top.view(np.uint64)
-
-    exact = _NONE
-    np.greater_equal(biased, _RARE, out=flag)
-    if flag.any():  # doubles of at least 2^50, whose bounds may be multiples of 5^q
-        at = np.flatnonzero(flag)
-        b, mv_at = biased[at], u[_MV, at]
-        even = (mv_at & np.uint64(4)) == 0
-        halved_at = (mv_at & (_FRACTION << np.uint64(2))) == 0
-        small = tables.small_q[b] != 0  # e2 < 0 and q <= 1: vm is exact, vp is if m is even
-        on_lower = small & even & ~halved_at
-        vp[at] -= small & ~even
-        five = np.flatnonzero(tables.pow5[b])
-        if five.size:
-            p5, mv5, even5 = tables.pow5[b[five]], mv_at[five], even[five]
-            on_v = mv5 % np.uint64(5) == 0
-            on_lower[five] = ~on_v & even5 & ((mv5 - np.uint64(2) + halved_at[five]) % p5 == 0)
-            vp[at[five]] -= ~on_v & ~even5 & ((mv5 + np.uint64(2)) % p5 == 0)
-        exact = at[on_lower]
-    return vr, vp, vm, exact
-
-
-def _exact(at: np.ndarray, u: np.ndarray, tables: _Tables) -> np.ndarray:
-    """The elements of ``at`` whose ``vr`` was its scaled bound exactly and
-    lost only zeros before its last digit went."""
-    biased, mv = u[_BIASED, at].view(np.int64), u[_MV, at]
-    exact = (mv & tables.tz_mask[biased]) == 0
-    five = np.flatnonzero(tables.pow5[biased])
-    if five.size:
-        mv5 = mv[five]
-        exact[five] = (mv5 % np.uint64(5) == 0) & (mv5 % tables.pow5[biased[five]] == 0)
-    at = at[exact]
-    return at[u[_VR0, at] % _POW10[u[_REMOVED, at] - np.uint64(1)] == 0]
+        np.bitwise_and(cols[c], keep, out=low)
+        np.bitwise_or(sticky, low, out=sticky)
+    np.minimum(sticky, 1, out=sticky)
+    # the product's bits from 127 = 4 * 28 + 15 on
+    np.right_shift(cols[4], 15, out=cols[4])
+    np.left_shift(cols[5, 0], _RADIX - 15, out=cols[5, 0])
+    np.add(cols[4], cols[5, 0], out=cols[4])
+    np.bitwise_or(sticky, cols[4], out=sticky)
 
 
 def _blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray, tmp: np.ndarray) -> None:
@@ -266,71 +231,54 @@ def _blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray, tmp: np.ndarray) -> N
     np.bitwise_xor(a, tmp, out=a)
 
 
-def _shortest(u: np.ndarray, flag: np.ndarray, tables: _Tables, vr, vp, vm, exact) -> None:
-    """Ryū's digit removal: drop the last digit of ``vr``, ``vp`` and ``vm``
-    while ``vp`` and ``vm`` still differ above it, then round ``vr``, in
-    place. Leaves the number of digits dropped in ``u[_REMOVED]``."""
-    n = u.shape[1]
-    vr0, kept, vm10, removed, last, go, tmp = (u[k] for k in (_VR0, _KEPT, _VM10, _REMOVED, _LAST,
-                                                             _GO, _BLEND))
-    np.copyto(vr0, vr)
-    np.copyto(kept, vr)  # vr before its last digit went
-    removed.fill(0)
-    exact_vm = vm[exact]
-    np.floor_divide(vp, _TEN, out=vp)
-    np.floor_divide(vm, _TEN, out=vm10)
-    np.subtract(vm10, vp, out=go)
-    np.right_shift(go.view(np.int64), 63, out=go.view(np.int64))  # all ones where vp > vm
-    # over all elements while many drop a digit (most drop one to three);
-    # vr runs ahead, divided whether or not the element drops a digit
-    while np.count_nonzero(go) * 8 > n:
-        np.subtract(removed, go, out=removed)
-        _blend(kept, vr, go, tmp)
-        _blend(vm, vm10, go, tmp)
-        np.floor_divide(vr, _TEN, out=vr)
-        np.floor_divide(vp, _TEN, out=vp)
-        np.floor_divide(vm10, _TEN, out=vm10)
-        np.subtract(vm10, vp, out=go)
-        np.right_shift(go.view(np.int64), 63, out=go.view(np.int64))
-    at = np.flatnonzero(go)
-    ahead, upper, lower = vr[at], vp[at], vm10[at]
-    while at.size:  # then over the few that still do
-        removed[at] += np.uint64(1)
-        kept[at], vm[at] = ahead, lower
-        ahead, upper, lower = ahead // _TEN, upper // _TEN, lower // _TEN
-        more = upper > lower
-        at, ahead, upper, lower = at[more], ahead[more], upper[more], lower[more]
-    np.floor_divide(kept, _TEN, out=vr)
-    np.multiply(vr, _TEN, out=last)
-    np.subtract(kept, last, out=last)
-    np.equal(removed, 0, out=flag)
-    if flag.any():
-        at = np.flatnonzero(flag)
-        vr[at], last[at] = vr0[at], 0
-
-    # the lower bound is exact and so far lost only zeros: drop its zeros too
-    exact = at = exact[exact_vm % _POW10[removed[exact]] == 0]
+def _digits(u: np.ndarray, flag: np.ndarray) -> None:
+    """Schubfach's digits from ``_bounds``'s interval, into ``u[0]``: the one
+    multiple of 10 inside it when s = floor(vb / 4) is at least 10, else s
+    or s + 1, whichever alone is inside, else the nearer of the two, ties
+    to even, less any trailing zeros. Leaves in ``u[_REMOVED]`` how many
+    digits were dropped: the decimal is ``u[0]`` times 10^(k + removed)."""
+    vb, vbr, vbl = u[:3]
+    s, four, bit, inside, tens, removed = (u[k] for k in (_S, _FOUR, _BIT, _INSIDE, _TENS,
+                                                           _REMOVED))
+    np.right_shift(u[_MV], np.uint64(2), out=bit)
+    np.bitwise_and(bit, np.uint64(1), out=bit)  # c odd: the interval excludes its bounds
+    np.add(vbl, bit, out=vbl)
+    np.subtract(vbr, bit, out=vbr)
+    np.right_shift(vb, np.uint64(2), out=s)
+    # the multiple of 10 inside, divided by 10: 10 floor(s / 10) or the next
+    np.floor_divide(s, _TEN, out=tens)
+    np.multiply(tens, np.uint64(40), out=four)
+    np.less_equal(vbl, four, out=inside)
+    np.add(four, np.uint64(40), out=four)
+    np.less_equal(four, vbr, out=bit)
+    np.add(tens, bit, out=tens)
+    np.bitwise_or(inside, bit, out=inside)
+    np.greater_equal(s, _TEN, out=bit)
+    np.bitwise_and(inside, bit, out=removed)
+    # else s + 1 where it alone is inside, or both are and vb / 4 is above
+    # s + 1/2, or at it with s odd: bit 0 of 0xC8 >> (vb & 7), as bit 2 of vb
+    # is the last bit of s
+    np.bitwise_and(vb, np.uint64(7), out=bit)
+    np.right_shift(np.uint64(0xC8), bit, out=bit)
+    np.bitwise_and(vb, ~np.uint64(3), out=four)  # 4 s
+    np.less_equal(vbl, four, out=inside)
+    np.invert(inside, out=inside)
+    np.bitwise_or(inside, bit, out=inside)
+    np.add(four, np.uint64(4), out=four)
+    np.less_equal(four, vbr, out=bit)
+    np.bitwise_and(bit, inside, out=bit)
+    np.add(s, bit, out=vb)
+    np.negative(removed, out=inside)
+    _blend(vb, tens, inside, four)
+    # strip trailing zeros: a multiple of 100 inside, or 10 = s + 1
+    np.floor_divide(vb, _TEN, out=s)
+    np.multiply(s, _TEN, out=four)
+    np.equal(four, vb, out=flag)
+    at = np.flatnonzero(flag) if flag.any() else _NONE
     while at.size:
-        lower = vm[at] // _TEN
-        zero = vm[at] == lower * _TEN
-        at, lower = at[zero], lower[zero]
-        ahead = vr[at] // _TEN
-        last[at] = vr[at] - ahead * _TEN
-        vr[at], vm[at] = ahead, lower
+        vb[at] //= _TEN
         removed[at] += np.uint64(1)
-
-    # round half to even on an exact tie; take vr + 1 when vr fell out of bounds
-    np.equal(last, 5, out=flag)
-    if flag.any():
-        tie = _exact(np.flatnonzero(flag), u, tables)
-        last[tie[(vr[tie] & np.uint64(1)) == 0]] = 4
-    up = go.view(bool)[:n]
-    np.equal(vr, vm, out=up)
-    if exact.size:  # vm itself is a candidate only if m is even
-        up[exact] &= (u[_MV, exact] & np.uint64(4)) != 0
-    np.greater_equal(last, 5, out=flag)
-    np.bitwise_or(up, flag, out=up)
-    np.add(vr, up, out=vr)
+        at = at[vb[at] % _TEN == 0]
 
 
 def _count(digits: np.ndarray, u: np.ndarray, flag: np.ndarray) -> np.ndarray:
@@ -407,9 +355,9 @@ def rows(values: np.ndarray, leads: tuple[bytes, bytes, bytes], work: Workspace)
         special = np.flatnonzero(~flag | (x == 0.0))
         kinds = np.where(np.isnan(x[nonfinite]), 0, 1 + i[_SIGN, nonfinite])
         u[_X, special] = _ONE_BITS
-    vr, vp, vm, exact = _bounds(u, flag, tables)
-    _shortest(u, flag, tables, vr, vp, vm, exact)
-    digits = vr
+    _bounds(u, flag, tables)
+    _digits(u, flag)
+    digits = u[0]
     digits[special] = 0  # then printed as 0.0
 
     count = _count(digits, u, flag)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Var, affine, joint_node, l2_normalize_rows, segment_sum, take_rows, value
-from .errors import BadMagicError, PayloadShapeError, ShapeError, TruncatedFileError
+from .errors import BadMagicError, PayloadShapeError, SchemaError, ShapeError, TruncatedFileError
 from .graph import (
     VideoGraph,
     coarse_rows,
@@ -210,6 +210,9 @@ def load_params(path) -> ModelParams:
         raise TruncatedFileError(f"{path}: header declares {count} parameters "
                                  f"({8 * count} bytes), found {payload} bytes")
     vec = np.frombuffer(raw, dtype="<f8", count=count, offset=len(PARAMS_MAGIC) + header)
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise SchemaError(f"{path}: parameters[{int(bad[0])}]", "must be finite")
     try:
         return _from_vector(ModelDims(*dims), vec.astype(np.float64))
     except ShapeError as exc:  # a zero dimension, or dimensions that need another count

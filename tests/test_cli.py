@@ -484,6 +484,7 @@ class TestErrorExitCodes:
         ("zero_width_features", "PayloadShapeError", "header declares 3 segments of 0 features"),
         ("nan_feature", "SchemaError", "features[1]: must be finite"),
         ("zero_d_in_params", "PayloadShapeError", "d_in must be >= 1"),
+        ("nan_params", "SchemaError", "parameters[0]: must be finite"),
     ])
     def test_bad_binary_inputs_exit_5_and_name_the_file(self, corpus, tmp_path, capsys, case,
                                                          error, message):
@@ -502,7 +503,10 @@ class TestErrorExitCodes:
             save_params(bad, identity_params(ModelDims(d_in=16, d_h=16, d_a=16, d_t=16,
                                                        stages=1, layers=1)))
             blob = bytearray(bad.read_bytes())
-            blob[8:12] = struct.pack("<I", 0)  # d_in, after the magic
+            if case == "zero_d_in_params":
+                blob[8:12] = struct.pack("<I", 0)  # d_in, after the magic
+            else:
+                blob[40:48] = struct.pack("<d", np.nan)  # the first parameter, after the header
             bad.write_bytes(bytes(blob))
         code = run("forward", *argv, "--out", str(tmp_path / "o.json"))
         assert code == EXIT_DATA

@@ -4,6 +4,7 @@ import io
 import json
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -518,6 +519,7 @@ class TestBinaryReaderMutations:
             return
         assert min(dataclasses.astuple(params.dims)) >= 1
         assert params.to_vector().shape == (params.num_params,)
+        assert np.all(np.isfinite(params.to_vector()))
 
     @pytest.mark.parametrize("n, d", [(0, 3), (4, 0), (0, 0)])
     def test_a_zero_dimension_is_rejected(self, tmp_path, n, d):
@@ -548,6 +550,18 @@ class TestBinaryReaderMutations:
         with pytest.raises(PayloadShapeError) as info:
             load_params(path)
         assert str(info.value) == f"{path}: d_in must be >= 1"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_parameter_names_its_index(self, tmp_path, value):
+        path = tmp_path / "params.bin"
+        blob = bytearray(params_blob(tmp_path))
+        payload = len(PARAMS_MAGIC) + struct.calcsize("<6IQ")
+        for index in (17, 20):
+            blob[payload + 8 * index:payload + 8 * index + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SchemaError) as info:
+            load_params(path)
+        assert str(info.value) == f"{path}: parameters[17]: must be finite"
 
     def test_a_huge_stage_count_is_rejected_before_the_layout_is_built(self, tmp_path):
         path = tmp_path / "params.bin"
@@ -824,3 +838,36 @@ class TestFloatArrays:
             write_json(tmp_path / "d.json", doc)
             assert (tmp_path / "d.json").read_text() == oracle_text(as_lists(doc))
         assert max(sizes) == _floatrepr.CHUNK
+
+
+def _floor_log2(x: Fraction) -> int:
+    """floor(log2 x) of a positive fraction, exactly."""
+    r = x.numerator.bit_length() - x.denominator.bit_length()
+    return r - (Fraction(2)**r > x)
+
+
+class TestSchubfachTable:
+    """``_floatrepr``'s per-exponent constants against their definitions, in
+    exact integers: for v = c 2^q, k = floor(log10 2^q) (floor(log10 (3/4)
+    2^q) in the power-of-2 columns), r = floor(log2 10^-k), and G = g 2^h
+    with g = floor(10^-k 2^(125 - r)) + 1 and h = q + r + 2."""
+
+    def test_every_biased_exponent_and_power_of_2(self):
+        common = _floatrepr._tables().common
+        assert common.shape == (7, 2 * 2047)
+        for column in range(2 * 2047):
+            biased, halved = column % 2047, column >= 2047
+            q = max(biased, 1) - 1075
+            k = int(common[6, column])
+            scale = Fraction(3, 4) if halved else Fraction(1)
+            assert Fraction(10)**k <= scale * Fraction(2)**q < Fraction(10)**(k + 1)
+            r = _floor_log2(Fraction(10)**-k)
+            h = q + r + 2
+            assert 2 <= h <= 5
+            limbs = common[:5, column].tolist()
+            assert all(0 <= limb < 2**28 for limb in limbs)
+            big = sum(limb << 28 * b for b, limb in enumerate(limbs))
+            g = big >> h
+            assert big == g << h and big < 2**140
+            assert 2**125 <= g < 2**126
+            assert g - 1 <= Fraction(10)**-k * Fraction(2)**(125 - r) < g
