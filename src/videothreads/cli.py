@@ -80,16 +80,20 @@ EXIT_MISSING = 4
 EXIT_DATA = 5
 
 
+def _meta(args, command: str) -> dict:
+    """A result's ``meta`` entry, or none under --no-meta."""
+    if args.no_meta:
+        return {}
+    return {"meta": {
+        "tool": "videothreads",
+        "version": __version__,
+        "command": command,
+        "created": datetime.now(timezone.utc).isoformat(),
+    }}
+
+
 def _emit(args, command: str, doc: dict) -> None:
-    if not args.no_meta:
-        doc = dict(doc)
-        doc["meta"] = {
-            "tool": "videothreads",
-            "version": __version__,
-            "command": command,
-            "created": datetime.now(timezone.utc).isoformat(),
-        }
-    write_json(args.out, doc)
+    write_json(args.out, {**doc, **_meta(args, command)})
 
 
 def _set_flags(args, schema) -> dict:
@@ -218,7 +222,7 @@ def _cmd_ground(args) -> int:
     params = _resolve_params(args, cfg, seq.dim, d_t=query.size)
     candidates = _candidates_for(cfg, seq, params)
     ranked = step_grounding(candidates, query, params)
-    write_predictions(args.out, ranked)
+    write_predictions(args.out, ranked, **_meta(args, "ground"))
     return EXIT_OK
 
 
@@ -229,7 +233,7 @@ def _cmd_localize(args) -> int:
     params = _resolve_params(args, cfg, seq.dim, d_t=taxonomy.embeddings.shape[1])
     candidates = _candidates_for(cfg, seq, params)
     predictions = step_localization(candidates, taxonomy, params)
-    write_predictions(args.out, predictions)
+    write_predictions(args.out, predictions, **_meta(args, "localize"))
     return EXIT_OK
 
 
@@ -298,11 +302,12 @@ def _toy_gradcheck_batch(seed: int):
 
 
 def _cmd_grad_check(args) -> int:
-    batch = _toy_gradcheck_batch(args.seed)
+    cfg = RunConfig.from_dict({"k": 2, "seed": args.seed})
+    batch = _toy_gradcheck_batch(cfg.seed)
     dims = ModelDims(d_in=6, d_h=8, d_a=8, d_t=6, stages=2, layers=2)
-    params = init_params(dims, seed=args.seed)
-    op = TotalLossOp(RunConfig(k=2, seed=args.seed))
-    worst = grad_check(op, params, batch, epsilon=args.epsilon, seed=args.seed)
+    params = init_params(dims, seed=cfg.seed)
+    op = TotalLossOp(cfg)
+    worst = grad_check(op, params, batch, epsilon=args.epsilon, seed=cfg.seed)
     _emit(args, "grad-check", {
         "max_rel_error": worst,
         "epsilon": args.epsilon,

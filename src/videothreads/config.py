@@ -51,9 +51,9 @@ class RunConfig:
         """Config with the values in ``doc``.
 
         Every field is an integer or a float. Unknown keys, values whose
-        JSON type does not match the type of the field's default, and NaN or
-        infinite floats raise ConfigError naming the key; integers are
-        accepted for float fields.
+        JSON type does not match the type of the field's default, NaN or
+        infinite floats and a negative ``seed`` raise ConfigError naming the
+        key; integers are accepted for float fields.
         """
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
@@ -71,6 +71,8 @@ class RunConfig:
                 except SchemaError as exc:
                     raise ConfigError(str(exc)) from None
             setattr(merged, key, value)
+        if merged.seed < 0:  # numpy's generators take only non-negative seeds
+            raise ConfigError(f"seed: must be non-negative, got {merged.seed}")
         return merged
 
     @classmethod

@@ -14,8 +14,9 @@ The video id is not stored; readers take it from the file name. Each JSON
 document has one typed reader, which validates it field by field and names
 the file and the field in a SchemaError: narrations, taxonomies, annotations,
 predictions, and the CLI's query, MCQ question, label predictions, grounding
-queries and MCQ results. All are UTF-8; writing then reading any value
-reproduces it bit-exactly (features are kept at f32 precision for that reason).
+queries and MCQ results. All are UTF-8; writing then reading any value a
+container accepts reproduces it bit-exactly (features are kept at f32
+precision for that reason), and a container refuses what its file cannot hold.
 ``read_corpus`` reads a training directory of feature and narration file pairs.
 """
 
@@ -26,7 +27,7 @@ import json
 import math
 import struct
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +48,9 @@ DEFAULT_SEGMENT_DURATION = 16.0 / 30.0  # 16-frame windows, stride 16, at 30 fps
 
 @dataclass(frozen=True, eq=False)
 class FeatureSequence:
-    """Timestamped D-dimensional embeddings for one video."""
+    """Timestamped D-dimensional embeddings for one video: at least one
+    segment and one feature column, every feature finite at the f32
+    precision a feature file stores."""
 
     video_id: str
     timestamps: np.ndarray
@@ -56,11 +59,14 @@ class FeatureSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.float64))
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        if self.features.ndim != 2:
-            raise SchemaError("features", "must be a 2-D array")
-        if self.timestamps.shape[0] != self.features.shape[0]:
+        features = np.asarray(self.features)
+        if features.ndim != 2 or 0 in features.shape:
+            raise SchemaError("features", "must be a 2-D array of at least one row and column")
+        if self.timestamps.shape[0] != features.shape[0]:
             raise SchemaError("timestamps", "length must equal feature rows")
+        with np.errstate(over="ignore", invalid="ignore"):  # beyond the f32 range: infinite
+            _require_finite_rows(features.astype(np.float32, copy=False), "features[{}]")
+        object.__setattr__(self, "features", features.astype(np.float64, copy=False))
         _check_timeline(self.timestamps, self.segment_duration)
 
     @property
@@ -75,7 +81,8 @@ class FeatureSequence:
 @dataclass(frozen=True, eq=False)
 class NarrationSet:
     """Timestamped textual descriptions as three columns: the texts, their
-    times (n,) and their text embeddings (n, d), or (0, 0) when empty."""
+    finite, non-negative times (n,) and their finite text embeddings (n, d),
+    d >= 1, or (0, 0) when empty."""
 
     texts: tuple[str, ...]
     timestamps: np.ndarray
@@ -85,11 +92,14 @@ class NarrationSet:
         object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.float64))
         object.__setattr__(self, "embeddings", np.asarray(self.embeddings, dtype=np.float64))
         n = len(self.texts)
-        if self.timestamps.shape != (n,) or self.embeddings.ndim != 2 or len(self.embeddings) != n:
-            raise SchemaError("items", "need one timestamp and one embedding row per text")
-        negative = np.flatnonzero(self.timestamps < 0.0)
-        if negative.size:
-            raise SchemaError(f"items[{int(negative[0])}].timestamp", "must be non-negative")
+        width = self.embeddings.shape[-1] if self.embeddings.ndim else 0
+        if (self.timestamps.shape != (n,) or self.embeddings.shape != (n, width)
+                or (n > 0) != (width > 0)):
+            raise SchemaError("items", "need one timestamp and one non-empty embedding row per text")
+        bad = np.flatnonzero(~((self.timestamps >= 0.0) & (self.timestamps < math.inf)))
+        if bad.size:
+            raise SchemaError(f"items[{int(bad[0])}].timestamp", "must be finite and non-negative")
+        _require_finite_rows(self.embeddings, "items[{}].embedding")
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -97,7 +107,7 @@ class NarrationSet:
 
 @dataclass(frozen=True, eq=False)
 class Taxonomy:
-    """Step labels with one text embedding row per label."""
+    """At least one step label, with one finite, non-zero text embedding row per label."""
 
     labels: tuple[str, ...]
     embeddings: np.ndarray
@@ -106,8 +116,10 @@ class Taxonomy:
         object.__setattr__(self, "embeddings", np.asarray(self.embeddings, dtype=np.float64))
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.labels):
             raise SchemaError("embeddings", "row count must equal label count")
-        norms = np.linalg.norm(self.embeddings, axis=1)
-        dead = np.flatnonzero(norms == 0.0)
+        if not self.labels:
+            raise SchemaError("labels", "a taxonomy needs at least one label")
+        _require_finite_rows(self.embeddings, "embeddings[{}]")
+        dead = np.flatnonzero(np.linalg.norm(self.embeddings, axis=1) == 0.0)
         if dead.size:
             raise SchemaError(f"embeddings[{int(dead[0])}]", "zero-norm embedding row")
 
@@ -153,6 +165,13 @@ class McqQuestion:
         clips = [read_feature_file(p) for p in self.candidates]
         require_constant_dim(clips, f"{self.path}: candidates")
         return clips
+
+
+def _require_finite_rows(matrix: np.ndarray, where: str) -> None:
+    """A SchemaError naming ``where.format(r)`` for the first row r holding a NaN or infinity."""
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise SchemaError(where.format(int(bad[0])), "must be finite")
 
 
 def _check_timeline(timestamps: np.ndarray, segment_duration: float) -> None:
@@ -207,13 +226,9 @@ def read_feature_file(path) -> FeatureSequence:
         raise PayloadShapeError(f"{path}: {len(raw) - expected} trailing bytes beyond N x D payload")
     timestamps = np.frombuffer(raw, dtype="<f8", count=n, offset=header_end)
     features = np.frombuffer(raw, dtype="<f4", count=n * d, offset=header_end + 8 * n)
-    features = features.reshape(n, d)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise SchemaError(f"{path}: features[{int(bad[0])}]", "must be finite")
     try:
         return FeatureSequence(path.stem, timestamps.astype(np.float64),
-                               features.astype(np.float64), segment_duration)
+                               features.reshape(n, d), segment_duration)
     except SchemaError as exc:  # name the file, keep the error class
         raise type(exc)(f"{path}: {exc.field}", exc.reason) from None
 
@@ -322,9 +337,11 @@ def write_json(path, doc: dict) -> None:
     followed by "\\n" writes: ASCII escapes, ``NaN``/``Infinity``/``-Infinity``
     for non-finite floats, shortest-repr floats. It is built here because
     ``json.dump`` with an indent encodes one value at a time in Python. A
-    float64 ndarray of one or more dimensions is written as its ``.tolist()``
-    would be, its rows printed a chunk at a time by the numpy kernel in
-    ``_floatrepr``; other arrays raise TypeError. Two deviations from
+    float64 ndarray is taken only as a 2-D matrix of at least one row and
+    one column (``forward``'s embeddings, ``write_taxonomy``'s matrix), and
+    written as its ``.tolist()`` would be, its rows printed a chunk at a
+    time by the numpy kernel in ``_floatrepr``; any other array raises
+    TypeError. Two deviations from
     ``json.dump``, neither reachable from the writers in this package: a
     non-``str`` key raises TypeError (``json.dump`` would stringify an int,
     float, bool or None key), and a circular document raises RecursionError,
@@ -390,7 +407,7 @@ def _write_value(out: _Out, value, level: int) -> None:
     elif isinstance(value, dict):
         _write_dict(out, value, level)
     elif isinstance(value, np.ndarray):
-        _write_array(out, value, level)
+        _write_matrix(out, value, level)
     elif isinstance(value, _Row):
         value.rows.write(out, value.index, value.index + 1, level)
     else:
@@ -438,9 +455,6 @@ class _Rows:
                                ("," + indent, self.close + self.comma + "[" + indent, "[" + indent))
             self.level, self.starts = level, []
         width = self.matrix.shape[1]
-        if not width:
-            out.write(self.comma.join(["[]"] * (stop - first)))
-            return stop - first
         if width > _floatrepr.CHUNK:
             row = self.matrix[first:first + 1]
             for k in range(0, width, _floatrepr.CHUNK):
@@ -473,36 +487,18 @@ class _Row:
     index: int
 
 
-def _write_array(out: _Out, array: np.ndarray, level: int) -> None:
-    if array.dtype.type is not np.float64 or array.ndim == 0:
-        raise TypeError(f"Object of type ndarray ({array.dtype}, {array.ndim}-d) "
+def _write_matrix(out: _Out, matrix: np.ndarray, level: int) -> None:
+    """A float64 matrix of one or more rows and columns as its ``.tolist()``
+    would be written: a list of rows, one ``_Rows.write`` per chunk."""
+    if matrix.dtype.type is not np.float64 or matrix.ndim != 2 or not matrix.size:
+        raise TypeError(f"Object of type ndarray ({matrix.dtype}, shape {matrix.shape}) "
                         "is not JSON serializable")
-    if array.size == 0:  # nested empty lists, no float
-        _write_list(out, array.tolist(), level)
-    else:  # as its .tolist(): lists nesting the rows along the last axis
-        _write_rows(out, _Rows(array.reshape(-1, array.shape[-1])), array.shape[:-1], 0, level)
-
-
-def _write_rows(out: _Out, rows: _Rows, shape: tuple, first: int, level: int) -> None:
-    """The nested lists of ``shape`` whose innermost items are rows ``first``,
-    ``first + 1``, ... of ``rows``; shape () is row ``first`` alone."""
-    if not shape:
-        rows.write(out, first, first + 1, level)
-        return
-    inner = "\n" + " " * (level + 1)
-    lead, comma = "[" + inner, "," + inner
-    if len(shape) == 1:  # a list of rows, one write per chunk
-        stop = first + shape[0]
-        while first < stop:
-            out.write(lead)
-            first += rows.write(out, first, stop, level + 1)
-            lead = comma
-    else:
-        size = math.prod(shape[1:])
-        for k in range(first, first + shape[0] * size, size):
-            out.write(lead)
-            _write_rows(out, rows, shape[1:], k, level + 1)
-            lead = comma
+    rows, first, inner = _Rows(matrix), 0, "\n" + " " * (level + 1)
+    lead = "[" + inner
+    while first < len(matrix):
+        out.write(lead)
+        first += rows.write(out, first, len(matrix), level + 1)
+        lead = "," + inner
     out.write("\n" + " " * level + "]")
 
 
@@ -524,35 +520,24 @@ def _stack(rows: list, where: str) -> np.ndarray:
     """JSON rows that ``_vector`` accepts, all of one width, as a float64
     matrix, (0, 0) for none; row i's field is ``where.format(i)``.
 
-    All values are checked and converted at once: one type scan, one
-    ``np.array``, one ``isfinite``. If a check fails, ``_vector`` checks
-    the rows in order, so the first bad row, and in it the first bad
-    element, is the one named. A row whose width differs from row 0's is
-    named after that.
+    All values are checked and converted at once, by one ``_vector`` call
+    over them. If a check fails, ``_vector`` checks the rows in order, so
+    the first bad row, and in it the first bad element, is the one named.
+    A row whose width differs from row 0's is named after that.
     """
-    flat = _finite_numbers(rows)
-    if flat is None:
+    if not rows:
+        return np.zeros((0, 0))
+    flat = None
+    if all(isinstance(row, list) and row for row in rows):
+        with suppress(SchemaError):
+            flat = _vector(list(itertools.chain.from_iterable(rows)), where)
+    if flat is None:  # row by row: the first bad row raises
         flat = np.concatenate([_vector(row, where.format(i)) for i, row in enumerate(rows)])
     widths = [len(row) for row in rows]
     for i, width in enumerate(widths):
         if width != widths[0]:
             raise SchemaError(where.format(i), f"has {width} numbers, row 0 has {widths[0]}")
-    return flat.reshape(len(rows), -1) if rows else np.zeros((0, 0))
-
-
-def _finite_numbers(rows: list) -> np.ndarray | None:
-    """The values of ``rows`` in order as one float64 array if every row is
-    a non-empty list of finite numbers (bools are none), else None."""
-    if not all(isinstance(row, list) and row for row in rows):
-        return None
-    values = list(itertools.chain.from_iterable(rows))
-    if not _all_of(values, (int, float)):
-        return None
-    try:
-        flat = np.array(values, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return flat if np.isfinite(flat).all() else None
+    return flat.reshape(len(rows), -1)
 
 
 _NARRATION_FIELDS = (("text", str), ("timestamp", float), ("embedding", list))
@@ -581,10 +566,11 @@ def _narration_columns(items: list) -> tuple | None:
         texts, times, rows = ([item[key] for item in items] for key, _ in _NARRATION_FIELDS)
     except (TypeError, KeyError):  # an item that is no object, or lacks a field
         return None
-    timestamps = _finite_numbers([times]) if items else np.zeros(0)
-    if timestamps is None or not (_all_of(texts, str) and _all_of(rows, list)):
+    try:
+        timestamps = _vector(times, "timestamp") if items else np.zeros(0)
+    except SchemaError:  # a timestamp that is no finite number
         return None
-    return texts, timestamps, rows
+    return (texts, timestamps, rows) if _all_of(texts, str) and _all_of(rows, list) else None
 
 
 def write_narrations(path, narrations: NarrationSet) -> None:
@@ -641,8 +627,10 @@ def read_predictions(path) -> list[StepPrediction]:
         return out
 
 
-def write_predictions(path, predictions: list[StepPrediction]) -> None:
+def write_predictions(path, predictions: list[StepPrediction], **fields) -> None:
+    """``{"predictions": [...]}``, plus any other top-level ``fields`` (the CLI's ``meta``)."""
     write_json(path, {
+        **fields,
         "predictions": [
             {"start": p.start, "end": p.end, "label": p.label, "score": p.score}
             for p in predictions

@@ -111,8 +111,6 @@ def build_graph(seq, edge_threshold: float) -> VideoGraph:
         raise GraphError("edge_threshold must be positive")
     features = as_matrix(seq.features, "features")
     timestamps = np.asarray(seq.timestamps, dtype=np.float64)
-    if features.shape[0] == 0:
-        raise GraphError("cannot build a graph from an empty sequence")
     return VideoGraph(
         embeddings=features,
         timestamps=timestamps,

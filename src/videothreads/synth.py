@@ -21,7 +21,7 @@ from .dataio import (
     StepAnnotation,
     Taxonomy,
 )
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ class SynthSpec:
             raise ShapeError("separation must be positive")
         if self.sigma < 0.0:
             raise ShapeError("sigma must be non-negative")
+        if self.seed < 0:  # as RunConfig's: numpy's generators take only non-negative seeds
+            raise ConfigError(f"seed: must be non-negative, got {self.seed}")
 
     @property
     def num_steps(self) -> int:

@@ -131,8 +131,6 @@ def step_localization(candidates: list[CandidateStep], taxonomy: Taxonomy,
     is given. Exact ties pick the lower index; output stays time-sorted and
     non-overlapping because candidates are disjoint runs.
     """
-    if not len(taxonomy.labels):
-        raise TaskError("taxonomy is empty")
     rows = taxonomy.embeddings
     if params is not None:
         rows = value(project_text(rows, params))

@@ -234,6 +234,7 @@ class TestErrorExitCodes:
         ("train_narration_no_timestamp", EXIT_DATA, "items[0].timestamp"),
         ("localize_taxonomy_zero_row", EXIT_DATA, "embeddings[0]"),
         ("localize_taxonomy_ragged_rows", EXIT_DATA, "embeddings[1]"),
+        ("localize_taxonomy_empty", EXIT_DATA, "labels"),
         ("localization_annotation_no_end", EXIT_DATA, "intervals[0].end"),
         ("localization_prediction_no_score", EXIT_DATA, "predictions[0].score"),
         ("ground_embedding_nan", EXIT_DATA, "embedding[15]"),
@@ -335,6 +336,7 @@ class TestErrorExitCodes:
             "localize_taxonomy_zero_row": json.dumps({"labels": ["a"], "embeddings": [[0.0] * 16]}),
             "localize_taxonomy_ragged_rows": json.dumps({"labels": ["a", "b"],
                                                          "embeddings": [[1.0] * 16, [1.0] * 17]}),
+            "localize_taxonomy_empty": json.dumps({"labels": [], "embeddings": []}),
             "localization_annotation_no_end": json.dumps({"intervals": [{"start": 1.0}]}),
             "localization_prediction_no_score": json.dumps({"predictions": [
                 {"start": 0.0, "end": 1.0}]}),
@@ -434,7 +436,8 @@ class TestErrorExitCodes:
             **{name: ("mcq", "--question", str(doc))
                for name in ("mcq_span_inverted", "mcq_span_inverted_empty_window")},
             **{name: ("localize", "--features", feats, "--taxonomy", str(doc))
-               for name in ("localize_taxonomy_zero_row", "localize_taxonomy_ragged_rows")},
+               for name in ("localize_taxonomy_zero_row", "localize_taxonomy_ragged_rows",
+                            "localize_taxonomy_empty")},
             "localization_annotation_no_end": ("evaluate", "--task", "localization",
                                                "--pred", str(no_preds), "--annotations", str(doc)),
             "localization_prediction_no_score": ("evaluate", "--task", "localization",
@@ -546,6 +549,31 @@ class TestErrorExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
         assert err["error"]["message"].startswith(key + ":")
+
+    @pytest.mark.parametrize("command, source", [
+        ("synth", "flag"), ("grad-check", "flag"), ("procedure-learn", "flag"),
+        ("procedure-learn", "config"), ("dump-config", "config"), ("train-toy", "flag"),
+        ("train-toy", "config"),
+    ])
+    def test_negative_seed_is_config_error(self, corpus, tmp_path, capsys, command, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        seed = ("--seed", "-1") if source == "flag" else (
+            "--train-config" if command == "train-toy" else "--config", str(cfg))
+        argv = {
+            "synth": ("--out", str(tmp_path / "c")),
+            "grad-check": ("--out", str(tmp_path / "o.json")),
+            "procedure-learn": ("--features", str(corpus / "features.hft"), "--hidden", "16",
+                                "--out", str(tmp_path / "o.json")),
+            "dump-config": ("--out", str(tmp_path / "o.json")),
+            "train-toy": ("--data", str(corpus.parent), "--params-out", str(tmp_path / "p.bin"),
+                          "--history", str(tmp_path / "h.jsonl"),
+                          "--out", str(tmp_path / "o.json")),
+        }[command]
+        assert run(command, *argv, *seed) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ConfigError", "message": "seed: must be non-negative, got -1"}
+        assert not (tmp_path / "o.json").exists() and not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_k_below_one_is_library_error(self, corpus, tmp_path, capsys, k):
@@ -661,6 +689,31 @@ class TestPipeline:
                    "--out", str(report), "--no-meta") == EXIT_OK
         doc = json.loads(report.read_text())
         assert doc["scalars"]["label_accuracy"] >= 0.9
+
+    @pytest.mark.parametrize("command", ["ground", "localize"])
+    def test_predictions_carry_meta_unless_no_meta(self, corpus, tmp_path, command):
+        taxonomy = corpus / "taxonomy.json"
+        query = tmp_path / "query.json"
+        embedding = json.loads(taxonomy.read_text())["embeddings"][1]
+        query.write_text(json.dumps({"embedding": embedding}))
+        extra = {"ground": ("--query", str(query)), "localize": ("--taxonomy", str(taxonomy))}
+        docs = {}
+        for flags in ((), ("--no-meta",)):
+            preds = tmp_path / f"preds{len(flags)}.json"
+            assert run(command, "--features", str(corpus / "features.hft"), *extra[command],
+                       "--hidden", "16", "--k", "4", "--out", str(preds), *flags) == EXIT_OK
+            docs[flags] = json.loads(preds.read_text())
+            queries = tmp_path / "queries.json"
+            queries.write_text(json.dumps({"queries": [{"predictions": preds.name, "gt": None}]}))
+            evaluate = {"ground": ("--task", "grounding", "--queries", str(queries)),
+                        "localize": ("--task", "localization", "--pred", str(preds),
+                                     "--annotations", str(corpus / "annotations.json"))}
+            assert run("evaluate", *evaluate[command], "--out", str(tmp_path / "report.json"),
+                       "--no-meta") == EXIT_OK
+        meta = docs[()].pop("meta")
+        assert (meta["tool"], meta["command"]) == ("videothreads", command)
+        assert docs[()] == docs[("--no-meta",)]
+        assert docs[()]["predictions"]
 
     def test_ground_writes_stdout_by_default(self, corpus, tmp_path, monkeypatch, capsys):
         taxonomy = json.loads((corpus / "taxonomy.json").read_text())

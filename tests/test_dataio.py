@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -240,10 +240,13 @@ class TestTaxonomy:
         assert str(info.value).startswith(f"{path}: embeddings[2]: ")
 
 
-def _matrix(n: int, d: int) -> np.ndarray:
-    """(n, d) normal floats with the layouts' edge values and non-finite ones mixed in."""
+def _matrix(n: int, d: int, finite: bool = False) -> np.ndarray:
+    """(n, d) normal floats with the layouts' edge values mixed in, and the
+    non-finite ones too unless ``finite`` (a container holds none of them)."""
     m = np.random.default_rng(n * 131 + d).standard_normal((n, d))
-    edges = [-0.0, 1e-5, 1e16, 5e-324, -2.5e-308, 1e150, np.nan, np.inf, -np.inf]
+    edges = [-0.0, 1e-5, 1e16, 5e-324, -2.5e-308, 1e150]
+    if not finite:
+        edges += [np.nan, np.inf, -np.inf]
     m.reshape(-1)[::7][:len(edges)] = edges[:m.reshape(-1)[::7].size]
     return m
 
@@ -257,19 +260,19 @@ class TestMatrixWriters:
     bytes ``json.dump`` writes for the list-form document."""
 
     @pytest.mark.parametrize("n, d", [
-        (0, 0), (0, 64), (1, 64), (_ROWS_PER_CHUNK - 1, 64), (_ROWS_PER_CHUNK + 1, 64),
-        (2 * _ROWS_PER_CHUNK + 5, 64), (9, 1), (_floatrepr.CHUNK + 1, 1), (3, 0),
+        (0, 0), (1, 64), (_ROWS_PER_CHUNK - 1, 64), (_ROWS_PER_CHUNK + 1, 64),
+        (2 * _ROWS_PER_CHUNK + 5, 64), (9, 1), (_floatrepr.CHUNK + 1, 1),
         # the same edges for a chunk of 16384 elements: several chunks each now
         (255, 64), (257, 64), (517, 64), (16385, 1),
     ])
     def test_bytes_equal_the_standard_library(self, tmp_path, n, d):
-        m = _matrix(n, d)
+        m = _matrix(n, d, finite=True)
         narrations = NarrationSet(tuple(f"step {i % 5}" for i in range(n)), np.arange(n) * 0.25, m)
         write_narrations(tmp_path / "n.json", narrations)
         assert (tmp_path / "n.json").read_text() == oracle_text({"items": [
             {"text": text, "timestamp": float(t), "embedding": row.tolist()}
             for text, t, row in zip(narrations.texts, narrations.timestamps, m)]})
-        if d:  # a taxonomy has no zero-norm row
+        if n:  # a taxonomy has at least one label, and no zero-norm row
             m[np.linalg.norm(m, axis=1) == 0.0] = 0.5
             labels = tuple(f"label {i}" for i in range(n))
             write_taxonomy(tmp_path / "t.json", Taxonomy(labels, m))
@@ -281,7 +284,7 @@ class TestMatrixWriters:
         monkeypatch.setattr(_floatrepr, "rows",
                             lambda values, *args: sizes.append(values.size) or rows(values, *args))
         n, d = 3584, 64
-        narrations = NarrationSet(("x",) * n, np.arange(n) * 0.5, _matrix(n, d))
+        narrations = NarrationSet(("x",) * n, np.arange(n) * 0.5, _matrix(n, d, finite=True))
         write_narrations(tmp_path / "n.json", narrations)
         assert 1 <= len(sizes) <= -(-n * d // _floatrepr.CHUNK) == 28
         assert max(sizes) <= _floatrepr.CHUNK
@@ -314,7 +317,7 @@ class TestMatrixWriters:
     def test_peak_memory_of_one_write(self, tmp_path, writer):
         m = _matrix(3584, 64)
         narrations = NarrationSet(tuple(f"step {i % 5}" for i in range(len(m))),
-                                  np.arange(len(m)) * 0.5, m)
+                                  np.arange(len(m)) * 0.5, _matrix(3584, 64, finite=True))
         write = {"write_json": lambda: write_json(tmp_path / "d.json", {"embeddings": m}),
                  "write_narrations": lambda: write_narrations(tmp_path / "d.json", narrations)}
         tracing = tracemalloc.is_tracing()
@@ -537,7 +540,11 @@ class TestBinaryReaderMutations:
         features = seq.features.copy()
         features[3, 1] = value
         features[4, 0] = value
-        write_feature_file(path, FeatureSequence("nan", seq.timestamps, features))
+        with pytest.raises(SchemaError, match=r"^features\[3\]: must be finite$"):
+            FeatureSequence("nan", seq.timestamps, features)
+        path.write_bytes(FEATURE_MAGIC + struct.pack("<IId", 5, 3, seq.segment_duration)
+                         + seq.timestamps.astype("<f8").tobytes()
+                         + features.astype("<f4").tobytes())
         with pytest.raises(SchemaError) as info:
             read_feature_file(path)
         assert str(info.value) == f"{path}: features[3]: must be finite"
@@ -678,7 +685,7 @@ _FLOAT_LISTS = st.one_of(
     st.lists(st.one_of(st.floats(), _SPECIAL_FLOATS), min_size=1, max_size=8),
     st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), max_size=8),
 )
-_FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+_FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
                        elements=st.one_of(st.floats(), _SPECIAL_FLOATS))
 _DOCUMENTS = st.dictionaries(st.text(max_size=8), st.recursive(
     st.one_of(_SCALARS, _FLOAT_LISTS, _FLOAT_ARRAYS),
@@ -743,11 +750,103 @@ class TestWriteJson:
         {"x": np.array(1.5)},
         {1: "a"},
         {"x": {"y": 1, 2: "z"}},
+        {"x": np.zeros(3)},
+        {"x": [np.zeros((2, 3, 4))]},
+        {"x": np.zeros((1, 1, 1))},
+        {"x": np.zeros((0, 4))},
+        {"x": np.zeros((5, 0))},
+        {"x": np.zeros(0)},
     ], ids=["int64_array", "float32_array_in_list", "object_array", "0d_array", "int_key",
-            "nested_int_key"])
+            "nested_int_key", "1d_array", "3d_array_in_list", "3d_array", "matrix_of_no_row",
+            "matrix_of_no_column", "empty_1d_array"])
     def test_type_error(self, tmp_path, doc):
         with pytest.raises(TypeError):
             write_json(tmp_path / "d.json", doc)
+
+
+_ANY_FLOATS = st.one_of(st.floats(width=32), st.floats(), _SPECIAL_FLOATS)
+_TIMES = st.one_of(st.floats(0.0, 1e4), _ANY_FLOATS)  # valid ones half of the time
+
+
+@st.composite
+def _float_matrices(draw):
+    """Any (n, d) float64 matrix with n and d in [0, 4], zero sizes and
+    non-finite values included."""
+    shape = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    return draw(arrays(np.float64, shape, elements=_ANY_FLOATS))
+
+
+@st.composite
+def _rows_with(draw, *columns):
+    """A ``_float_matrices`` matrix last, after one list per strategy in
+    ``columns``, each as long as the matrix has rows."""
+    m = draw(_float_matrices())
+    return (*(draw(st.lists(c, min_size=len(m), max_size=len(m))) for c in columns), m)
+
+
+class TestContainerRoundTrip:
+    """Every container value its constructor accepts is one its file holds:
+    written and read back, it is equal (features at the f32 precision the
+    feature file stores); every other value is a SchemaError."""
+
+    @given(features=_float_matrices(), start=_TIMES, step=_TIMES, duration=_TIMES)
+    @example(features=np.zeros((0, 4)), start=0.0, step=0.5, duration=0.5)
+    @example(features=np.zeros((3, 0)), start=0.0, step=0.5, duration=0.5)
+    @example(features=np.array([[1.0, 1e300]]), start=0.0, step=0.5, duration=0.5)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_feature_sequence(self, tmp_path_factory, features, start, step, duration):
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf, overflow
+            timestamps = start + step * np.arange(len(features))
+        try:
+            seq = FeatureSequence("v", timestamps, features, duration)
+        except SchemaError:
+            return
+        path = tmp_path_factory.getbasetemp() / "round_trip.hft"
+        write_feature_file(path, seq)
+        back = read_feature_file(path)
+        assert back.segment_duration == seq.segment_duration
+        assert back.timestamps.tobytes() == seq.timestamps.tobytes()
+        stored = seq.features.astype(np.float32).astype(np.float64)
+        assert back.features.shape == stored.shape
+        assert back.features.tobytes() == stored.tobytes()
+
+    @given(columns=_rows_with(st.text(max_size=4), _TIMES))
+    @example(columns=(["a", "b", "c"], [0.0, 1.0, 2.0], np.zeros((3, 0))))
+    @example(columns=(["a"], [0.0], np.array([[np.nan, 1.0]])))
+    @example(columns=([], [], np.zeros((0, 4))))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_narration_set(self, tmp_path_factory, columns):
+        texts, times, embeddings = columns
+        try:
+            narrations = NarrationSet(tuple(texts), times, embeddings)
+        except SchemaError:
+            return
+        path = tmp_path_factory.getbasetemp() / "round_trip_narrations.json"
+        write_narrations(path, narrations)
+        back = read_narrations(path)
+        assert back.texts == narrations.texts
+        assert back.timestamps.tobytes() == narrations.timestamps.tobytes()
+        assert back.embeddings.shape == narrations.embeddings.shape
+        assert back.embeddings.tobytes() == narrations.embeddings.tobytes()
+
+    @given(columns=_rows_with(st.text(max_size=4)))
+    @example(columns=([], np.zeros((0, 4))))
+    @example(columns=([], np.zeros((0, 0))))
+    @example(columns=(["a"], np.array([[1.0, np.inf]])))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_taxonomy(self, tmp_path_factory, columns):
+        labels, embeddings = columns
+        try:
+            taxonomy = Taxonomy(tuple(labels), embeddings)
+        except SchemaError:
+            return
+        path = tmp_path_factory.getbasetemp() / "round_trip_taxonomy.json"
+        write_taxonomy(path, taxonomy)
+        back = read_taxonomy(path)
+        assert len(back.labels) >= 1  # what localize needs
+        assert back.labels == taxonomy.labels
+        assert back.embeddings.shape == taxonomy.embeddings.shape
+        assert back.embeddings.tobytes() == taxonomy.embeddings.tobytes()
 
 
 def _json_reprs(values: np.ndarray) -> list[str]:
@@ -810,8 +909,8 @@ class TestFloatArrays:
         texts = _kernel_texts(np.array([1e-5, 0.0001, 9999999999999998.0, 1e16, -0.0, 5e-324]))
         assert texts == ["1e-05", "0.0001", "9999999999999998.0", "1e+16", "-0.0", "5e-324"]
 
-    @pytest.mark.parametrize("shape", [(0,), (7,), (5, 0), (0, 4), (6, 5), (2, 3, 4), (1, 1, 1),
-                                       (2,) + (1,) * 30 + (3,)])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 3), (6, 5), (2, 31), (40, 2),
+                                       (3, 200)])
     def test_write_json_equals_the_list(self, tmp_path, shape):
         a = np.random.default_rng(sum(shape)).standard_normal(shape)
         deeper = {"v": [{"e": a, "k": [a, 1]}]}  # arrays at more nesting levels
@@ -824,8 +923,8 @@ class TestFloatArrays:
         rng = np.random.default_rng(5)
         big = rng.standard_normal((_floatrepr.CHUNK // 64 * 3 + 3, 64))
         big[7, 3], big[9] = np.nan, np.inf
-        for a in (big, big.T, big[::3, ::-2], big[:, 5], np.asfortranarray(big[:40]),
-                  big.reshape(-1)[:13 * (_floatrepr.CHUNK // 5)].reshape(-1, 13, 1)):
+        for a in (big, big.T, big[::3, ::-2], big[:, 5:6], np.asfortranarray(big[:40]),
+                  big.reshape(-1)[:13 * (_floatrepr.CHUNK // 5)].reshape(-1, 13)):
             write_json(tmp_path / "d.json", {"x": a})
             assert (tmp_path / "d.json").read_text() == oracle_text({"x": a.tolist()})
 
@@ -834,7 +933,7 @@ class TestFloatArrays:
         monkeypatch.setattr(_floatrepr, "rows",
                             lambda values, *args: sizes.append(values.size) or rows(values, *args))
         a = _matrix(2, 2 * _floatrepr.CHUNK + 3)
-        for doc in ({"x": a}, {"x": a[1]}, {"x": [a[:, :5], a.reshape(2, 1, 1, -1)]}):
+        for doc in ({"x": a}, {"x": a[1:]}, {"x": [a[:, :5], [a.reshape(1, -1)]]}):
             write_json(tmp_path / "d.json", doc)
             assert (tmp_path / "d.json").read_text() == oracle_text(as_lists(doc))
         assert max(sizes) == _floatrepr.CHUNK

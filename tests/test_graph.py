@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from reference_impl import interpolate_composed, interpolate_ref, split_videos, vsum
 from videothreads.autodiff import Var
 from videothreads.dataio import FeatureSequence
-from videothreads.errors import GraphError
+from videothreads.errors import GraphError, SchemaError
 from videothreads.graph import (
     VideoGraph,
     build_graph,
@@ -55,8 +57,13 @@ class TestBuildGraph:
         assert_edges(g.edges, expected)
 
     def test_empty_sequence_rejected(self):
-        with pytest.raises(GraphError):
-            build_graph(seq([]), 1.0)
+        # a FeatureSequence holds at least one segment; a graph of no nodes
+        # is refused by VideoGraph itself
+        with pytest.raises(SchemaError):
+            seq([])
+        empty = SimpleNamespace(timestamps=np.zeros(0), features=np.zeros((0, 3)))
+        with pytest.raises(GraphError, match="at least one node"):
+            build_graph(empty, 1.0)
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(GraphError):
