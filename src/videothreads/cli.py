@@ -116,17 +116,14 @@ def _resolve_params(args, cfg: RunConfig, d_in: int, d_t: int | None = None):
                 raise SchemaError(f"{args.params}: {field}",
                                   f"parameter file has {field}={have}, the input needs {want}")
         return params
-    d_t = d_t if d_t else d_in
+    dims = ModelDims(d_in=d_in, d_h=cfg.hidden, d_a=cfg.align_dim, d_t=d_t or d_in,
+                     stages=cfg.stages, layers=cfg.layers)
     if getattr(args, "init_seed", None) is not None:
-        dims = ModelDims(d_in=d_in, d_h=cfg.hidden, d_a=cfg.align_dim, d_t=d_t,
-                         stages=cfg.stages, layers=cfg.layers)
         return init_params(dims, seed=args.init_seed)
     # identity default: widths at least the input/text dims so the embedding
     # into the leading dimensions loses nothing
-    dims = ModelDims(d_in=d_in, d_h=max(cfg.hidden, d_in),
-                     d_a=max(cfg.align_dim, d_in, d_t), d_t=d_t,
-                     stages=cfg.stages, layers=cfg.layers)
-    return identity_params(dims)
+    return identity_params(dataclasses.replace(dims, d_h=max(dims.d_h, d_in),
+                                               d_a=max(dims.d_a, d_in, dims.d_t)))
 
 
 def _run_forward(seq: FeatureSequence, params, cfg: RunConfig, k: int):
@@ -167,14 +164,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_forward(args) -> int:
     cfg = _load_config(args)
-    k = 1 if args.no_cluster else cfg.k
     sequences = [read_feature_file(p) for p in args.features]
     require_constant_dim(sequences)
     params = _resolve_params(args, cfg, sequences[0].dim)
 
     videos = []
     for seq in sequences:
-        trace = _run_forward(seq, params, cfg, k)
+        trace = _run_forward(seq, params, cfg, cfg.k)
         doc = {
             "video_id": seq.video_id,
             "segments": seq.num_segments,
@@ -379,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="run the encoder/decoder on feature files")
     _add_common(p, *_MODEL_FIELDS, *_PARTITION_FIELDS, "k")
     p.add_argument("--features", nargs="+", required=True)
-    p.add_argument("--no-cluster", action="store_true",
-                   help="single functional thread, the same as --k 1 (short clips)")
     p.add_argument("--emit-embeddings", action="store_true")
     p.set_defaults(func=_cmd_forward)
 

@@ -65,7 +65,7 @@ class FeatureSequence:
         if self.timestamps.shape[0] != features.shape[0]:
             raise SchemaError("timestamps", "length must equal feature rows")
         with np.errstate(over="ignore", invalid="ignore"):  # beyond the f32 range: infinite
-            _require_finite_rows(features.astype(np.float32, copy=False), "features[{}]")
+            _finite_rows(features.astype(np.float32, copy=False), "features[{}]")
         object.__setattr__(self, "features", features.astype(np.float64, copy=False))
         _check_timeline(self.timestamps, self.segment_duration)
 
@@ -81,8 +81,8 @@ class FeatureSequence:
 @dataclass(frozen=True, eq=False)
 class NarrationSet:
     """Timestamped textual descriptions as three columns: the texts, their
-    finite, non-negative times (n,) and their finite text embeddings (n, d),
-    d >= 1, or (0, 0) when empty."""
+    finite, non-negative times (n,) and their text embeddings (n, d), d >= 1,
+    or (0, 0) when empty, each row with a finite squared norm."""
 
     texts: tuple[str, ...]
     timestamps: np.ndarray
@@ -99,7 +99,7 @@ class NarrationSet:
         bad = np.flatnonzero(~((self.timestamps >= 0.0) & (self.timestamps < math.inf)))
         if bad.size:
             raise SchemaError(f"items[{int(bad[0])}].timestamp", "must be finite and non-negative")
-        _require_finite_rows(self.embeddings, "items[{}].embedding")
+        _finite_rows(self.embeddings, "items[{}].embedding", _TEXT_ROW)
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -107,7 +107,8 @@ class NarrationSet:
 
 @dataclass(frozen=True, eq=False)
 class Taxonomy:
-    """At least one step label, with one finite, non-zero text embedding row per label."""
+    """At least one step label, with one text embedding row per label, each
+    with a finite, non-zero squared norm."""
 
     labels: tuple[str, ...]
     embeddings: np.ndarray
@@ -118,8 +119,7 @@ class Taxonomy:
             raise SchemaError("embeddings", "row count must equal label count")
         if not self.labels:
             raise SchemaError("labels", "a taxonomy needs at least one label")
-        _require_finite_rows(self.embeddings, "embeddings[{}]")
-        dead = np.flatnonzero(np.linalg.norm(self.embeddings, axis=1) == 0.0)
+        dead = np.flatnonzero(_finite_rows(self.embeddings, "embeddings[{}]", _TEXT_ROW) == 0.0)
         if dead.size:
             raise SchemaError(f"embeddings[{int(dead[0])}]", "zero-norm embedding row")
 
@@ -167,11 +167,19 @@ class McqQuestion:
         return clips
 
 
-def _require_finite_rows(matrix: np.ndarray, where: str) -> None:
-    """A SchemaError naming ``where.format(r)`` for the first row r holding a NaN or infinity."""
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+def _finite_rows(rows: np.ndarray, where: str, reason: str = "must be finite") -> np.ndarray:
+    """Each row's (a vector's) float64 squared norm; a SchemaError naming
+    ``where.format(r)`` for the first row r where it is not finite: a NaN,
+    an infinity or, in no f32 row, an overflow."""
+    with np.errstate(over="ignore"):  # an overflowing square is infinite, as the check needs
+        squares = np.square(rows, dtype=np.float64).sum(axis=-1)
+    bad = np.flatnonzero(~np.isfinite(squares))
     if bad.size:
-        raise SchemaError(where.format(int(bad[0])), "must be finite")
+        raise SchemaError(where.format(int(bad[0])), reason)
+    return squares
+
+
+_TEXT_ROW = "must be finite, with a finite squared norm"  # the cosine scorers divide by its root
 
 
 def _check_timeline(timestamps: np.ndarray, segment_duration: float) -> None:
@@ -641,7 +649,9 @@ def write_predictions(path, predictions: list[StepPrediction], **fields) -> None
 def read_query(path) -> np.ndarray:
     """The embedding of a ``{"embedding": [number]}`` query."""
     with _fields_of(path) as doc:
-        return _vector(_field(doc, "embedding"), "embedding")
+        query = _vector(_field(doc, "embedding"), "embedding")
+        _finite_rows(query, "embedding", _TEXT_ROW)
+        return query
 
 
 def read_mcq_question(path) -> McqQuestion:
@@ -649,6 +659,7 @@ def read_mcq_question(path) -> McqQuestion:
     candidate paths are relative to the question's folder."""
     with _fields_of(path) as doc:
         query = _vector(_field(doc, "query"), "query")
+        _finite_rows(query, "query", _TEXT_ROW)
         paths = _field(doc, "candidates")
         if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
             raise SchemaError("candidates", "expected a non-empty list of paths")

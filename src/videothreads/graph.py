@@ -15,7 +15,7 @@ union is the graph it would have on its own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,8 +107,6 @@ def temporal_edges(timestamps: np.ndarray, threshold: float) -> np.ndarray:
 
 def build_graph(seq, edge_threshold: float) -> VideoGraph:
     """Level-0 graph for a feature sequence."""
-    if edge_threshold <= 0.0:
-        raise GraphError("edge_threshold must be positive")
     features = as_matrix(seq.features, "features")
     timestamps = np.asarray(seq.timestamps, dtype=np.float64)
     return VideoGraph(
@@ -145,14 +143,7 @@ def disjoint_union(graphs: list[VideoGraph]) -> VideoGraph:
 
 def with_embeddings(g: VideoGraph, embeddings: np.ndarray) -> VideoGraph:
     """Same graph structure, new node embeddings."""
-    return VideoGraph(
-        embeddings=embeddings,
-        timestamps=g.timestamps,
-        edges=g.edges,
-        level=g.level,
-        edge_threshold=g.edge_threshold,
-        video_sizes=g.video_sizes,
-    )
+    return replace(g, embeddings=embeddings)
 
 
 def coarse_rows(g: VideoGraph) -> np.ndarray:
@@ -236,8 +227,6 @@ def interpolation_between(source: VideoGraph, target: VideoGraph) -> Interpolati
                          f"target {len(target.video_sizes)}")
     ops = [(interpolation_matrix(source.timestamps[s], target.timestamps[t]), s.start)
            for s, t in zip(source.video_rows(), target.video_rows())]
-    if len(ops) == 1:
-        return ops[0][0]
     return Interpolation(np.concatenate([op.left + start for op, start in ops]),
                          np.concatenate([op.right + start for op, start in ops]),
                          np.concatenate([op.weight for op, _ in ops]))
@@ -247,8 +236,6 @@ def nearest_indices(source_times: np.ndarray, query_times: np.ndarray) -> np.nda
     """Index of the temporally closest source per query; ties pick the earlier."""
     src = np.asarray(source_times, dtype=np.float64)
     qry = np.asarray(query_times, dtype=np.float64)
-    if src.shape[0] == 1:
-        return np.zeros(qry.shape[0], dtype=np.intp)
     right = np.clip(np.searchsorted(src, qry, side="left"), 0, src.shape[0] - 1)
     left = np.clip(right - 1, 0, src.shape[0] - 1)
     pick_left = np.abs(qry - src[left]) <= np.abs(src[right] - qry)

@@ -45,20 +45,17 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_threads", "steps_per_thread", "segments_per_step", "dim"):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be >= 1")
-        for name in ("segment_duration", "separation", "sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ShapeError(f"{name} must be finite")
-        if self.segment_duration <= 0.0:
-            raise ShapeError("segment_duration must be positive")
-        if self.separation <= 0.0:
-            raise ShapeError("separation must be positive")
-        if self.sigma < 0.0:
-            raise ShapeError("sigma must be non-negative")
-        if self.seed < 0:  # as RunConfig's: numpy's generators take only non-negative seeds
-            raise ConfigError(f"seed: must be non-negative, got {self.seed}")
+        counts = ("num_threads", "steps_per_thread", "segments_per_step", "dim")
+        rules = [(name, ">= 1", getattr(self, name) >= 1) for name in counts] + [
+            ("segment_duration", "positive and finite", 0.0 < self.segment_duration < math.inf),
+            ("separation", "positive and finite", 0.0 < self.separation < math.inf),
+            ("sigma", "non-negative and finite", 0.0 <= self.sigma < math.inf),
+            # as RunConfig's: numpy's generators take only non-negative seeds
+            ("seed", "non-negative", self.seed >= 0),
+        ]
+        for name, rule, holds in rules:
+            if not holds:
+                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)}")
 
     @property
     def num_steps(self) -> int:

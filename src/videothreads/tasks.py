@@ -90,12 +90,11 @@ def extract_candidates(trace: ForwardTrace, params: ModelParams, k: int,
     ]
 
 
-def _cosine_scores(candidates: list[CandidateStep], query: np.ndarray) -> np.ndarray:
-    matrix = np.stack([c.embedding for c in candidates])
+def _cosines(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Cosine of each row of ``matrix`` with ``vector``; a row or a vector of norm 0 scores 0."""
     norms = np.linalg.norm(matrix, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    qn = float(np.linalg.norm(query))
-    return (matrix @ query) / (safe * qn)
+    norm = float(np.linalg.norm(vector))
+    return (matrix @ vector) / (np.where(norms > 0.0, norms, 1.0) * (norm if norm > 0.0 else 1.0))
 
 
 def step_grounding(candidates: list[CandidateStep], query_embedding,
@@ -115,7 +114,7 @@ def step_grounding(candidates: list[CandidateStep], query_embedding,
         return []
     if params is not None:
         query = value(project_text(query[None, :], params))[0]
-    scores = _cosine_scores(candidates, query)
+    scores = _cosines(np.stack([c.embedding for c in candidates]), query)
     order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i].start))
     return [
         StepPrediction(candidates[i].start, candidates[i].end, None, float(scores[i]))
@@ -134,12 +133,9 @@ def step_localization(candidates: list[CandidateStep], taxonomy: Taxonomy,
     rows = taxonomy.embeddings
     if params is not None:
         rows = value(project_text(rows, params))
-    row_norms = np.linalg.norm(rows, axis=1)
     predictions = []
     for c in sorted(candidates, key=lambda c: c.start):
-        norm = float(np.linalg.norm(c.embedding))
-        denom = row_norms * (norm if norm > 0.0 else 1.0)
-        sims = (rows @ c.embedding) / denom
+        sims = _cosines(rows, c.embedding)
         label = int(np.argmax(sims))
         predictions.append(StepPrediction(c.start, c.end, label, float(sims[label])))
     return predictions

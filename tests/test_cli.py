@@ -144,7 +144,7 @@ class TestParser:
                   "--segment-duration", "--dim", "--separation", "--sigma", "--no-interleave",
                   "--no-meta"},
         "forward": MODEL_OPTIONS | {"--kappa", "--max-nodes", "--k", "--features",
-                                    "--no-cluster", "--emit-embeddings"},
+                                    "--emit-embeddings"},
         "procedure-learn": MODEL_OPTIONS | {"--kappa", "--max-nodes", "--k", "--depth",
                                             "--features"},
         "ground": MODEL_OPTIONS | {"--kappa", "--max-nodes", "--k", "--min-len", "--features",
@@ -239,6 +239,9 @@ class TestErrorExitCodes:
         ("localization_prediction_no_score", EXIT_DATA, "predictions[0].score"),
         ("ground_embedding_nan", EXIT_DATA, "embedding[15]"),
         ("localize_taxonomy_infinity", EXIT_DATA, "embeddings[0][3]"),
+        ("localize_taxonomy_norm_overflow", EXIT_DATA, "embeddings[0]"),
+        ("ground_query_norm_overflow", EXIT_DATA, "embedding"),
+        ("mcq_query_norm_overflow", EXIT_DATA, "query"),
         ("train_narration_timestamp_nan", EXIT_DATA, "items[0].timestamp"),
         ("procedure_duration_overflow", EXIT_DATA, "segment_duration"),
         ("mcq_span_inverted", EXIT_DATA, "spans[1]"),
@@ -343,6 +346,11 @@ class TestErrorExitCodes:
             "ground_embedding_nan": json.dumps({"embedding": [1.0] * 15 + [float("nan")]}),
             "localize_taxonomy_infinity": json.dumps({
                 "labels": ["a"], "embeddings": [[1.0] * 3 + [float("inf")] + [1.0] * 12]}),
+            "localize_taxonomy_norm_overflow": json.dumps({
+                "labels": ["a", "b"], "embeddings": [[1e200] + [0.0] * 15, [1.0] * 16]}),
+            "ground_query_norm_overflow": json.dumps({"embedding": [1e200] + [1.0] * 15}),
+            "mcq_query_norm_overflow": json.dumps({"query": [1.0] * 15 + [-1e200],
+                                                   "candidates": [feats] * 5}),
             "train_narration_timestamp_nan": json.dumps({"items": [
                 {"text": "x", "timestamp": float("nan"), "embedding": [1.0] * 16}]}),
             "procedure_duration_overflow":
@@ -430,7 +438,10 @@ class TestErrorExitCodes:
                       "--history", str(tmp_path / "h.jsonl"))
                for name in ("train_narration_no_timestamp", "train_narration_timestamp_nan")},
             "ground_embedding_nan": ("ground", "--features", feats, "--query", str(doc)),
-            "localize_taxonomy_infinity": ("localize", "--features", feats, "--taxonomy", str(doc)),
+            **{name: ("localize", "--features", feats, "--taxonomy", str(doc))
+               for name in ("localize_taxonomy_infinity", "localize_taxonomy_norm_overflow")},
+            "ground_query_norm_overflow": ("ground", "--features", feats, "--query", str(doc)),
+            "mcq_query_norm_overflow": ("mcq", "--question", str(doc)),
             "procedure_duration_overflow": ("evaluate", "--task", "procedure",
                                             "--pred", str(doc), "--annotations", ann),
             **{name: ("mcq", "--question", str(doc))
@@ -582,6 +593,18 @@ class TestErrorExitCodes:
         assert code == EXIT_ERROR
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ClusteringError"
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--align-dim"])
+    def test_zero_width_is_shape_error_on_the_identity_default(self, corpus, tmp_path, capsys,
+                                                               flag):
+        # the identity default widens a width to the input's, but keeps a bad one bad
+        out = tmp_path / "o.json"
+        code = run("forward", "--features", str(corpus / "features.hft"), flag, "0",
+                   "--out", str(out))
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ShapeError"
+        assert not out.exists()
 
     @pytest.mark.parametrize("num_steps", ["-3", "4", "1000000000"])
     def test_num_steps(self, corpus, tmp_path, capsys, num_steps):

@@ -813,6 +813,8 @@ class TestContainerRoundTrip:
     @given(columns=_rows_with(st.text(max_size=4), _TIMES))
     @example(columns=(["a", "b", "c"], [0.0, 1.0, 2.0], np.zeros((3, 0))))
     @example(columns=(["a"], [0.0], np.array([[np.nan, 1.0]])))
+    @example(columns=(["a", "b"], [0.0, 1.0], np.array([[1.0, 0.0], [1e200, 1.0]])))
+    @example(columns=(["a"], [0.0], np.array([[1e154, -1e154]])))  # each square fits, not their sum
     @example(columns=([], [], np.zeros((0, 4))))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_narration_set(self, tmp_path_factory, columns):
@@ -833,6 +835,8 @@ class TestContainerRoundTrip:
     @example(columns=([], np.zeros((0, 4))))
     @example(columns=([], np.zeros((0, 0))))
     @example(columns=(["a"], np.array([[1.0, np.inf]])))
+    @example(columns=(["big", "small"], np.array([[1e200, 0.0], [0.0, 1.0]])))
+    @example(columns=(["a"], np.array([[1e154, 0.0]])))  # a square of 1e308 fits
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_taxonomy(self, tmp_path_factory, columns):
         labels, embeddings = columns

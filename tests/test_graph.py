@@ -186,6 +186,8 @@ class TestNearestIndices:
     def test_basic(self):
         src = np.array([0.0, 1.0, 2.0])
         assert np.array_equal(nearest_indices(src, [0.1, 0.9, 1.6, 5.0]), [0, 1, 2, 2])
+        one = nearest_indices([1.0], [0.0, 1.0, 5.0])  # one source: every query picks it
+        assert one.dtype == np.intp and np.array_equal(one, [0, 0, 0])
 
     def test_tie_picks_earlier(self):
         src = np.array([0.0, 2.0])
@@ -218,6 +220,7 @@ def assert_same_graph(got, want):
 class TestDisjointUnion:
     @given(union_cases)
     @settings(max_examples=100, deadline=None)
+    @example(([16], 0))  # one video
     def test_every_step_acts_on_each_video_alone(self, case):
         sizes, seed = case
         rng = np.random.default_rng(seed)
@@ -236,6 +239,9 @@ class TestDisjointUnion:
         for rows, source, alone in zip(union.video_rows(), coarse.video_rows(), graphs):
             want = interpolate_ref(coarse.timestamps[source], values[source], alone.timestamps)
             assert np.allclose(got[rows], want, rtol=0.0, atol=1e-12)
+            # and is, bit for bit, the video's own operator
+            own = interpolation_matrix(coarse.timestamps[source], alone.timestamps)
+            assert got[rows].tobytes() == (own @ values[source]).tobytes()
 
     @given(union_cases, st.data())
     @settings(max_examples=100, deadline=None)

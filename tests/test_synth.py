@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from videothreads.cli import EXIT_ERROR, main
+from videothreads.cli import EXIT_CONFIG, main
 from videothreads.errors import ShapeError
 from videothreads.metrics import adjusted_rand_index
 from videothreads.kernels import kmeans
@@ -83,15 +83,15 @@ class TestGenerate:
             generate(SynthSpec(num_threads=5, steps_per_thread=1, dim=3, seed=0))
 
     @pytest.mark.parametrize("flag, value", [
-        ("--separation", "nan"), ("--sigma", "nan"), ("--sigma", "inf"),
+        ("--separation", "nan"), ("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "-1"),
         ("--segment-duration", "0"), ("--segment-duration", "-1"),
-        ("--segment-duration", "nan"),
+        ("--segment-duration", "nan"), ("--dim", "0"), ("--threads", "0"),
     ])
     def test_bad_float_rejected_before_writing(self, tmp_path, capsys, flag, value):
         out = tmp_path / "c"
-        assert main(["synth", "--out", str(out), flag, value]) == EXIT_ERROR
+        assert main(["synth", "--out", str(out), flag, value]) == EXIT_CONFIG
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "ShapeError"
+        assert error["type"] == "ConfigError"
         assert flag[2:].replace("-", "_") in error["message"]
         assert not out.exists()
 
