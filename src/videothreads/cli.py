@@ -107,7 +107,25 @@ def _load_config(args) -> RunConfig:
     return cfg.override(**_set_flags(args, RunConfig))
 
 
+@functools.lru_cache(maxsize=1)
+def _identity_default(dims: ModelDims):
+    """``identity_params(dims)`` with every leaf read-only, built once and
+    shared by each later call with equal ``dims`` (the last dims asked for;
+    another rebuilds it). The leaves are a function of ``dims`` alone and no
+    one can write into them, so a shared set cannot go stale."""
+    params = identity_params(dims)
+    for leaf in params.leaves():
+        leaf.setflags(write=False)
+    return params
+
+
 def _resolve_params(args, cfg: RunConfig, d_in: int, d_t: int | None = None):
+    """The parameters a model command runs with: the ``--params`` file, a
+    ``--init-seed`` draw, or by default the identity configuration widened
+    to the input and text dims. The default is ``_identity_default``'s
+    shared, read-only set, since every task call of a process would
+    otherwise rebuild the same leaves; ``model.identity_params`` still
+    builds a fresh set for library callers."""
     if getattr(args, "params", None):
         params = load_params(args.params)
         for field, want in (("d_in", d_in), ("d_t", d_t)):
@@ -122,8 +140,8 @@ def _resolve_params(args, cfg: RunConfig, d_in: int, d_t: int | None = None):
         return init_params(dims, seed=args.init_seed)
     # identity default: widths at least the input/text dims so the embedding
     # into the leading dimensions loses nothing
-    return identity_params(dataclasses.replace(dims, d_h=max(dims.d_h, d_in),
-                                               d_a=max(dims.d_a, d_in, dims.d_t)))
+    return _identity_default(dataclasses.replace(dims, d_h=max(dims.d_h, d_in),
+                                                 d_a=max(dims.d_a, d_in, dims.d_t)))
 
 
 def _run_forward(seq: FeatureSequence, params, cfg: RunConfig, k: int):

@@ -14,6 +14,8 @@ replaces a loop of small ones.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +187,9 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
     each video is clustered as a call of its own would cluster it (see
     ``KMeansResult``). The draws depend only on ``seed``, n, k and
     ``n_init``, so all V calls would draw the same; the stack draws once.
+    For the same reason ``_draws`` caches them per (seed, n, k, n_init), as
+    read-only arrays: no point value reaches the generator, so a cached draw
+    is the one a fresh generator would make.
     """
     pts = as_stack(points, "points")
     stacked = pts.ndim == 3
@@ -200,12 +205,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
     if n_init < 1:
         raise ClusteringError(f"n_init={n_init} must be >= 1")
 
-    rng = np.random.default_rng(seed)
-    first = np.empty(n_init, dtype=np.intp)
-    u = np.empty((n_init, k - 1))
-    for r in range(n_init):  # the draw order of sequential restarts
-        first[r] = rng.integers(n)
-        u[r] = rng.random(k - 1)
+    first, u = _draws(operator.index(seed), n, k, n_init)
     lloyd = _Lloyd(pts, n_init, k)
     centroids = lloyd.seeds(_kmeanspp_indices(pts, first, u))
     assignments = lloyd.assign(centroids)
@@ -224,6 +224,24 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
     if stacked:
         return KMeansResult(assignments[best], picked, inertia[best])
     return KMeansResult(assignments[best[0]], picked[0], float(inertia[best[0]]))
+
+
+@functools.lru_cache(maxsize=128)
+def _draws(seed: int, n: int, k: int, n_init: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-means++ draws of ``n_init`` restarts on n points: each
+    restart's first seed row (``first``, (n_init,)) and its k - 1 uniforms
+    (``u``, (n_init, k - 1)), from one generator in the order sequential
+    restarts draw them. Both are read-only, since every call with the same
+    arguments shares them."""
+    rng = np.random.default_rng(seed)
+    first = np.empty(n_init, dtype=np.intp)
+    u = np.empty((n_init, k - 1))
+    for r in range(n_init):  # the draw order of sequential restarts
+        first[r] = rng.integers(n)
+        u[r] = rng.random(k - 1)
+    first.setflags(write=False)
+    u.setflags(write=False)
+    return first, u
 
 
 # Rows of the seeding's distance table are built a block at a time, so the

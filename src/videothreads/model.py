@@ -235,13 +235,23 @@ class _NeighborTable:
     into their sources (the gradient), one band direction at a time. Each
     step is (destination rows, source rows, dt classes, ``edge_class``
     positions): the rows are a slice for a band without gaps and index
-    arrays otherwise. ``inv_degree`` is 1 / in-degree, 0 for isolated nodes.
+    arrays otherwise.
+
+    The gate's input columns ``abs_dt`` (|dt|) and ``sign_dt`` (sign(dt)),
+    one row per dt class, and ``inv_degree`` (1 / in-degree, 0 for isolated
+    nodes), one row per node, are what every TDGC layer over the table
+    reads, so they are built here once instead of in each layer. They are
+    read-only and depend only on the edges and timestamps the table is
+    built from, never on features or parameters, so no layer can see a
+    stale one.
     """
 
     dt: np.ndarray
     edge_class: np.ndarray
     steps: tuple
     transposed: tuple
+    abs_dt: np.ndarray
+    sign_dt: np.ndarray
     inv_degree: np.ndarray
 
 
@@ -281,7 +291,10 @@ def _neighbor_table(edges: np.ndarray, timestamps: np.ndarray) -> _NeighborTable
                   + [step(lo, hi, rows + e) for lo, hi, rows in bands])
     degree = np.bincount(dst, minlength=n)
     inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
-    return _NeighborTable(dt, edge_class, tuple(steps), tuple(transposed), inv_degree)
+    columns = np.abs(dt)[:, None], np.sign(dt)[:, None], inv_degree[:, None]
+    for column in columns:
+        column.setflags(write=False)
+    return _NeighborTable(dt, edge_class, tuple(steps), tuple(transposed), *columns)
 
 
 def _band_pass(gate: np.ndarray, y: np.ndarray, steps) -> np.ndarray:
@@ -322,24 +335,31 @@ def _tdgc_apply(x, table: _NeighborTable, layer: TdgcLayerParams):
               layer.gate_w2, layer.gate_b2)
     xv, w_n, b_n, w_r, b_r, w1, b1, w2, b2 = (v.value if isinstance(v, Var) else v
                                               for v in (x, *leaves))
-    # the composed layer's arithmetic and allocations, in its order, so inference
-    # keeps its output bytes and its memory peak
-    residual = affine(xv, w_r, b_r)
-    projected = np.maximum(affine(xv, w_n, b_n), 0.0)
-    gate_in = np.abs(table.dt)[:, None]
-    hidden = np.maximum(affine(gate_in, w1, b1), 0.0)
-    signed_gate = np.sign(table.dt)[:, None] * affine(hidden, w2, b2)
-    aggregate = _band_pass(signed_gate, projected, table.steps)
-    out = residual + aggregate * table.inv_degree[:, None]
+    # the composed layer's arithmetic, in its order, so inference keeps its
+    # output bytes; each x @ w + b adds its bias in place, as ``affine`` does
+    residual = xv @ w_r
+    residual += b_r
+    projected = xv @ w_n
+    projected += b_n
+    np.maximum(projected, 0.0, out=projected)
+    hidden = table.abs_dt @ w1
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    signed_gate = hidden @ w2
+    signed_gate += b2
+    signed_gate *= table.sign_dt
+    out = _band_pass(signed_gate, projected, table.steps)
+    out *= table.inv_degree
+    out += residual
 
     def grads(g):
-        d_gate, d_pre = _band_grads(signed_gate, projected, g * table.inv_degree[:, None], table)
-        d_gate *= np.sign(table.dt)[:, None]
+        d_gate, d_pre = _band_grads(signed_gate, projected, g * table.inv_degree, table)
+        d_gate *= table.sign_dt
         d_pre *= projected > 0.0
         d_hidden = (d_gate @ w2.T) * (hidden > 0.0)
         return (g @ w_r.T + d_pre @ w_n.T, xv.T @ d_pre, d_pre.sum(axis=0), xv.T @ g,
-                g.sum(axis=0), gate_in.T @ d_hidden, d_hidden.sum(axis=0), hidden.T @ d_gate,
-                d_gate.sum(axis=0))
+                g.sum(axis=0), table.abs_dt.T @ d_hidden, d_hidden.sum(axis=0),
+                hidden.T @ d_gate, d_gate.sum(axis=0))
 
     return joint_node(out, (x, *leaves), grads)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import value
-from .dataio import FeatureSequence, StepPrediction, Taxonomy
-from .errors import TaskError
+from .dataio import _TEXT_ROW, FeatureSequence, StepPrediction, Taxonomy, _finite_rows
+from .errors import SchemaError, TaskError
 from .graph import build_graph, nearest_indices
 from .model import ForwardTrace, ModelParams, forward, project_text, project_visual
 from .partition import spectral_partition
@@ -90,6 +90,26 @@ def extract_candidates(trace: ForwardTrace, params: ModelParams, k: int,
     ]
 
 
+def _squared_norms(rows: np.ndarray, where: str) -> np.ndarray:
+    """Each row's (a vector's) squared norm, after the check the CLI readers
+    make on text embeddings (``dataio._finite_rows``): a row whose squared
+    norm is not finite is a TaskError naming ``where.format(row)``, so that
+    no scorer below divides by an infinite norm and scores the row 0."""
+    try:
+        return _finite_rows(rows, where, _TEXT_ROW)
+    except SchemaError as exc:
+        raise TaskError(str(exc)) from None
+
+
+def _query(query_embedding) -> np.ndarray:
+    """A text-space query as float64; a TaskError if its squared norm is
+    not finite or is zero."""
+    query = np.asarray(query_embedding, dtype=np.float64)
+    if _squared_norms(query, "query embedding") == 0.0:
+        raise TaskError("query embedding has zero norm")
+    return query
+
+
 def _cosines(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """Cosine of each row of ``matrix`` with ``vector``; a row or a vector of norm 0 scores 0."""
     norms = np.linalg.norm(matrix, axis=1)
@@ -105,16 +125,17 @@ def step_grounding(candidates: list[CandidateStep], query_embedding,
     ``params`` is given; pass None for a query already in that space. Score
     ties are broken by start time, so the ranking is stable under any
     positive rescaling of the query. No candidate gives an empty ranking; a
-    zero-norm query is a TaskError either way.
+    zero-norm query, or a query or candidate embedding whose squared norm
+    overflows, is a TaskError either way.
     """
-    query = np.asarray(query_embedding, dtype=np.float64)
-    if np.linalg.norm(query) == 0.0:
-        raise TaskError("query embedding has zero norm")
+    query = _query(query_embedding)
     if not candidates:
         return []
     if params is not None:
         query = value(project_text(query[None, :], params))[0]
-    scores = _cosines(np.stack([c.embedding for c in candidates]), query)
+    embeddings = np.stack([c.embedding for c in candidates])
+    _squared_norms(embeddings, "candidates[{}].embedding")
+    scores = _cosines(embeddings, query)
     order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i].start))
     return [
         StepPrediction(candidates[i].start, candidates[i].end, None, float(scores[i]))
@@ -128,9 +149,13 @@ def step_localization(candidates: list[CandidateStep], taxonomy: Taxonomy,
 
     Taxonomy rows pass through h_t into the alignment space when ``params``
     is given. Exact ties pick the lower index; output stays time-sorted and
-    non-overlapping because candidates are disjoint runs.
+    non-overlapping because candidates are disjoint runs. A taxonomy row or
+    candidate embedding whose squared norm overflows is a TaskError.
     """
     rows = taxonomy.embeddings
+    _squared_norms(rows, "taxonomy.embeddings[{}]")
+    if candidates:
+        _squared_norms(np.stack([c.embedding for c in candidates]), "candidates[{}].embedding")
     if params is not None:
         rows = value(project_text(rows, params))
     predictions = []
@@ -182,13 +207,12 @@ def mcq_retrieval(query_embedding, candidates: list[FeatureSequence],
     Each clip is widened by ``context`` seconds on both sides (when its span
     inside a longer sequence is known), embedded with clustering disabled,
     and scored by cosine against the h_t-projected query; ties pick the
-    lower index.
+    lower index. A zero-norm query, or one whose squared norm overflows, is
+    a TaskError.
     """
     if len(candidates) != 5:
         raise TaskError(f"expected exactly 5 candidate clips, got {len(candidates)}")
-    query = np.asarray(query_embedding, dtype=np.float64)
-    if np.linalg.norm(query) == 0.0:
-        raise TaskError("query embedding has zero norm")
+    query = _query(query_embedding)
     query = value(project_text(query[None, :], params))[0]
     scores = []
     for i, seq in enumerate(candidates):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from videothreads import _floatrepr
+from videothreads import _floatrepr, cli
 from videothreads.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -655,6 +655,51 @@ class TestErrorExitCodes:
         assert code == EXIT_ERROR
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConvergenceError"
+
+
+class TestIdentityDefault:
+    """Without ``--params`` or ``--init-seed`` every model call of a process
+    shares one read-only identity parameter set per widened dims."""
+
+    @staticmethod
+    def params_of(monkeypatch, corpus, tmp_path, *flags):
+        """The parameters one ``forward`` call over the 16-dim corpus runs with."""
+        seen = []
+
+        def spy(seq, params, cfg, k):
+            seen.append(params)
+            return run_forward(seq, params, cfg, k)
+
+        run_forward = cli._run_forward
+        monkeypatch.setattr(cli, "_run_forward", spy)
+        assert run("forward", "--features", str(corpus / "features.hft"), *flags,
+                   "--out", str(tmp_path / "o.json"), "--no-meta") == EXIT_OK
+        monkeypatch.setattr(cli, "_run_forward", run_forward)
+        return seen[0]
+
+    def test_equal_widened_dims_share_one_set(self, monkeypatch, corpus, tmp_path):
+        first = self.params_of(monkeypatch, corpus, tmp_path, "--hidden", "16")
+        assert self.params_of(monkeypatch, corpus, tmp_path, "--hidden", "16") is first
+        # --hidden 8 widens to the input's 16 dims
+        assert self.params_of(monkeypatch, corpus, tmp_path, "--hidden", "8") is first
+        assert first.dims == ModelDims(d_in=16, d_h=16, d_a=768, d_t=16)
+
+    @pytest.mark.parametrize("flags", [("--hidden", "24"), ("--align-dim", "24")])
+    def test_other_dims_get_their_own_set(self, monkeypatch, corpus, tmp_path, flags):
+        base = self.params_of(monkeypatch, corpus, tmp_path, "--hidden", "16",
+                              "--align-dim", "16")
+        other = self.params_of(monkeypatch, corpus, tmp_path, "--hidden", "16",
+                               "--align-dim", "16", *flags)
+        assert other is not base and other.dims != base.dims
+
+    def test_shared_leaves_are_read_only_identity_params(self, monkeypatch, corpus, tmp_path):
+        params = self.params_of(monkeypatch, corpus, tmp_path, "--hidden", "16")
+        fresh = identity_params(params.dims).leaves()
+        for leaf, want in zip(params.leaves(), fresh, strict=True):
+            assert np.array_equal(leaf, want) and leaf.dtype == want.dtype
+            with pytest.raises(ValueError):
+                leaf[...] = 1.0
+        assert identity_params(params.dims).leaves()[0].flags.writeable  # the library's own
 
 
 class TestPipeline:

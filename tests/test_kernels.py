@@ -16,6 +16,7 @@ from videothreads.errors import (
 )
 from videothreads.kernels import (
     _canonical_signs,
+    _draws,
     _kmeanspp_indices,
     cosine_similarity_matrix,
     kmeans,
@@ -236,6 +237,21 @@ class TestKMeans:
         assert np.array_equal(a.assignments, b.assignments)
         assert np.array_equal(a.centroids, b.centroids)
         assert a.inertia == b.inertia
+
+    def test_draws_are_cached_read_only_and_differ_by_seed(self):
+        first, u = _draws(9, 40, 4, 8)
+        again = _draws(9, 40, 4, 8)
+        assert again[0] is first and again[1] is u
+        assert not first.flags.writeable and not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.5
+        other_first, other_u = _draws(10, 40, 4, 8)
+        assert not (np.array_equal(first, other_first) and np.array_equal(u, other_u))
+        # what a fresh generator draws for sequential restarts
+        rng = np.random.default_rng(9)
+        for r in range(8):
+            assert first[r] == rng.integers(40)
+            assert np.array_equal(u[r], rng.random(3))
 
     def test_centroids_are_cluster_means(self):
         pts = np.random.default_rng(1).standard_normal((30, 3))

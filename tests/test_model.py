@@ -268,6 +268,23 @@ class TestNeighborTable:
         g = named_graph(case)
         check_against_scatter_oracle(g.edges, g.timestamps, seed=len(case))
 
+    @pytest.mark.parametrize("edges", ["none", "all", "cut"])
+    def test_gate_columns_are_the_per_layer_expressions(self, edges):
+        # a batch graph of three videos: seams, and bands with gaps once cut
+        g = named_graph("three_videos")
+        kept = {"none": np.zeros(g.edges.shape[0], dtype=bool),
+                "all": np.ones(g.edges.shape[0], dtype=bool),
+                "cut": np.arange(g.edges.shape[0]) % 3 != 0}[edges]
+        table = _neighbor_table(g.edges[kept], g.timestamps)
+        degree = np.bincount(g.edges[kept].ravel(), minlength=g.num_nodes)
+        inv_degree = np.divide(1.0, degree, out=np.zeros(g.num_nodes), where=degree > 0)
+        for column, want in ((table.abs_dt, np.abs(table.dt)[:, None]),
+                             (table.sign_dt, np.sign(table.dt)[:, None]),
+                             (table.inv_degree, inv_degree[:, None])):
+            assert_same_bits(column, want)
+            assert not column.flags.writeable
+        assert (table.dt.size == 0) == (edges == "none")
+
 
 def check_layer_against_composed(edges, times, seed, d):
     """The one-node TDGC layer against the layer composed of autodiff nodes,
@@ -320,9 +337,9 @@ class TestLayerNode:
 
 
 class TestForwardMemory:
-    """The TDGC layer's ndarray path allocates what the layer composed of
-    autodiff nodes allocated, in the same order, so an inference ``forward``
-    peaks no higher."""
+    """The TDGC layer's ndarray path allocates no array the layer composed
+    of autodiff nodes did not (its bias adds and relus work in place), so
+    an inference ``forward`` peaks no higher."""
 
     # traced peak of a warm call below, with numpy 2.4.6: 10.80 MiB for the
     # composed layer and for the one-node layer, 12.56 MiB when the layer

@@ -138,6 +138,21 @@ class TestStepGrounding:
         with pytest.raises(TaskError):
             step_grounding([], np.zeros(2))
 
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_overflowing_query_rejected(self, projected):
+        # its squared norm overflows: scored, every candidate would get cosine 0
+        cands = [CandidateStep(0.0, 1.0, np.array([0.0, 1.0])),
+                 CandidateStep(1.0, 2.0, np.array([1.0, 0.0]))]
+        params = identity_params(ModelDims(d_in=2, d_h=2, d_a=2, d_t=2)) if projected else None
+        with pytest.raises(TaskError, match="^query embedding: must be finite"):
+            step_grounding(cands, np.array([1e200, 1.0]), params)
+
+    def test_overflowing_candidate_rejected(self):
+        cands = [CandidateStep(0.0, 1.0, np.array([0.0, 1.0])),
+                 CandidateStep(1.0, 2.0, np.array([1e200, 0.0]))]
+        with pytest.raises(TaskError, match=r"^candidates\[1\]\.embedding: must be finite"):
+            step_grounding(cands, np.array([1.0, 0.0]))
+
 
 class TestStepLocalization:
     def test_exact_taxonomy_row(self):
@@ -162,6 +177,21 @@ class TestStepLocalization:
         assert [p.start for p in preds] == [0.0, 4.0]
         for a, b in zip(preds, preds[1:]):
             assert a.end <= b.start
+
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_overflowing_taxonomy_row_rejected(self, projected):
+        # ``Taxonomy`` checks its rows when built, but its array stays writable
+        taxonomy = Taxonomy(("a", "b"), np.eye(2))
+        taxonomy.embeddings[1, 0] = 1e200
+        cands = [CandidateStep(0.0, 1.0, np.array([1.0, 0.0]))]
+        params = identity_params(ModelDims(d_in=2, d_h=2, d_a=2, d_t=2)) if projected else None
+        with pytest.raises(TaskError, match=r"^taxonomy\.embeddings\[1\]: must be finite"):
+            step_localization(cands, taxonomy, params)
+
+    def test_overflowing_candidate_rejected(self):
+        cands = [CandidateStep(0.0, 1.0, np.array([1e200, 1.0]))]
+        with pytest.raises(TaskError, match=r"^candidates\[0\]\.embedding: must be finite"):
+            step_localization(cands, Taxonomy(("a", "b"), np.eye(2)))
 
     def test_planted_label_accuracy(self):
         spec = SynthSpec(num_threads=4, segments_per_step=12, dim=32,
@@ -214,6 +244,16 @@ class TestMcqRetrieval:
         params = identity_params(ModelDims(d_in=32, d_h=32, d_a=32, d_t=32))
         with pytest.raises(TaskError):
             mcq_retrieval(taxonomy.embeddings[0], clips[:4], params)
+
+    @pytest.mark.parametrize("head, message", [(1e200, "query embedding: must be finite"),
+                                               (0.0, "query embedding has zero norm")])
+    def test_overflowing_or_zero_query_rejected(self, head, message):
+        clips, _ = self.clips_and_taxonomy(seed=1)
+        params = identity_params(ModelDims(d_in=32, d_h=32, d_a=32, d_t=32))
+        query = np.zeros(32)
+        query[0] = head
+        with pytest.raises(TaskError, match=f"^{message}"):
+            mcq_retrieval(query, clips, params)
 
     def test_clip_span_extension(self):
         clips, taxonomy = self.clips_and_taxonomy(seed=2)
