@@ -50,7 +50,9 @@ DEFAULT_SEGMENT_DURATION = 16.0 / 30.0  # 16-frame windows, stride 16, at 30 fps
 class FeatureSequence:
     """Timestamped D-dimensional embeddings for one video: at least one
     segment and one feature column, every feature finite at the f32
-    precision a feature file stores."""
+    precision a feature file stores. It holds read-only copies of its
+    arrays, so no later write, into them or into the caller's arrays, can
+    undo the check."""
 
     video_id: str
     timestamps: np.ndarray
@@ -58,7 +60,7 @@ class FeatureSequence:
     segment_duration: float = DEFAULT_SEGMENT_DURATION
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.float64))
+        object.__setattr__(self, "timestamps", _frozen(self.timestamps))
         features = np.asarray(self.features)
         if features.ndim != 2 or 0 in features.shape:
             raise SchemaError("features", "must be a 2-D array of at least one row and column")
@@ -66,7 +68,7 @@ class FeatureSequence:
             raise SchemaError("timestamps", "length must equal feature rows")
         with np.errstate(over="ignore", invalid="ignore"):  # beyond the f32 range: infinite
             _finite_rows(features.astype(np.float32, copy=False), "features[{}]")
-        object.__setattr__(self, "features", features.astype(np.float64, copy=False))
+        object.__setattr__(self, "features", _frozen(features))
         _check_timeline(self.timestamps, self.segment_duration)
 
     @property
@@ -82,15 +84,16 @@ class FeatureSequence:
 class NarrationSet:
     """Timestamped textual descriptions as three columns: the texts, their
     finite, non-negative times (n,) and their text embeddings (n, d), d >= 1,
-    or (0, 0) when empty, each row with a finite squared norm."""
+    or (0, 0) when empty, each row with a finite squared norm. The arrays
+    are read-only copies, as in ``FeatureSequence``."""
 
     texts: tuple[str, ...]
     timestamps: np.ndarray
     embeddings: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.float64))
-        object.__setattr__(self, "embeddings", np.asarray(self.embeddings, dtype=np.float64))
+        object.__setattr__(self, "timestamps", _frozen(self.timestamps))
+        object.__setattr__(self, "embeddings", _frozen(self.embeddings))
         n = len(self.texts)
         width = self.embeddings.shape[-1] if self.embeddings.ndim else 0
         if (self.timestamps.shape != (n,) or self.embeddings.shape != (n, width)
@@ -108,13 +111,14 @@ class NarrationSet:
 @dataclass(frozen=True, eq=False)
 class Taxonomy:
     """At least one step label, with one text embedding row per label, each
-    with a finite, non-zero squared norm."""
+    with a finite, non-zero squared norm. The rows are a read-only copy, as
+    in ``FeatureSequence``."""
 
     labels: tuple[str, ...]
     embeddings: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "embeddings", np.asarray(self.embeddings, dtype=np.float64))
+        object.__setattr__(self, "embeddings", _frozen(self.embeddings))
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.labels):
             raise SchemaError("embeddings", "row count must equal label count")
         if not self.labels:
@@ -165,6 +169,14 @@ class McqQuestion:
         clips = [read_feature_file(p) for p in self.candidates]
         require_constant_dim(clips, f"{self.path}: candidates")
         return clips
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``: it shares no memory with the
+    caller's array, whose flags stay as they were."""
+    held = np.array(values, dtype=np.float64)
+    held.setflags(write=False)
+    return held
 
 
 def _finite_rows(rows: np.ndarray, where: str, reason: str = "must be finite") -> np.ndarray:
@@ -235,8 +247,7 @@ def read_feature_file(path) -> FeatureSequence:
     timestamps = np.frombuffer(raw, dtype="<f8", count=n, offset=header_end)
     features = np.frombuffer(raw, dtype="<f4", count=n * d, offset=header_end + 8 * n)
     try:
-        return FeatureSequence(path.stem, timestamps.astype(np.float64),
-                               features.reshape(n, d), segment_duration)
+        return FeatureSequence(path.stem, timestamps, features.reshape(n, d), segment_duration)
     except SchemaError as exc:  # name the file, keep the error class
         raise type(exc)(f"{path}: {exc.field}", exc.reason) from None
 

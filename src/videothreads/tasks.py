@@ -8,6 +8,7 @@ embeddings. No task-specific training is involved.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .dataio import _TEXT_ROW, FeatureSequence, StepPrediction, Taxonomy, _finit
 from .errors import SchemaError, TaskError
 from .graph import build_graph, nearest_indices
 from .model import ForwardTrace, ModelParams, forward, project_text, project_visual
-from .partition import spectral_partition
+from .partition import PartitionResult, spectral_partition
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,34 @@ def procedure_learning(trace: ForwardTrace, k: int, depth: int = 1,
     if not 0 <= depth < len(trace.stages):
         raise TaskError(f"depth {depth} out of range for {len(trace.stages)} decoder stages")
     stage = trace.stages[depth]
-    part = spectral_partition(stage.output, k, kappa=kappa, seed=seed)
+    part = spectral_partition(value(stage.output), k, kappa=kappa, seed=seed)
     pick = nearest_indices(stage.graph.timestamps, trace.output_timestamps)
     return part.assignments[pick]
+
+
+def _head_partition(rows, k: int, kappa: float, seed: int) -> PartitionResult:
+    """``spectral_partition`` of the candidate head's rows (an ndarray, or a
+    Var's value).
+
+    Every ``ground`` and ``localize`` call on one features file clusters the
+    same forward output, so a process that makes several of them repeats one
+    solve. The last partition made here is kept, keyed by the exact rows
+    (their float64 bytes and shape) and k, kappa and seed, and shared with
+    read-only assignments. A call that raises is not kept, so the same input
+    raises again. A process that makes one call pays the key's copy for
+    nothing.
+    """
+    rows = np.ascontiguousarray(value(rows), dtype=np.float64)
+    return _cached_partition(rows.shape, rows.tobytes(), k, kappa, seed)
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_partition(shape: tuple[int, ...], data: bytes, k: int, kappa: float,
+                      seed: int) -> PartitionResult:
+    part = spectral_partition(np.frombuffer(data, dtype=np.float64).reshape(shape), k,
+                              kappa=kappa, seed=seed)
+    part.assignments.setflags(write=False)
+    return part
 
 
 def candidate_runs(labels, min_len: int) -> list[tuple[int, int]]:
@@ -74,7 +100,7 @@ def extract_candidates(trace: ForwardTrace, params: ModelParams, k: int,
     list when nothing survives.
     """
     n = trace.output.shape[0]
-    labels = spectral_partition(trace.output, k, kappa=kappa, seed=seed).assignments
+    labels = _head_partition(trace.output, k, kappa, seed).assignments
     projected = value(project_visual(trace.output, params))
     times = trace.output_timestamps
     duration = segment_duration if segment_duration is not None else (

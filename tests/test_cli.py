@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from videothreads import _floatrepr, cli
+from videothreads import _floatrepr, cli, tasks
 from videothreads.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -700,6 +700,47 @@ class TestIdentityDefault:
             with pytest.raises(ValueError):
                 leaf[...] = 1.0
         assert identity_params(params.dims).leaves()[0].flags.writeable  # the library's own
+
+
+class TestHeadPartitionMemo:
+    """``localize`` and ``ground`` calls on one features file partition the
+    same forward output, so a process solves that partition once."""
+
+    def test_one_solve_for_localize_and_seven_grounds(self, monkeypatch, corpus, tmp_path):
+        feats = str(corpus / "features.hft")
+        model = ("--features", feats, "--k", "4", "--hidden", "16", "--no-meta")
+        rng = np.random.default_rng(0)
+        commands = [("localize", *model, "--taxonomy", str(corpus / "taxonomy.json"))]
+        for q in range(7):
+            query = tmp_path / f"q{q}.json"
+            query.write_text(json.dumps({"embedding": rng.standard_normal(16).tolist()}))
+            commands.append(("ground", *model, "--query", str(query)))
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        solve = tasks.spectral_partition
+        monkeypatch.setattr(tasks, "spectral_partition", counted)
+
+        def outputs(clear_before_each):
+            tasks._cached_partition.cache_clear()
+            texts = []
+            for i, command in enumerate(commands):
+                if clear_before_each:
+                    tasks._cached_partition.cache_clear()
+                out = tmp_path / f"out{i}.json"
+                assert run(*command, "--out", str(out)) == EXIT_OK
+                texts.append(out.read_bytes())
+            return texts
+
+        kept = outputs(clear_before_each=False)
+        assert len(solves) == 1
+        assert tasks._cached_partition.cache_info()[:2] == (7, 1)  # hits, misses
+        assert outputs(clear_before_each=True) == kept
+        assert len(solves) == 1 + len(commands)
+        tasks._cached_partition.cache_clear()
 
 
 class TestPipeline:

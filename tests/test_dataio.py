@@ -784,6 +784,33 @@ def _rows_with(draw, *columns):
     return (*(draw(st.lists(c, min_size=len(m), max_size=len(m))) for c in columns), m)
 
 
+class TestFrozenContainers:
+    """A container holds read-only copies of its checked arrays: a write
+    into them raises, and a write into the caller's own arrays, which keep
+    their flags, does not reach them."""
+
+    @staticmethod
+    def containers():
+        times, rows, eye = np.arange(3) * 0.5, np.ones((3, 2)), np.eye(2)
+        return [(FeatureSequence("v", times, rows), (times, rows), ("timestamps", "features")),
+                (NarrationSet(("a", "b", "c"), times, rows), (times, rows),
+                 ("timestamps", "embeddings")),
+                (Taxonomy(("a", "b"), eye), (eye,), ("embeddings",))]
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_arrays_refuse_writes(self, which):
+        container, given, names = self.containers()[which]
+        for name, array in zip(names, given, strict=True):
+            held = getattr(container, name)
+            before = held.copy()
+            assert not np.shares_memory(held, array)
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 7.0
+            assert array.flags.writeable
+            array[0] = 1e200  # the caller's own array is still theirs to write
+            assert np.array_equal(held, before)
+
+
 class TestContainerRoundTrip:
     """Every container value its constructor accepts is one its file holds:
     written and read back, it is equal (features at the f32 precision the

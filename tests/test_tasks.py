@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from videothreads import kernels, tasks
 from videothreads.dataio import FeatureSequence, Taxonomy
-from videothreads.errors import TaskError
+from videothreads.errors import ConvergenceError, TaskError, ZeroNormRowError
 from videothreads.graph import build_graph
 from videothreads.metrics import procedure_f1_iou, temporal_iou
-from videothreads.model import ModelDims, forward, identity_params
+from videothreads.model import ModelDims, forward, identity_params, init_params
 from videothreads.synth import SynthSpec, generate
 from videothreads.tasks import (
     CandidateStep,
@@ -180,9 +181,10 @@ class TestStepLocalization:
 
     @pytest.mark.parametrize("projected", [False, True])
     def test_overflowing_taxonomy_row_rejected(self, projected):
-        # ``Taxonomy`` checks its rows when built, but its array stays writable
+        # ``Taxonomy`` refuses such a row and any write into its rows, but a
+        # library caller can still hand the head an array it never checked
         taxonomy = Taxonomy(("a", "b"), np.eye(2))
-        taxonomy.embeddings[1, 0] = 1e200
+        object.__setattr__(taxonomy, "embeddings", np.array([[1.0, 0.0], [1e200, 1.0]]))
         cands = [CandidateStep(0.0, 1.0, np.array([1.0, 0.0]))]
         params = identity_params(ModelDims(d_in=2, d_h=2, d_a=2, d_t=2)) if projected else None
         with pytest.raises(TaskError, match=r"^taxonomy\.embeddings\[1\]: must be finite"):
@@ -262,3 +264,129 @@ class TestMcqRetrieval:
         chosen = mcq_retrieval(taxonomy.embeddings[2], clips, params,
                                context=4.0, clip_spans=spans)
         assert chosen == 2
+
+
+class TestGradientModeTrace:
+    """A forward pass with Var parameters gives Var stage outputs; the heads
+    partition their values, as on the ndarray trace."""
+
+    def test_heads_match_the_ndarray_trace(self):
+        ds = generate(SynthSpec(num_threads=2, segments_per_step=12, dim=8, seed=5))
+        g0 = build_graph(ds.sequence, 1.0)
+        params = init_params(ModelDims(d_in=8, d_h=8, d_a=8, d_t=8), seed=1)
+        var_params, _ = params.to_vars()
+        plain = forward(g0, params, k=2, seed=0)
+        graded = forward(g0, var_params, k=2, seed=0)
+
+        for depth in range(len(plain.stages)):
+            assert np.array_equal(procedure_learning(graded, k=2, depth=depth),
+                                  procedure_learning(plain, k=2, depth=depth))
+        tasks._cached_partition.cache_clear()  # each side solves its own partition
+        want = extract_candidates(plain, params, k=2, min_len=1)
+        tasks._cached_partition.cache_clear()
+        got = extract_candidates(graded, var_params, k=2, min_len=1)
+        assert len(got) == len(want) > 1
+        for a, b in zip(got, want):
+            assert (a.start, a.end) == (b.start, b.end)
+            assert np.array_equal(a.embedding, b.embedding)
+
+
+def rows(seed=0, shape=(12, 4)):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+class TestHeadPartition:
+    """The candidate head keeps the last partition it made, keyed by the
+    exact rows and k, kappa and seed; procedure learning keeps none."""
+
+    @pytest.fixture(autouse=True)
+    def solves(self, monkeypatch):
+        """Clears the memo and counts the partitions that reach the solver."""
+        tasks._cached_partition.cache_clear()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        solve = tasks.spectral_partition
+        monkeypatch.setattr(tasks, "spectral_partition", counted)
+        yield calls
+        tasks._cached_partition.cache_clear()
+
+    def test_same_input_solved_once(self, solves):
+        x = rows()
+        first = tasks._head_partition(x, 3, 1.0, 0)
+        assert tasks._head_partition(x.copy(), 3, 1.0, 0) is first
+        assert len(solves) == 1
+        assert tasks._cached_partition.cache_info()[:2] == (1, 1)  # hits, misses
+
+    @pytest.mark.parametrize("change", ["last_bit", "k", "kappa", "seed", "shape"])
+    def test_any_change_misses(self, solves, change):
+        x = rows()
+        args = [x, 3, 1.0, 0]
+        first = tasks._head_partition(*args)
+        if change == "last_bit":
+            x = x.copy()
+            x[5, 2] = np.nextafter(x[5, 2], np.inf)
+            args[0] = x
+        elif change == "shape":
+            args[0] = x.reshape(8, 6)  # the same bytes
+            assert args[0].tobytes() == x.tobytes()
+        else:
+            i = {"k": 1, "kappa": 2, "seed": 3}[change]
+            args[i] = {"k": 4, "kappa": 0.5, "seed": 1}[change]
+        again = tasks._head_partition(*args)
+        assert len(solves) == 2 and again is not first
+        assert tasks._cached_partition.cache_info()[:2] == (0, 2)
+
+    def test_zero_norm_row_raises_every_time(self, solves):
+        x = rows()
+        x[4] = 0.0
+        for _ in range(2):
+            with pytest.raises(ZeroNormRowError):
+                tasks._head_partition(x, 3, 1.0, 0)
+        assert len(solves) == 2
+        assert tasks._cached_partition.cache_info().currsize == 0
+
+    def test_solver_failure_raises_every_time(self, solves, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        x = rows()
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels.np.linalg, "eigh", failing_eigh)
+            for _ in range(2):
+                with pytest.raises(ConvergenceError):
+                    tasks._head_partition(x, 3, 1.0, 0)
+        assert len(solves) == 2
+        # nothing was kept: with the solver back, the same input is solved
+        tasks._head_partition(x, 3, 1.0, 0)
+        assert len(solves) == 3
+
+    def test_shared_assignments_are_read_only(self, solves):
+        spec = SynthSpec(num_threads=2, segments_per_step=8, dim=8, seed=0)
+        _, params, trace = planted_trace(spec, k=2)
+        part = tasks._head_partition(trace.output, 2, 1.0, 0)
+        with pytest.raises(ValueError):
+            part.assignments[0] = 1
+        assert extract_candidates(trace, params, k=2, min_len=1)
+        assert len(solves) == 1  # the candidate head reused the kept partition
+
+    def test_procedure_learning_solves_every_call(self, solves):
+        spec = SynthSpec(num_threads=2, segments_per_step=8, dim=8, seed=0)
+        _, _, trace = planted_trace(spec, k=2)
+        first = procedure_learning(trace, k=2, depth=2, seed=0)
+        again = procedure_learning(trace, k=2, depth=2, seed=0)
+        assert len(solves) == 2
+        assert tasks._cached_partition.cache_info().currsize == 0  # nothing kept, nothing evicted
+        assert np.array_equal(first, again)
+        first[0] = 1 - first[0]  # the head's answer is the caller's own array
+
+    def test_second_input_evicts_the_first(self, solves):
+        a, b = rows(0), rows(1)
+        for x in (a, b, a):
+            tasks._head_partition(x, 3, 1.0, 0)
+        assert len(solves) == 3
+        info = tasks._cached_partition.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.maxsize) == (0, 3, 1, 1)
