@@ -2,8 +2,8 @@
 
 HiERO trains one hierarchy and then uses it zero-shot for every task, so the
 model settings, the task settings and the toy trainer's settings live in one
-flat document. Unknown keys and mistyped values are rejected so typos fail
-loudly, and command-line flags win over file values.
+flat document. Unknown keys and mistyped or out-of-range values are rejected
+so typos fail loudly, and command-line flags win over file values.
 """
 
 from __future__ import annotations
@@ -15,8 +15,20 @@ from .dataio import finite_number, load_json
 from .errors import ConfigError, SchemaError
 
 
-@dataclass
+def check_rules(spec, rules) -> None:
+    """A ConfigError naming the first field of ``spec`` whose rule does not
+    hold; ``rules`` are (field name, rule text, whether it holds) triples."""
+    for name, rule, holds in rules:
+        if not holds:
+            raise ConfigError(f"{name}: must be {rule}, got {getattr(spec, name)}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """Checked on construction, so a config that exists is valid and stays
+    so: every field is an integer or a finite float (integers are taken for
+    float fields, bools for neither), and the trainer's ranges hold."""
+
     # model and graph
     edge_threshold: float = 1.0
     stages: int = 3
@@ -43,37 +55,40 @@ class RunConfig:
     # run
     seed: int = 0
 
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(field.default, int):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ConfigError(f"{field.name}: expected an integer")
+            else:
+                try:
+                    object.__setattr__(self, field.name, finite_number(value, field.name))
+                except SchemaError as exc:
+                    raise ConfigError(str(exc)) from None
+        check_rules(self, [
+            # numpy's generators take only non-negative seeds
+            ("seed", "non-negative", self.seed >= 0),
+            ("epochs", ">= 1", self.epochs >= 1),
+            ("batch_size", ">= 1", self.batch_size >= 1),
+            ("alpha", f"below beta ({self.beta})", self.alpha < self.beta),
+            ("temperature", "positive", self.temperature > 0.0),
+        ])
+
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return dict(vars(self))  # every field is a number: no deep copy (asdict) needed
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        """Config with the values in ``doc``.
-
-        Every field is an integer or a float. Unknown keys, values whose
-        JSON type does not match the type of the field's default, NaN or
-        infinite floats and a negative ``seed`` raise ConfigError naming the
-        key; integers are accepted for float fields.
-        """
+        """Config with the values in ``doc``; a document that is no object
+        or has unknown keys raises ConfigError, and so does any value the
+        constructor refuses."""
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        merged = cls()
-        for key, value in doc.items():
-            if isinstance(getattr(merged, key), int):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{key}: expected an integer")
-            else:
-                try:
-                    value = finite_number(value, key)
-                except SchemaError as exc:
-                    raise ConfigError(str(exc)) from None
-            setattr(merged, key, value)
-        if merged.seed < 0:  # numpy's generators take only non-negative seeds
-            raise ConfigError(f"seed: must be non-negative, got {merged.seed}")
-        return merged
+        return cls(**doc)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -1,7 +1,10 @@
 """File formats: binary feature sequences plus the JSON documents the
 library and the CLI read.
 
-The binary feature layout is fixed and framework-neutral:
+Both binary files, feature sequences here and model parameters in
+``model``, share one frame (``write_frame``, ``read_frame``): magic bytes, a
+``struct`` header, then exactly the payload the header declares. The binary
+feature layout is fixed and framework-neutral:
 
     bytes 0..7   magic "HIEROFT1"
     u32 LE       N  (segment count)
@@ -43,6 +46,7 @@ from .errors import (
 )
 
 FEATURE_MAGIC = b"HIEROFT1"
+MCQ_CHOICES = 5  # candidate clips per MCQ question
 DEFAULT_SEGMENT_DURATION = 16.0 / 30.0  # 16-frame windows, stride 16, at 30 fps
 
 
@@ -212,40 +216,58 @@ def require_constant_dim(sequences, where: str = "features") -> None:
 
 
 # ---------------------------------------------------------------------------
-# binary feature files
+# binary files: feature sequences here, model parameters in ``model``
+
+
+def write_frame(path, magic: bytes, header: str, fields: tuple, *payload: np.ndarray) -> None:
+    """The one binary frame of this package's files: ``magic``, then
+    ``fields`` packed by the ``struct`` format ``header``, then the bytes of
+    each ``payload`` array in turn."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(header, *fields))
+        for block in payload:
+            fh.write(block.tobytes())
+
+
+def read_frame(path, magic: bytes, kind: str, header: str, payload_size) -> tuple[tuple, memoryview]:
+    """The header fields and the payload of the ``write_frame`` file
+    ``path``, whose payload must hold exactly ``payload_size(*fields)``
+    bytes. A DataError names the file: BadMagicError for other leading
+    bytes (the file is no ``kind`` file), TruncatedFileError for a header or
+    payload cut short, PayloadShapeError for bytes beyond the payload."""
+    raw = Path(path).read_bytes()
+    if raw[:len(magic)] != magic:
+        raise BadMagicError(f"{path}: not a {kind} file (bad magic)")
+    start = len(magic) + struct.calcsize(header)
+    if len(raw) < start:
+        raise TruncatedFileError(f"{path}: header truncated")
+    fields = struct.unpack_from(header, raw, len(magic))
+    held, needed = len(raw) - start, payload_size(*fields)
+    if held < needed:
+        raise TruncatedFileError(f"{path}: payload holds {held} bytes, header needs {needed}")
+    if held > needed:
+        raise PayloadShapeError(f"{path}: {held - needed} trailing bytes beyond the header's payload")
+    return fields, memoryview(raw)[start:]
+
+
+_FEATURE_HEADER = "<IId"  # N, D, segment duration
 
 
 def write_feature_file(path, seq: FeatureSequence) -> None:
-    timestamps = np.ascontiguousarray(seq.timestamps, dtype="<f8")
-    features = np.ascontiguousarray(seq.features, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IId", seq.num_segments, seq.dim, seq.segment_duration))
-        fh.write(timestamps.tobytes())
-        fh.write(features.tobytes())
+    write_frame(path, FEATURE_MAGIC, _FEATURE_HEADER,
+                (seq.num_segments, seq.dim, seq.segment_duration),
+                np.asarray(seq.timestamps, dtype="<f8"), np.asarray(seq.features, dtype="<f4"))
 
 
 def read_feature_file(path) -> FeatureSequence:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < len(FEATURE_MAGIC) or raw[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
-        raise BadMagicError(f"{path}: not a feature file (bad magic)")
-    header_end = len(FEATURE_MAGIC) + struct.calcsize("<IId")
-    if len(raw) < header_end:
-        raise TruncatedFileError(f"{path}: header truncated")
-    n, d, segment_duration = struct.unpack_from("<IId", raw, len(FEATURE_MAGIC))
+    (n, d, segment_duration), payload = read_frame(path, FEATURE_MAGIC, "feature", _FEATURE_HEADER,
+                                                   lambda n, d, _: 8 * n + 4 * n * d)
     if n == 0 or d == 0:
         raise PayloadShapeError(f"{path}: header declares {n} segments of {d} features; "
                                 "a feature file needs at least one of each")
-    expected = header_end + 8 * n + 4 * n * d
-    if len(raw) < expected:
-        raise TruncatedFileError(
-            f"{path}: payload holds {len(raw) - header_end} bytes, header needs {expected - header_end}"
-        )
-    if len(raw) > expected:
-        raise PayloadShapeError(f"{path}: {len(raw) - expected} trailing bytes beyond N x D payload")
-    timestamps = np.frombuffer(raw, dtype="<f8", count=n, offset=header_end)
-    features = np.frombuffer(raw, dtype="<f4", count=n * d, offset=header_end + 8 * n)
+    timestamps = np.frombuffer(payload, dtype="<f8", count=n)
+    features = np.frombuffer(payload, dtype="<f4", offset=8 * n)
     try:
         return FeatureSequence(path.stem, timestamps, features.reshape(n, d), segment_duration)
     except SchemaError as exc:  # name the file, keep the error class
@@ -559,37 +581,19 @@ def _stack(rows: list, where: str) -> np.ndarray:
     return flat.reshape(len(rows), -1)
 
 
-_NARRATION_FIELDS = (("text", str), ("timestamp", float), ("embedding", list))
-
-
 def read_narrations(path) -> NarrationSet:
-    """The narration file's items. Their ``text`` and ``timestamp`` columns
-    are checked a column at a time, and their embeddings by ``_stack``; only
-    when a column check fails are the items walked in order, so the first
-    bad item, and in it the first bad field, is the one named."""
+    """The narration file's items, checked in one pass in order, each field
+    by field (``text``, ``timestamp``, ``embedding``), so the first bad
+    item, and in it the first bad field, is the one named; ``_stack`` then
+    checks the embedding rows."""
     with _fields_of(path) as doc:
-        items = _field(doc, "items", list)
-        columns = _narration_columns(items)
-        if columns is None:  # items walked in order: the first bad one raises
-            columns = zip(*[[_field(item, key, kind, f"items[{i}]")
-                             for key, kind in _NARRATION_FIELDS] for i, item in enumerate(items)])
-        texts, timestamps, rows = columns
+        texts, timestamps, rows = [], [], []
+        for i, item in enumerate(_field(doc, "items", list)):
+            where = f"items[{i}]"
+            texts.append(_field(item, "text", str, where))
+            timestamps.append(_field(item, "timestamp", float, where))
+            rows.append(_field(item, "embedding", list, where))
         return NarrationSet(tuple(texts), timestamps, _stack(rows, "items[{}].embedding"))
-
-
-def _narration_columns(items: list) -> tuple | None:
-    """The items' texts, timestamps (an array) and embedding rows if every
-    item is an object with a string ``text``, a finite number ``timestamp``
-    and a list ``embedding``, by one pass per column; else None."""
-    try:
-        texts, times, rows = ([item[key] for item in items] for key, _ in _NARRATION_FIELDS)
-    except (TypeError, KeyError):  # an item that is no object, or lacks a field
-        return None
-    try:
-        timestamps = _vector(times, "timestamp") if items else np.zeros(0)
-    except SchemaError:  # a timestamp that is no finite number
-        return None
-    return (texts, timestamps, rows) if _all_of(texts, str) and _all_of(rows, list) else None
 
 
 def write_narrations(path, narrations: NarrationSet) -> None:
@@ -666,14 +670,16 @@ def read_query(path) -> np.ndarray:
 
 
 def read_mcq_question(path) -> McqQuestion:
-    """``{"query", "candidates": [path], "spans": null or [[start, end]]}``;
-    candidate paths are relative to the question's folder."""
+    """``{"query", "candidates": [path], "spans": null or [[start, end]]}``
+    with ``MCQ_CHOICES`` candidate paths, relative to the question's folder;
+    no clip file is read here."""
     with _fields_of(path) as doc:
         query = _vector(_field(doc, "query"), "query")
         _finite_rows(query, "query", _TEXT_ROW)
         paths = _field(doc, "candidates")
-        if not isinstance(paths, list) or not paths or not all(isinstance(p, str) for p in paths):
-            raise SchemaError("candidates", "expected a non-empty list of paths")
+        if (not isinstance(paths, list) or len(paths) != MCQ_CHOICES
+                or not all(isinstance(p, str) for p in paths)):
+            raise SchemaError("candidates", f"expected a list of {MCQ_CHOICES} paths")
         spans = doc.get("spans")
         if spans is not None:
             if not isinstance(spans, list) or len(spans) != len(paths):

@@ -62,13 +62,13 @@ def as_stack(a, name: str = "matrix") -> np.ndarray:
 
 def max_asymmetry(a: np.ndarray) -> float:
     """max |A - A^T| over a finite square matrix or a stack of them; 0.0
-    below two rows.
+    when there is no entry.
 
     ``max_asymmetry(a) <= SYMMETRY_ATOL`` is the symmetry test of this
     package, the predicate ``np.allclose(a, a.T, rtol=0, atol=SYMMETRY_ATOL)``
     in one reduction.
     """
-    if a.shape[-1] < 2 or a.size == 0:
+    if a.size == 0:
         return 0.0
     diff = a - a.swapaxes(-1, -2)
     return float(np.max(np.abs(diff, out=diff)))

@@ -63,8 +63,6 @@ def hungarian(cost) -> tuple[dict[int, int], float]:
     if not np.all(np.isfinite(cost)):
         raise NonFiniteError("cost matrix contains non-finite entries")
     rows, cols = cost.shape
-    if rows == 0 or cols == 0:
-        return {}, 0.0
     n = max(rows, cols)
     padded = np.zeros((n, n))
     padded[:rows, :cols] = cost
@@ -199,9 +197,8 @@ def recall_at_iou(queries, ks=RECALL_KS, thresholds=RECALL_THRESHOLDS) -> Metric
 
 
 def _average_precision(scores: np.ndarray, is_tp: np.ndarray, num_gt: int) -> float:
-    """Area under the all-point interpolated precision-recall curve."""
-    if num_gt == 0 or scores.size == 0:
-        return 0.0
+    """Area under the all-point interpolated precision-recall curve, for
+    ``num_gt`` >= 1 ground-truth intervals."""
     order = np.argsort(-scores, kind="stable")
     tp = np.cumsum(is_tp[order])
     fp = np.cumsum(~is_tp[order])
@@ -298,8 +295,6 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     if a.shape != b.shape:
         raise ShapeError("label arrays must have equal length")
     n = a.size
-    if n == 0:
-        return 1.0
     table = _contingency(a, b)[2]
 
     def comb2(x):

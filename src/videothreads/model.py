@@ -14,14 +14,14 @@ can backpropagate through the whole stack.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Var, affine, joint_node, l2_normalize_rows, segment_sum, take_rows, value
-from .errors import BadMagicError, PayloadShapeError, SchemaError, ShapeError, TruncatedFileError
+from .dataio import read_frame, write_frame
+from .errors import PayloadShapeError, SchemaError, ShapeError
 from .graph import (
     VideoGraph,
     coarse_rows,
@@ -187,29 +187,20 @@ def identity_params(dims: ModelDims) -> ModelParams:
                   else np.zeros(shape))
 
 
+_PARAMS_HEADER = "<6IQ"  # the ModelDims fields in order, then the parameter count
+
+
 def save_params(path, params: ModelParams) -> None:
-    d = params.dims
     vec = params.to_vector()
-    with open(path, "wb") as fh:
-        fh.write(PARAMS_MAGIC)
-        fh.write(struct.pack("<6IQ", d.d_in, d.d_h, d.d_a, d.d_t, d.stages, d.layers, vec.size))
-        fh.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
+    write_frame(path, PARAMS_MAGIC, _PARAMS_HEADER, (*astuple(params.dims), vec.size),
+                np.asarray(vec, dtype="<f8"))
 
 
 def load_params(path) -> ModelParams:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < len(PARAMS_MAGIC) or raw[: len(PARAMS_MAGIC)] != PARAMS_MAGIC:
-        raise BadMagicError(f"{path}: not a parameter file (bad magic)")
-    header = struct.calcsize("<6IQ")
-    if len(raw) < len(PARAMS_MAGIC) + header:
-        raise TruncatedFileError(f"{path}: header truncated")
-    *dims, count = struct.unpack_from("<6IQ", raw, len(PARAMS_MAGIC))
-    payload = len(raw) - len(PARAMS_MAGIC) - header
-    if payload != 8 * count:
-        raise TruncatedFileError(f"{path}: header declares {count} parameters "
-                                 f"({8 * count} bytes), found {payload} bytes")
-    vec = np.frombuffer(raw, dtype="<f8", count=count, offset=len(PARAMS_MAGIC) + header)
+    (*dims, _), payload = read_frame(path, PARAMS_MAGIC, "parameter", _PARAMS_HEADER,
+                                     lambda *fields: 8 * fields[-1])
+    vec = np.frombuffer(payload, dtype="<f8")
     bad = np.flatnonzero(~np.isfinite(vec))
     if bad.size:
         raise SchemaError(f"{path}: parameters[{int(bad[0])}]", "must be finite")

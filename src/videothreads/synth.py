@@ -21,7 +21,8 @@ from .dataio import (
     StepAnnotation,
     Taxonomy,
 )
-from .errors import ConfigError, ShapeError
+from .config import check_rules
+from .errors import ShapeError
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,13 @@ class SynthSpec:
 
     def __post_init__(self):
         counts = ("num_threads", "steps_per_thread", "segments_per_step", "dim")
-        rules = [(name, ">= 1", getattr(self, name) >= 1) for name in counts] + [
+        check_rules(self, [(name, ">= 1", getattr(self, name) >= 1) for name in counts] + [
             ("segment_duration", "positive and finite", 0.0 < self.segment_duration < math.inf),
             ("separation", "positive and finite", 0.0 < self.separation < math.inf),
             ("sigma", "non-negative and finite", 0.0 <= self.sigma < math.inf),
             # as RunConfig's: numpy's generators take only non-negative seeds
             ("seed", "non-negative", self.seed >= 0),
-        ]
-        for name, rule, holds in rules:
-            if not holds:
-                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)}")
+        ])
 
     @property
     def num_steps(self) -> int:

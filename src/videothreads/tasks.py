@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import value
-from .dataio import _TEXT_ROW, FeatureSequence, StepPrediction, Taxonomy, _finite_rows
+from .dataio import _TEXT_ROW, MCQ_CHOICES, FeatureSequence, StepPrediction, Taxonomy, _finite_rows
 from .errors import SchemaError, TaskError
 from .graph import build_graph, nearest_indices
 from .model import ForwardTrace, ModelParams, forward, project_text, project_visual
@@ -228,7 +228,7 @@ def mcq_retrieval(query_embedding, candidates: list[FeatureSequence],
                   params: ModelParams, context: float = 4.0,
                   clip_spans: list[tuple[float, float]] | None = None,
                   edge_threshold: float = 1.0, seed: int = 0) -> int:
-    """Pick which of five candidate clips matches the query embedding.
+    """Pick which of the ``MCQ_CHOICES`` candidate clips matches the query embedding.
 
     Each clip is widened by ``context`` seconds on both sides (when its span
     inside a longer sequence is known), embedded with clustering disabled,
@@ -236,8 +236,8 @@ def mcq_retrieval(query_embedding, candidates: list[FeatureSequence],
     lower index. A zero-norm query, or one whose squared norm overflows, is
     a TaskError.
     """
-    if len(candidates) != 5:
-        raise TaskError(f"expected exactly 5 candidate clips, got {len(candidates)}")
+    if len(candidates) != MCQ_CHOICES:
+        raise TaskError(f"expected exactly {MCQ_CHOICES} candidate clips, got {len(candidates)}")
     query = _query(query_embedding)
     query = value(project_text(query[None, :], params))[0]
     scores = []

@@ -30,7 +30,6 @@ from .autodiff import joint_node, value
 from .config import RunConfig
 from .dataio import FeatureSequence, NarrationSet
 from .errors import (
-    ConfigError,
     EmptyBatchError,
     GradientError,
     NonFiniteError,
@@ -309,15 +308,10 @@ class TotalLossOp:
 
     It reads ``k``, ``kappa``, ``max_nodes`` and ``seed`` (the decoder's
     partitions), ``alpha`` and ``beta`` (the alignment windows) and
-    ``temperature``; out-of-range loss settings raise ConfigError naming
-    the key.
+    ``temperature``, whose ranges ``RunConfig`` checks.
     """
 
     def __init__(self, config: RunConfig):
-        if not config.alpha < config.beta:
-            raise ConfigError(f"alpha: {config.alpha} must be below beta ({config.beta})")
-        if config.temperature <= 0.0:
-            raise ConfigError(f"temperature: {config.temperature} must be positive")
         self.config = config
 
     def __call__(self, params: ModelParams, batch: AlignmentBatch, *,
@@ -418,14 +412,10 @@ def train_toy(dataset: list[tuple[FeatureSequence, NarrationSet]],
     clustering. Each batch is a set of videos, taken in dataset order.
     Returns the final parameters and a per-epoch history of the mean total
     loss and of its two terms (``vna``, ``ft``). The text width d_t is read
-    from the videos with narrations. Raises ConfigError naming the key for
-    fewer than one epoch or batch size below one, EmptyBatchError when no
-    video has a narration, and TrainingDivergedError (with the epoch index)
-    if the loss goes non-finite.
+    from the videos with narrations. Raises EmptyBatchError when no video
+    has a narration, and TrainingDivergedError (with the epoch index) if the
+    loss goes non-finite.
     """
-    for key in ("epochs", "batch_size"):
-        if getattr(config, key) < 1:
-            raise ConfigError(f"{key}: {getattr(config, key)} must be >= 1")
     op = TotalLossOp(config)
     if not dataset:
         raise ShapeError("dataset must not be empty")

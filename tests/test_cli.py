@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -69,6 +70,8 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"not_a_key": 1})
+        with pytest.raises(ConfigError, match="not_a_key"):
+            RunConfig().override(not_a_key=1)
 
     def test_type_validation(self):
         with pytest.raises(ConfigError):
@@ -84,6 +87,21 @@ class TestConfig:
             RunConfig.from_dict(doc)
         with pytest.raises(ConfigError, match=key):
             RunConfig().override(**doc)
+
+    @pytest.mark.parametrize("doc", [{"temperature": 0}, {"epochs": 0}, {"batch_size": 0},
+                                     {"alpha": 5, "beta": 1}, {"seed": -1}])
+    def test_out_of_range_values_rejected_by_every_builder(self, doc):
+        key = next(iter(doc))
+        for build in (lambda: RunConfig(**doc), lambda: RunConfig.from_dict(doc),
+                      lambda: RunConfig().override(**doc)):
+            with pytest.raises(ConfigError, match=f"^{key}: must be "):
+                build()
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.temperature = 0.0
+        assert cfg.temperature == 0.05
 
     def test_flags_win_over_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -326,7 +344,7 @@ class TestErrorExitCodes:
             "mcq_result_unknown_group": json.dumps({"results": [
                 {"chosen": 1, "correct": 1, "group": 7}]}),
             "mcq_candidates_mixed_dims": json.dumps({
-                "query": [1.0] * 16, "candidates": [feats, str(narrow)]}),
+                "query": [1.0] * 16, "candidates": [feats] * 4 + [str(narrow)]}),
             "forward_params_wrong_d_in": params_file(8, 16),
             "ground_params_wrong_d_t": params_file(16, 8),
             "localize_params_wrong_d_t": params_file(16, 8),
@@ -586,6 +604,21 @@ class TestErrorExitCodes:
         assert error == {"type": "ConfigError", "message": "seed: must be non-negative, got -1"}
         assert not (tmp_path / "o.json").exists() and not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("doc", [{"temperature": 0}, {"epochs": 0}, {"alpha": 5, "beta": 1}])
+    @pytest.mark.parametrize("command", ["dump-config", "forward", "procedure-learn"])
+    def test_trainer_range_is_config_error_on_every_subcommand(self, corpus, tmp_path, capsys,
+                                                               command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        inputs = () if command == "dump-config" else (
+            "--features", str(corpus / "features.hft"), "--hidden", "16")
+        assert run(command, *inputs, "--config", str(cfg), "--out", str(tmp_path / "o.json")) \
+            == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(next(iter(doc)) + ": must be ")
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_k_below_one_is_library_error(self, corpus, tmp_path, capsys, k):
         code = run("forward", "--features", str(corpus / "features.hft"), "--k", k,
@@ -644,6 +677,29 @@ class TestErrorExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "TruncatedFileError"
         assert str(path) in err["error"]["message"]
+
+    def test_params_with_trailing_bytes_is_payload_shape_error(self, corpus, tmp_path, capsys):
+        path = tmp_path / "p.bin"
+        save_params(path, identity_params(ModelDims(d_in=16, d_h=16, d_a=16, d_t=16,
+                                                    stages=1, layers=1)))
+        path.write_bytes(path.read_bytes() + bytes(8))  # one whole float too many
+        code = run("forward", "--features", str(corpus / "features.hft"),
+                   "--params", str(path), "--out", str(tmp_path / "o.json"))
+        assert code == EXIT_DATA
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "PayloadShapeError"
+        assert error["message"].startswith(f"{path}: 8 trailing bytes")
+
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_mcq_question_needs_five_candidates(self, corpus, tmp_path, capsys, count):
+        question = tmp_path / "q.json"
+        question.write_text(json.dumps({"query": [1.0] * 16,
+                                        "candidates": [str(corpus / "features.hft")] * count}))
+        assert run("mcq", "--question", str(question), "--out", str(tmp_path / "o.json")) \
+            == EXIT_DATA
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "SchemaError",
+                         "message": f"{question}: candidates: expected a list of 5 paths"}
 
     def test_eigensolver_failure_is_library_error(self, corpus, tmp_path, capsys, monkeypatch):
         def failing_eigh(a):

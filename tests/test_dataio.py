@@ -144,6 +144,13 @@ class TestNarrations:
         assert np.array_equal(loaded.embeddings, narrs.embeddings)
         assert np.array_equal(loaded.timestamps, narrs.timestamps)
 
+    def test_no_items_read_as_an_empty_set(self, tmp_path):
+        path = tmp_path / "narr.json"
+        path.write_text(json.dumps({"items": []}))
+        loaded = read_narrations(path)
+        assert loaded.texts == () and len(loaded) == 0
+        assert loaded.timestamps.shape == (0,) and loaded.embeddings.shape == (0, 0)
+
     def test_mixed_dims_rejected(self, tmp_path):
         path = tmp_path / "narr.json"
         path.write_text(json.dumps({"items": [
@@ -377,8 +384,9 @@ _READERS = {
         {"start": 2, "end": 4.0, "label": None, "score": -0.5}]}, SchemaError),
     "query": (read_query, {"embedding": [1.0, 0.5, -2]}, SchemaError),
     "mcq_question": (read_mcq_question, {
-        "query": [1.0, 0.0], "candidates": ["a.hft", "clips/b.hft"],
-        "spans": [[0, 1.5], [2.0, 3.0]], "correct": 1, "group": "intra"}, SchemaError),
+        "query": [1.0, 0.0], "candidates": ["a.hft", "clips/b.hft", "c.hft", "d.hft", "e.hft"],
+        "spans": [[0, 1.5], [2.0, 3.0], [0, 1], [1, 2], [2, 3]], "correct": 1, "group": "intra"},
+        SchemaError),
     "label_predictions": (read_label_predictions, {
         "timestamps": [0.0, 0.5, 1.0], "segment_duration": 0.5, "labels": [0, 1, 1]},
         SchemaError),
@@ -594,8 +602,9 @@ class TestReaderMutations:
         path.write_text(json.dumps(_READERS["mcq_question"][1]))
         question = read_mcq_question(path)
         assert question.query.tolist() == [1.0, 0.0]
-        assert question.candidates == (tmp_path / "a.hft", tmp_path / "clips" / "b.hft")
-        assert question.spans == [(0.0, 1.5), (2.0, 3.0)]
+        assert question.candidates == tuple(tmp_path / name for name in (
+            "a.hft", "clips/b.hft", "c.hft", "d.hft", "e.hft"))
+        assert question.spans == [(0.0, 1.5), (2.0, 3.0), (0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
         assert question.answer == {"correct": 1, "group": "intra"}
         path.write_text(json.dumps({"queries": [
             {"predictions": "p.json", "gt": {"start": 1, "end": 1.0}},
